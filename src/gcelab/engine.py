@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .solvers import (
     Convention,
@@ -665,12 +664,17 @@ def charge_current_relation(
     dens = np.einsum(
         "xi,xi->x", sol1.evaluate(xs).conj(), sol2.evaluate(xs)
     )
-    q = complex(simpson(dens, x=xs))
+    q = complex(_simpson(dens, (float(x2) - float(x1)) / (n - 1)))
     kernel = sol1.convention.current_matrix
     ends = [complex(sol1.evaluate([x]).conj()[0] @ kernel @ sol2.evaluate([x])[0])
             for x in (x1, x2)]
     boundary = 1j * (ends[1] - ends[0]) / de
     return ChargeRelation(q, boundary, abs(q - boundary))
+
+
+def _simpson(y: np.ndarray, h: float):
+    """Composite Simpson rule for an odd number of samples spaced h apart."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
 def _check_same_profile(p1: PotentialProfile, p2: PotentialProfile) -> None:

@@ -248,3 +248,16 @@ class TestSubcommandOutputs:
         assert code == 0
         summary = json.load(open(out / "summary.json"))
         assert summary["convention"] == "rotated"
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    """scipy is a test-only oracle: a full run must not load it, even lazily."""
+    script = (
+        "import sys, gcelab, gcelab.cli\n"
+        f"code = gcelab.cli.main(['run', '--scenario', 'fig2', '--out', {str(tmp_path)!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from gcelab.engine import (
     ChargeRelation,
@@ -34,6 +35,7 @@ from gcelab.engine import (
     schrodinger_current,
     transformed_current,
     translation_transform,
+    _simpson,
 )
 from gcelab.solvers import (
     DeltaBarrier,
@@ -523,6 +525,16 @@ class TestChargeRelation:
         assert rel.discrepancy <= 1e-8
         even = charge_current_relation(s1, s2, -2.5, 2.5, n_points=10000)
         assert even.discrepancy <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 5, 101, 4001, 40001])
+    def test_simpson_matches_scipy(self, n):
+        xs = np.linspace(-0.4, 0.9, n)
+        h = 1.3 / (n - 1)
+        real = np.exp(1.5 * xs) * (2.0 + np.sin(5.0 * xs))
+        cplx = 1.0 + np.exp((0.5 + 3.0j) * xs)
+        for y in (real, cplx):
+            ref = simpson(y, x=xs)
+            assert abs(_simpson(y, h) - ref) <= 1e-14 * abs(ref)
 
     def test_equal_energies_raise(self):
         prof = uniform_profile([[0.0]], -1.0, 1.0)

@@ -14,6 +14,7 @@ from gcelab.solvers import (
     InitialValue,
     PotentialProfile,
     ProfileError,
+    Propagator,
     Scattering,
     Segment,
     delta_junction,
@@ -214,6 +215,93 @@ def test_schrodinger_junction_jump_rule():
     lam = np.array([[0.9]])
     j = schrodinger_delta_junction(lam, mass=1.5)
     np.testing.assert_allclose(j, np.array([[1.0, 0.0], [2 * 1.5 * 0.9, 1.0]]), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Exact propagator against the scipy expm oracle
+
+OFFSETS = (0.0, 1e-3, 1.7)  # zero, small, and one segment length
+
+
+def assert_matches_expm(m, xs=OFFSETS):
+    for x in xs:
+        ref = expm(m * x)
+        err = np.abs(Propagator(m)(x) - ref).max()
+        assert err <= 1e-12 * max(1.0, np.abs(ref).max()), (x, err)
+
+
+@pytest.mark.parametrize("name", ["default", "vector", "rotated"])
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dirac_propagator_at_band_edge(name, offset, sign):
+    v = 1.3
+    m = dirac_generator(np.array([[v]]), sign * (v + offset), get_convention(name))
+    assert_matches_expm(m)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
+def test_schrodinger_propagator_at_turning_point(offset):
+    m = schrodinger_generator(np.array([[0.8]]), 0.8 + offset, mass=1.5)
+    assert_matches_expm(m)
+
+
+@pytest.mark.parametrize("name", ["default", "vector"])
+def test_coupled_propagator_with_zero_eigenvalue(name):
+    # V = 0.5 d d^dag couples all three systems; its spectrum is {1.5, 0, 0},
+    # so at E = 1.5 both V^2 - E^2 and -(V - E)^2 have an exact zero eigenvalue.
+    d = np.array([1.0, 1j, -1.0])
+    v = 0.5 * np.outer(d, d.conj())
+    e = 1.5
+    shifted = v - e * np.eye(3)
+    a = v @ v - e * e * np.eye(3) if name == "default" else -shifted @ shifted
+    assert np.abs(np.linalg.eigvalsh(a)).min() <= 1e-15
+    m = dirac_generator(v, e, get_convention(name))
+    assert_matches_expm(m)
+    # The same generator drives evaluation inside a solved segment.
+    start = np.arange(1.0, 7.0) * (1.0 - 0.5j)
+    prof = PotentialProfile([Segment(0.0, 1.7, v)])
+    sol = solve_dirac(prof, e, InitialValue(start), convention=name)
+    xs = np.array(OFFSETS)
+    ref = np.array([expm(m * x) @ start for x in xs])
+    np.testing.assert_allclose(sol.evaluate(xs), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["default", "vector", "rotated"])
+def test_delta_junction_matches_expm_for_random_strengths(name):
+    rng = np.random.default_rng(11)
+    conv = get_convention(name)
+    for _ in range(5):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        lam = 0.5 * (a + a.conj().T)
+        ref = expm(-1j * np.kron(lam, conv.gamma1_inv @ conv.coupling_matrix))
+        err = np.abs(delta_junction(lam, conv) - ref).max()
+        assert err <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_band_edge_evaluation_is_exact():
+    # E = |V| exactly on the middle segment of system 1: its generator is nilpotent.
+    prof = PotentialProfile(
+        [
+            Segment(-1.0, 0.0, np.zeros((2, 2))),
+            Segment(0.0, 1.0, np.diag([1.5, 0.2])),
+            Segment(1.0, 2.0, np.zeros((2, 2))),
+        ]
+    )
+    sol = solve_dirac(prof, 1.5, Scattering(np.array([1.0, 0.5])))
+    m = dirac_generator(np.diag([1.5, 0.2]), 1.5, get_convention("default"))
+    xs = np.linspace(0.0, 1.0, 11)
+    ref = np.array([expm(m * x) @ sol.evaluate([0.0])[0] for x in xs])
+    np.testing.assert_allclose(sol.evaluate(xs), ref, rtol=0, atol=1e-12)
+    assert ode_residual(sol, interior_points(prof)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "m", [np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, 2.0])],
+    ids=["non-hermitian-square", "unpaired-spectrum"],
+)
+def test_propagator_rejects_foreign_generators_as_internal_errors(m):
+    with pytest.raises(RuntimeError, match="paired"):
+        Propagator(m)
 
 
 # ---------------------------------------------------------------------------
