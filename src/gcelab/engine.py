@@ -77,22 +77,23 @@ class SolutionStack:
             self.mass = sols[0].mass
             self.profile = _combined_profile([s.profile for s in sols])
 
+    def flat(self, xs, side: str = "right") -> np.ndarray:
+        """Stacked samples in the joint solver layout, shape (len(xs), 2N)."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if self.joint is not None:
+            return self.joint.evaluate(xs, side)
+        cols = [s.evaluate(xs, side) for s in self.sols]
+        axis = 1 if self.model == "dirac" else 2
+        return np.stack(cols, axis=axis).reshape(len(xs), -1)
+
     def values(self, xs, side: str = "right") -> np.ndarray:
         """Stacked samples, shape (len(xs), N, 2) Dirac or (len(xs), 2, N) wave.
 
         For the wave model the middle axis is (value, derivative).
         """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        n = self.n_systems
-        if self.joint is not None:
-            raw = self.joint.evaluate(xs, side)
-            if self.model == "dirac":
-                return raw.reshape(len(xs), n, 2)
-            return raw.reshape(len(xs), 2, n)
-        cols = [s.evaluate(xs, side) for s in self.sols]
-        if self.model == "dirac":
-            return np.stack(cols, axis=1)
-        return np.stack(cols, axis=2)
+        flat = self.flat(xs, side)
+        shape = (self.n_systems, 2) if self.model == "dirac" else (2, self.n_systems)
+        return flat.reshape(len(flat), *shape)
 
     def system_values(self, i: int, xs, side: str = "right") -> np.ndarray:
         """Single-system samples (len, 2); shares arithmetic with ``values``."""
@@ -220,40 +221,74 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Bilinear kernels shared by every current/residual path
+# One bilinear for every current, time term and source
+#
+# States are sampled flat in solver layout, shape (..., 2N): Dirac is
+# system-major (component i of system s at 2s + i), Schroedinger holds the N
+# values and then the N derivatives.  Every quantity the continuity law needs
+# is psi^dag K psi for one 2N x 2N kernel K built from an N x N system matrix
+# M (a generator T_a, the time weight i(E_s - E_t) T_a, or a source S_a):
+#
+#   Dirac         density kron(M, I), current kron(M, gamma0 gamma1),
+#                 potential kron(M, gamma0 C) with C the coupling matrix;
+#   Schroedinger  density and potential [[M, 0], [0, 0]],
+#                 current (i/2m) [[0, -M], [M, 0]].
+#
+# A pair current is the same bilinear between two single-system states with
+# M = [[1]].
+
+_VALUE_BLOCK = np.diag([1.0, 0.0])
+_FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _dirac_generator_current(vals: np.ndarray, conv: Convention, t_a: np.ndarray):
-    kernel = conv.current_matrix
-    j0 = np.einsum("xsi,st,xti->x", vals.conj(), t_a, vals)
-    j1 = np.einsum("xsi,ij,st,xtj->x", vals.conj(), kernel, t_a, vals)
-    return j0, j1
+def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray | None = None):
+    """psi^dag K phi per sample: one GEMM and one row-wise dot (phi defaults to psi)."""
+    phi = psi if phi is None else phi
+    return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
 
-def _wave_generator_current(vals: np.ndarray, mass: float, t_a: np.ndarray):
-    v, d = vals[:, 0, :], vals[:, 1, :]
-    j0 = np.einsum("xs,st,xt->x", v.conj(), t_a, v)
-    j1 = (0.5j / mass) * (
-        np.einsum("xs,st,xt->x", d.conj(), t_a, v)
-        - np.einsum("xs,st,xt->x", v.conj(), t_a, d)
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over leading ones."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(
+        *prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
     )
-    return j0, j1
 
 
-def _time_term(vals: np.ndarray, energies: np.ndarray, t_a: np.ndarray, model: str):
-    w = 1j * (energies[:, None] - energies[None, :]) * t_a
+def _density_kernel(model: str, m: np.ndarray) -> np.ndarray:
+    return _kron(m, np.eye(2)) if model == "dirac" else _kron(_VALUE_BLOCK, m)
+
+
+def _current_kernel(model: str, conv: Convention, mass: float, m: np.ndarray) -> np.ndarray:
     if model == "dirac":
-        return np.einsum("xsi,st,xti->x", vals.conj(), w, vals)
-    v = vals[:, 0, :]
-    return np.einsum("xs,st,xt->x", v.conj(), w, v)
+        return _kron(m, conv.current_matrix)
+    return _kron(_FLUX_BLOCK, (0.5j / mass) * m)
 
 
-def _source_term(vals, s_mats, conv, model: str, mass: float):
-    """Bilinear of the per-sample source matrices S_a(x) in the stacked state."""
+def _potential_kernel(model: str, conv: Convention, m: np.ndarray) -> np.ndarray:
     if model == "dirac":
-        spinor = conv.gamma0 @ conv.coupling_matrix
-        return np.einsum("xsi,ij,xtj,xst->x", vals.conj(), spinor, vals, s_mats)
-    v = vals[:, 0, :]
-    return np.einsum("xs,xst,xt->x", v.conj(), s_mats, v)
+        return _kron(m, conv.gamma0 @ conv.coupling_matrix)
+    return _kron(_VALUE_BLOCK, m)
+
+
+def _time_weight(energies, t_a: np.ndarray) -> np.ndarray:
+    """System matrix i(E_s - E_t) T_a of the analytic time derivative."""
+    energies = np.asarray(energies, dtype=float)
+    return 1j * (energies[:, None] - energies[None, :]) * t_a
+
+
+def _source(psi: np.ndarray, kernels: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Source bilinear with one potential kernel per segment.
+
+    ``segments`` holds the segment index of every sample (the last axis of
+    ``psi`` but one); each run of samples in one segment takes one GEMM with
+    that segment's kernel.
+    """
+    out = np.empty(psi.shape[:-1], dtype=complex)
+    starts = np.flatnonzero(np.diff(segments)) + 1
+    for lo, hi in zip([0, *starts], [*starts, len(segments)]):
+        out[..., lo:hi] = _bilinear(psi[..., lo:hi, :], kernels[segments[lo]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +353,7 @@ def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
     if stack.model != model:
         raise ValueError(f"expected a {model} stack, got {stack.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    conv, mass = stack.convention, stack.mass
     if isinstance(index, (tuple, list)):
         i, j = index
         for k in (i, j):
@@ -325,25 +361,17 @@ def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
                 raise ValueError(f"system index {k} outside 1..{stack.n_systems}")
         a_vals = stack.system_values(i, grid)
         b_vals = stack.system_values(j, grid)
-        if model == "dirac":
-            kernel = stack.convention.current_matrix
-            j1 = np.einsum("xi,ij,xj->x", a_vals.conj(), kernel, b_vals)
-            j0 = np.einsum("xi,xi->x", a_vals.conj(), b_vals)
-        else:
-            j1 = (0.5j / stack.mass) * (
-                a_vals[:, 1].conj() * b_vals[:, 0] - a_vals[:, 0].conj() * b_vals[:, 1]
-            )
-            j0 = a_vals[:, 0].conj() * b_vals[:, 0]
+        one = np.eye(1)
+        j1 = _bilinear(a_vals, _current_kernel(model, conv, mass, one), b_vals)
+        j0 = _bilinear(a_vals, _density_kernel(model, one), b_vals)
         prof = CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
     else:
         if basis is None or basis.n != stack.n_systems:
             raise ValueError("basis rank must match the number of systems")
         t_a = basis.generator(int(index))
-        vals = stack.values(grid)
-        if model == "dirac":
-            j0, j1 = _dirac_generator_current(vals, stack.convention, t_a)
-        else:
-            j0, j1 = _wave_generator_current(vals, stack.mass, t_a)
+        psi = stack.flat(grid)
+        j1 = _bilinear(psi, _current_kernel(model, conv, mass, t_a))
+        j0 = _bilinear(psi, _density_kernel(model, t_a))
         prof = CurrentProfile("generator", int(index), grid, j1, j0)
     return _attach_stats(prof, domains)
 
@@ -463,14 +491,27 @@ def detect_domains(
 ) -> list[Domain]:
     """Exact symmetry domains of a pair from segment breakpoints, not sampling.
 
-    An interval belongs to a domain when |V_ii(x) - V_jj(F(x))| <= tol on it
-    and every delta barrier inside matches its mapped partner in position and
-    strength within tol; an unmatched delta splits the domain at its position.
+    An interval belongs to a domain when |V_ii(x) - V_jj(F(x))| <= tol on it,
+    systems i and j are decoupled there (every off-diagonal entry in rows and
+    columns i and j of V(x) and of V(F(x)) is within tol, so the pair's source
+    vanishes), and every delta barrier inside matches its mapped partner in
+    position and strength and is decoupled in the same sense; an unmatched or
+    coupling delta splits the domain at its position.
     """
     i, j = pair
     for k in (i, j):
         if not 1 <= k <= profile.n_systems:
             raise ValueError(f"system index {k} outside 1..{profile.n_systems}")
+    pair_idx = [i - 1, j - 1]
+
+    def matches(v_x: np.ndarray, v_f: np.ndarray) -> bool:
+        """V_ii(x) = V_jj(F(x)) with systems i and j decoupled at x and F(x)."""
+        for v in (v_x, v_f):
+            off = np.abs(v - np.diag(np.diag(v)))
+            if max(off[pair_idx].max(), off[:, pair_idx].max()) > tol:
+                return False
+        return abs(v_x[i - 1, i - 1].real - v_f[j - 1, j - 1].real) <= tol
+
     cuts = _merge_sorted(
         np.concatenate([profile.breakpoints, spec.inverse_map(profile.breakpoints)])
     )
@@ -485,9 +526,9 @@ def detect_domains(
             mid = lo + 1.0
         else:
             mid = 0.5 * (lo + hi)
-        vi = profile.matrix_at(mid)[i - 1, i - 1].real
-        vj = profile.matrix_at(float(spec.map(mid)))[j - 1, j - 1].real
-        passing.append(abs(vi - vj) <= tol)
+        passing.append(
+            matches(profile.matrix_at(mid), profile.matrix_at(float(spec.map(mid))))
+        )
     runs = []
     k = 0
     while k < len(passing):
@@ -498,15 +539,14 @@ def detect_domains(
             runs.append((float(edges[start]), float(edges[k + 1])))
         k += 1
 
-    def strength(sys: int, x: float) -> float:
+    def strength(x: float) -> np.ndarray:
         d = profile.delta_at(x)
-        return float(d.strength[sys - 1, sys - 1].real) if d is not None else 0.0
+        return d.strength if d is not None else np.zeros((profile.n_systems,) * 2)
 
     candidates = set(profile.delta_positions)
     candidates.update(float(spec.inverse_map(x)) for x in profile.delta_positions)
     mismatches = sorted(
-        x for x in candidates
-        if abs(strength(i, x) - strength(j, float(spec.map(x)))) > tol
+        x for x in candidates if not matches(strength(x), strength(float(spec.map(x))))
     )
     domains = []
     for lo, hi in runs:
@@ -533,16 +573,11 @@ def transformed_current(
     mapped = spec.map(grid)
     a_vals = sol1.evaluate(grid)
     b_vals = sol2.evaluate(mapped)
-    if spec.is_identity:
-        # Same expressions as the pair branch of dirac_current, so the two
-        # agree bit for bit on identical solution objects.
-        kernel = sol1.convention.current_matrix
-        j1 = np.einsum("xi,ij,xj->x", a_vals.conj(), kernel, b_vals)
-        j0 = np.einsum("xi,xi->x", a_vals.conj(), b_vals)
-    else:
-        kernel = sol1.convention.current_matrix @ spec.spinor_factor
-        j1 = np.einsum("xi,ij,xj->x", a_vals.conj(), kernel, b_vals)
-        j0 = np.einsum("xi,ij,xj->x", a_vals.conj(), spec.spinor_factor, b_vals)
+    # The identity spinor factor leaves both kernels exactly equal to the pair
+    # branch of dirac_current, so the two agree bit for bit.
+    kernel = sol1.convention.current_matrix @ spec.spinor_factor
+    j1 = _bilinear(a_vals, kernel, b_vals)
+    j0 = _bilinear(a_vals, spec.spinor_factor, b_vals)
     prof = CurrentProfile("transformed", (1, 2), grid, j1, j0)
     return _attach_stats(prof, domains)
 
@@ -713,17 +748,15 @@ class GceReport:
 
 def _stationary_residual(stack, basis, a, grid, decomp, model):
     t_a = basis.generator(int(a))
+    conv = stack.convention
     cuts = residual_cuts(stack.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    vals = stack.values(eval_xs)
-    if model == "dirac":
-        _, j1 = _dirac_generator_current(vals, stack.convention, t_a)
-    else:
-        _, j1 = _wave_generator_current(vals, stack.mass, t_a)
+    psi = stack.flat(eval_xs)
+    j1 = _bilinear(psi, _current_kernel(model, conv, stack.mass, t_a))
     dj1 = piecewise_derivative(j1, grid, cuts)
-    time_term = _time_term(vals, stack.energies, t_a, model)
-    s_mats = source_operator(decomp, int(a))[decomp.segment_of(eval_xs)]
-    source = _source_term(vals, s_mats, stack.convention, model, stack.mass)
+    time_term = _bilinear(psi, _density_kernel(model, _time_weight(stack.energies, t_a)))
+    kernels = _potential_kernel(model, conv, source_operator(decomp, int(a)))
+    source = _source(psi, kernels, decomp.segment_of(eval_xs))
     return time_term + dj1 - source, j1
 
 
@@ -808,7 +841,8 @@ def field_strength(config: GaugeConfig, basis: SunBasis) -> np.ndarray:
         [piecewise_derivative(a0[d], config.grid, config.cuts).real
          for d in range(a0.shape[0])]
     )
-    quad = np.einsum("abc,bm,cm->am", basis.structure_constants, a0, a1)
+    f = basis.structure_constants
+    quad = sum(a0[b] * (f[:, b, :] @ a1) for b in range(len(a0)))
     return -dx_a0 - quad
 
 
@@ -837,55 +871,41 @@ def gauge_residual(
     t_a = basis.generator(int(a))
     grid = np.asarray(config.grid, dtype=float)
     psi = np.asarray(psi, dtype=complex)
-    n = basis.n
     d = basis.dim
     if config.a_fields.shape != (d, 2, len(grid)):
         raise ValueError(
             f"a_fields must have shape ({d}, 2, {len(grid)}), got {config.a_fields.shape}"
         )
+    if psi.ndim not in (2, 3) or psi.shape[-2:] != (len(grid), 2 * basis.n):
+        raise ValueError("psi must be (m, 2N) or (nt, m, 2N)")
     r01 = field_strength(config, basis)
     f_a = basis.structure_constants[int(a) - 1]
-    a0 = config.a_fields[:, 0, :]
-    a1 = config.a_fields[:, 1, :]
-    k0 = -np.einsum("bd,dm,bm->m", f_a, r01, a1)
-    k1 = np.einsum("bd,dm,bm->m", f_a, r01, a0)
-    if decomp is not None:
-        lookup = snap_to_cuts(grid, config.cuts)
-        s_mats = source_operator(decomp, int(a))[decomp.segment_of(lookup)]
+    mixed = f_a @ r01  # sum_d f_abd R_01^d, shape (N**2 - 1, len(grid))
+    k0 = -(mixed * config.a_fields[:, 1, :]).sum(axis=0)
+    k1 = (mixed * config.a_fields[:, 0, :]).sum(axis=0)
+    current_kernel = _current_kernel("dirac", conv, None, t_a)
+    if decomp is None:
+        source = np.zeros(psi.shape[:-1])
     else:
-        s_mats = np.zeros((len(grid), n, n))
-
-    def assemble(vals):
-        j0, j1 = _dirac_generator_current(vals, conv, t_a)
-        source = _source_term(vals, s_mats, conv, "dirac", None)
-        return j0, j1, source
+        kernels = _potential_kernel("dirac", conv, source_operator(decomp, int(a)))
+        source = _source(psi, kernels, decomp.segment_of(snap_to_cuts(grid, config.cuts)))
 
     if psi.ndim == 2:
         if energies is None:
             raise ValueError("static psi needs per-system energies")
-        vals = psi.reshape(len(grid), n, 2)
-        j0, j1, source = assemble(vals)
-        time_term = _time_term(vals, np.asarray(energies, dtype=float), t_a, "dirac")
+        j1 = _bilinear(psi, current_kernel)
+        time_term = _bilinear(psi, _density_kernel("dirac", _time_weight(energies, t_a)))
         dj1 = piecewise_derivative(j1 - k1, grid, config.cuts)
         residual = time_term + dj1 - source
-        out_grid = grid
-    elif psi.ndim == 3:
+    else:
         if config.t_grid is None:
             raise ValueError("sampled-time psi needs config.t_grid")
         ts = np.asarray(config.t_grid, dtype=float)
-        j0s, j1s, sources = [], [], []
-        for slab in psi:
-            j0, j1, source = assemble(slab.reshape(len(grid), n, 2))
-            j0s.append(j0 - k0)
-            j1s.append(j1 - k1)
-            sources.append(source)
-        j0s, j1s, sources = np.array(j0s), np.array(j1s), np.array(sources)
-        dt = np.stack([piecewise_derivative(j0s[:, m], ts) for m in range(len(grid))], axis=1)
-        dx = np.stack([piecewise_derivative(j1s[t], grid, config.cuts) for t in range(len(ts))])
-        residual = dt + dx - sources
-        out_grid = grid
-    else:
-        raise ValueError("psi must be (m, 2N) or (nt, m, 2N)")
+        j0s = _bilinear(psi, _density_kernel("dirac", t_a)) - k0
+        j1s = _bilinear(psi, current_kernel) - k1
+        dt = piecewise_derivative(j0s, ts)
+        dx = np.stack([piecewise_derivative(j1, grid, config.cuts) for j1 in j1s])
+        residual = dt + dx - source
     rms = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
     rmax = float(np.abs(residual).max())
-    return GceReport(int(a), out_grid, residual, rms, rmax)
+    return GceReport(int(a), grid, residual, rms, rmax)

@@ -48,6 +48,7 @@ from .solvers import (
 )
 from .sun import build_basis
 
+# The package version; gcelab/__init__.py re-exports it.
 __version__ = "0.1.0"
 
 OUTPUT_KINDS = ("currents", "residuals", "domains", "charge_relation", "delta_relation")

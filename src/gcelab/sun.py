@@ -69,11 +69,17 @@ class SunBasis:
 
     @cached_property
     def structure_constants(self) -> np.ndarray:
-        """Dense antisymmetric f_abc with [T_a, T_b] = i f_abc T_c (0-based axes)."""
+        """Dense antisymmetric f_abc with [T_a, T_b] = i f_abc T_c (0-based axes).
+
+        For Hermitian generators f_abc = -2i Tr([T_a, T_b] T_c) = 4 Im Tr(T_a T_b T_c),
+        so all G**3 traces come from one GEMM of the G**2 products T_a T_b
+        against the transposed generators.
+        """
         t = self.generators
-        comm = np.einsum("aij,bjk->abik", t, t) - np.einsum("bij,ajk->abik", t, t)
-        f = -2j * np.einsum("abik,cki->abc", comm, t)
-        f = f.real.copy()
+        g, n = t.shape[0], self.n
+        prod = (t[:, None] @ t[None, :]).reshape(g * g, n * n)
+        traces = prod @ t.transpose(0, 2, 1).reshape(g, n * n).T
+        f = 4.0 * traces.imag.reshape(g, g, g)
         f[np.abs(f) < 1e-14] = 0.0
         return f
 

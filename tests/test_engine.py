@@ -415,6 +415,45 @@ class TestDomains:
         doms = detect_domains(unmatched, (1, 2), parity_transform(conv))
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (0.0, np.inf)]
 
+    def test_off_diagonal_coupling_breaks_the_domain(self, bases):
+        # Equal diagonals everywhere, but systems 1 and 2 couple on [0, 1]:
+        # the pair current drifts across the coupled window, so the window
+        # must not belong to any domain.
+        coupled = np.array([[0.3, 0.2], [0.2, 0.3]])
+        prof = PotentialProfile(
+            [
+                Segment(-2.0, 0.0, np.diag([0.1, 0.1])),
+                Segment(0.0, 1.0, coupled),
+                Segment(1.0, 3.0, np.diag([0.1, 0.1])),
+            ]
+        )
+        doms = detect_domains(prof, (1, 2), identity_transform())
+        assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (1.0, np.inf)]
+        sol = solve_dirac(prof, 1.2, Scattering([1.0, 0.5]))
+        xs = np.linspace(-1.9, 2.9, 961)
+        cur = dirac_current(sol, bases[2], (1, 2), xs, domains=doms)
+        assert all(stat.rel_dev <= 1e-8 for stat in cur.domain_stats)
+        assert interval_stats(xs, cur.j1, -np.inf, np.inf)[2] >= 0.01
+
+    def test_off_diagonal_delta_splits_the_domain(self):
+        segs = [Segment(-2.0, 0.0, np.diag([0.1, 0.1])), Segment(0.0, 2.0, np.diag([0.1, 0.1]))]
+        prof = PotentialProfile(segs, [DeltaBarrier(0.0, np.array([[0.3, 0.2], [0.2, 0.3]]))])
+        for spec in (identity_transform(), parity_transform(get_convention("default"))):
+            doms = detect_domains(prof, (1, 2), spec)
+            assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (0.0, np.inf)]
+
+    def test_coupling_to_a_third_system_breaks_the_domain(self):
+        v = np.diag([0.2, 0.2, 0.5]).astype(complex)
+        v[1, 2] = v[2, 1] = 0.1
+        prof = PotentialProfile(
+            [Segment(-1.0, 0.0, np.diag([0.2, 0.2, 0.5])), Segment(0.0, 1.0, v)]
+        )
+        doms = detect_domains(prof, (1, 2), identity_transform())
+        assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0)]
+        # System 1 stays decoupled, so its own pair keeps the whole line.
+        doms = detect_domains(prof, (1, 1), identity_transform())
+        assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, np.inf)]
+
     def test_fig_like_pair_current_constant_inside_window_only(self, bases):
         sol = solve_dirac(self.fig_like_profile(), 2.0, Scattering([1.0, 1.0]))
         doms = detect_domains(sol.profile, (1, 2), identity_transform())

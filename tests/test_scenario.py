@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import gcelab
 from gcelab.scenario import (
     OUTPUT_KINDS,
     Scenario,
@@ -361,6 +362,10 @@ class TestReports:
         assert doc["passed"] is True
         assert doc["domains"]["items"][0]["x_lo"] == -math.inf
         assert doc["scenario"]["model"] == "dirac"
+
+    def test_summary_names_the_package_version(self):
+        b = run_scenario(load_builtin("free2"), n_points=11, outputs=())
+        assert b.summary["tool"] == f"gcelab {gcelab.__version__}"
 
     def test_no_partial_files_on_rewrite(self, tmp_path):
         b = run_scenario(load_builtin("free2"), n_points=11)

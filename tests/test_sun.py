@@ -97,6 +97,17 @@ def test_su3_table_and_brute_force_oracle(bases):
     assert np.abs(f - expect).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_structure_constants_match_commutator_einsum_bitwise(n):
+    """The one-GEMM 4 Im Tr(T_a T_b T_c) equals -2i Tr([T_a, T_b] T_c) exactly."""
+    basis = build_basis(n)
+    t = basis.generators
+    comm = np.einsum("aij,bjk->abik", t, t) - np.einsum("bij,ajk->abik", t, t)
+    ref = (-2j * np.einsum("abik,cki->abc", comm, t)).real.copy()
+    ref[np.abs(ref) < 1e-14] = 0.0
+    assert np.array_equal(basis.structure_constants, ref)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_antisymmetry_and_jacobi(bases, n):
     f = structure_constants(bases[n])
