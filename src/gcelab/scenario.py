@@ -475,7 +475,11 @@ def set_delta_strength(s: Scenario, lam: float) -> Scenario:
 
 @dataclass
 class ReportBundle:
-    """Computed tables plus a machine-readable summary for one scenario run."""
+    """Computed tables plus a machine-readable summary for one scenario run.
+
+    Each table is a ``(header, rows)`` pair: a list of column names and a 2-D
+    float64 array with one column per name.  Flag columns hold 0.0/1.0.
+    """
 
     scenario: Scenario
     grid: np.ndarray
@@ -555,6 +559,28 @@ def _pair_current(s: Scenario, stack: SolutionStack, grid: np.ndarray):
     return fn(stack, None, tuple(s.pair), grid), False
 
 
+def _summary_head(s: Scenario, grid=None) -> dict:
+    """Summary keys shared by every command.
+
+    The system count and grid block are given where the bundle samples one
+    grid; a scan omits them, its grids being the scanned spacings.
+    """
+    head = {
+        "tool": f"gcelab {__version__}",
+        "model": s.model,
+        "scenario": serialize_scenario(s),
+    }
+    if grid is not None:
+        head["n_systems"] = s.n_systems
+        head["grid"] = {
+            "x_min": s.grid.x_min,
+            "x_max": s.grid.x_max,
+            "n_points": len(grid),
+            "spacing": float(grid[1] - grid[0]),
+        }
+    return head
+
+
 def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None) -> ReportBundle:
     """Execute a scenario and collect the requested outputs in canonical order."""
     wanted = tuple(outputs) if outputs is not None else s.requested_outputs
@@ -565,23 +591,12 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     grid = s.grid_array(n_points)
     basis = build_basis(s.n_systems) if s.n_systems >= 2 else None
     bundle = ReportBundle(scenario=s, grid=grid)
-    summary = {
-        "tool": f"gcelab {__version__}",
-        "model": s.model,
-        "convention": (s.convention or "default") if s.model == "dirac" else None,
-        "mass": (s.mass if s.mass is not None else 1.0)
-        if s.model == "schrodinger"
-        else None,
-        "n_systems": s.n_systems,
-        "grid": {
-            "x_min": s.grid.x_min,
-            "x_max": s.grid.x_max,
-            "n_points": len(grid),
-            "spacing": float(grid[1] - grid[0]),
-        },
-        "outputs": [o for o in OUTPUT_KINDS if o in wanted],
-        "scenario": serialize_scenario(s),
-    }
+    summary = _summary_head(s, grid)
+    summary["convention"] = (s.convention or "default") if s.model == "dirac" else None
+    summary["mass"] = (
+        (s.mass if s.mass is not None else 1.0) if s.model == "schrodinger" else None
+    )
+    summary["outputs"] = [o for o in OUTPUT_KINDS if o in wanted]
     verdicts = []
 
     current = None
@@ -590,10 +605,9 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     if "currents" in wanted:
         bundle.tables["currents"] = (
             ["x", "re_j1", "im_j1", "re_j0", "im_j0"],
-            [
-                [x, j1.real, j1.imag, j0.real, j0.imag]
-                for x, j1, j0 in zip(grid, current.j1, current.j0)
-            ],
+            np.column_stack(
+                [grid, current.j1.real, current.j1.imag, current.j0.real, current.j0.imag]
+            ),
         )
         summary["currents"] = {
             "pair": list(s.pair),
@@ -610,7 +624,7 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
             _annotate(e, "evaluating the continuity residual")
         bundle.tables["residuals"] = (
             ["x", "re_residual", "im_residual"],
-            [[x, r.real, r.imag] for x, r in zip(grid, report.residual)],
+            np.column_stack([grid, report.residual.real, report.residual.imag]),
         )
         summary["residuals"] = {
             "generator_index": s.generator_index,
@@ -647,16 +661,12 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
                     "passed": ok,
                 }
             )
+        # Columns are the keys of the sampled items; `passed` becomes 0.0/1.0.
+        header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
+        rows = [[it[k] for k in header] for it in items if it["sampled"]]
         bundle.tables["domains"] = (
-            ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"],
-            [
-                [
-                    it["x_lo"], it["x_hi"], it["re_mean"], it["im_mean"],
-                    it["max_dev"], it["rel_dev"], int(it["passed"]),
-                ]
-                for it in items
-                if it["sampled"]
-            ],
+            header,
+            np.array(rows, dtype=float).reshape(len(rows), len(header)),
         )
         summary["domains"] = {
             "count": len(items),
@@ -756,39 +766,15 @@ def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
     """Solver stage only: sampled state components on the scenario grid."""
     stack = _solve_stack(s)
     grid = s.grid_array(n_points)
-    if stack.joint is not None:
-        samples = stack.joint.evaluate(grid)
-    else:
-        raw = stack.values(grid)
-        if s.model == "dirac":
-            samples = raw.reshape(len(grid), 2 * s.n_systems)
-        else:
-            samples = np.concatenate([raw[:, 0, :], raw[:, 1, :]], axis=1)
-    header = ["x"]
-    for c in range(samples.shape[1]):
-        header += [f"re_u{c + 1}", f"im_u{c + 1}"]
-    rows = []
-    for k, x in enumerate(grid):
-        row = [x]
-        for c in range(samples.shape[1]):
-            row += [samples[k, c].real, samples[k, c].imag]
-        rows.append(row)
+    samples = stack.flat(grid)
+    n_comp = samples.shape[1]
+    header = ["x"] + [f"{part}_u{c}" for c in range(1, n_comp + 1) for part in ("re", "im")]
     bundle = ReportBundle(scenario=s, grid=grid)
-    bundle.tables["solution"] = (header, rows)
-    bundle.summary = {
-        "tool": f"gcelab {__version__}",
-        "model": s.model,
-        "n_systems": s.n_systems,
-        "components": samples.shape[1],
-        "grid": {
-            "x_min": s.grid.x_min,
-            "x_max": s.grid.x_max,
-            "n_points": len(grid),
-            "spacing": float(grid[1] - grid[0]),
-        },
-        "scenario": serialize_scenario(s),
-        "passed": True,
-    }
+    # The float view of the contiguous complex samples interleaves re, im.
+    bundle.tables["solution"] = (header, np.column_stack([grid, samples.view(float)]))
+    bundle.summary = _summary_head(s, grid)
+    bundle.summary["components"] = n_comp
+    bundle.summary["passed"] = True
     return bundle
 
 
@@ -805,7 +791,6 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     basis = build_basis(s.n_systems)
     fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
     span = s.grid.x_max - s.grid.x_min
-    rows = []
     norms = []
     actual = []
     for h in spacings:
@@ -818,7 +803,6 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
         h_eff = float(grid[1] - grid[0])
         actual.append(h_eff)
         norms.append(report.residual_rms)
-        rows.append([h_eff, report.residual_rms])
     orders = [
         math.log(norms[k] / norms[k + 1]) / math.log(actual[k] / actual[k + 1])
         for k in range(len(norms) - 1)
@@ -826,36 +810,24 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     mean_order = sum(orders) / len(orders)
     ok = abs(mean_order - 2.0) <= _SCAN_ORDER_TOL
     bundle = ReportBundle(scenario=s, grid=s.grid_array())
-    bundle.tables["scan"] = (["h", "rms"], rows)
-    bundle.summary = {
-        "tool": f"gcelab {__version__}",
-        "model": s.model,
-        "generator_index": s.generator_index,
-        "scan": {
-            "spacings": actual,
-            "rms": norms,
-            "orders": orders,
-            "mean_order": mean_order,
-            "order_tol": _SCAN_ORDER_TOL,
-            "passed": ok,
-        },
-        "scenario": serialize_scenario(s),
+    bundle.tables["scan"] = (["h", "rms"], np.column_stack([actual, norms]))
+    bundle.summary = _summary_head(s)
+    bundle.summary["generator_index"] = s.generator_index
+    bundle.summary["scan"] = {
+        "spacings": actual,
+        "rms": norms,
+        "orders": orders,
+        "mean_order": mean_order,
+        "order_tol": _SCAN_ORDER_TOL,
         "passed": ok,
     }
+    bundle.summary["passed"] = ok
     bundle.passed = ok
     return bundle
 
 
 # ---------------------------------------------------------------------------
 # Report writing
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
 
 
 def _atomic_write(path, payload: bytes):
@@ -873,10 +845,11 @@ def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, (header, rows) in bundle.tables.items():
-        lines = [",".join(header)]
-        lines += [",".join(_fmt_cell(c) for c in row) for row in rows]
+        n_rows, n_cols = rows.shape
+        row_fmt = ",".join(["%.17g"] * n_cols) + "\n"
+        text = ",".join(header) + "\n" + (row_fmt * n_rows) % tuple(rows.ravel().tolist())
         path = os.path.join(out_dir, f"{name}.csv")
-        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        _atomic_write(path, text.encode("utf-8"))
         written.append(path)
     path = os.path.join(out_dir, "summary.json")
     payload = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 import gcelab
 from gcelab.scenario import (
     OUTPUT_KINDS,
+    ReportBundle,
     Scenario,
     ScenarioFormatError,
     builtin_scenario_names,
@@ -33,9 +35,25 @@ from gcelab.scenario import (
     set_delta_strength,
     solution_bundle,
     write_reports,
+    _solve_stack,
 )
 
 ALL_BUILTINS = ("fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequal")
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-cell writer that the bulk format replaced: the test oracle."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def written_tables(bundle, out_dir) -> dict:
+    """CSV bytes by table name, as write_reports leaves them."""
+    paths = write_reports(bundle, str(out_dir))
+    return {
+        Path(p).stem: Path(p).read_bytes() for p in paths if p.endswith(".csv")
+    }
 
 
 def minimal_doc(**overrides) -> dict:
@@ -311,6 +329,39 @@ class TestRunScenario:
         with pytest.raises(ScenarioFormatError, match="charge_interval"):
             run_scenario(load_builtin("fig1a"), outputs=("charge_relation",))
 
+    @pytest.mark.parametrize(
+        "name, energies, joint",
+        [("fig1a", None, True), ("unequal", None, False), ("free2", (1.0, 1.5), False)],
+    )
+    def test_solution_columns_match_per_element_reference(self, name, energies, joint):
+        s = load_builtin(name)
+        if energies is not None:
+            # Unequal energies turn the joint Schroedinger pair into a per-system stack.
+            s = dataclasses.replace(s, energies=energies)
+        stack = _solve_stack(s)
+        grid = s.grid_array(201)
+        assert (stack.joint is not None) == joint
+        if stack.joint is not None:
+            samples = stack.joint.evaluate(grid)
+        elif s.model == "dirac":
+            samples = stack.values(grid).reshape(len(grid), 2 * s.n_systems)
+        else:
+            raw = stack.values(grid)
+            samples = np.concatenate([raw[:, 0, :], raw[:, 1, :]], axis=1)
+        expected_header = ["x"]
+        for c in range(samples.shape[1]):
+            expected_header += [f"re_u{c + 1}", f"im_u{c + 1}"]
+        expected = []
+        for k, x in enumerate(grid):
+            row = [x]
+            for c in range(samples.shape[1]):
+                row += [samples[k, c].real, samples[k, c].imag]
+            expected.append(row)
+        header, rows = solution_bundle(s, n_points=201).tables["solution"]
+        assert header == expected_header
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, np.array(expected))
+
     def test_solution_bundle_shape(self):
         b = solution_bundle(load_builtin("fig1a"), n_points=201)
         header, rows = b.tables["solution"]
@@ -366,6 +417,45 @@ class TestReports:
     def test_summary_names_the_package_version(self):
         b = run_scenario(load_builtin("free2"), n_points=11, outputs=())
         assert b.summary["tool"] == f"gcelab {gcelab.__version__}"
+
+    def test_bulk_format_matches_per_cell_writer(self, tmp_path):
+        cells = np.array(
+            [
+                [-0.0, 0.0, 1.0, 0.0],
+                [math.inf, -math.inf, math.nan, 5e-324],
+                [3.0, -7.0, 2.0**53, 1e17],
+                [0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.2250738585072014e-308],
+            ]
+        )
+        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle.tables["cells"] = (["a", "b", "flag", "d"], cells)
+        bundle.tables["empty"] = (["x", "y"], np.empty((0, 2)))
+        got = written_tables(bundle, tmp_path)
+        assert got["cells"] == reference_csv(*bundle.tables["cells"])
+        assert got["cells"].split(b"\n")[1] == b"-0,0,1,0"
+        assert got["empty"] == b"x,y\n"
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_builtin_tables_match_per_cell_writer(self, name, tmp_path):
+        s = load_builtin(name)
+        for i, bundle in enumerate(
+            [run_scenario(s, n_points=101), solution_bundle(s, n_points=101)]
+        ):
+            got = written_tables(bundle, tmp_path / str(i))
+            assert set(got) == set(bundle.tables)
+            for table, (header, rows) in bundle.tables.items():
+                assert rows.dtype == np.float64 and rows.ndim == 2
+                assert got[table] == reference_csv(header, rows), table
+
+    def test_version_has_one_source(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        doc = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in doc["project"]
+        assert "version" in doc["project"]["dynamic"]
+        attr = doc["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        assert attr == "gcelab.scenario.__version__"
+        assert gcelab.scenario.__version__ == gcelab.__version__
 
     def test_no_partial_files_on_rewrite(self, tmp_path):
         b = run_scenario(load_builtin("free2"), n_points=11)
