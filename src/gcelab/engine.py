@@ -243,8 +243,12 @@ _FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray | None = None):
     """psi^dag K phi per sample: one GEMM and one row-wise dot (phi defaults to psi)."""
-    phi = psi if phi is None else phi
-    return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
+    return _dot(psi.conj(), kernel, psi if phi is None else phi)
+
+
+def _dot(psi_c: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
+    """``_bilinear`` with the conjugate psi_c = psi.conj() already taken."""
+    return np.einsum("...k,...k->...", psi_c, phi @ kernel.T)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,17 +281,21 @@ def _time_weight(energies, t_a: np.ndarray) -> np.ndarray:
     return 1j * (energies[:, None] - energies[None, :]) * t_a
 
 
-def _source(psi: np.ndarray, kernels: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Source bilinear with one potential kernel per segment.
+def _time_minus_source(psi, psi_c, model, conv, time_weight, s_a, segments):
+    """psi^dag (D - P_seg) psi per sample: the time term minus the source.
 
-    ``segments`` holds the segment index of every sample (the last axis of
-    ``psi`` but one); each run of samples in one segment takes one GEMM with
-    that segment's kernel.
+    D is the density kernel of the system matrix ``time_weight`` and P_seg the
+    potential kernel of the segment's source matrix ``s_a[seg]``; they fold
+    into one kernel per segment.  ``segments`` holds the segment index of
+    every sample (the last axis of ``psi`` but one), and each run of samples
+    in one segment takes one GEMM with that segment's kernel.
     """
+    kernels = _density_kernel(model, time_weight) - _potential_kernel(model, conv, s_a)
     out = np.empty(psi.shape[:-1], dtype=complex)
     starts = np.flatnonzero(np.diff(segments)) + 1
     for lo, hi in zip([0, *starts], [*starts, len(segments)]):
-        out[..., lo:hi] = _bilinear(psi[..., lo:hi, :], kernels[segments[lo]])
+        run = np.s_[..., lo:hi, :]
+        out[..., lo:hi] = _dot(psi_c[run], kernels[segments[lo]], psi[run])
     return out
 
 
@@ -752,12 +760,13 @@ def _stationary_residual(stack, basis, a, grid, decomp, model):
     cuts = residual_cuts(stack.profile)
     eval_xs = snap_to_cuts(grid, cuts)
     psi = stack.flat(eval_xs)
-    j1 = _bilinear(psi, _current_kernel(model, conv, stack.mass, t_a))
-    dj1 = piecewise_derivative(j1, grid, cuts)
-    time_term = _bilinear(psi, _density_kernel(model, _time_weight(stack.energies, t_a)))
-    kernels = _potential_kernel(model, conv, source_operator(decomp, int(a)))
-    source = _source(psi, kernels, decomp.segment_of(eval_xs))
-    return time_term + dj1 - source, j1
+    psi_c = psi.conj()
+    j1 = _dot(psi_c, _current_kernel(model, conv, stack.mass, t_a), psi)
+    rest = _time_minus_source(
+        psi, psi_c, model, conv, _time_weight(stack.energies, t_a),
+        source_operator(decomp, int(a)), decomp.segment_of(eval_xs),
+    )
+    return rest + piecewise_derivative(j1, grid, cuts), j1
 
 
 def _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, model):
@@ -885,27 +894,32 @@ def gauge_residual(
     k1 = (mixed * config.a_fields[:, 0, :]).sum(axis=0)
     current_kernel = _current_kernel("dirac", conv, None, t_a)
     if decomp is None:
-        source = np.zeros(psi.shape[:-1])
+        s_a, segments = np.zeros((1, basis.n, basis.n)), np.zeros(len(grid), dtype=int)
     else:
-        kernels = _potential_kernel("dirac", conv, source_operator(decomp, int(a)))
-        source = _source(psi, kernels, decomp.segment_of(snap_to_cuts(grid, config.cuts)))
+        s_a = source_operator(decomp, int(a))
+        segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
+    psi_c = psi.conj()
 
     if psi.ndim == 2:
         if energies is None:
             raise ValueError("static psi needs per-system energies")
-        j1 = _bilinear(psi, current_kernel)
-        time_term = _bilinear(psi, _density_kernel("dirac", _time_weight(energies, t_a)))
-        dj1 = piecewise_derivative(j1 - k1, grid, config.cuts)
-        residual = time_term + dj1 - source
+        j1 = _dot(psi_c, current_kernel, psi)
+        rest = _time_minus_source(
+            psi, psi_c, "dirac", conv, _time_weight(energies, t_a), s_a, segments
+        )
+        residual = rest + piecewise_derivative(j1 - k1, grid, config.cuts)
     else:
         if config.t_grid is None:
             raise ValueError("sampled-time psi needs config.t_grid")
         ts = np.asarray(config.t_grid, dtype=float)
-        j0s = _bilinear(psi, _density_kernel("dirac", t_a)) - k0
-        j1s = _bilinear(psi, current_kernel) - k1
+        j0s = _dot(psi_c, _density_kernel("dirac", t_a), psi) - k0
+        j1s = _dot(psi_c, current_kernel, psi) - k1
         dt = piecewise_derivative(j0s, ts)
         dx = np.stack([piecewise_derivative(j1, grid, config.cuts) for j1 in j1s])
-        residual = dt + dx - source
+        # The time derivative is sampled here, so the folded kernel carries no
+        # analytic time weight and gives minus the source.
+        no_time = np.zeros((basis.n, basis.n))
+        residual = dt + dx + _time_minus_source(psi, psi_c, "dirac", conv, no_time, s_a, segments)
     rms = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
     rmax = float(np.abs(residual).max())
     return GceReport(int(a), grid, residual, rms, rmax)

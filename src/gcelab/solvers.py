@@ -426,6 +426,7 @@ class PiecewiseSolution:
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.convention = convention
         self.mass = mass
+        self._memo = None  # (side, grid bits, samples) of the last evaluate call
 
     @property
     def n_systems(self) -> int:
@@ -436,15 +437,29 @@ class PiecewiseSolution:
         return 2 * self.n_systems
 
     def evaluate(self, xs, side: str = "right") -> np.ndarray:
-        """Sampled stacked state, shape (len(xs), 2N)."""
+        """Sampled stacked state, shape (len(xs), 2N), read-only.
+
+        At a delta the two sides give the two one-sided limits.  The last call
+        is remembered: asking again for the same side and a grid with the same
+        contents (compared bit for bit, not by identity) returns the same
+        array, so a sweep over every generator on one grid samples the state
+        once.  The array is shared between those calls and therefore
+        read-only; copy it before modifying it.
+        """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         which = "right" if side == "right" else "left"
+        bits = xs.view(np.int64)
+        memo = self._memo
+        if memo is not None and memo[0] == which and np.array_equal(memo[1], bits):
+            return memo[2]
         idx = np.searchsorted(self.breakpoints, xs, side=which)
         out = np.empty((len(xs), self.dim), dtype=complex)
         for j in np.unique(idx):
             mask = idx == j
             piece = self.pieces[j]
             out[mask] = piece.expand(xs[mask] - piece.anchor)
+        out.flags.writeable = False
+        self._memo = (which, bits.copy(), out)
         return out
 
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -682,8 +697,3 @@ def solve_schrodinger(
     derivative jump 2 * mass * strength * value across their position.
     """
     return _solve(profile, float(energy), boundary, "schrodinger", None, float(mass))
-
-
-def evaluate(solution: PiecewiseSolution, grid, side: str = "right") -> np.ndarray:
-    """Sample a solution on a grid; at a delta the two one-sided limits differ."""
-    return solution.evaluate(grid, side=side)

@@ -186,12 +186,13 @@ def source_operator(decomp: PotentialDecomposition, a: int) -> np.ndarray:
 
     ``a`` is 1-based.  The result has shape (n_segments, n, n) aligned with
     ``decomp.cuts``; the source term of the continuity equation for generator
-    a is the bilinear of S_a(x) in the stacked state.
+    a is the bilinear of S_a(x) in the stacked state.  Since
+    [T_a, T_b] = i f_abc T_c, the sum is the commutator S_a = -i [T_a, V] with
+    the traceless part V = sum_b c_b T_b of each segment, so S_a vanishes
+    wherever T_a commutes with V and the structure constants are never formed.
     """
     basis = decomp.basis
-    if not 1 <= a <= basis.dim:
-        raise ValueError(f"generator index a must be in 1..{basis.dim}, got {a}")
-    f = basis.structure_constants
-    # (s,b),(b,c)->(s,c) then contract with generators.
-    coef = decomp.c @ f[a - 1]
-    return np.einsum("sc,cij->sij", coef, basis.generators)
+    t_a = basis.generator(a)
+    n = basis.n
+    v = (decomp.c @ basis.generators.reshape(basis.dim, n * n)).reshape(-1, n, n)
+    return -1j * (t_a @ v - v @ t_a)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import random_hermitian
+from gcelab.engine import gce_residual_dirac, gce_residual_schrodinger
 from gcelab.solvers import (
     CONVENTIONS,
     Convention,
@@ -19,7 +21,6 @@ from gcelab.solvers import (
     Segment,
     delta_junction,
     dirac_generator,
-    evaluate,
     get_convention,
     schrodinger_delta_junction,
     schrodinger_generator,
@@ -27,6 +28,7 @@ from gcelab.solvers import (
     solve_schrodinger,
     uniform_profile,
 )
+from gcelab.sun import build_basis, decompose
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -544,9 +546,89 @@ def test_evaluate_helper_and_sides():
         [DeltaBarrier(0.0, np.array([[0.5]]))],
     )
     sol = solve_dirac(prof, 1.2, Scattering(np.array([1.0])))
-    grid = np.linspace(-1.5, 1.5, 7)
-    np.testing.assert_allclose(evaluate(sol, grid), sol.evaluate(grid), atol=0)
     left, right = sol.limits(0.0)
     assert np.abs(left - right).max() > 1e-3  # junction acts at the delta
     np.testing.assert_allclose(sol.evaluate([0.0], side="right")[0], right, atol=0)
     np.testing.assert_allclose(sol.evaluate([0.0], side="left")[0], left, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation memo
+
+
+def delta_stack(model: str):
+    """Coupled three-system stack with a coupling delta barrier at x = 0."""
+    rng = np.random.default_rng(17)
+    prof = PotentialProfile(
+        [
+            Segment(-2.0, 0.0, np.diag([0.1, -0.2, 0.3])),
+            Segment(0.0, 1.0, 0.4 * random_hermitian(rng, 3)),
+            Segment(1.0, 2.5, np.diag([0.0, 0.2, -0.1])),
+        ],
+        [DeltaBarrier(0.0, 0.3 * random_hermitian(rng, 3))],
+    )
+    amps = Scattering(np.array([1.0, 0.5 - 0.2j, 0.3j]))
+    solve = solve_dirac if model == "dirac" else solve_schrodinger
+    return solve(prof, 1.6, amps)
+
+
+# x = 0.0 (index 4) sits exactly on the delta, x = 1.0 (index 8) on a step.
+MEMO_GRID = np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_evaluate_memo_keeps_sides_apart(model):
+    sol = delta_stack(model)
+    right = sol.evaluate(MEMO_GRID, side="right")
+    left = sol.evaluate(MEMO_GRID, side="left")
+    assert np.abs(right[4] - left[4]).max() > 1e-3
+    assert np.array_equal(np.delete(right, [4, 8], 0), np.delete(left, [4, 8], 0))
+    assert np.array_equal(sol.evaluate(MEMO_GRID, side="right"), right)
+    assert np.array_equal(sol.evaluate(MEMO_GRID, side="left"), left)
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_evaluate_memo_returns_fresh_values(model):
+    """Every call returns exactly what a newly solved solution returns."""
+    sol = delta_stack(model)
+    calls = [
+        (MEMO_GRID, "right"),
+        (MEMO_GRID + 0.125, "right"),  # same shape, shifted
+        (MEMO_GRID.copy(), "right"),
+        (MEMO_GRID, "left"),
+        (MEMO_GRID[::2], "left"),
+        (MEMO_GRID, "left"),
+    ]
+    for xs, side in calls:
+        expect = delta_stack(model).evaluate(xs, side=side)
+        assert np.array_equal(sol.evaluate(xs, side=side), expect)
+
+
+def test_evaluate_samples_are_read_only_and_shared():
+    sol = delta_stack("dirac")
+    vals = sol.evaluate(MEMO_GRID)
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1.0
+    assert sol.evaluate(MEMO_GRID.copy()) is vals  # equal contents hit the memo
+    copy = vals.copy()
+    copy[0, 0] = 1.0
+    assert sol.evaluate(MEMO_GRID)[0, 0] != 1.0
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_residual_does_not_depend_on_evaluation_history(model):
+    residual = gce_residual_dirac if model == "dirac" else gce_residual_schrodinger
+    basis = build_basis(3)
+    grid = np.linspace(-1.5, 2.0, 141)
+
+    def run(sol, a):
+        return residual(sol, basis, a, grid, decompose(sol.profile, basis)).residual
+
+    fresh = run(delta_stack(model), 4)
+    sol = delta_stack(model)
+    for a in range(1, basis.dim + 1):
+        if a != 4:
+            run(sol, a)
+    assert np.array_equal(run(sol, 4), fresh)
+    sol.evaluate(np.linspace(-3.0, 3.0, 50))
+    assert np.array_equal(run(sol, 4), fresh)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
+from gcelab.solvers import PotentialProfile, Segment
 from gcelab.sun import (
     PotentialDecomposition,
     RankError,
@@ -206,6 +207,37 @@ def test_source_operator_hermitian(bases, n):
     for a in range(1, basis.dim + 1):
         s = source_operator(d, a)[0]
         assert np.abs(s - s.conj().T).max() <= 1e-13
+
+
+
+
+def profile_of(mats) -> PotentialProfile:
+    """Unit-length segments carrying the given matrices."""
+    return PotentialProfile([Segment(k, k + 1.0, v) for k, v in enumerate(mats)])
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_source_operator_matches_structure_constant_contraction(n):
+    """S_a = -i [T_a, V] equals sum_bc f_abc c_b T_c for every generator a."""
+    rng = np.random.default_rng(400 + n)
+    basis = build_basis(n)
+    d = decompose(profile_of([random_hermitian(rng, n) for _ in range(3)]), basis)
+    f, t = basis.structure_constants, basis.generators
+    scale = np.abs(d.c).max()
+    for a in range(1, basis.dim + 1):
+        ref = np.einsum("sb,bc,cij->sij", d.c, f[a - 1], t)
+        s = source_operator(d, a)
+        assert s.shape == (3, n, n)
+        assert np.abs(s - ref).max() <= 1e-13 * scale, a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_source_operator_vanishes_for_cartan_generators_of_diagonal_potentials(n):
+    """A diagonal V commutes with every Cartan T_a, so S_a is exactly zero."""
+    rng = np.random.default_rng(500 + n)
+    basis = build_basis(n)
+    d = decompose(profile_of([np.diag(rng.normal(size=n)) for _ in range(2)]), basis)
+    for a in basis.cartan_indices:
+        assert np.all(source_operator(d, a) == 0.0), a
 
 
 def test_rank_and_hermiticity_errors(bases):
