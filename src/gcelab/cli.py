@@ -280,7 +280,9 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     s = _prepare_scenario(args)
     bundle = scan_scenario(s, args.h)
-    print(f"order: {_fmt(bundle.summary['scan']['mean_order'])}")
+    scan = bundle.summary["scan"]
+    order = "none" if scan["mean_order"] is None else _fmt(scan["mean_order"])
+    print(f"order: {order}" + (" (residuals at rounding)" if scan["at_rounding"] else ""))
     return _emit(bundle, args)
 
 

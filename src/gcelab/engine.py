@@ -70,6 +70,7 @@ class SolutionStack:
                     raise ValueError(f"mixed masses in one stack: {sorted(masses)}")
             self.joint = None
             self.sols = sols
+            self.residual_tables = ()  # a joint solution keeps its own
             self.model = sols[0].model
             self.n_systems = len(sols)
             self.energies = np.array([s.energy for s in sols])
@@ -189,6 +190,32 @@ def snap_to_cuts(xs, cuts) -> np.ndarray:
     return out
 
 
+def _cells(xs: np.ndarray, cuts) -> list[tuple[int, int]]:
+    """(start, stop) indices of the smooth cells of a grid split at ``cuts``.
+
+    A grid point on a cut, or within the snap window below it, starts the
+    right cell.
+    """
+    ks = {int(np.searchsorted(xs, c - _SNAP * max(1.0, abs(c)))) for c in np.asarray(cuts, float)}
+    bounds = [0, *sorted(k for k in ks if 0 < k < len(xs)), len(xs)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e - s < 3:
+            raise ValueError(
+                f"need at least 3 grid points per smooth cell, got {e - s} "
+                f"in [{xs[s]}, {xs[e - 1]}]"
+            )
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _diff(v: np.ndarray) -> np.ndarray:
+    """2h d/dx of samples along axis 0: central inside, one-sided at both ends."""
+    out = np.empty_like(v)
+    out[1:-1] = v[2:] - v[:-2]
+    out[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+    out[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+    return out
+
+
 def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndarray:
     """Second-order d/dx of sampled values, one-sided at cuts and grid edges.
 
@@ -199,103 +226,69 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
     values = np.asarray(values)
     xs = np.asarray(xs, dtype=float)
     h = uniform_spacing(xs)
-    starts = [0]
-    for c in np.asarray(cuts, dtype=float):
-        k = int(np.searchsorted(xs, c - _SNAP * max(1.0, abs(c))))
-        if 0 < k < len(xs):
-            starts.append(k)
-    starts = sorted(set(starts))
-    bounds = starts + [len(xs)]
     out = np.empty_like(values, dtype=complex)
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        if e - s < 3:
-            raise ValueError(
-                f"need at least 3 grid points per smooth cell, got {e - s} "
-                f"in [{xs[s]}, {xs[e - 1]}]"
-            )
-        cell = values[s:e]
-        out[s + 1:e - 1] = (cell[2:] - cell[:-2]) / (2.0 * h)
-        out[s] = (-3.0 * cell[0] + 4.0 * cell[1] - cell[2]) / (2.0 * h)
-        out[e - 1] = (3.0 * cell[-1] - 4.0 * cell[-2] + cell[-3]) / (2.0 * h)
+    for s, e in _cells(xs, cuts):
+        out[s:e] = _diff(values[s:e]) / (2.0 * h)
     return out
 
 
 # ---------------------------------------------------------------------------
-# One bilinear for every current, time term and source
+# One quadratic form for every current, time term and source
 #
 # States are sampled flat in solver layout, shape (..., 2N): Dirac is
 # system-major (component i of system s at 2s + i), Schroedinger holds the N
-# values and then the N derivatives.  Every quantity the continuity law needs
-# is psi^dag K psi for one 2N x 2N kernel K built from an N x N system matrix
-# M (a generator T_a, the time weight i(E_s - E_t) T_a, or a source S_a):
-#
-#   Dirac         density kron(M, I), current kron(M, gamma0 gamma1),
-#                 potential kron(M, gamma0 C) with C the coupling matrix;
-#   Schroedinger  density and potential [[M, 0], [0, 0]],
-#                 current (i/2m) [[0, -M], [M, 0]].
-#
-# A pair current is the same bilinear between two single-system states with
-# M = [[1]].
+# values and then the N derivatives.  Every term of the continuity law is
+# psi^dag K psi for a Hermitian kernel K, the Kronecker product of an N x N
+# system matrix (T_a, the time weight i(E_s - E_t) T_a or a source S_a) and
+# a 2x2 block of ``_blocks``: M (x) block for Dirac, block (x) M in
+# (value, derivative) space for Schroedinger.  Hermitian K gives
+# psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k) psi_l with c = 1 on
+# the diagonal and 2 off it, so one GEMM of ``_triangle`` coefficients
+# against ``_outer_triangle`` products evaluates any number of kernels.  A
+# pair current is the bilinear psi_i^dag block psi_j of two single systems.
 
 _VALUE_BLOCK = np.diag([1.0, 0.0])
 _FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray | None = None):
-    """psi^dag K phi per sample: one GEMM and one row-wise dot (phi defaults to psi)."""
-    return _dot(psi.conj(), kernel, psi if phi is None else phi)
+def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
+    """psi^dag K phi per sample: one GEMM and one row-wise dot."""
+    return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
 
 
-def _dot(psi_c: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
-    """``_bilinear`` with the conjugate psi_c = psi.conj() already taken."""
-    return np.einsum("...k,...k->...", psi_c, phi @ kernel.T)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the last two axes, broadcast over leading ones."""
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(
-        *prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    )
-
-
-def _density_kernel(model: str, m: np.ndarray) -> np.ndarray:
-    return _kron(m, np.eye(2)) if model == "dirac" else _kron(_VALUE_BLOCK, m)
-
-
-def _current_kernel(model: str, conv: Convention, mass: float, m: np.ndarray) -> np.ndarray:
+def _blocks(model: str, conv: Convention, mass: float):
+    """2x2 blocks of the current, density and potential kernels."""
     if model == "dirac":
-        return _kron(m, conv.current_matrix)
-    return _kron(_FLUX_BLOCK, (0.5j / mass) * m)
+        return conv.current_matrix, np.eye(2), conv.gamma0 @ conv.coupling_matrix
+    return (0.5j / mass) * _FLUX_BLOCK, _VALUE_BLOCK, _VALUE_BLOCK
 
 
-def _potential_kernel(model: str, conv: Convention, m: np.ndarray) -> np.ndarray:
+def _triangle(model: str, m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Coefficients c_kl K_kl on ``_outer_triangle`` of the kernel of system
+    matrices m (..., N, N) and a block, gathered without forming K."""
+    n = m.shape[-1]
+    k, l = np.triu_indices(2 * n)
     if model == "dirac":
-        return _kron(m, conv.gamma0 @ conv.coupling_matrix)
-    return _kron(_VALUE_BLOCK, m)
+        (sk, ik), (sl, il) = divmod(k, 2), divmod(l, 2)
+    else:  # no Schroedinger kernel pairs two derivatives
+        keep = k < n
+        k, l = k[keep], l[keep]
+        (ik, sk), (il, sl) = divmod(k, n), divmod(l, n)
+    return m[..., sk, sl] * (block[ik, il] * np.where(k == l, 1.0, 2.0))
 
 
-def _time_weight(energies, t_a: np.ndarray) -> np.ndarray:
-    """System matrix i(E_s - E_t) T_a of the analytic time derivative."""
-    energies = np.asarray(energies, dtype=float)
-    return 1j * (energies[:, None] - energies[None, :]) * t_a
-
-
-def _time_minus_source(psi, psi_c, model, conv, time_weight, s_a, segments):
-    """psi^dag (D - P_seg) psi per sample: the time term minus the source.
-
-    D is the density kernel of the system matrix ``time_weight`` and P_seg the
-    potential kernel of the segment's source matrix ``s_a[seg]``; they fold
-    into one kernel per segment.  ``segments`` holds the segment index of
-    every sample (the last axis of ``psi`` but one), and each run of samples
-    in one segment takes one GEMM with that segment's kernel.
-    """
-    kernels = _density_kernel(model, time_weight) - _potential_kernel(model, conv, s_a)
-    out = np.empty(psi.shape[:-1], dtype=complex)
-    starts = np.flatnonzero(np.diff(segments)) + 1
-    for lo, hi in zip([0, *starts], [*starts, len(segments)]):
-        run = np.s_[..., lo:hi, :]
-        out[..., lo:hi] = _dot(psi_c[run], kernels[segments[lo]], psi[run])
+def _outer_triangle(model: str, psi: np.ndarray) -> np.ndarray:
+    """conj(psi_k) psi_l in ``_triangle`` order for flat samples (b, 2N),
+    shape (P, b) with samples last."""
+    p = np.ascontiguousarray(psi.T)
+    pc = p.conj()
+    m = len(p)
+    rows = m if model == "dirac" else m // 2
+    out = np.empty((sum(range(m - rows + 1, m + 1)), len(psi)), dtype=complex)
+    start = 0
+    for k in range(rows):
+        np.multiply(pc[k], p[k:], out=out[start:start + m - k])
+        start += m - k
     return out
 
 
@@ -361,7 +354,7 @@ def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
     if stack.model != model:
         raise ValueError(f"expected a {model} stack, got {stack.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    conv, mass = stack.convention, stack.mass
+    blocks = _blocks(model, stack.convention, stack.mass)
     if isinstance(index, (tuple, list)):
         i, j = index
         for k in (i, j):
@@ -369,17 +362,15 @@ def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
                 raise ValueError(f"system index {k} outside 1..{stack.n_systems}")
         a_vals = stack.system_values(i, grid)
         b_vals = stack.system_values(j, grid)
-        one = np.eye(1)
-        j1 = _bilinear(a_vals, _current_kernel(model, conv, mass, one), b_vals)
-        j0 = _bilinear(a_vals, _density_kernel(model, one), b_vals)
+        j1 = _bilinear(a_vals, blocks[0], b_vals)
+        j0 = _bilinear(a_vals, blocks[1], b_vals)
         prof = CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
     else:
         if basis is None or basis.n != stack.n_systems:
             raise ValueError("basis rank must match the number of systems")
         t_a = basis.generator(int(index))
-        psi = stack.flat(grid)
-        j1 = _bilinear(psi, _current_kernel(model, conv, mass, t_a))
-        j0 = _bilinear(psi, _density_kernel(model, t_a))
+        coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
+        j1, j0 = (coeffs @ _outer_triangle(model, stack.flat(grid))).real
         prof = CurrentProfile("generator", int(index), grid, j1, j0)
     return _attach_stats(prof, domains)
 
@@ -739,11 +730,25 @@ def _check_same_profile(p1: PotentialProfile, p2: PotentialProfile) -> None:
 
 # ---------------------------------------------------------------------------
 # Continuity residuals
+#
+# The residual is linear in the generator, so one pass over the samples gives
+# all N**2 - 1 of them: each block of samples takes one GEMM of its products
+# against every generator's current and time-minus-source coefficients.
+
+_BLOCK = 1 << 15  # products per block; only the table has the grid's length
+# A residual RMS within this many rounding floors is rounding, not stencil
+# truncation: measured rounding residuals sit at 0.3-0.45 floors, truncation
+# residuals of the builtins at least 1e5 floors above.
+ROUNDING_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class GceReport:
-    """Sampled continuity residual for one generator index."""
+    """Sampled continuity residual for one generator index.
+
+    ``residual`` is a read-only row of the solution's residual table and
+    ``floor`` its rounding level, eps (max|time - source| + max|j1| / h).
+    """
 
     a: int
     grid: np.ndarray
@@ -752,48 +757,136 @@ class GceReport:
     residual_max: float
     convergence_order: float | None = None
     domain_verdicts: tuple = ()
+    floor: float = 0.0
 
 
-def _stationary_residual(stack, basis, a, grid, decomp, model):
-    t_a = basis.generator(int(a))
-    conv = stack.convention
+@dataclass(frozen=True)
+class ResidualTable:
+    """Residuals (N**2 - 1, len(grid)) of every generator on a copy of ``grid``,
+    with their rounding floors; row a - 1 is generator a.  All read-only."""
+
+    grid: np.ndarray
+    residual: np.ndarray
+    floor: np.ndarray
+
+
+def _table_kernels(model, conv, mass, h, generators, energies, sources) -> np.ndarray:
+    """Per segment, the coefficients of every generator's j1 / (2h) (rows
+    0..G-1) and time term i(E_s - E_t) T_a minus source (rows G..2G-1), shape
+    (n_seg, 2G, P), from sources (G, n_seg, N, N); no time term without
+    ``energies``."""
+    current, density, potential = _blocks(model, conv, mass)
+    e = np.zeros(generators.shape[1]) if energies is None else np.asarray(energies, float)
+    weights = 1j * (e[:, None] - e[None, :]) * generators[:, None]
+    rest = _triangle(model, weights, density) - _triangle(model, sources, potential)
+    dj = _triangle(model, generators[:, None] / (2.0 * h), current)
+    return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
+
+
+def _residual_rows(model, psi, grid, h, cuts, segments, kernels, j1_shift=None):
+    """The ``ResidualTable`` of every generator, built in blocks.
+
+    ``psi`` holds the flat samples of the grid snapped to the cuts and
+    ``segments`` their segment indices.  A block lies in one stencil cell and
+    one segment and carries up to two neighbours of its cell on each side, so
+    the stencil of j1 (minus ``j1_shift``, (G, len(grid)), when given) needs
+    no other block.  The kernels are Hermitian, so the table is real.
+    """
+    g = kernels.shape[1] // 2
+    block = max(16, _BLOCK // kernels.shape[2])
+    # The grid's copy shares the table's allocation: kept as a block of its
+    # own beside a memoised table, it raised the peak RSS of 40001-point
+    # builtin reports by about 4 MiB (glibc could no longer trim the heap).
+    full = np.empty((g + 1, len(grid)))
+    full[0] = grid
+    table = full[1:]
+    dj_max, rest_max = np.zeros(g), np.zeros(g)
+    seg_starts = np.flatnonzero(np.diff(segments)) + 1
+    for s, e in _cells(grid, cuts):
+        inner = seg_starts[(seg_starts > s) & (seg_starts < e)]
+        bounds = [*np.union1d(np.arange(s, e, block), inner).tolist(), e]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a, b = max(lo - 2, s), min(hi + 2, e)
+            both = (kernels[segments[lo]] @ _outer_triangle(model, psi[a:b])).real
+            dj, out = both[:g], both[g:, lo - a:hi - a]
+            if j1_shift is not None:
+                dj -= j1_shift[:, a:b] / (2.0 * h)
+            dj_max = np.maximum(dj_max, np.abs(dj[:, lo - a:hi - a]).max(axis=1))
+            rest_max = np.maximum(rest_max, np.abs(out).max(axis=1))
+            # Own samples off the cell's edges sit inside the extended block,
+            # so the block's one-sided ends fall only on cell edges.
+            table[:, lo:hi] = out + _diff(dj.T)[lo - a:hi - a].T
+    floor = np.finfo(float).eps * (rest_max + 2.0 * dj_max)
+    full.flags.writeable = floor.flags.writeable = False
+    return ResidualTable(full[0], full[1:], floor)
+
+
+def gce_residual_sweep(
+    sols, basis: SunBasis, grid, decomp: PotentialDecomposition | None = None
+) -> ResidualTable:
+    """Stationary continuity residuals of every generator on a uniform grid.
+
+    The joint solution, or a stack of single-system solutions, keeps its
+    tables of the last two grids, keyed by values (the grid's bits, the
+    decomposition's cuts and coefficients, the basis rank), so the calls of a
+    sweep build one table, also with ``decomp=None`` or a fine grid between.
+    """
+    stack, grid = as_stack(sols), np.asarray(grid, dtype=float)
+    if basis.n != stack.n_systems:
+        raise ValueError("basis rank must match the number of systems")
+    decomp = decompose(stack.profile, basis) if decomp is None else decomp
+    key = (decomp.cuts, decomp.c, basis.n)
+    owner = stack if stack.joint is None else stack.joint
+    for kept, table in owner.residual_tables:
+        if np.array_equal(table.grid.view(np.int64), grid.view(np.int64)) and all(
+            np.array_equal(p, q) for p, q in zip(kept, key)
+        ):
+            return table
     cuts = residual_cuts(stack.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    psi = stack.flat(eval_xs)
-    psi_c = psi.conj()
-    j1 = _dot(psi_c, _current_kernel(model, conv, stack.mass, t_a), psi)
-    rest = _time_minus_source(
-        psi, psi_c, model, conv, _time_weight(stack.energies, t_a),
-        source_operator(decomp, int(a)), decomp.segment_of(eval_xs),
+    h, t = uniform_spacing(grid), basis.generators
+    kernels = _table_kernels(
+        stack.model, stack.convention, stack.mass, h, t, stack.energies, source_operator(decomp)
     )
-    return rest + piecewise_derivative(j1, grid, cuts), j1
+    table = _residual_rows(
+        stack.model, stack.flat(eval_xs), grid, h, cuts, decomp.segment_of(eval_xs), kernels
+    )
+    owner.residual_tables = ((tuple(np.copy(p) for p in key), table), *owner.residual_tables[:1])
+    return table
+
+
+def _rms(values: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
 def _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, model):
     stack = as_stack(sols)
     if stack.model != model:
         raise ValueError(f"expected a {model} stack, got {stack.model}")
-    if basis.n != stack.n_systems:
-        raise ValueError("basis rank must match the number of systems")
-    grid = np.asarray(grid, dtype=float)
-    if decomp is None:
-        decomp = decompose(stack.profile, basis)
-    residual, j1 = _stationary_residual(stack, basis, a, grid, decomp, model)
-    rms = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
-    rmax = float(np.abs(residual).max())
+    basis.generator(int(a))  # validates the index
+    row, grid = int(a) - 1, np.asarray(grid, dtype=float)
+    decomp = decompose(stack.profile, basis) if decomp is None else decomp
+    table = gce_residual_sweep(stack, basis, grid, decomp)
+    residual, floor = table.residual[row], float(table.floor[row])
+    rms = _rms(residual)
+    verdicts = []
+    if domains:
+        eval_xs = snap_to_cuts(grid, residual_cuts(stack.profile))
+        j1 = _current(stack, basis, a, eval_xs, None, model).j1
+        for dom in domains:
+            mean, max_dev, rel = interval_stats(grid, j1, dom.x_lo, dom.x_hi)
+            verdicts.append(DomainVerdict(dom, mean, max_dev, rel, tol, rel <= tol))
     order = None
     if fine_grid is not None:
         fine_grid = np.asarray(fine_grid, dtype=float)
-        h_c, h_f = uniform_spacing(grid), uniform_spacing(fine_grid)
-        fine_res, _ = _stationary_residual(stack, basis, a, fine_grid, decomp, model)
-        fine_rms = float(np.sqrt(np.mean(np.abs(fine_res) ** 2)))
-        if fine_rms > 0 and rms > 0:
+        fine = gce_residual_sweep(stack, basis, fine_grid, decomp)
+        fine_rms = _rms(fine.residual[row])
+        # Rounding grows as 1/h: only residuals above it show the order.
+        if rms > ROUNDING_FACTOR * floor and fine_rms > ROUNDING_FACTOR * fine.floor[row]:
+            h_c, h_f = uniform_spacing(grid), uniform_spacing(fine_grid)
             order = float(np.log(rms / fine_rms) / np.log(h_c / h_f))
-    verdicts = []
-    for dom in domains or ():
-        mean, max_dev, rel = interval_stats(grid, j1, dom.x_lo, dom.x_hi)
-        verdicts.append(DomainVerdict(dom, mean, max_dev, rel, tol, rel <= tol))
-    return GceReport(int(a), grid, residual, rms, rmax, order, tuple(verdicts))
+    rmax = float(np.abs(residual).max())
+    return GceReport(int(a), grid, residual, rms, rmax, order, tuple(verdicts), floor)
 
 
 def gce_residual_dirac(
@@ -804,9 +897,10 @@ def gce_residual_dirac(
 
     residual = i(E_i - E_j)-weighted density + d/dx j1_a - source_a; exact
     solutions leave only the second-order stencil truncation, so halving the
-    spacing divides the norm by four.  ``fine_grid`` triggers the two-grid
-    convergence-order estimate; ``domains`` adds per-domain constancy verdicts
-    on j1_a at tolerance ``tol``.
+    spacing divides the norm by four.  The residual is row a - 1 of
+    ``gce_residual_sweep``.  ``fine_grid`` triggers the two-grid convergence
+    order (None while either residual is within ``ROUNDING_FACTOR`` floors);
+    ``domains`` adds per-domain constancy verdicts on j1_a at tolerance ``tol``.
     """
     return _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, "dirac")
 
@@ -892,34 +986,35 @@ def gauge_residual(
     mixed = f_a @ r01  # sum_d f_abd R_01^d, shape (N**2 - 1, len(grid))
     k0 = -(mixed * config.a_fields[:, 1, :]).sum(axis=0)
     k1 = (mixed * config.a_fields[:, 0, :]).sum(axis=0)
-    current_kernel = _current_kernel("dirac", conv, None, t_a)
+    if psi.ndim == 2 and energies is None:
+        raise ValueError("static psi needs per-system energies")
+    if psi.ndim == 3 and config.t_grid is None:
+        raise ValueError("sampled-time psi needs config.t_grid")
+    t, row, h = basis.generators, int(a) - 1, uniform_spacing(grid)
     if decomp is None:
-        s_a, segments = np.zeros((1, basis.n, basis.n)), np.zeros(len(grid), dtype=int)
+        sources, segments = np.zeros((d, 1, basis.n, basis.n)), np.zeros(len(grid), dtype=int)
     else:
-        s_a = source_operator(decomp, int(a))
+        sources = source_operator(decomp)
         segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
-    psi_c = psi.conj()
-
+    # Every generator's row goes through the table build, so A = 0 repeats
+    # the ungauged arithmetic bit for bit; only row a is kept.  A sampled
+    # time derivative leaves the rows without the analytic time term.
+    shift = np.zeros((d, len(grid)))
+    shift[row] = k1
+    kernels = _table_kernels("dirac", conv, None, h, t, energies if psi.ndim == 2 else None, sources)
+    tables = [
+        _residual_rows("dirac", p, grid, h, config.cuts, segments, kernels, shift)
+        for p in (psi[None] if psi.ndim == 2 else psi)
+    ]
+    residual = np.stack([tab.residual[row] for tab in tables])
+    floor = max(tab.floor[row] for tab in tables)
     if psi.ndim == 2:
-        if energies is None:
-            raise ValueError("static psi needs per-system energies")
-        j1 = _dot(psi_c, current_kernel, psi)
-        rest = _time_minus_source(
-            psi, psi_c, "dirac", conv, _time_weight(energies, t_a), s_a, segments
-        )
-        residual = rest + piecewise_derivative(j1 - k1, grid, config.cuts)
+        residual = residual[0]
     else:
-        if config.t_grid is None:
-            raise ValueError("sampled-time psi needs config.t_grid")
+        flat = psi.reshape(-1, psi.shape[-1])
+        j0s = (_triangle("dirac", t_a, np.eye(2)) @ _outer_triangle("dirac", flat)).real
         ts = np.asarray(config.t_grid, dtype=float)
-        j0s = _dot(psi_c, _density_kernel("dirac", t_a), psi) - k0
-        j1s = _dot(psi_c, current_kernel, psi) - k1
-        dt = piecewise_derivative(j0s, ts)
-        dx = np.stack([piecewise_derivative(j1, grid, config.cuts) for j1 in j1s])
-        # The time derivative is sampled here, so the folded kernel carries no
-        # analytic time weight and gives minus the source.
-        no_time = np.zeros((basis.n, basis.n))
-        residual = dt + dx + _time_minus_source(psi, psi_c, "dirac", conv, no_time, s_a, segments)
-    rms = float(np.sqrt(np.mean(np.abs(residual) ** 2)))
+        residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
+    rms = _rms(residual)
     rmax = float(np.abs(residual).max())
-    return GceReport(int(a), grid, residual, rms, rmax)
+    return GceReport(int(a), grid, residual, rms, rmax, floor=float(floor))

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import engine
 from .engine import (
+    ROUNDING_FACTOR,
     SolutionStack,
     as_stack,
     charge_current_relation,
@@ -778,11 +779,42 @@ def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
     return bundle
 
 
+def order_verdict(spacings, rms, floors) -> dict:
+    """Convergence verdict of residual RMS values over a list of grid spacings.
+
+    A pair of consecutive spacings is judged only when both RMS values clear
+    ``ROUNDING_FACTOR`` times their rounding floors: below that the residual
+    is rounding, which grows as 1/h, and an order fitted to it means nothing.
+    When no RMS value clears its floor the scan passes at rounding.
+    Otherwise the mean order of the judged pairs must be within
+    ``_SCAN_ORDER_TOL`` of 2, and a scan with no judged pair fails.
+    """
+    clear = [r > ROUNDING_FACTOR * f for r, f in zip(rms, floors)]
+    orders = [
+        math.log(rms[k] / rms[k + 1]) / math.log(spacings[k] / spacings[k + 1])
+        if clear[k] and clear[k + 1] else None
+        for k in range(len(rms) - 1)
+    ]
+    judged = [o for o in orders if o is not None]
+    mean_order = sum(judged) / len(judged) if judged else None
+    at_rounding = not any(clear)
+    passed = at_rounding or (
+        mean_order is not None and abs(mean_order - 2.0) <= _SCAN_ORDER_TOL
+    )
+    return {
+        "orders": orders,
+        "mean_order": mean_order,
+        "at_rounding": at_rounding,
+        "passed": passed,
+    }
+
+
 def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     """Continuity-residual norms over grid spacings plus the convergence order.
 
-    The verdict passes when the mean observed order over consecutive spacing
-    pairs is within 0.2 of the second-order contract.
+    The verdict follows ``order_verdict``: residuals above their rounding
+    floors must converge at second order to within 0.2, and residuals that
+    are rounding at every spacing pass as such.
     """
     spacings = [float(h) for h in spacings]
     if len(spacings) < 2:
@@ -792,6 +824,7 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
     span = s.grid.x_max - s.grid.x_min
     norms = []
+    floors = []
     actual = []
     for h in spacings:
         n = max(3, int(round(span / h)) + 1)
@@ -803,12 +836,9 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
         h_eff = float(grid[1] - grid[0])
         actual.append(h_eff)
         norms.append(report.residual_rms)
-    orders = [
-        math.log(norms[k] / norms[k + 1]) / math.log(actual[k] / actual[k + 1])
-        for k in range(len(norms) - 1)
-    ]
-    mean_order = sum(orders) / len(orders)
-    ok = abs(mean_order - 2.0) <= _SCAN_ORDER_TOL
+        floors.append(report.floor)
+    verdict = order_verdict(actual, norms, floors)
+    ok = verdict["passed"]
     bundle = ReportBundle(scenario=s, grid=s.grid_array())
     bundle.tables["scan"] = (["h", "rms"], np.column_stack([actual, norms]))
     bundle.summary = _summary_head(s)
@@ -816,9 +846,12 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     bundle.summary["scan"] = {
         "spacings": actual,
         "rms": norms,
-        "orders": orders,
-        "mean_order": mean_order,
+        "orders": verdict["orders"],
+        "mean_order": verdict["mean_order"],
         "order_tol": _SCAN_ORDER_TOL,
+        "floors": floors,
+        "floor_factor": ROUNDING_FACTOR,
+        "at_rounding": verdict["at_rounding"],
         "passed": ok,
     }
     bundle.summary["passed"] = ok

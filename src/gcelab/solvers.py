@@ -427,6 +427,7 @@ class PiecewiseSolution:
         self.convention = convention
         self.mass = mass
         self._memo = None  # (side, grid bits, samples) of the last evaluate call
+        self.residual_tables = ()  # engine's residual tables of the last two grids
 
     @property
     def n_systems(self) -> int:

@@ -181,18 +181,19 @@ def decompose(v, basis: SunBasis) -> PotentialDecomposition:
     return PotentialDecomposition(basis=basis, cuts=cuts, v0=v0, c=c.copy())
 
 
-def source_operator(decomp: PotentialDecomposition, a: int) -> np.ndarray:
+def source_operator(decomp: PotentialDecomposition, a: int | None = None) -> np.ndarray:
     """Per-segment Hermitian source matrices S_a = sum_bc f_abc c_b T_c.
 
     ``a`` is 1-based.  The result has shape (n_segments, n, n) aligned with
     ``decomp.cuts``; the source term of the continuity equation for generator
-    a is the bilinear of S_a(x) in the stacked state.  Since
-    [T_a, T_b] = i f_abc T_c, the sum is the commutator S_a = -i [T_a, V] with
-    the traceless part V = sum_b c_b T_b of each segment, so S_a vanishes
+    a is the bilinear of S_a(x) in the stacked state.  Without ``a`` every
+    generator's stack comes at once, shape (n**2 - 1, n_segments, n, n).
+    Since [T_a, T_b] = i f_abc T_c, the sum is the commutator S_a = -i [T_a, V]
+    with the traceless part V = sum_b c_b T_b of each segment, so S_a vanishes
     wherever T_a commutes with V and the structure constants are never formed.
     """
     basis = decomp.basis
-    t_a = basis.generator(a)
+    t = basis.generators[:, None] if a is None else basis.generator(a)
     n = basis.n
     v = (decomp.c @ basis.generators.reshape(basis.dim, n * n)).reshape(-1, n, n)
-    return -1j * (t_a @ v - v @ t_a)
+    return -1j * (t @ v - v @ t)

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import gcelab
 from gcelab.cli import main
+from gcelab.scenario import builtin_scenario_names
 
 DATA = Path(__file__).parent / "data"
 FLAGS = ("--scenario", "--out", "--grid", "--h", "--lambda", "--convention", "--tol")
@@ -30,8 +32,16 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def child_env(**extra) -> dict:
+    """The environment with this gcelab's source root first on PYTHONPATH,
+    so that child processes import the package under test."""
+    src = str(Path(gcelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def run_proc(argv, env_extra=None, cwd=None):
-    env = {**os.environ, "COLUMNS": "80", **(env_extra or {})}
+    env = child_env(COLUMNS="80", **(env_extra or {}))
     return subprocess.run(
         [sys.executable, "-m", "gcelab.cli", *argv],
         capture_output=True,
@@ -129,6 +139,13 @@ class TestExitContract:
         assert proc.returncode == 0, proc.stderr
         order = float(proc.stdout.split("order: ")[1].split("\n")[0])
         assert abs(order - 2.0) <= 0.2
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_scan_passes_for_every_builtin(self, name, tmp_path, capsys):
+        argv = ["scan", "--scenario", name, "--h", "1e-2,5e-3,2.5e-3", "--out", str(tmp_path)]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0, stdout
+        assert "verdict: pass" in stdout
 
     def test_verdict_failure_exits_one_with_summary(self, tmp_path, capsys):
         out = str(tmp_path / "rep")
@@ -258,6 +275,8 @@ def test_runtime_never_imports_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(code, loaded)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"

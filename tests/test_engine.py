@@ -8,11 +8,15 @@ the pure phase exp(i (E2 - E1)(x - x_lo)); the free wave-model pair current is
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from gcelab import engine
 from gcelab.engine import (
+    ROUNDING_FACTOR,
     ChargeRelation,
     DegenerateEnergiesError,
     GaugeConfig,
@@ -26,6 +30,7 @@ from gcelab.engine import (
     gauge_residual,
     gce_residual_dirac,
     gce_residual_schrodinger,
+    gce_residual_sweep,
     identity_transform,
     interval_stats,
     ladder_pair_current,
@@ -35,6 +40,7 @@ from gcelab.engine import (
     schrodinger_current,
     transformed_current,
     translation_transform,
+    uniform_spacing,
     _simpson,
 )
 from gcelab.solvers import (
@@ -49,7 +55,7 @@ from gcelab.solvers import (
     solve_schrodinger,
     uniform_profile,
 )
-from gcelab.sun import decompose
+from gcelab.sun import build_basis, decompose
 
 
 def free_dirac(energy, x_lo=-2.0, x_hi=2.0, amplitude=1.0):
@@ -355,6 +361,111 @@ class TestResiduals:
         vals = 3.0 * xs ** 2 - 2.0 * xs + 1.0
         d = piecewise_derivative(vals, xs, cuts=[0.25])
         assert np.abs(d - (6.0 * xs - 2.0)).max() <= 1e-11
+
+
+class TestResidualTable:
+    """One read-only residual table per solution and grid, keyed by values."""
+
+    GRID = np.arange(-150, 251) * 0.01  # holds an exact 0.0 at index 150
+
+    def test_rows_are_read_only_views_of_the_table(self, bases):
+        sol = coupled_dirac_solution()
+        table = gce_residual_sweep(sol, bases[2], self.GRID)
+        rep = gce_residual_dirac(sol, bases[2], 2, self.GRID)
+        assert table.residual.shape == (3, len(self.GRID))
+        assert np.shares_memory(rep.residual, table.residual)
+        assert np.array_equal(rep.residual, table.residual[1])
+        assert rep.floor == table.floor[1]
+        assert np.array_equal(table.grid, self.GRID)
+        for arr in (rep.residual, table.residual, table.floor, table.grid):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equal_values_share_the_table(self, bases):
+        sol = coupled_dirac_solution()
+        table = gce_residual_sweep(sol, bases[2], self.GRID)
+        # A fresh decomposition on every call (decomp=None), an equal explicit
+        # one, a copied grid and a new stack around the solution all hit.
+        assert gce_residual_sweep(sol, bases[2], self.GRID) is table
+        dec = decompose(sol.profile, bases[2])
+        assert gce_residual_sweep(sol, bases[2], self.GRID.copy(), dec) is table
+        assert gce_residual_sweep(SolutionStack(sol), build_basis(2), self.GRID) is table
+        # Samples of the other side or of another grid leave the table valid:
+        # it is built from right-continuous samples only.
+        sol.evaluate(self.GRID, side="left")
+        sol.evaluate(np.linspace(-1.0, 1.0, 7))
+        assert gce_residual_sweep(sol, bases[2], self.GRID) is table
+
+    def test_changed_values_rebuild_the_table(self, bases):
+        sol = coupled_dirac_solution()
+        dec = decompose(sol.profile, bases[2])
+        table = gce_residual_sweep(sol, bases[2], self.GRID, dec)
+        signed = self.GRID.copy()
+        signed[150] = -0.0  # equal value, other bits
+        other = gce_residual_sweep(sol, bases[2], signed, dec)
+        assert other is not table
+        assert np.array_equal(other.residual, table.residual)
+        scaled = dataclasses.replace(dec, c=1.5 * dec.c)
+        assert not np.array_equal(gce_residual_sweep(sol, bases[2], self.GRID, scaled).residual,
+                                  table.residual)
+        moved = dataclasses.replace(dec, cuts=dec.cuts + 0.05)
+        assert not np.array_equal(gce_residual_sweep(sol, bases[2], self.GRID, moved).residual,
+                                  table.residual)
+        with pytest.raises(ValueError, match="rank"):
+            gce_residual_sweep(sol, bases[3], self.GRID)
+
+    def test_blocks_split_at_foreign_segment_cuts(self, bases):
+        """Cuts one grid step past the cell starts leave one-sample blocks."""
+        sol = coupled_dirac_solution()
+        dec = decompose(sol.profile, bases[2])
+        moved = dataclasses.replace(dec, cuts=dec.cuts + 0.01)
+        base = gce_residual_sweep(sol, bases[2], self.GRID, dec)
+        shifted = gce_residual_sweep(sol, bases[2], self.GRID, moved)
+        # Only the source moves with the cuts; elsewhere the stencil of j1
+        # must not see how the samples were split into blocks.
+        same = dec.segment_of(self.GRID) == moved.segment_of(self.GRID)
+        assert not same.all()
+        diff = np.abs(shifted.residual - base.residual)
+        assert diff[:, same].max() <= 100 * base.floor.max()
+        assert diff[:, ~same].max() > 1e-3
+
+    def test_sequence_stack_keeps_its_table(self, bases):
+        stack = SolutionStack([free_dirac(1.5), free_dirac(1.1)])
+        grid = np.linspace(-1.5, 1.5, 301)
+        table = gce_residual_sweep(stack, bases[2], grid)
+        assert gce_residual_sweep(stack, bases[2], grid) is table
+        for a in (1, 2, 3):
+            rep = gce_residual_dirac(stack, bases[2], a, grid)
+            assert np.shares_memory(rep.residual, table.residual)
+
+    def test_alternating_fine_grid_builds_each_table_once(self, bases, monkeypatch):
+        grid = np.linspace(-1.5, 2.5, 201)
+        fine = np.linspace(-1.5, 2.5, 401)
+        ratio = np.log(uniform_spacing(grid) / uniform_spacing(fine))
+        sol = coupled_dirac_solution()
+        builds = []
+        build = engine._residual_rows
+        monkeypatch.setattr(
+            engine, "_residual_rows", lambda *args: builds.append(1) or build(*args)
+        )
+        for a in (1, 2, 3):
+            order = gce_residual_dirac(sol, bases[2], a, grid, fine_grid=fine).convergence_order
+            coarse_rms = gce_residual_dirac(coupled_dirac_solution(), bases[2], a, grid).residual_rms
+            fine_rms = gce_residual_dirac(coupled_dirac_solution(), bases[2], a, fine).residual_rms
+            assert order == np.log(coarse_rms / fine_rms) / ratio
+            assert order == pytest.approx(2.0, abs=0.15)
+        assert len(builds) == 2 + 2 * 3  # the sweep's two, each fresh solution's one
+
+    def test_order_is_none_at_rounding(self, bases):
+        # Free systems at equal energy carry constant currents, so the
+        # residuals of T_1 and T_3 are the stencil's rounding alone.
+        stack = SolutionStack([free_dirac(1.3), free_dirac(1.3, amplitude=0.5)])
+        grid = np.linspace(-1.5, 1.5, 301)
+        fine = np.linspace(-1.5, 1.5, 601)
+        for a in (1, 3):
+            rep = gce_residual_dirac(stack, bases[2], a, grid, fine_grid=fine)
+            assert rep.residual_rms <= ROUNDING_FACTOR * rep.floor
+            assert rep.convergence_order is None
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +807,28 @@ class TestGauge:
             norms[n_pts] = rep.residual_rms
         assert 1e-9 <= norms[161] <= 1e-4
         assert 3.6 <= norms[161] / norms[321] <= 4.4
+
+    def test_current_correction_enters_the_spatial_derivative(self, bases):
+        """d_x of K^1 = R_01^d f_abd A^b_0 is taken from the gauged current."""
+        rng = np.random.default_rng(11)
+        sol = coupled_dirac_solution()
+        grid = np.linspace(-1.5, 2.5, 401)
+        cuts = tuple(residual_cuts(sol.profile))
+        a_fields = 0.3 * np.sin(np.outer(rng.uniform(1, 3, 6), grid)).reshape(3, 2, -1)
+        psi, energies = sol.evaluate(grid), np.full(2, sol.energy)
+        basis = bases[2]
+        r01 = field_strength(GaugeConfig(grid, a_fields, cuts), basis)
+        for a in (1, 2, 3):
+            k1 = np.einsum("bd,dx,bx->x", basis.structure_constants[a - 1], r01, a_fields[:, 0])
+            assert np.abs(k1).max() > 1e-3
+            gauged = gauge_residual(
+                psi, GaugeConfig(grid, a_fields, cuts), basis, a, energies=energies
+            ).residual
+            plain = gauge_residual(
+                psi, GaugeConfig(grid, 0.0 * a_fields, cuts), basis, a, energies=energies
+            ).residual
+            dk1 = piecewise_derivative(k1, grid, cuts).real
+            assert np.abs(gauged - plain + dk1).max() <= 1e-12 * np.abs(dk1).max()
 
     def test_random_samples_fail_the_continuity_law(self, bases):
         rng = np.random.default_rng(7)

@@ -10,15 +10,19 @@ source is checked on its own formula.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
 from gcelab.engine import (
+    _BLOCK,
     SolutionStack,
     dirac_current,
     gce_residual_dirac,
     gce_residual_schrodinger,
+    gce_residual_sweep,
     piecewise_derivative,
     residual_cuts,
     schrodinger_current,
@@ -184,3 +188,45 @@ def test_all_residuals_match_oracle_and_converge_at_second_order(case):
     truncated = [r for r in reports if r.residual_rms >= 1e-3 * worst]
     for rep in truncated:
         assert rep.convergence_order == pytest.approx(2.0, abs=0.2), rep.a
+
+
+def test_sweep_rows_match_oracle_and_per_generator_reports(case):
+    stack, basis, decomp = case
+    grid = np.linspace(*GRID, COARSE)
+    h = grid[1] - grid[0]
+    table = gce_residual_sweep(stack, basis, grid, decomp)
+    assert table.residual.shape == (basis.dim, COARSE)
+    residual = gce_residual_dirac if stack.model == "dirac" else gce_residual_schrodinger
+    eps = np.finfo(float).eps
+    for a in range(1, basis.dim + 1):
+        row = table.residual[a - 1]
+        time_term, j1, dj1, source = oracle_terms(stack, basis, a, grid, decomp)
+        scale = (np.abs(time_term) + np.abs(source)).max() + np.abs(j1).max() / h
+        assert np.abs(row - (time_term + dj1 - source)).max() <= REL_TOL * scale
+        assert np.array_equal(residual(stack, basis, a, grid, decomp).residual, row)
+        # The rounding floor is eps (max|time - source| + max|j1| / h).
+        floor = eps * (np.abs(time_term - source).max() + np.abs(j1).max() / h)
+        assert table.floor[a - 1] == pytest.approx(floor, rel=1e-6, abs=eps * REL_TOL * scale)
+
+
+def test_sweep_memory_is_the_table_the_samples_and_one_block():
+    """An unblocked build would hold full-length products or GEMM outputs."""
+    stack = coupled_stack(7, "schrodinger", 4)
+    basis = build_basis(4)
+    decomp = decompose(stack.profile, basis)
+    gce_residual_sweep(stack, basis, np.linspace(*GRID, COARSE), decomp)  # lazy imports
+    grid = np.linspace(*GRID, 25001)
+    tracemalloc.start()
+    try:
+        table = gce_residual_sweep(stack, basis, grid, decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = len(grid) * 2 * stack.n_systems * 16
+    # Grid-length index arrays (the snapped grid, the segment indices, the two
+    # memo keys' grid copies, the evaluation's piece indices and masks) take
+    # at most 6 x 8 bytes per point; one block's products, transposed and
+    # conjugated samples, GEMM output and stencil temporaries stay within six
+    # blocks of complex products.
+    allowance = 6 * 8 * len(grid) + 6 * _BLOCK * 16
+    assert peak <= table.residual.nbytes + samples + allowance

@@ -26,6 +26,7 @@ from gcelab.scenario import (
     builtin_scenario_names,
     load_builtin,
     load_scenario,
+    order_verdict,
     resolve_scenario,
     run_scenario,
     save_scenario,
@@ -474,6 +475,35 @@ class TestScan:
         header, rows = b.tables["scan"]
         assert header == ["h", "rms"]
         assert len(rows) == 3
+
+    def test_scan_summary_reports_rounding_floors(self):
+        scan = scan_scenario(load_builtin("unequal"), [1e-2, 5e-3]).summary["scan"]
+        assert scan["at_rounding"] is False
+        assert len(scan["floors"]) == 2
+        assert all(0.0 < f < r for f, r in zip(scan["floors"], scan["rms"]))
+        free = scan_scenario(load_builtin("free2"), [1e-2, 5e-3, 2.5e-3])
+        assert free.passed
+        assert free.summary["scan"]["at_rounding"] is True
+        assert free.summary["scan"]["mean_order"] is None
+
+    def test_order_rule(self):
+        hs = [1e-2, 5e-3, 2.5e-3]
+        floors = [1e-15, 2e-15, 4e-15]
+        # First order, well above rounding: judged and failed.
+        v = order_verdict(hs, [1e-4, 5e-5, 2.5e-5], floors)
+        assert v["mean_order"] == pytest.approx(1.0)
+        assert not v["at_rounding"] and not v["passed"]
+        # Second order above rounding passes.
+        assert order_verdict(hs, [4e-6, 1e-6, 2.5e-7], floors)["passed"]
+        # Every RMS below its floor (growing as 1/h, like free2): passes at rounding.
+        v = order_verdict(hs, [0.4e-15, 0.8e-15, 1.6e-15], floors)
+        assert v == {
+            "orders": [None, None], "mean_order": None, "at_rounding": True, "passed": True
+        }
+        # Some RMS above the floor but no pair of neighbours: nothing judged, fails.
+        v = order_verdict(hs, [1e-10, 1e-15, 1e-10], floors)
+        assert v["orders"] == [None, None]
+        assert not v["at_rounding"] and not v["passed"]
 
     def test_scan_needs_two_spacings(self):
         with pytest.raises(ScenarioFormatError, match="two spacings"):

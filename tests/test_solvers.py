@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_hermitian
-from gcelab.engine import gce_residual_dirac, gce_residual_schrodinger
+from gcelab.engine import gce_residual_dirac, gce_residual_schrodinger, gce_residual_sweep
 from gcelab.solvers import (
     CONVENTIONS,
     Convention,
@@ -632,3 +632,26 @@ def test_residual_does_not_depend_on_evaluation_history(model):
     assert np.array_equal(run(sol, 4), fresh)
     sol.evaluate(np.linspace(-3.0, 3.0, 50))
     assert np.array_equal(run(sol, 4), fresh)
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_residual_table_does_not_depend_on_evaluation_history(model):
+    basis = build_basis(3)
+    grid = np.linspace(-1.5, 2.0, 141)
+    fresh = gce_residual_sweep(delta_stack(model), basis, grid)
+    sol = delta_stack(model)
+    residual = gce_residual_dirac if model == "dirac" else gce_residual_schrodinger
+    for a in range(basis.dim, 0, -1):
+        residual(sol, basis, a, grid)
+    swept = gce_residual_sweep(sol, basis, grid)
+    assert np.array_equal(swept.residual, fresh.residual)
+    assert np.array_equal(swept.floor, fresh.floor)
+    # Two more grids push this grid's table out; samples of a third change
+    # the evaluation memo.  The rebuilt table repeats the fresh one exactly.
+    for other in (np.linspace(-1.5, 2.0, 71), np.linspace(-1.4, 2.0, 69)):
+        gce_residual_sweep(sol, basis, other)
+    sol.evaluate(np.linspace(-3.0, 3.0, 50))
+    rebuilt = gce_residual_sweep(sol, basis, grid)
+    assert rebuilt is not swept
+    assert np.array_equal(rebuilt.residual, fresh.residual)
+    assert np.array_equal(rebuilt.floor, fresh.floor)
