@@ -11,7 +11,7 @@ the energy-weighted time term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,14 +95,6 @@ class SolutionStack:
         flat = self.flat(xs, side)
         shape = (self.n_systems, 2) if self.model == "dirac" else (2, self.n_systems)
         return flat.reshape(len(flat), *shape)
-
-    def system_values(self, i: int, xs, side: str = "right") -> np.ndarray:
-        """Single-system samples (len, 2); shares arithmetic with ``values``."""
-        if self.sols is not None:
-            return self.sols[i - 1].evaluate(xs, side)
-        if self.model == "dirac":
-            return self.values(xs, side)[:, i - 1, :]
-        return self.values(xs, side)[:, :, i - 1]
 
 
 def as_stack(sols) -> SolutionStack:
@@ -297,24 +289,6 @@ def _outer_triangle(model: str, psi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DomainStat:
-    domain: "Domain"
-    mean: complex
-    max_dev: float
-    rel_dev: float
-
-
-@dataclass(frozen=True)
-class DomainVerdict:
-    domain: "Domain"
-    mean: complex
-    max_dev: float
-    rel_dev: float
-    tol: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class CurrentProfile:
     """Sampled generalized current: spatial j1 and density j0 at t = 0."""
 
@@ -323,7 +297,6 @@ class CurrentProfile:
     grid: np.ndarray
     j1: np.ndarray
     j0: np.ndarray
-    domain_stats: tuple = ()
 
 
 def interval_stats(grid, values, x_lo: float, x_hi: float):
@@ -339,17 +312,7 @@ def interval_stats(grid, values, x_lo: float, x_hi: float):
     return mean, max_dev, max_dev / max(abs(mean), 1e-30)
 
 
-def _attach_stats(profile: CurrentProfile, domains) -> CurrentProfile:
-    if not domains:
-        return profile
-    stats = []
-    for dom in domains:
-        mean, max_dev, rel = interval_stats(profile.grid, profile.j1, dom.x_lo, dom.x_hi)
-        stats.append(DomainStat(dom, mean, max_dev, rel))
-    return replace(profile, domain_stats=tuple(stats))
-
-
-def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
+def _current(sols, basis, index, grid, model: str) -> CurrentProfile:
     stack = as_stack(sols)
     if stack.model != model:
         raise ValueError(f"expected a {model} stack, got {stack.model}")
@@ -360,34 +323,36 @@ def _current(sols, basis, index, grid, domains, model: str) -> CurrentProfile:
         for k in (i, j):
             if not 1 <= k <= stack.n_systems:
                 raise ValueError(f"system index {k} outside 1..{stack.n_systems}")
-        a_vals = stack.system_values(i, grid)
-        b_vals = stack.system_values(j, grid)
+        if stack.joint is None:
+            a_vals, b_vals = (stack.sols[k - 1].evaluate(grid) for k in (i, j))
+        else:  # one sampling of the joint solution, both systems as views
+            vals = stack.values(grid)
+            vals = vals if model == "dirac" else vals.swapaxes(1, 2)
+            a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
         j1 = _bilinear(a_vals, blocks[0], b_vals)
         j0 = _bilinear(a_vals, blocks[1], b_vals)
-        prof = CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
-    else:
-        if basis is None or basis.n != stack.n_systems:
-            raise ValueError("basis rank must match the number of systems")
-        t_a = basis.generator(int(index))
-        coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
-        j1, j0 = (coeffs @ _outer_triangle(model, stack.flat(grid))).real
-        prof = CurrentProfile("generator", int(index), grid, j1, j0)
-    return _attach_stats(prof, domains)
+        return CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
+    if basis is None or basis.n != stack.n_systems:
+        raise ValueError("basis rank must match the number of systems")
+    t_a = basis.generator(int(index))
+    coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
+    j1, j0 = (coeffs @ _outer_triangle(model, stack.flat(grid))).real
+    return CurrentProfile("generator", int(index), grid, j1, j0)
 
 
-def dirac_current(sols, basis: SunBasis | None, index, grid, domains=None) -> CurrentProfile:
+def dirac_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
     """Generalized Dirac current for generator index a (int) or pair (i, j).
 
     The pair form is the conjugate bilinear psi_i^dag gamma0 gamma1 psi_j and
     shares its arithmetic with transformed_current, so the identity transform
     reproduces it bit for bit.  Pair indices are 1-based.
     """
-    return _current(sols, basis, index, grid, domains, "dirac")
+    return _current(sols, basis, index, grid, "dirac")
 
 
-def schrodinger_current(sols, basis: SunBasis | None, index, grid, domains=None) -> CurrentProfile:
+def schrodinger_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
     """Generalized Schroedinger current; j1 uses the exact stored derivatives."""
-    return _current(sols, basis, index, grid, domains, "schrodinger")
+    return _current(sols, basis, index, grid, "schrodinger")
 
 
 def ladder_pair_current(sols, basis: SunBasis, i: int, j: int, grid) -> CurrentProfile:
@@ -555,9 +520,7 @@ def detect_domains(
     return domains
 
 
-def transformed_current(
-    sol1, sol2, spec: TransformSpec, grid, domains=None
-) -> CurrentProfile:
+def transformed_current(sol1, sol2, spec: TransformSpec, grid) -> CurrentProfile:
     """Mixed current psi1bar(x) gamma1 P psi2(F(x)) for single-system Dirac solutions.
 
     Constant on every symmetry domain when the two energies coincide; the
@@ -577,8 +540,7 @@ def transformed_current(
     kernel = sol1.convention.current_matrix @ spec.spinor_factor
     j1 = _bilinear(a_vals, kernel, b_vals)
     j0 = _bilinear(a_vals, spec.spinor_factor, b_vals)
-    prof = CurrentProfile("transformed", (1, 2), grid, j1, j0)
-    return _attach_stats(prof, domains)
+    return CurrentProfile("transformed", (1, 2), grid, j1, j0)
 
 
 @dataclass(frozen=True)
@@ -756,7 +718,6 @@ class GceReport:
     residual_rms: float
     residual_max: float
     convergence_order: float | None = None
-    domain_verdicts: tuple = ()
     floor: float = 0.0
 
 
@@ -859,7 +820,7 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, model):
+def _residual_report(sols, basis, a, grid, decomp, fine_grid, model):
     stack = as_stack(sols)
     if stack.model != model:
         raise ValueError(f"expected a {model} stack, got {stack.model}")
@@ -869,13 +830,6 @@ def _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, mode
     table = gce_residual_sweep(stack, basis, grid, decomp)
     residual, floor = table.residual[row], float(table.floor[row])
     rms = _rms(residual)
-    verdicts = []
-    if domains:
-        eval_xs = snap_to_cuts(grid, residual_cuts(stack.profile))
-        j1 = _current(stack, basis, a, eval_xs, None, model).j1
-        for dom in domains:
-            mean, max_dev, rel = interval_stats(grid, j1, dom.x_lo, dom.x_hi)
-            verdicts.append(DomainVerdict(dom, mean, max_dev, rel, tol, rel <= tol))
     order = None
     if fine_grid is not None:
         fine_grid = np.asarray(fine_grid, dtype=float)
@@ -886,12 +840,12 @@ def _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, mode
             h_c, h_f = uniform_spacing(grid), uniform_spacing(fine_grid)
             order = float(np.log(rms / fine_rms) / np.log(h_c / h_f))
     rmax = float(np.abs(residual).max())
-    return GceReport(int(a), grid, residual, rms, rmax, order, tuple(verdicts), floor)
+    return GceReport(int(a), grid, residual, rms, rmax, order, floor)
 
 
 def gce_residual_dirac(
     sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None,
-    *, domains=None, tol: float = 1e-8, fine_grid=None,
+    *, fine_grid=None,
 ) -> GceReport:
     """Stationary Dirac continuity residual for generator a on a uniform grid.
 
@@ -899,20 +853,17 @@ def gce_residual_dirac(
     solutions leave only the second-order stencil truncation, so halving the
     spacing divides the norm by four.  The residual is row a - 1 of
     ``gce_residual_sweep``.  ``fine_grid`` triggers the two-grid convergence
-    order (None while either residual is within ``ROUNDING_FACTOR`` floors);
-    ``domains`` adds per-domain constancy verdicts on j1_a at tolerance ``tol``.
+    order (None while either residual is within ``ROUNDING_FACTOR`` floors).
     """
-    return _residual_report(sols, basis, a, grid, decomp, domains, tol, fine_grid, "dirac")
+    return _residual_report(sols, basis, a, grid, decomp, fine_grid, "dirac")
 
 
 def gce_residual_schrodinger(
     sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None,
-    *, domains=None, tol: float = 1e-8, fine_grid=None,
+    *, fine_grid=None,
 ) -> GceReport:
     """Stationary Schroedinger continuity residual for generator a."""
-    return _residual_report(
-        sols, basis, a, grid, decomp, domains, tol, fine_grid, "schrodinger"
-    )
+    return _residual_report(sols, basis, a, grid, decomp, fine_grid, "schrodinger")
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,6 @@ class PiecewiseSolution:
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.convention = convention
         self.mass = mass
-        self._memo = None  # (side, grid bits, samples) of the last evaluate call
         self.residual_tables = ()  # engine's residual tables of the last two grids
 
     @property
@@ -438,29 +437,19 @@ class PiecewiseSolution:
         return 2 * self.n_systems
 
     def evaluate(self, xs, side: str = "right") -> np.ndarray:
-        """Sampled stacked state, shape (len(xs), 2N), read-only.
+        """Sampled stacked state, shape (len(xs), 2N), a fresh array per call.
 
-        At a delta the two sides give the two one-sided limits.  The last call
-        is remembered: asking again for the same side and a grid with the same
-        contents (compared bit for bit, not by identity) returns the same
-        array, so a sweep over every generator on one grid samples the state
-        once.  The array is shared between those calls and therefore
-        read-only; copy it before modifying it.
+        At a delta the two sides give the two one-sided limits.  Each run of
+        consecutive points in one piece is expanded as one slice, so a
+        monotone grid costs one expansion per piece it crosses.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        which = "right" if side == "right" else "left"
-        bits = xs.view(np.int64)
-        memo = self._memo
-        if memo is not None and memo[0] == which and np.array_equal(memo[1], bits):
-            return memo[2]
-        idx = np.searchsorted(self.breakpoints, xs, side=which)
+        idx = np.searchsorted(self.breakpoints, xs, side="right" if side == "right" else "left")
         out = np.empty((len(xs), self.dim), dtype=complex)
-        for j in np.unique(idx):
-            mask = idx == j
-            piece = self.pieces[j]
-            out[mask] = piece.expand(xs[mask] - piece.anchor)
-        out.flags.writeable = False
-        self._memo = (which, bits.copy(), out)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(xs)]):
+            piece = self.pieces[idx[lo]]
+            out[lo:hi] = piece.expand(xs[lo:hi] - piece.anchor)
         return out
 
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ the pure phase exp(i (E2 - E1)(x - x_lo)); the free wave-model pair current is
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from gcelab.engine import (
 from gcelab.solvers import (
     DeltaBarrier,
     InitialValue,
+    PiecewiseSolution,
     PotentialProfile,
     Scattering,
     Segment,
@@ -103,6 +105,11 @@ def bump_profile(bumps, x_lo, x_hi, deltas=()):
                 val = v
         segs.append(Segment(lo, hi, np.array([[val]], dtype=complex)))
     return PotentialProfile(segs, deltas)
+
+
+def domain_rel_devs(xs, j1, doms):
+    """Relative deviation of j1 on every domain, as ``scenario`` judges it."""
+    return [interval_stats(xs, j1, d.x_lo, d.x_hi)[2] for d in doms]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,62 @@ class TestCurrents:
             dirac_current(sol, bases[2], (1, 3), xs)
         with pytest.raises(ValueError, match="distinct"):
             ladder_pair_current(sol, bases[2], 2, 2, xs)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record the solution of every ``PiecewiseSolution.evaluate`` call."""
+    calls = []
+    evaluate = PiecewiseSolution.evaluate
+
+    def counted(sol, xs, side="right"):
+        calls.append(sol)
+        return evaluate(sol, xs, side)
+
+    monkeypatch.setattr(PiecewiseSolution, "evaluate", counted)
+    return calls
+
+
+class TestPairSampling:
+    @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+    def test_joint_pair_current_samples_once(self, monkeypatch, model):
+        sol = coupled_dirac_solution() if model == "dirac" else coupled_schrodinger_solution()
+        current = dirac_current if model == "dirac" else schrodinger_current
+        xs = np.linspace(-1.5, 1.8, 101)
+        vals = as_stack(sol).values(xs)
+        calls = count_evaluations(monkeypatch)
+        cur = current(sol, None, (1, 2), xs)
+        assert calls == [sol]
+        if model == "dirac":
+            density = np.einsum("xk,xk->x", vals[:, 0].conj(), vals[:, 1])
+        else:
+            density = vals[:, 0, 0].conj() * vals[:, 0, 1]
+        assert np.abs(cur.j0 - density).max() <= 1e-13
+
+    def test_sequence_pair_current_samples_only_its_systems(self, monkeypatch):
+        sols = [free_dirac(e) for e in (1.3, 0.9, 0.7)]
+        xs = np.linspace(-1.5, 1.5, 61)
+        calls = count_evaluations(monkeypatch)
+        cur = dirac_current(sols, None, (1, 3), xs)
+        assert calls == [sols[0], sols[2]]
+        oracle = np.exp(1j * (0.7 - 1.3) * (xs + 2.0))
+        assert np.abs(cur.j1 - oracle).max() <= 1e-12
+
+
+def test_public_names_resolve_and_removed_records_are_gone():
+    import gcelab
+
+    for name in gcelab.__all__:
+        assert getattr(gcelab, name) is not None
+    removed = ("DomainStat", "DomainVerdict", "_attach_stats")
+    for name in removed:
+        assert not hasattr(gcelab, name) and not hasattr(engine, name)
+    assert not hasattr(engine.SolutionStack, "system_values")
+    fields = {f.name for f in dataclasses.fields(engine.CurrentProfile)}
+    fields |= {f.name for f in dataclasses.fields(engine.GceReport)}
+    assert not fields & {"domain_stats", "domain_verdicts"}
+    for fn in vars(engine).values():
+        if inspect.isfunction(fn) and fn.__module__ == engine.__name__:
+            assert "domains" not in inspect.signature(fn).parameters, fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +605,8 @@ class TestDomains:
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (1.0, np.inf)]
         sol = solve_dirac(prof, 1.2, Scattering([1.0, 0.5]))
         xs = np.linspace(-1.9, 2.9, 961)
-        cur = dirac_current(sol, bases[2], (1, 2), xs, domains=doms)
-        assert all(stat.rel_dev <= 1e-8 for stat in cur.domain_stats)
+        cur = dirac_current(sol, bases[2], (1, 2), xs)
+        assert all(rel <= 1e-8 for rel in domain_rel_devs(xs, cur.j1, doms))
         assert interval_stats(xs, cur.j1, -np.inf, np.inf)[2] >= 0.01
 
     def test_off_diagonal_delta_splits_the_domain(self):
@@ -569,21 +632,20 @@ class TestDomains:
         sol = solve_dirac(self.fig_like_profile(), 2.0, Scattering([1.0, 1.0]))
         doms = detect_domains(sol.profile, (1, 2), identity_transform())
         xs = np.linspace(-2.8, 3.8, 1321)
-        cur = dirac_current(sol, bases[2], (1, 2), xs, domains=doms)
-        assert len(cur.domain_stats) == 1
-        assert cur.domain_stats[0].rel_dev <= 1e-8
+        cur = dirac_current(sol, bases[2], (1, 2), xs)
+        assert len(doms) == 1
+        assert domain_rel_devs(xs, cur.j1, doms)[0] <= 1e-8
         for lo, hi in ((-2.8, 0.0), (2.0, 3.8)):
             _, _, rel = interval_stats(xs, cur.j1, lo, hi)
             assert rel >= 0.1
 
-    def test_residual_report_domain_verdicts(self, bases):
+    def test_generator_current_constant_on_the_domain(self, bases):
         sol = solve_dirac(self.fig_like_profile(), 2.0, Scattering([1.0, 1.0]))
         doms = detect_domains(sol.profile, (1, 2), identity_transform())
         grid = np.linspace(-2.8, 3.8, 1321)
-        rep = gce_residual_dirac(sol, bases[2], 1, grid, domains=doms, tol=1e-8)
-        assert len(rep.domain_verdicts) == 1
-        v = rep.domain_verdicts[0]
-        assert v.passed and v.rel_dev <= 1e-8 and v.tol == 1e-8
+        j1 = dirac_current(sol, bases[2], 1, grid).j1
+        assert len(doms) == 1
+        assert domain_rel_devs(grid, j1, doms)[0] <= 1e-8
 
     def test_interval_stats_requires_interior_points(self):
         xs = np.linspace(0.0, 1.0, 11)
@@ -606,9 +668,9 @@ class TestTransformedCurrents:
         doms = detect_domains(prof, (1, 2), spec)
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 3.0), (4.5, np.inf)]
         xs = np.linspace(-5.8, 5.8, 1161)
-        cur = transformed_current(s1, s2, spec, xs, domains=doms)
-        for stat in cur.domain_stats:
-            assert stat.rel_dev <= 1e-10
+        cur = transformed_current(s1, s2, spec, xs)
+        for rel in domain_rel_devs(xs, cur.j1, doms):
+            assert rel <= 1e-10
         _, _, rel = interval_stats(xs, cur.j1, 3.0, 4.5)
         assert rel > 1e-2
 
@@ -621,10 +683,10 @@ class TestTransformedCurrents:
         prof = SolutionStack([s1, s2]).profile
         doms = detect_domains(prof, (1, 2), spec)
         xs = np.linspace(-2.8, 7.8, 1061)
-        cur = transformed_current(s1, s2, spec, xs, domains=doms)
-        assert len(cur.domain_stats) == 2
-        for stat in cur.domain_stats:
-            assert stat.rel_dev <= 1e-10
+        cur = transformed_current(s1, s2, spec, xs)
+        assert len(doms) == 2
+        for rel in domain_rel_devs(xs, cur.j1, doms):
+            assert rel <= 1e-10
 
     def test_identity_transform_is_bitwise_pair_current(self):
         s1, s2 = self.parity_pair()

@@ -224,7 +224,7 @@ def test_sweep_memory_is_the_table_the_samples_and_one_block():
         tracemalloc.stop()
     samples = len(grid) * 2 * stack.n_systems * 16
     # Grid-length index arrays (the snapped grid, the segment indices, the two
-    # memo keys' grid copies, the evaluation's piece indices and masks) take
+    # memo keys' grid copies, the evaluation's piece indices and runs) take
     # at most 6 x 8 bytes per point; one block's products, transposed and
     # conjugated samples, GEMM output and stencil temporaries stay within six
     # blocks of complex products.

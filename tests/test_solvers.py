@@ -553,7 +553,7 @@ def test_evaluate_helper_and_sides():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation memo
+# Evaluation
 
 
 def delta_stack(model: str):
@@ -604,15 +604,32 @@ def test_evaluate_memo_returns_fresh_values(model):
         assert np.array_equal(sol.evaluate(xs, side=side), expect)
 
 
-def test_evaluate_samples_are_read_only_and_shared():
-    sol = delta_stack("dirac")
-    vals = sol.evaluate(MEMO_GRID)
-    with pytest.raises(ValueError):
-        vals[0, 0] = 1.0
-    assert sol.evaluate(MEMO_GRID.copy()) is vals  # equal contents hit the memo
-    copy = vals.copy()
-    copy[0, 0] = 1.0
-    assert sol.evaluate(MEMO_GRID)[0, 0] != 1.0
+def evaluate_by_piece(sol, xs, side):
+    """Reference: every piece expands all of its points in one call."""
+    idx = np.searchsorted(sol.breakpoints, xs, side=side)
+    out = np.empty((len(xs), sol.dim), dtype=complex)
+    for j in np.unique(idx):
+        piece = sol.pieces[j]
+        out[idx == j] = piece.expand(xs[idx == j] - piece.anchor)
+    return out
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_evaluate_any_order_matches_pointwise(model, side, order):
+    """Runs of one piece are expanded as slices, whatever the order of xs."""
+    sol = delta_stack(model)
+    xs = np.linspace(-2.5, 3.0, 45)  # crosses every piece; 0.0, 1.0, 2.5 on cuts
+    xs = {"ascending": xs, "descending": xs[::-1],
+          "shuffled": np.random.default_rng(5).permutation(xs)}[order]
+    vals = sol.evaluate(xs, side=side)
+    pointwise = np.array([sol.evaluate([x], side=side)[0] for x in xs])
+    # Batched and single-point expansions differ only in the last bits.
+    np.testing.assert_allclose(vals, pointwise, rtol=0, atol=1e-14 * np.abs(vals).max())
+    if order != "shuffled":  # a monotone grid keeps each piece's points in one run
+        assert np.array_equal(vals, evaluate_by_piece(sol, xs, side))
+    assert vals.flags.writeable and sol.evaluate(xs, side=side) is not vals
 
 
 @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
@@ -646,8 +663,8 @@ def test_residual_table_does_not_depend_on_evaluation_history(model):
     swept = gce_residual_sweep(sol, basis, grid)
     assert np.array_equal(swept.residual, fresh.residual)
     assert np.array_equal(swept.floor, fresh.floor)
-    # Two more grids push this grid's table out; samples of a third change
-    # the evaluation memo.  The rebuilt table repeats the fresh one exactly.
+    # Two more grids push this grid's table out; samples of a third come
+    # between.  The rebuilt table repeats the fresh one exactly.
     for other in (np.linspace(-1.5, 2.0, 71), np.linspace(-1.4, 2.0, 69)):
         gce_residual_sweep(sol, basis, other)
     sol.evaluate(np.linspace(-3.0, 3.0, 50))
