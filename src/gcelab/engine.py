@@ -16,127 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import (
+    _SNAP,
     Convention,
-    DeltaBarrier,
-    PiecewiseSolution,
     PotentialProfile,
-    Segment,
+    _combined_profile,
+    _merge_sorted,
     get_convention,
+    join_solutions,
 )
 from .sun import PotentialDecomposition, SunBasis, decompose, source_operator
-
-_SNAP = 1e-9
 
 
 class DegenerateEnergiesError(ValueError):
     """Raised when an operation needs two distinct stationary energies."""
-
-
-# ---------------------------------------------------------------------------
-# Solution stacks
-
-
-class SolutionStack:
-    """Uniform view over a joint N-system solution or N single-system ones."""
-
-    def __init__(self, sols):
-        if isinstance(sols, PiecewiseSolution):
-            self.joint = sols
-            self.sols = None
-            self.model = sols.model
-            self.n_systems = sols.n_systems
-            self.energies = np.full(sols.n_systems, sols.energy)
-            self.convention = sols.convention
-            self.mass = sols.mass
-            self.profile = sols.profile
-        else:
-            sols = list(sols)
-            if not sols:
-                raise ValueError("empty solution stack")
-            for s in sols:
-                if s.n_systems != 1:
-                    raise ValueError(
-                        "a stack built from a sequence needs single-system solutions"
-                    )
-                if s.model != sols[0].model:
-                    raise ValueError("mixed models in one stack")
-            if sols[0].model == "dirac":
-                names = {s.convention.name for s in sols}
-                if len(names) > 1:
-                    raise ValueError(f"mixed conventions in one stack: {sorted(names)}")
-            else:
-                masses = {s.mass for s in sols}
-                if len(masses) > 1:
-                    raise ValueError(f"mixed masses in one stack: {sorted(masses)}")
-            self.joint = None
-            self.sols = sols
-            self.residual_tables = ()  # a joint solution keeps its own
-            self.model = sols[0].model
-            self.n_systems = len(sols)
-            self.energies = np.array([s.energy for s in sols])
-            self.convention = sols[0].convention
-            self.mass = sols[0].mass
-            self.profile = _combined_profile([s.profile for s in sols])
-
-    def flat(self, xs, side: str = "right") -> np.ndarray:
-        """Stacked samples in the joint solver layout, shape (len(xs), 2N)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self.joint is not None:
-            return self.joint.evaluate(xs, side)
-        cols = [s.evaluate(xs, side) for s in self.sols]
-        axis = 1 if self.model == "dirac" else 2
-        return np.stack(cols, axis=axis).reshape(len(xs), -1)
-
-    def values(self, xs, side: str = "right") -> np.ndarray:
-        """Stacked samples, shape (len(xs), N, 2) Dirac or (len(xs), 2, N) wave.
-
-        For the wave model the middle axis is (value, derivative).
-        """
-        flat = self.flat(xs, side)
-        shape = (self.n_systems, 2) if self.model == "dirac" else (2, self.n_systems)
-        return flat.reshape(len(flat), *shape)
-
-
-def as_stack(sols) -> SolutionStack:
-    return sols if isinstance(sols, SolutionStack) else SolutionStack(sols)
-
-
-def _merge_sorted(points: np.ndarray) -> np.ndarray:
-    pts = np.sort(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        return pts
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > _SNAP * max(1.0, abs(p)):
-            keep.append(p)
-    return np.array(keep)
-
-
-def _combined_profile(profiles) -> PotentialProfile:
-    """Diagonal N-system profile assembled from N single-system profiles."""
-    n = len(profiles)
-    bps = _merge_sorted(np.concatenate([p.breakpoints for p in profiles]))
-    if len(bps) < 2:
-        bps = np.array([bps[0], bps[0] + 1.0])
-    segments = []
-    for lo, hi in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (lo + hi)
-        diag = [profiles[i].matrix_at(mid)[0, 0] for i in range(n)]
-        segments.append(Segment(lo, hi, np.diag(diag)))
-    delta_pos = _merge_sorted(
-        np.concatenate([p.delta_positions for p in profiles])
-        if any(len(p.deltas) for p in profiles)
-        else np.zeros(0)
-    )
-    deltas = []
-    for x0 in delta_pos:
-        diag = np.zeros(n, dtype=complex)
-        for i, p in enumerate(profiles):
-            d = p.delta_at(x0)
-            if d is not None:
-                diag[i] = d.strength[0, 0]
-        deltas.append(DeltaBarrier(x0, np.diag(diag)))
-    return PotentialProfile(segments, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +205,30 @@ def interval_stats(grid, values, x_lo: float, x_hi: float):
 
 
 def _current(sols, basis, index, grid, model: str) -> CurrentProfile:
-    stack = as_stack(sols)
-    if stack.model != model:
-        raise ValueError(f"expected a {model} stack, got {stack.model}")
+    sol = join_solutions(sols)
+    if sol.model != model:
+        raise ValueError(f"expected a {model} stack, got {sol.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    blocks = _blocks(model, stack.convention, stack.mass)
+    blocks = _blocks(model, sol.convention, sol.mass)
     if isinstance(index, (tuple, list)):
         i, j = index
         for k in (i, j):
-            if not 1 <= k <= stack.n_systems:
-                raise ValueError(f"system index {k} outside 1..{stack.n_systems}")
-        if stack.joint is None:
-            a_vals, b_vals = (stack.sols[k - 1].evaluate(grid) for k in (i, j))
-        else:  # one sampling of the joint solution, both systems as views
-            vals = stack.values(grid)
-            vals = vals if model == "dirac" else vals.swapaxes(1, 2)
-            a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
+            if not 1 <= k <= sol.n_systems:
+                raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
+        # One sampling of the solution, both systems as views.
+        if model == "dirac":
+            vals = sol.evaluate(grid).reshape(len(grid), sol.n_systems, 2)
+        else:
+            vals = sol.evaluate(grid).reshape(len(grid), 2, sol.n_systems).swapaxes(1, 2)
+        a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
         j1 = _bilinear(a_vals, blocks[0], b_vals)
         j0 = _bilinear(a_vals, blocks[1], b_vals)
         return CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
-    if basis is None or basis.n != stack.n_systems:
+    if basis is None or basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
     t_a = basis.generator(int(index))
     coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
-    j1, j0 = (coeffs @ _outer_triangle(model, stack.flat(grid))).real
+    j1, j0 = (coeffs @ _outer_triangle(model, sol.evaluate(grid))).real
     return CurrentProfile("generator", int(index), grid, j1, j0)
 
 
@@ -365,10 +257,10 @@ def ladder_pair_current(sols, basis: SunBasis, i: int, j: int, grid) -> CurrentP
         raise ValueError("ladder combination needs two distinct systems")
     lo, hi = sorted((i, j))
     pos = (hi - 1) * (hi - 1) + 2 * (lo - 1)  # 1-based index of sym(lo, hi)
-    stack = as_stack(sols)
-    fn = dirac_current if stack.model == "dirac" else schrodinger_current
-    sym = fn(stack, basis, pos, grid)
-    asym = fn(stack, basis, pos + 1, grid)
+    sol = join_solutions(sols)
+    fn = dirac_current if sol.model == "dirac" else schrodinger_current
+    sym = fn(sol, basis, pos, grid)
+    asym = fn(sol, basis, pos + 1, grid)
     sign = 1.0 if i < j else -1.0
     return CurrentProfile(
         "pair", (i, j), sym.grid, sym.j1 + sign * 1j * asym.j1, sym.j0 + sign * 1j * asym.j0
@@ -698,10 +590,6 @@ def _check_same_profile(p1: PotentialProfile, p2: PotentialProfile) -> None:
 # against every generator's current and time-minus-source coefficients.
 
 _BLOCK = 1 << 15  # products per block; only the table has the grid's length
-# A residual RMS within this many rounding floors is rounding, not stencil
-# truncation: measured rounding residuals sit at 0.3-0.45 floors, truncation
-# residuals of the builtins at least 1e5 floors above.
-ROUNDING_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -709,7 +597,7 @@ class GceReport:
     """Sampled continuity residual for one generator index.
 
     ``residual`` is a read-only row of the solution's residual table and
-    ``floor`` its rounding level, eps (max|time - source| + max|j1| / h).
+    ``floor`` its rounding level (see ``_residual_rows``).
     """
 
     a: int
@@ -717,7 +605,6 @@ class GceReport:
     residual: np.ndarray
     residual_rms: float
     residual_max: float
-    convergence_order: float | None = None
     floor: float = 0.0
 
 
@@ -752,16 +639,23 @@ def _residual_rows(model, psi, grid, h, cuts, segments, kernels, j1_shift=None):
     one segment and carries up to two neighbours of its cell on each side, so
     the stencil of j1 (minus ``j1_shift``, (G, len(grid)), when given) needs
     no other block.  The kernels are Hermitian, so the table is real.
+
+    A form psi^dag K psi rounds by up to eps max|psi_k|**2 sum|K_kl|,
+    whatever it cancels to.  A row's floor is that bound for its
+    time-minus-source kernel plus twice that for its j1 / (2h) kernel (the
+    central stencil takes two j1 samples), the largest over the blocks.
     """
     g = kernels.shape[1] // 2
     block = max(16, _BLOCK // kernels.shape[2])
+    sums = np.abs(kernels).sum(axis=2)
+    kernel_sums = sums[:, g:] + 2.0 * sums[:, :g]  # (n_seg, G)
     # The grid's copy shares the table's allocation: kept as a block of its
     # own beside a memoised table, it raised the peak RSS of 40001-point
     # builtin reports by about 4 MiB (glibc could no longer trim the heap).
     full = np.empty((g + 1, len(grid)))
     full[0] = grid
     table = full[1:]
-    dj_max, rest_max = np.zeros(g), np.zeros(g)
+    worst = np.zeros(g)
     seg_starts = np.flatnonzero(np.diff(segments)) + 1
     for s, e in _cells(grid, cuts):
         inner = seg_starts[(seg_starts > s) & (seg_starts < e)]
@@ -772,12 +666,11 @@ def _residual_rows(model, psi, grid, h, cuts, segments, kernels, j1_shift=None):
             dj, out = both[:g], both[g:, lo - a:hi - a]
             if j1_shift is not None:
                 dj -= j1_shift[:, a:b] / (2.0 * h)
-            dj_max = np.maximum(dj_max, np.abs(dj[:, lo - a:hi - a]).max(axis=1))
-            rest_max = np.maximum(rest_max, np.abs(out).max(axis=1))
+            worst = np.maximum(worst, np.abs(psi[lo:hi]).max() ** 2 * kernel_sums[segments[lo]])
             # Own samples off the cell's edges sit inside the extended block,
             # so the block's one-sided ends fall only on cell edges.
             table[:, lo:hi] = out + _diff(dj.T)[lo - a:hi - a].T
-    floor = np.finfo(float).eps * (rest_max + 2.0 * dj_max)
+    floor = np.finfo(float).eps * worst
     full.flags.writeable = floor.flags.writeable = False
     return ResidualTable(full[0], full[1:], floor)
 
@@ -787,32 +680,33 @@ def gce_residual_sweep(
 ) -> ResidualTable:
     """Stationary continuity residuals of every generator on a uniform grid.
 
-    The joint solution, or a stack of single-system solutions, keeps its
-    tables of the last two grids, keyed by values (the grid's bits, the
-    decomposition's cuts and coefficients, the basis rank), so the calls of a
-    sweep build one table, also with ``decomp=None`` or a fine grid between.
+    The solution keeps the table of the last grid it was swept on, keyed by
+    values (the grid's bits, the decomposition's cuts and coefficients, the
+    basis rank), so the calls of a sweep build one table, also with
+    ``decomp=None``.  A sequence of single-system solutions is joined anew
+    on every call, and so builds a new table.
     """
-    stack, grid = as_stack(sols), np.asarray(grid, dtype=float)
-    if basis.n != stack.n_systems:
+    sol, grid = join_solutions(sols), np.asarray(grid, dtype=float)
+    if basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
-    decomp = decompose(stack.profile, basis) if decomp is None else decomp
+    decomp = decompose(sol.profile, basis) if decomp is None else decomp
     key = (decomp.cuts, decomp.c, basis.n)
-    owner = stack if stack.joint is None else stack.joint
-    for kept, table in owner.residual_tables:
+    if sol.residual_table is not None:
+        kept, table = sol.residual_table
         if np.array_equal(table.grid.view(np.int64), grid.view(np.int64)) and all(
             np.array_equal(p, q) for p, q in zip(kept, key)
         ):
             return table
-    cuts = residual_cuts(stack.profile)
+    cuts = residual_cuts(sol.profile)
     eval_xs = snap_to_cuts(grid, cuts)
     h, t = uniform_spacing(grid), basis.generators
     kernels = _table_kernels(
-        stack.model, stack.convention, stack.mass, h, t, stack.energies, source_operator(decomp)
+        sol.model, sol.convention, sol.mass, h, t, sol.energies, source_operator(decomp)
     )
     table = _residual_rows(
-        stack.model, stack.flat(eval_xs), grid, h, cuts, decomp.segment_of(eval_xs), kernels
+        sol.model, sol.evaluate(eval_xs), grid, h, cuts, decomp.segment_of(eval_xs), kernels
     )
-    owner.residual_tables = ((tuple(np.copy(p) for p in key), table), *owner.residual_tables[:1])
+    sol.residual_table = (tuple(np.copy(p) for p in key), table)
     return table
 
 
@@ -820,50 +714,36 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _residual_report(sols, basis, a, grid, decomp, fine_grid, model):
-    stack = as_stack(sols)
-    if stack.model != model:
-        raise ValueError(f"expected a {model} stack, got {stack.model}")
+def _residual_report(sols, basis, a, grid, decomp, model):
+    sol = join_solutions(sols)
+    if sol.model != model:
+        raise ValueError(f"expected a {model} stack, got {sol.model}")
     basis.generator(int(a))  # validates the index
     row, grid = int(a) - 1, np.asarray(grid, dtype=float)
-    decomp = decompose(stack.profile, basis) if decomp is None else decomp
-    table = gce_residual_sweep(stack, basis, grid, decomp)
+    table = gce_residual_sweep(sol, basis, grid, decomp)
     residual, floor = table.residual[row], float(table.floor[row])
-    rms = _rms(residual)
-    order = None
-    if fine_grid is not None:
-        fine_grid = np.asarray(fine_grid, dtype=float)
-        fine = gce_residual_sweep(stack, basis, fine_grid, decomp)
-        fine_rms = _rms(fine.residual[row])
-        # Rounding grows as 1/h: only residuals above it show the order.
-        if rms > ROUNDING_FACTOR * floor and fine_rms > ROUNDING_FACTOR * fine.floor[row]:
-            h_c, h_f = uniform_spacing(grid), uniform_spacing(fine_grid)
-            order = float(np.log(rms / fine_rms) / np.log(h_c / h_f))
     rmax = float(np.abs(residual).max())
-    return GceReport(int(a), grid, residual, rms, rmax, order, floor)
+    return GceReport(int(a), grid, residual, _rms(residual), rmax, floor)
 
 
 def gce_residual_dirac(
-    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None,
-    *, fine_grid=None,
+    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
 ) -> GceReport:
     """Stationary Dirac continuity residual for generator a on a uniform grid.
 
     residual = i(E_i - E_j)-weighted density + d/dx j1_a - source_a; exact
     solutions leave only the second-order stencil truncation, so halving the
     spacing divides the norm by four.  The residual is row a - 1 of
-    ``gce_residual_sweep``.  ``fine_grid`` triggers the two-grid convergence
-    order (None while either residual is within ``ROUNDING_FACTOR`` floors).
+    ``gce_residual_sweep``.
     """
-    return _residual_report(sols, basis, a, grid, decomp, fine_grid, "dirac")
+    return _residual_report(sols, basis, a, grid, decomp, "dirac")
 
 
 def gce_residual_schrodinger(
-    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None,
-    *, fine_grid=None,
+    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
 ) -> GceReport:
     """Stationary Schroedinger continuity residual for generator a."""
-    return _residual_report(sols, basis, a, grid, decomp, fine_grid, "schrodinger")
+    return _residual_report(sols, basis, a, grid, decomp, "schrodinger")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .sun import _hermitian_or_raise
 
 _BOUNDARY_ATOL = 1e-9
+_SNAP = 1e-9  # relative merge window of positions from different profiles
 
 
 class EvanescentChannelError(ValueError):
@@ -230,6 +231,44 @@ def uniform_profile(v, x_lo: float = 0.0, x_hi: float = 1.0) -> PotentialProfile
     return PotentialProfile([Segment(x_lo, x_hi, np.asarray(v, dtype=complex))])
 
 
+def _merge_sorted(points: np.ndarray) -> np.ndarray:
+    pts = np.sort(np.asarray(points, dtype=float))
+    if len(pts) == 0:
+        return pts
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if p - keep[-1] > _SNAP * max(1.0, abs(p)):
+            keep.append(p)
+    return np.array(keep)
+
+
+def _combined_profile(profiles) -> PotentialProfile:
+    """Diagonal N-system profile assembled from N single-system profiles."""
+    n = len(profiles)
+    bps = _merge_sorted(np.concatenate([p.breakpoints for p in profiles]))
+    if len(bps) < 2:
+        bps = np.array([bps[0], bps[0] + 1.0])
+    segments = []
+    for lo, hi in zip(bps[:-1], bps[1:]):
+        mid = 0.5 * (lo + hi)
+        diag = [profiles[i].matrix_at(mid)[0, 0] for i in range(n)]
+        segments.append(Segment(lo, hi, np.diag(diag)))
+    delta_pos = _merge_sorted(
+        np.concatenate([p.delta_positions for p in profiles])
+        if any(len(p.deltas) for p in profiles)
+        else np.zeros(0)
+    )
+    deltas = []
+    for x0 in delta_pos:
+        diag = np.zeros(n, dtype=complex)
+        for i, p in enumerate(profiles):
+            d = p.delta_at(x0)
+            if d is not None:
+                diag[i] = d.strength[0, 0]
+        deltas.append(DeltaBarrier(x0, np.diag(diag)))
+    return PotentialProfile(segments, deltas)
+
+
 # ---------------------------------------------------------------------------
 # First-order generators and delta junctions
 
@@ -304,6 +343,24 @@ class Propagator:
         # lam is ascending: oscillating rows, then exact zeros, then growing.
         self._bands = (int(np.searchsorted(lam, 0.0, "left")),
                        int(np.searchsorted(lam, 0.0, "right")))
+
+    @classmethod
+    def block_diagonal(cls, props, rows) -> "Propagator":
+        """Propagator of the block-diagonal generator holding the 2 x 2
+        props[i] on rows[i], assembled from their spectral data, not
+        diagonalised anew, so that every block keeps its own arithmetic."""
+        n = len(props)
+        band = [2 - sum(p._bands) for p in props]  # oscillating, zero, growing
+        order = sorted(range(n), key=band.__getitem__)
+        self = cls.__new__(cls)
+        self.generator = np.zeros((2 * n, 2 * n), dtype=complex)
+        self.basis = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+        for j, i in enumerate(order):
+            self.generator[np.ix_(rows[i], rows[i])] = props[i].generator
+            self.basis[np.ix_([j, n + j], rows[i], rows[i])] = props[i].basis
+        self._k = np.concatenate([props[i]._k for i in order])
+        self._bands = (band.count(0), band.count(0) + band.count(1))
+        return self
 
     def factors(self, x) -> np.ndarray:
         """Scalar functions multiplying ``basis`` at offsets x, shape (2N,) + x.shape."""
@@ -419,14 +476,22 @@ class PiecewiseSolution:
 
     model = "generic"
 
-    def __init__(self, profile, energy, pieces, breakpoints, convention=None, mass=None):
+    def __init__(self, profile, energies, pieces, breakpoints, convention=None, mass=None):
         self.profile = profile
-        self.energy = float(energy)
+        self.energies = np.array(energies, dtype=float).reshape(profile.n_systems)
+        self.energies.flags.writeable = False
         self.pieces: list[_Piece] = pieces
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.convention = convention
         self.mass = mass
-        self.residual_tables = ()  # engine's residual tables of the last two grids
+        self.residual_table = None  # engine's (key, table) of the last grid swept
+
+    @property
+    def energy(self) -> float:
+        """The energy shared by every system; ValueError when they differ."""
+        if (self.energies != self.energies[0]).any():
+            raise ValueError(f"the systems have different energies {self.energies.tolist()}")
+        return float(self.energies[0])
 
     @property
     def n_systems(self) -> int:
@@ -456,7 +521,8 @@ class PiecewiseSolution:
         """(left limit, right limit) of the stacked state at x."""
         return self.evaluate([x], side="left")[0], self.evaluate([x], side="right")[0]
 
-    def _slice(self, rows: list[int], sub_profile) -> "PiecewiseSolution":
+    def _slice(self, i: int, rows: list[int]) -> "PiecewiseSolution":
+        sub_profile = self.profile.system(i)
         pieces = []
         for p in self.pieces:
             m = p.propagator.generator
@@ -466,7 +532,7 @@ class PiecewiseSolution:
                 raise ProfileError("cannot extract a system: generator couples systems")
             pieces.append(_Piece(p.anchor, p.value[rows], Propagator(m[np.ix_(rows, rows)])))
         return type(self)(
-            sub_profile, self.energy, pieces, self.breakpoints,
+            sub_profile, self.energies[i - 1:i], pieces, self.breakpoints,
             convention=self.convention, mass=self.mass,
         )
 
@@ -483,7 +549,7 @@ class SpinorSolution(PiecewiseSolution):
 
     def system(self, i: int) -> "SpinorSolution":
         """Single-system solution (1-based i); requires a decoupled stack."""
-        return self._slice([2 * (i - 1), 2 * i - 1], self.profile.system(i))
+        return self._slice(i, [2 * (i - 1), 2 * i - 1])
 
 
 class WaveSolution(PiecewiseSolution):
@@ -498,8 +564,7 @@ class WaveSolution(PiecewiseSolution):
         return vals[:, :n], vals[:, n:]
 
     def system(self, i: int) -> "WaveSolution":
-        n = self.n_systems
-        return self._slice([i - 1, n + i - 1], self.profile.system(i))
+        return self._slice(i, [i - 1, self.n_systems + i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +711,7 @@ def _solve(profile, energy, boundary, model, convention, mass):
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
 
     cls = SpinorSolution if model == "dirac" else WaveSolution
-    return cls(profile, energy, pieces, b, convention=convention, mass=mass)
+    return cls(profile, np.full(n, energy), pieces, b, convention=convention, mass=mass)
 
 
 def solve_dirac(
@@ -687,3 +752,55 @@ def solve_schrodinger(
     derivative jump 2 * mass * strength * value across their position.
     """
     return _solve(profile, float(energy), boundary, "schrodinger", None, float(mass))
+
+
+def join_solutions(sols) -> PiecewiseSolution:
+    """One N-system solution from N single-system ones, e.g. at distinct energies.
+
+    The members must share a model and a convention (Dirac) or mass
+    (Schroedinger); ``energies`` lists theirs.  The joint profile is diagonal,
+    with the union of the members' breakpoints and deltas.  Each piece
+    propagates the members' states at its anchor with their block-diagonal
+    generator, so where a member's breakpoints are the joint ones its
+    samples (of two or more points per piece) and its ``system(i)`` slice
+    repeat the member's bit for bit.  A joint solution is returned as it is.
+    """
+    if isinstance(sols, PiecewiseSolution):
+        return sols
+    sols = list(sols)
+    if not sols:
+        raise ValueError("empty solution stack")
+    for s in sols:
+        if s.n_systems != 1:
+            raise ValueError("a stack built from a sequence needs single-system solutions")
+        if s.model != sols[0].model:
+            raise ValueError("mixed models in one stack")
+    first, n = sols[0], len(sols)
+    if first.model == "dirac":
+        names = {s.convention.name for s in sols}
+        if len(names) > 1:
+            raise ValueError(f"mixed conventions in one stack: {sorted(names)}")
+        rows = [[2 * i, 2 * i + 1] for i in range(n)]
+    else:
+        masses = {s.mass for s in sols}
+        if len(masses) > 1:
+            raise ValueError(f"mixed masses in one stack: {sorted(masses)}")
+        rows = [[i, n + i] for i in range(n)]  # values, then derivatives
+    profile = _combined_profile([s.profile for s in sols])
+    b = profile.breakpoints
+    # Anchor and an inner point of each piece: left tail, segments, right tail.
+    anchors = np.concatenate([b[:1], b[:-1], b[-1:]])
+    inner = np.concatenate([b[:1] - 1.0, 0.5 * (b[:-1] + b[1:]), b[-1:] + 1.0])
+    which = [np.searchsorted(s.breakpoints, inner, side="right") for s in sols]
+    pieces = []
+    for j, x0 in enumerate(anchors.tolist()):
+        members = [s.pieces[w[j]] for s, w in zip(sols, which)]
+        value = np.empty(2 * n, dtype=complex)
+        for p, r in zip(members, rows):
+            value[r] = p.value if p.anchor == x0 else p.expand(np.array([x0 - p.anchor]))[0]
+        prop = Propagator.block_diagonal([p.propagator for p in members], rows)
+        pieces.append(_Piece(x0, value, prop))
+    return type(first)(
+        profile, [s.energy for s in sols], pieces, b,
+        convention=first.convention, mass=first.mass,
+    )

@@ -21,7 +21,6 @@ from gcelab.cli import main as cli_main
 from gcelab.engine import (
     DegenerateEnergiesError,
     GaugeConfig,
-    SolutionStack,
     charge_current_relation,
     dirac_current,
     gauge_residual,
@@ -47,6 +46,7 @@ from gcelab.solvers import (
     Scattering,
     Segment,
     dirac_generator,
+    join_solutions,
     schrodinger_generator,
     solve_dirac,
     solve_schrodinger,
@@ -343,8 +343,11 @@ def test_identity_transform_reproduces_pair_current_bitwise():
     s1 = solve_dirac(p1, 1.6, Scattering([1.0]))
     s2 = solve_dirac(p2, 1.6, Scattering([0.7]))
     xs = np.linspace(-2.5, 2.5, 501)
-    tc = transformed_current(s1, s2, identity_transform(), xs)
-    pc = dirac_current([s1, s2], None, (1, 2), xs)
+    # The members' breakpoints differ, so the pair current of the joined
+    # solution is compared with the transformed current of its own slices.
+    joined = join_solutions([s1, s2])
+    tc = transformed_current(joined.system(1), joined.system(2), identity_transform(), xs)
+    pc = dirac_current(joined, None, (1, 2), xs)
     assert np.array_equal(tc.j1, pc.j1)
     assert np.array_equal(tc.j0, pc.j0)
 
@@ -376,13 +379,13 @@ def test_zero_gauge_field_matches_ungauged_residual(bases):
 def test_constant_abelian_field_converges_second_order(bases):
     alpha = 0.4
     shifted = np.array([1.5 - alpha / 2, 0.9 + alpha / 2])
-    stack = SolutionStack([free_dirac(shifted[0]), free_dirac(shifted[1])])
+    joined = join_solutions([free_dirac(shifted[0]), free_dirac(shifted[1])])
     norms = {}
     for n_pts in (161, 321):
         grid = np.linspace(-2.0, 2.0, n_pts)
         a_fields = np.zeros((3, 2, n_pts))
         a_fields[2, 0, :] = alpha
-        psi = stack.values(grid).reshape(n_pts, 4)
+        psi = joined.evaluate(grid)
         rep = gauge_residual(
             psi, GaugeConfig(grid, a_fields), bases[2], 1, energies=shifted
         )

@@ -147,6 +147,45 @@ class TestExitContract:
         assert code == 0, stdout
         assert "verdict: pass" in stdout
 
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_gce_verify_passes_for_every_builtin(self, name, tmp_path, capsys):
+        argv = ["gce-verify", "--scenario", name, "--out", str(tmp_path)]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0, stdout
+        assert "verdict: pass" in stdout
+        if name == "globalpair":
+            # Unequal energies: the pair current is conserved on no domain.
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["domains"]["count"] == 0
+
+    def test_scan_of_a_structurally_cancelling_current_passes_at_rounding(
+        self, tmp_path, capsys
+    ):
+        # T_2's current of two free systems at one energy cancels to about
+        # 1e-31; a floor taken from the results sat below that and read an
+        # order of -0.95 from rounding.
+        doc = {
+            "model": "dirac",
+            "n_systems": 2,
+            "profile": {"segments": [{"x_lo": -2.0, "x_hi": 2.0, "v": [[0.0, 0.0], [0.0, 0.0]]}]},
+            "energies": [1.3, 1.3],
+            "boundaries": [
+                {"kind": "incoming", "amplitude": 1.0},
+                {"kind": "incoming", "amplitude": 0.5},
+            ],
+            "grid": {"x_min": -1.5, "x_max": 1.5, "n_points": 301},
+            "generator_index": 2,
+        }
+        path = tmp_path / "free_pair.json"
+        path.write_text(json.dumps(doc))
+        argv = ["scan", "--scenario", str(path), "--h", "1e-2,5e-3,2.5e-3",
+                "--out", str(tmp_path / "rep")]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0, stdout
+        assert "order: none (residuals at rounding)" in stdout
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["scan"]["at_rounding"] is True
+
     def test_verdict_failure_exits_one_with_summary(self, tmp_path, capsys):
         out = str(tmp_path / "rep")
         code, stdout, _ = run_cli(

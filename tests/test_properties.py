@@ -1,7 +1,7 @@
 """Seeded property checks of the generator currents and continuity residuals.
 
 Random Hermitian stacks (N = 2, 3, 4, 8) in every Dirac convention, the
-Schroedinger model, and stacks assembled from single-system solutions at
+Schroedinger model, and stacks joined from single-system solutions at
 distinct energies.  The oracle is the per-term einsum arithmetic that the
 engine used before every bilinear went through one 2N x 2N kernel; it is kept
 here, independent of the engine's kernels, so that each current, time term and
@@ -18,7 +18,8 @@ import pytest
 from conftest import random_hermitian
 from gcelab.engine import (
     _BLOCK,
-    SolutionStack,
+    _blocks,
+    _rms,
     dirac_current,
     gce_residual_dirac,
     gce_residual_schrodinger,
@@ -27,11 +28,14 @@ from gcelab.engine import (
     residual_cuts,
     schrodinger_current,
     snap_to_cuts,
+    uniform_spacing,
 )
+from gcelab.scenario import order_verdict
 from gcelab.solvers import (
     PotentialProfile,
     Scattering,
     Segment,
+    join_solutions,
     solve_dirac,
     solve_schrodinger,
 )
@@ -45,6 +49,14 @@ REL_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-term einsum formulas, on the (x, N, 2) / (x, 2, N) layout
+
+
+def values(stack, xs):
+    """Samples (x, N, 2) Dirac or (x, 2, N) Schroedinger, (value, derivative)."""
+    flat = stack.evaluate(xs)
+    if stack.model == "dirac":
+        return flat.reshape(len(xs), stack.n_systems, 2)
+    return flat.reshape(len(xs), 2, stack.n_systems)
 
 
 def oracle_currents(stack, t_a, vals):
@@ -68,7 +80,7 @@ def oracle_terms(stack, basis, a, grid, decomp):
     t_a = basis.generator(a)
     cuts = residual_cuts(stack.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    vals = stack.values(eval_xs)
+    vals = values(stack, eval_xs)
     _, j1 = oracle_currents(stack, t_a, vals)
     w = 1j * (stack.energies[:, None] - stack.energies[None, :]) * t_a
     s_mats = source_operator(decomp, a)[decomp.segment_of(eval_xs)]
@@ -82,6 +94,24 @@ def oracle_terms(stack, basis, a, grid, decomp):
         time_term = np.einsum("xs,st,xt->x", v.conj(), w, v)
         source = np.einsum("xs,xst,xt->x", v.conj(), s_mats, v)
     return time_term, j1, piecewise_derivative(j1, grid, cuts), source
+
+
+def oracle_floor(stack, basis, a, grid, decomp):
+    """eps max|psi_k|^2 (sum|time - source kernel| + 2 sum|j1 / (2h) kernel|).
+
+    A sum of absolute kernel entries does not depend on the layout, so the
+    kernels are plain Kronecker products here.
+    """
+    t_a, h = basis.generator(a), uniform_spacing(grid)
+    current, density, potential = _blocks(stack.model, stack.convention, stack.mass)
+    w = 1j * (stack.energies[:, None] - stack.energies[None, :]) * t_a
+    eval_xs = snap_to_cuts(grid, residual_cuts(stack.profile))
+    bounds = []
+    for s_a in source_operator(decomp, a):
+        rest = np.kron(w, density) - np.kron(s_a, potential)
+        bounds.append(np.abs(rest).sum() + 2.0 * np.abs(np.kron(t_a, current)).sum() / (2 * h))
+    psi2 = (np.abs(stack.evaluate(eval_xs)) ** 2).max(axis=1)
+    return np.finfo(float).eps * (psi2 * np.array(bounds)[decomp.segment_of(eval_xs)]).max()
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +132,12 @@ def coupled_stack(seed: int, model: str, n: int, convention: str = "default"):
     profile = PotentialProfile(segs)
     amps = Scattering(rng.normal(size=n) + 1j * rng.normal(size=n))
     if model == "dirac":
-        return SolutionStack(solve_dirac(profile, 1.5 + 0.5 * rng.uniform(), amps, convention))
-    return SolutionStack(solve_schrodinger(profile, 2.0 + 0.5 * rng.uniform(), amps))
+        return solve_dirac(profile, 1.5 + 0.5 * rng.uniform(), amps, convention)
+    return solve_schrodinger(profile, 2.0 + 0.5 * rng.uniform(), amps)
 
 
 def sequence_stack(seed: int, model: str, n: int, convention: str = "default"):
-    """N single-system solutions at distinct energies with their own steps."""
+    """N single-system solutions at distinct energies with their own steps, joined."""
     rng = np.random.default_rng(seed)
     sols = []
     for _ in range(n):
@@ -125,7 +155,7 @@ def sequence_stack(seed: int, model: str, n: int, convention: str = "default"):
             sols.append(solve_dirac(profile, 1.5 + rng.uniform(), amp, convention))
         else:
             sols.append(solve_schrodinger(profile, 2.0 + rng.uniform(), amp))
-    return SolutionStack(sols)
+    return join_solutions(sols)
 
 
 CASES = [
@@ -158,7 +188,7 @@ def test_generator_currents_match_oracle(case):
     stack, basis, _ = case
     grid = np.linspace(*GRID, COARSE)
     current = dirac_current if stack.model == "dirac" else schrodinger_current
-    vals = stack.values(grid)
+    vals = values(stack, grid)
     for a in range(1, basis.dim + 1):
         j0, j1 = oracle_currents(stack, basis.generator(a), vals)
         prof = current(stack, basis, a, grid)
@@ -175,7 +205,7 @@ def test_all_residuals_match_oracle_and_converge_at_second_order(case):
     residual = gce_residual_dirac if stack.model == "dirac" else gce_residual_schrodinger
     reports = []
     for a in range(1, basis.dim + 1):
-        rep = residual(stack, basis, a, grid, decomp, fine_grid=fine)
+        rep = residual(stack, basis, a, grid, decomp)
         time_term, j1, dj1, source = oracle_terms(stack, basis, a, grid, decomp)
         # A difference quotient rounds at |j1| / h even where j1 is constant.
         scale = (np.abs(time_term) + np.abs(source)).max() + np.abs(j1).max() / h
@@ -184,10 +214,14 @@ def test_all_residuals_match_oracle_and_converge_at_second_order(case):
     # Residuals well above rounding are stencil truncation: halving the
     # spacing must divide them by four.  (Some generators leave only rounding,
     # e.g. Cartan ones on a stack of decoupled systems.)
+    tables = [gce_residual_sweep(stack, basis, g, decomp) for g in (grid, fine)]
     worst = max(r.residual_rms for r in reports)
-    truncated = [r for r in reports if r.residual_rms >= 1e-3 * worst]
-    for rep in truncated:
-        assert rep.convergence_order == pytest.approx(2.0, abs=0.2), rep.a
+    for rep in reports:
+        if rep.residual_rms >= 1e-3 * worst:
+            rms = [_rms(t.residual[rep.a - 1]) for t in tables]
+            floors = [t.floor[rep.a - 1] for t in tables]
+            verdict = order_verdict([h, fine[1] - fine[0]], rms, floors)
+            assert verdict["orders"][0] == pytest.approx(2.0, abs=0.2), rep.a
 
 
 def test_sweep_rows_match_oracle_and_per_generator_reports(case):
@@ -197,16 +231,16 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
     table = gce_residual_sweep(stack, basis, grid, decomp)
     assert table.residual.shape == (basis.dim, COARSE)
     residual = gce_residual_dirac if stack.model == "dirac" else gce_residual_schrodinger
-    eps = np.finfo(float).eps
     for a in range(1, basis.dim + 1):
         row = table.residual[a - 1]
         time_term, j1, dj1, source = oracle_terms(stack, basis, a, grid, decomp)
         scale = (np.abs(time_term) + np.abs(source)).max() + np.abs(j1).max() / h
         assert np.abs(row - (time_term + dj1 - source)).max() <= REL_TOL * scale
         assert np.array_equal(residual(stack, basis, a, grid, decomp).residual, row)
-        # The rounding floor is eps (max|time - source| + max|j1| / h).
-        floor = eps * (np.abs(time_term - source).max() + np.abs(j1).max() / h)
-        assert table.floor[a - 1] == pytest.approx(floor, rel=1e-6, abs=eps * REL_TOL * scale)
+        # The rounding floor bounds the rounding of every term, whatever the
+        # terms cancel to.
+        assert table.floor[a - 1] == pytest.approx(oracle_floor(stack, basis, a, grid, decomp),
+                                                   rel=1e-12)
 
 
 def test_sweep_memory_is_the_table_the_samples_and_one_block():
@@ -223,10 +257,10 @@ def test_sweep_memory_is_the_table_the_samples_and_one_block():
     finally:
         tracemalloc.stop()
     samples = len(grid) * 2 * stack.n_systems * 16
-    # Grid-length index arrays (the snapped grid, the segment indices, the two
-    # memo keys' grid copies, the evaluation's piece indices and runs) take
-    # at most 6 x 8 bytes per point; one block's products, transposed and
-    # conjugated samples, GEMM output and stencil temporaries stay within six
-    # blocks of complex products.
+    # Grid-length index arrays (the snapped grid, the segment indices, the
+    # evaluation's piece indices and runs) take at most 6 x 8 bytes per
+    # point; one block's products, transposed and conjugated samples, GEMM
+    # output and stencil temporaries stay within six blocks of complex
+    # products.
     allowance = 6 * 8 * len(grid) + 6 * _BLOCK * 16
     assert peak <= table.residual.nbytes + samples + allowance

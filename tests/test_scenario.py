@@ -38,6 +38,7 @@ from gcelab.scenario import (
     write_reports,
     _solve_stack,
 )
+from gcelab.solvers import Scattering, solve_dirac, solve_schrodinger
 
 ALL_BUILTINS = ("fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequal")
 
@@ -337,18 +338,20 @@ class TestRunScenario:
     def test_solution_columns_match_per_element_reference(self, name, energies, joint):
         s = load_builtin(name)
         if energies is not None:
-            # Unequal energies turn the joint Schroedinger pair into a per-system stack.
+            # Unequal energies make the Schroedinger pair solve per system.
             s = dataclasses.replace(s, energies=energies)
-        stack = _solve_stack(s)
         grid = s.grid_array(201)
-        assert (stack.joint is not None) == joint
-        if stack.joint is not None:
-            samples = stack.joint.evaluate(grid)
-        elif s.model == "dirac":
-            samples = stack.values(grid).reshape(len(grid), 2 * s.n_systems)
-        else:
-            raw = stack.values(grid)
-            samples = np.concatenate([raw[:, 0, :], raw[:, 1, :]], axis=1)
+        samples = _solve_stack(s).evaluate(grid)
+        n = s.n_systems
+        # Each per-system solve sits in its rows of the joined layout.
+        for i in range(1, n + 1) if not joint else ():
+            sub, e = s.profile.system(i), s.energies[i - 1]
+            amp = Scattering([s.boundaries[i - 1].values[0]])
+            if s.model == "dirac":
+                member, rows = solve_dirac(sub, e, amp, s.convention), [2 * i - 2, 2 * i - 1]
+            else:
+                member, rows = solve_schrodinger(sub, e, amp, s.mass), [i - 1, n + i - 1]
+            assert np.array_equal(samples[:, rows], member.evaluate(grid))
         expected_header = ["x"]
         for c in range(samples.shape[1]):
             expected_header += [f"re_u{c + 1}", f"im_u{c + 1}"]
