@@ -1,8 +1,9 @@
 """Command-line front end: basis inspection, solving, verification, scenario runs.
 
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
-constancy or convergence order), 2 on usage or input errors.  Verdict
-failures still write the full summary so results can be inspected.
+constancy or convergence order), 2 on usage or input errors and on errors
+writing the outputs.  Verdict failures still write the full summary so
+results can be inspected.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"gcelab: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ line endings, sorted JSON keys.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -428,7 +429,7 @@ def serialize_scenario(s: Scenario) -> dict:
 
 def save_scenario(s: Scenario, path) -> str:
     payload = json.dumps(serialize_scenario(s), indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, payload.encode("utf-8"))
+    _atomic_write(path, [payload.encode("utf-8")])
     return str(path)
 
 
@@ -864,14 +865,42 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
 # Report writing
 
 
-def _atomic_write(path, payload: bytes):
+# Cells formatted per CSV block: a write holds one block's floats, tuple and
+# bytes, whatever the table's size.
+_BLOCK_CELLS = 8192
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write an iterable of byte chunks to ``path`` through ``path.tmp``.
+
+    The file appears complete or not at all: on any failure the ``.tmp`` file
+    is removed and an earlier file at ``path`` is left as it was.
+    """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
-    except OSError as e:
-        raise OSError(f"writing {path}: {e}") from None
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"writing {path}: {e}") from None
+        raise
+
+
+def _csv_chunks(header, rows):
+    """The CSV bytes of one table: the header line, then blocks of rows."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    n_rows, n_cols = rows.shape
+    step = max(1, _BLOCK_CELLS // n_cols)
+    row_fmt = b",".join([b"%.17g"] * n_cols) + b"\n"
+    block_fmt = row_fmt * step
+    for lo in range(0, n_rows, step):
+        block = rows[lo:lo + step]
+        fmt = block_fmt if len(block) == step else row_fmt * len(block)
+        yield fmt % tuple(block.ravel().tolist())
 
 
 def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
@@ -879,14 +908,11 @@ def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, (header, rows) in bundle.tables.items():
-        n_rows, n_cols = rows.shape
-        row_fmt = ",".join(["%.17g"] * n_cols) + "\n"
-        text = ",".join(header) + "\n" + (row_fmt * n_rows) % tuple(rows.ravel().tolist())
         path = os.path.join(out_dir, f"{name}.csv")
-        _atomic_write(path, text.encode("utf-8"))
+        _atomic_write(path, _csv_chunks(header, rows))
         written.append(path)
     path = os.path.join(out_dir, "summary.json")
     payload = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, payload.encode("utf-8"))
+    _atomic_write(path, [payload.encode("utf-8")])
     written.append(path)
     return written

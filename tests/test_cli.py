@@ -2,7 +2,7 @@
 
 The help and generators goldens live in tests/data and are compared byte for
 byte at a fixed 80-column width.  Exit codes follow the contract: 0 success,
-1 verdict failure, 2 usage or input error.
+1 verdict failure, 2 usage, input or write error.
 """
 
 from __future__ import annotations
@@ -218,6 +218,25 @@ class TestExitContract:
             ["run", "--scenario", str(bad), "--out", str(tmp_path)], capsys
         )
         assert code == 2 and "parse error" in err
+
+    def test_output_under_a_regular_file_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        code, stdout, err = run_cli(["run", "--scenario", "fig2", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("gcelab: error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_directory_in_place_of_a_table_exits_two(self, tmp_path, capsys):
+        (tmp_path / "currents.csv").mkdir()
+        code, stdout, err = run_cli(
+            ["run", "--scenario", "fig2", "--out", str(tmp_path)], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"gcelab: error: writing {tmp_path / 'currents.csv'}: ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["currents.csv"]
 
 
 class TestOutputRouting:

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ from gcelab.scenario import (
     set_delta_strength,
     solution_bundle,
     write_reports,
+    _BLOCK_CELLS,
+    _atomic_write,
+    _csv_chunks,
     _solve_stack,
 )
 from gcelab.solvers import Scattering, solve_dirac, solve_schrodinger
@@ -43,8 +47,16 @@ from gcelab.solvers import Scattering, solve_dirac, solve_schrodinger
 ALL_BUILTINS = ("fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequal")
 
 
+# Cells whose %.17g forms are easy to get wrong: signed zeros, infinities,
+# nan, the smallest subnormal and normal, 2**53, the largest double.
+SPECIAL_CELLS = np.array(
+    [-0.0, 0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, 3.0, -7.0, 2.0**53,
+     1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.2250738585072014e-308]
+)
+
+
 def reference_csv(header, rows) -> bytes:
-    """The per-cell writer that the bulk format replaced: the test oracle."""
+    """The per-cell writer that the block format replaced: the test oracle."""
     lines = [",".join(header)]
     lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -468,6 +480,78 @@ class TestReports:
         assert paths == again
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_table_write_keeps_the_earlier_file(self, tmp_path):
+        header = ["a", "b", "c", "d", "e"]
+        per_block = _BLOCK_CELLS // len(header)
+        good = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        good.tables["cells"] = (header, np.ones((2 * per_block + 1, len(header))))
+        before = file_digests(write_reports(good, str(tmp_path)))
+        # A cell that cannot be formatted in the second block fails the write
+        # after the first block has reached the .tmp file.
+        rows = np.ones((2 * per_block + 1, len(header)), dtype=object)
+        rows[per_block + 1, 2] = "not a number"
+        bad = ReportBundle(scenario=good.scenario, grid=good.grid)
+        bad.tables["cells"] = (header, rows)
+        with pytest.raises(TypeError):
+            write_reports(bad, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv", "summary.json"]
+        paths = [str(tmp_path / "cells.csv"), str(tmp_path / "summary.json")]
+        assert file_digests(paths) == before
+
+    def test_failed_stream_removes_the_tmp_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"new,partial\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match=r"writing .*table\.csv: disk full"):
+            _atomic_write(str(path), chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+        assert path.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize("n_cols", [5, 9])
+    def test_block_boundaries_match_per_cell_writer(self, n_cols, tmp_path):
+        per_block = _BLOCK_CELLS // n_cols
+        rng = np.random.default_rng(n_cols)
+        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        header = [f"c{k}" for k in range(n_cols)]
+        for n_rows in (0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1):
+            shape = (n_rows, n_cols)
+            rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            # Special values in the first and last row of every block.
+            edges = [i for i in range(n_rows) if i % per_block in (0, per_block - 1)]
+            for k, i in enumerate(edges + [n_rows - 1] if n_rows else []):
+                rows[i] = np.roll(SPECIAL_CELLS, k)[:n_cols]
+            bundle.tables[f"rows{n_rows}"] = (header, rows)
+            assert len(list(_csv_chunks(header, rows))) == 1 + -(-n_rows // per_block)
+        got = written_tables(bundle, tmp_path)
+        for table, (header, rows) in bundle.tables.items():
+            assert got[table] == reference_csv(header, rows), table
+
+    def test_fine_grid_tables_match_per_cell_writer(self, tmp_path):
+        bundle = run_scenario(load_builtin("fig1a"), n_points=40001)
+        assert bundle.tables["currents"][1].size > 20 * _BLOCK_CELLS
+        got = written_tables(bundle, tmp_path)
+        for table, (header, rows) in bundle.tables.items():
+            assert got[table] == reference_csv(header, rows), table
+
+    @pytest.mark.parametrize("shape", [(10001, 5), (100001, 9)])
+    def test_write_memory_does_not_grow_with_the_table(self, shape, tmp_path):
+        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        rows = np.random.default_rng(0).standard_normal(shape)
+        bundle.tables["cells"] = ([f"c{k}" for k in range(shape[1])], rows)
+        tracemalloc.start()
+        try:
+            write_reports(bundle, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-table write holds about 60 bytes per cell: 2.9 MiB at
+        # 10001 x 5 and 52 MiB at 100001 x 9.
+        assert peak < 2 * 2**20
 
 
 class TestScan:
