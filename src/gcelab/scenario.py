@@ -13,6 +13,7 @@ line endings, sorted JSON keys.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import engine
+from ._fmt17 import csv_block
 from .engine import (
     charge_current_relation,
     delta_domain_relation,
@@ -429,7 +431,7 @@ def serialize_scenario(s: Scenario) -> dict:
 
 def save_scenario(s: Scenario, path) -> str:
     payload = json.dumps(serialize_scenario(s), indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, [payload.encode("utf-8")])
+    _atomic_write([(path, [payload.encode("utf-8")])])
     return str(path)
 
 
@@ -865,26 +867,37 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
 # Report writing
 
 
-# Cells formatted per CSV block: a write holds one block's floats, tuple and
-# bytes, whatever the table's size.
-_BLOCK_CELLS = 8192
+# Cells formatted per CSV block: a write holds one block's digits and
+# character layout, whatever the table's size.
+_BLOCK_CELLS = 4096
 
 
-def _atomic_write(path, chunks) -> None:
-    """Write an iterable of byte chunks to ``path`` through ``path.tmp``.
+def _atomic_write(files) -> None:
+    """Write each ``(path, chunks)`` pair's byte chunks to ``path`` through
+    ``path.tmp``.
 
-    The file appears complete or not at all: on any failure the ``.tmp`` file
-    is removed and an earlier file at ``path`` is left as it was.
+    Every ``.tmp`` file is written, and every target checked not to be a
+    directory, before the first rename, and the renames follow the order of
+    ``files``.  So a failure up to the renames removes every ``.tmp`` file
+    and leaves every earlier file as it was, and a file listed last is
+    replaced only after all the others.
     """
-    tmp = f"{path}.tmp"
+    tmps = []
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            tmps.append(f"{path}.tmp")
+            with open(tmps[-1], "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for path, _ in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
     except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(e, OSError):
             raise OSError(f"writing {path}: {e}") from None
         raise
@@ -895,24 +908,21 @@ def _csv_chunks(header, rows):
     yield (",".join(header) + "\n").encode("utf-8")
     n_rows, n_cols = rows.shape
     step = max(1, _BLOCK_CELLS // n_cols)
-    row_fmt = b",".join([b"%.17g"] * n_cols) + b"\n"
-    block_fmt = row_fmt * step
     for lo in range(0, n_rows, step):
-        block = rows[lo:lo + step]
-        fmt = block_fmt if len(block) == step else row_fmt * len(block)
-        yield fmt % tuple(block.ravel().tolist())
+        yield csv_block(rows[lo:lo + step])
 
 
 def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
-    """Write one CSV per table plus summary.json; returns the written paths."""
+    """Write one CSV per table plus summary.json; returns the written paths.
+
+    summary.json is replaced last, and only once every table has been.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, (header, rows) in bundle.tables.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        _atomic_write(path, _csv_chunks(header, rows))
-        written.append(path)
-    path = os.path.join(out_dir, "summary.json")
+    files = [
+        (os.path.join(out_dir, f"{name}.csv"), _csv_chunks(header, rows))
+        for name, (header, rows) in bundle.tables.items()
+    ]
     payload = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, [payload.encode("utf-8")])
-    written.append(path)
-    return written
+    files.append((os.path.join(out_dir, "summary.json"), [payload.encode("utf-8")]))
+    _atomic_write(files)
+    return [path for path, _ in files]

@@ -238,6 +238,23 @@ class TestExitContract:
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["currents.csv"]
 
+    def test_failed_rerun_leaves_the_earlier_run_whole(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert run_cli(["run", "--scenario", "fig2", "--out", out], capsys)[0] == 0
+        kept = {name: (tmp_path / name).read_bytes() for name in ("currents.csv", "summary.json")}
+        (tmp_path / "domains.csv").unlink()
+        (tmp_path / "domains.csv").mkdir()
+        code, stdout, err = run_cli(
+            ["run", "--scenario", "fig2", "--lambda", "0", "--out", out], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"gcelab: error: writing {tmp_path / 'domains.csv'}: ")
+        # No table of the rerun replaces its file unless all of them do.
+        assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "currents.csv", "domains.csv", "summary.json"
+        ]
+
 
 class TestOutputRouting:
     def test_out_flag_beats_env(self, tmp_path, capsys, monkeypatch):

@@ -48,11 +48,39 @@ ALL_BUILTINS = ("fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "u
 
 
 # Cells whose %.17g forms are easy to get wrong: signed zeros, infinities,
-# nan, the smallest subnormal and normal, 2**53, the largest double.
+# nan, the smallest subnormal, the largest subnormal, the smallest normal,
+# the largest double, integers at and above 2**53, exact powers of ten and
+# their neighbours, 17-digit carries, and an exact 18-digit tie (2**-25).
 SPECIAL_CELLS = np.array(
     [-0.0, 0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, 3.0, -7.0, 2.0**53,
-     1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.2250738585072014e-308]
+     1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.2250738585072014e-308,
+     2.2250738585072009e-308, -5e-324, 2.0**53 + 2, 2.0**63, 123456789012345680.0,
+     1e22, 1e23, 9.9999999999999998e16, 0.99999999999999989, 1.0000000000000002,
+     1e-5, 9.9999999999999991e-5, 1e16, 2.0**-25, -3 * 2.0**-25, 1e280, 1e-280]
 )
+
+
+def tricky_cells(rng) -> dict:
+    """Seeded tables of cells that stress a %.17g writer, by name."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    neighbours = np.stack(
+        [np.nextafter(powers, 0.0), powers, np.nextafter(powers, math.inf)], axis=1
+    )
+    # n * 2**-j with n odd and n * 5**j of 18 digits: exact decimal ties.
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        ties += [(int(n) | 1) * 2.0**-j for n in rng.integers(lo, hi, 20)]
+    ties = np.array(ties)
+    bits = rng.integers(0, 2**64, 10**5 + 4, dtype=np.uint64)
+    return {
+        "bits5": bits[:50000].view(np.float64).reshape(-1, 5),
+        "bits9": bits[50000:].view(np.float64).reshape(-1, 9),
+        "powers": np.concatenate([neighbours, -neighbours], axis=1),
+        "integers": (rng.integers(2**53, 2**63, 5000, dtype=np.int64) * 1.0).reshape(-1, 5),
+        "ties": np.concatenate([ties, -ties]).reshape(-1, 5),
+        "special": np.stack([np.roll(SPECIAL_CELLS, k)[:9] for k in range(SPECIAL_CELLS.size)]),
+    }
 
 
 def reference_csv(header, rows) -> bytes:
@@ -446,8 +474,12 @@ class TestReports:
         bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
         bundle.tables["cells"] = (["a", "b", "flag", "d"], cells)
         bundle.tables["empty"] = (["x", "y"], np.empty((0, 2)))
+        for name, rows in tricky_cells(np.random.default_rng(2025)).items():
+            bundle.tables[name] = ([f"c{k}" for k in range(rows.shape[1])], rows)
         got = written_tables(bundle, tmp_path)
-        assert got["cells"] == reference_csv(*bundle.tables["cells"])
+        assert set(got) == set(bundle.tables)
+        for table, (header, rows) in bundle.tables.items():
+            assert got[table] == reference_csv(header, rows), table
         assert got["cells"].split(b"\n")[1] == b"-0,0,1,0"
         assert got["empty"] == b"x,y\n"
 
@@ -508,7 +540,7 @@ class TestReports:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match=r"writing .*table\.csv: disk full"):
-            _atomic_write(str(path), chunks())
+            _atomic_write([(str(path), chunks())])
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
         assert path.read_bytes() == b"old\n"
 
@@ -531,9 +563,10 @@ class TestReports:
         for table, (header, rows) in bundle.tables.items():
             assert got[table] == reference_csv(header, rows), table
 
-    def test_fine_grid_tables_match_per_cell_writer(self, tmp_path):
-        bundle = run_scenario(load_builtin("fig1a"), n_points=40001)
-        assert bundle.tables["currents"][1].size > 20 * _BLOCK_CELLS
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_fine_grid_tables_match_per_cell_writer(self, name, tmp_path):
+        bundle = run_scenario(load_builtin(name), n_points=40001)
+        assert max(rows.size for _, rows in bundle.tables.values()) > 20 * _BLOCK_CELLS
         got = written_tables(bundle, tmp_path)
         for table, (header, rows) in bundle.tables.items():
             assert got[table] == reference_csv(header, rows), table
