@@ -85,19 +85,27 @@ def _tables():
     hi = np.array(his)
     powers = (hi, *_split(hi), np.array(los))
 
-    def words(strings):
-        return np.frombuffer(b"".join(strings), dtype=np.uint64)
+    def ascii_digits(values, n):
+        """The n decimal digits of each value, most significant first."""
+        return np.stack([values // 10**j % 10 for j in range(n - 1, -1, -1)], 1) + ord("0")
 
-    heads = words(b"-0.000%d." % d for d in range(10))
-    chunks = words(
-        b"%d.%d.%d.%d." % (c // 1000, c // 100 % 10, c // 10 % 10, c % 10)
-        for c in range(10**4)
-    )
-    xs = range(-_X_MAX, _X_MAX + 1)
-    exponents = words(b"e%+04d,\0\0" % x for x in xs)
-    classes = np.array([x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100) for x in xs])
+    heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
+    # "d.d.d.d." of every four-digit chunk c: its digits, each before a point.
+    c = np.arange(10**4)
+    chars = np.full((len(c), 8), ord("."), dtype=np.uint8)
+    chars[:, 0::2] = ascii_digits(c, 4)
+    chunks = chars.reshape(-1).view(np.uint64)
+    # "e±XXX," and two NULs for every exponent X.
+    xs = np.arange(-_X_MAX, _X_MAX + 1)
+    chars = np.zeros((len(xs), 8), dtype=np.uint8)
+    chars[:, :2] = np.frombuffer(b"e+", dtype=np.uint8)
+    chars[xs < 0, 1] = ord("-")
+    chars[:, 2:5] = ascii_digits(np.abs(xs), 3)
+    chars[:, 5] = ord(",")
+    exponents = chars.reshape(-1).view(np.uint64)
+    classes = np.where((-4 <= xs) & (xs <= 16), xs + 4, 21 + (np.abs(xs) >= 100))
     # Trailing zeros of each four-digit chunk; 4 for chunk 0.
-    tz = np.array([4] + [len(str(c)) - len(str(c).rstrip("0")) for c in range(1, 10**4)])
+    tz = np.sum([c % 10**j == 0 for j in (1, 2, 3)], axis=0) + (c == 0)
 
     layout = np.zeros((_FALLBACK + 1, _WIDTH), dtype=bool)
     layout[:, _SEP] = True

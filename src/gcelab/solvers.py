@@ -273,21 +273,28 @@ def _combined_profile(profiles) -> PotentialProfile:
 # First-order generators and delta junctions
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron(a, b) for a stack a of square blocks, by the same products."""
+    *stack, n, _ = a.shape
+    return np.multiply.outer(a, b).swapaxes(-3, -2).reshape(*stack, 2 * n, 2 * n)
+
+
 def dirac_generator(v, energy: float, convention: Convention) -> np.ndarray:
     """Generator M of psi' = M psi for a constant Hermitian potential block.
 
     M = -i (I_N kron gamma1^-1) (V kron K - E I_N kron gamma0), so for a free
     single system at energy E the eigenvalues are +-iE and exp(M x) rotates the
-    spinor with period 2 pi / |E|.
+    spinor with period 2 pi / |E|.  A stack of blocks v[..., :, :] gives the
+    stack of their generators.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
         v = v.reshape(1, 1)
-    n = v.shape[0]
+    n = v.shape[-1]
     g1inv = convention.gamma1_inv
     k = convention.coupling_matrix
     return -1j * (
-        np.kron(v, g1inv @ k) - energy * np.kron(np.eye(n), g1inv @ convention.gamma0)
+        _kron(v, g1inv @ k) - energy * _kron(np.eye(n), g1inv @ convention.gamma0)
     )
 
 
@@ -571,77 +578,84 @@ class WaveSolution(PiecewiseSolution):
 # Mode analysis for scattering boundaries
 
 
-def _propagating_modes(m2: np.ndarray, current_kernel: np.ndarray):
-    """Classify the 2x2 single-system generator into (right, left) unit modes.
+_SIDES = ("leftmost", "rightmost")
 
-    Modes are eigenvectors of the generator; propagating ones have purely
-    imaginary eigenvalues and are labeled by the sign of the conserved current
-    u^dag (kernel) u.  The phase is fixed by making the first significant
-    component real positive, which keeps outputs platform-deterministic.
+
+def _dirac_channels(edges, energy: float, convention: Convention):
+    """Unit (right, left) movers of every asymptotic Dirac channel at once.
+
+    edges[i, s] is the potential of system i in the leftmost (s = 0) or the
+    rightmost (s = 1) segment.  Modes are eigenvectors of the 2x2 generators,
+    diagonalised as one stack.  Propagating ones have purely imaginary
+    eigenvalues and are labeled by the sign of the conserved current
+    u^dag gamma0 gamma1 u.  The phase makes the first significant component
+    real positive, which keeps outputs platform-deterministic.
+
+    Returns ``modes`` of shape (N, 2, 2, 2), where modes[i, s, 0] is the right
+    mover and modes[i, s, 1] the left mover, and their ``currents`` of shape
+    (N, 2, 2), positive then negative.
     """
-    mu, vecs = np.linalg.eig(m2)
-    scale = max(1.0, float(np.abs(mu).max()))
-    if np.abs(mu.real).max() > 1e-9 * scale:
-        raise EvanescentChannelError(
-            "asymptotic channel is evanescent at this energy "
-            f"(eigenvalues {mu}); scattering boundaries need propagating channels"
-        )
-    right = left = None
-    for col in range(2):
-        u = vecs[:, col]
-        u = u / np.linalg.norm(u)
-        lead = np.flatnonzero(np.abs(u) > 1e-9)[0]
-        u = u * (np.abs(u[lead]) / u[lead])
-        j = (u.conj() @ current_kernel @ u).real
-        if abs(j) <= 1e-12:
-            raise EvanescentChannelError("cannot classify a zero-current mode")
-        if j > 0:
-            right = u
-        else:
-            left = u
-    if right is None or left is None:
-        raise EvanescentChannelError("asymptotic channels do not split into left/right movers")
-    return right, left
+    edges = np.asarray(edges, dtype=float)
+    mu, vecs = np.linalg.eig(dirac_generator(edges[..., None, None], energy, convention))
+    u = vecs.swapaxes(-1, -2)  # u[i, s, col] is eigenvector col
+    # One norm per vector: a stacked norm sums in another order.
+    norms = np.array([np.linalg.norm(w) for w in u.reshape(-1, 2)]).reshape(mu.shape)
+    u = u / norms[..., None]
+    lead = np.take_along_axis(u, np.argmax(np.abs(u) > 1e-9, axis=-1)[..., None], -1)
+    u = u * (np.abs(lead) / lead)
+    currents = ((u.conj() @ convention.current_matrix) * u).sum(axis=-1).real
+    right = currents > 0.0
+    scale = np.maximum(1.0, np.abs(mu).max(axis=-1))
+    faults = (
+        (np.abs(mu.real).max(axis=-1) > 1e-9 * scale, "is evanescent"),
+        ((np.abs(currents) <= 1e-12).any(axis=-1), "has a zero-current mode"),
+        (right[..., 0] == right[..., 1], "does not split into left/right movers"),
+    )
+    for fault, what in faults:
+        if fault.any():
+            i, side = np.unravel_index(np.argmax(fault), fault.shape)
+            raise EvanescentChannelError(
+                f"system {i + 1} {what} in the {_SIDES[side]} segment "
+                f"(E = {energy}, V = {edges[i, side]}, eigenvalues {mu[i, side]}); "
+                "scattering boundaries need propagating channels"
+            )
+    order = np.where(right[..., :1], [0, 1], [1, 0])
+    return np.take_along_axis(u, order[..., None], -2), np.take_along_axis(currents, order, -1)
 
 
 def _scattering_modes(profile, energy, convention, mass, model):
     """Per-system asymptotic mode matrices (U_in, U_ref, U_out), value-normalized."""
     n = profile.n_systems
-    v_left = profile.segments[0].v
-    v_right = profile.segments[-1].v
-    for name, v in (("leftmost", v_left), ("rightmost", v_right)):
-        if np.abs(v - np.diag(np.diag(v))).max() > 0.0:
+    edges = np.empty((n, 2))  # edges[i, s]: system i in the leftmost/rightmost segment
+    for s, seg in enumerate((profile.segments[0], profile.segments[-1])):
+        if np.abs(seg.v - np.diag(np.diag(seg.v))).max() > 0.0:
             raise ProfileError(
-                f"scattering boundaries need a diagonal {name} segment so that "
+                f"scattering boundaries need a diagonal {_SIDES[s]} segment so that "
                 "per-system channels are well defined"
             )
-    dim = 2 * n
-    u_in = np.zeros((dim, n), dtype=complex)
-    u_ref = np.zeros((dim, n), dtype=complex)
-    u_out = np.zeros((dim, n), dtype=complex)
-    for i in range(n):
-        if model == "dirac":
-            rows = [2 * i, 2 * i + 1]
-            kernel = convention.current_matrix
-            m_l = dirac_generator(v_left[i, i].real, energy, convention)
-            m_r = dirac_generator(v_right[i, i].real, energy, convention)
-            r_l, l_l = _propagating_modes(m_l, kernel)
-            r_r, _ = _propagating_modes(m_r, kernel)
-        else:
-            rows = [i, n + i]
-            for v_edge in (v_left[i, i].real, v_right[i, i].real):
-                if 2.0 * mass * (energy - v_edge) <= 1e-12 * max(1.0, abs(energy)):
-                    raise EvanescentChannelError(
-                        f"system {i + 1} is evanescent in an asymptotic region "
-                        f"(E = {energy}, V = {v_edge})"
-                    )
-            k_l = np.sqrt(2.0 * mass * (energy - v_left[i, i].real))
-            k_r = np.sqrt(2.0 * mass * (energy - v_right[i, i].real))
-            r_l, l_l = np.array([1.0, 1j * k_l]), np.array([1.0, -1j * k_l])
-            r_r = np.array([1.0, 1j * k_r])
-        u_in[rows, i] = r_l
-        u_ref[rows, i] = l_l
-        u_out[rows, i] = r_r
+        edges[:, s] = seg.v.diagonal().real
+    system = np.arange(n)
+    if model == "dirac":
+        modes, _ = _dirac_channels(edges, energy, convention)
+        rows = np.stack([2 * system, 2 * system + 1], 1)
+    else:
+        fault = 2.0 * mass * (energy - edges) <= 1e-12 * max(1.0, abs(energy))
+        if fault.any():
+            i, s = np.unravel_index(np.argmax(fault), fault.shape)
+            raise EvanescentChannelError(
+                f"system {i + 1} is evanescent in the {_SIDES[s]} segment "
+                f"(E = {energy}, V = {edges[i, s]})"
+            )
+        k = np.sqrt(2.0 * mass * (energy - edges))
+        modes = np.ones((n, 2, 2, 2), dtype=complex)  # (value, derivative) = (1, +-ik)
+        modes[..., 0, 1] = 1j * k
+        modes[..., 1, 1] = -1j * k
+        rows = np.stack([system, system + n], 1)
+    u_in, u_ref, u_out = np.zeros((3, 2 * n, n), dtype=complex)
+    cols = system[:, None]
+    u_in[rows, cols] = modes[:, 0, 0]  # right movers from the left
+    u_ref[rows, cols] = modes[:, 0, 1]  # left movers back to the left
+    u_out[rows, cols] = modes[:, 1, 0]  # right movers out to the right
     return u_in, u_ref, u_out
 
 

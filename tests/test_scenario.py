@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import gcelab
+from gcelab import _fmt17
 from gcelab.scenario import (
     OUTPUT_KINDS,
     ReportBundle,
@@ -88,6 +89,25 @@ def reference_csv(header, rows) -> bytes:
     lines = [",".join(header)]
     lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def loop_built_digit_tables() -> tuple:
+    """The %.17g kernel's digit tables, built one entry at a time: the oracle
+    of the array-built ones, in the order ``_fmt17._tables()`` returns them."""
+
+    def words(strings):
+        return np.frombuffer(b"".join(strings), dtype=np.uint64)
+
+    xs = range(-400, 401)
+    heads = words(b"-0.000%d." % d for d in range(10))
+    chunks = words(
+        b"%d.%d.%d.%d." % (c // 1000, c // 100 % 10, c // 10 % 10, c % 10)
+        for c in range(10**4)
+    )
+    exponents = words(b"e%+04d,\0\0" % x for x in xs)
+    classes = np.array([x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100) for x in xs])
+    tz = np.array([4] + [len(str(c)) - len(str(c).rstrip("0")) for c in range(1, 10**4)])
+    return heads, chunks, exponents, classes * 34, tz * 2
 
 
 def written_tables(bundle, out_dir) -> dict:
@@ -482,6 +502,15 @@ class TestReports:
             assert got[table] == reference_csv(header, rows), table
         assert got["cells"].split(b"\n")[1] == b"-0,0,1,0"
         assert got["empty"] == b"x,y\n"
+
+    def test_digit_tables_match_loop_built_reference(self):
+        names = ("heads", "chunks", "exponents", "keys", "zero_keys")
+        got = _fmt17._tables()[4:9]
+        for name, table, ref in zip(names, got, loop_built_digit_tables(), strict=True):
+            assert table.dtype == ref.dtype, name
+            assert table.shape == ref.shape, name
+            assert table.tobytes() == ref.tobytes(), name
+            assert not table.flags.writeable, name
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_builtin_tables_match_per_cell_writer(self, name, tmp_path):

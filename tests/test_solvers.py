@@ -19,6 +19,8 @@ from gcelab.solvers import (
     Propagator,
     Scattering,
     Segment,
+    _dirac_channels,
+    _scattering_modes,
     delta_junction,
     dirac_generator,
     get_convention,
@@ -174,6 +176,37 @@ def test_schrodinger_generator_matches_companion_form():
     np.testing.assert_allclose(
         m, np.array([[0.0, 1.0], [2 * 2.0 * (0.3 - 1.1), 0.0]]), atol=1e-15
     )
+
+
+def kron_dirac_generator(v, energy, convention):
+    """dirac_generator in its np.kron form: the oracle of its stacked products."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 0:
+        v = v.reshape(1, 1)
+    g1inv = convention.gamma1_inv
+    return -1j * (
+        np.kron(v, g1inv @ convention.coupling_matrix)
+        - energy * np.kron(np.eye(v.shape[0]), g1inv @ convention.gamma0)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONVENTIONS))
+def test_dirac_generator_matches_kron_form_bit_for_bit(name):
+    conv = get_convention(name)
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for _ in range(5):
+            v = random_hermitian(rng, n)
+            e = float(rng.uniform(-3.0, 3.0))
+            want = kron_dirac_generator(v, e, conv)
+            assert dirac_generator(v, e, conv).tobytes() == want.tobytes()
+        stack = np.array([random_hermitian(rng, n) for _ in range(4)])
+        got = dirac_generator(stack, e, conv)
+        for block, m in zip(stack, got, strict=True):
+            assert m.tobytes() == kron_dirac_generator(block, e, conv).tobytes()
+    for v in (0.0, -0.0, 0.7, -2.5):
+        want = kron_dirac_generator(v, 1.3, conv)
+        assert dirac_generator(v, 1.3, conv).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +432,81 @@ def test_limits_related_by_junction_dirac():
 
 
 # ---------------------------------------------------------------------------
+# Batched channel analysis against the per-system reference
+
+
+def reference_propagating_modes(m2, current_kernel):
+    """(right, left) unit modes of one 2x2 generator, one column at a time."""
+    mu, vecs = np.linalg.eig(m2)
+    scale = max(1.0, float(np.abs(mu).max()))
+    assert np.abs(mu.real).max() <= 1e-9 * scale
+    right = left = None
+    for col in range(2):
+        u = vecs[:, col]
+        u = u / np.linalg.norm(u)
+        lead = np.flatnonzero(np.abs(u) > 1e-9)[0]
+        u = u * (np.abs(u[lead]) / u[lead])
+        j = (u.conj() @ current_kernel @ u).real
+        assert abs(j) > 1e-12
+        if j > 0:
+            right = u
+        else:
+            left = u
+    assert right is not None and left is not None
+    return right, left
+
+
+def reference_scattering_modes(edges, energy, convention):
+    """Dirac (U_in, U_ref, U_out) built one system and one side at a time."""
+    n = len(edges)
+    u_in, u_ref, u_out = (np.zeros((2 * n, n), dtype=complex) for _ in range(3))
+    for i in range(n):
+        rows = [2 * i, 2 * i + 1]
+        kernel = convention.current_matrix
+        m_l = kron_dirac_generator(edges[i, 0], energy, convention)
+        m_r = kron_dirac_generator(edges[i, 1], energy, convention)
+        r_l, l_l = reference_propagating_modes(m_l, kernel)
+        r_r, _ = reference_propagating_modes(m_r, kernel)
+        u_in[rows, i] = r_l
+        u_ref[rows, i] = l_l
+        u_out[rows, i] = r_r
+    return u_in, u_ref, u_out
+
+
+def seeded_edges(rng, n, energy):
+    """Diagonal edge potentials within 1e-6 of the band edge |V| = |E| on its
+    propagating side, with a quarter of the channels anywhere in (-|E|, |E|)."""
+    near = np.abs(energy) - rng.uniform(0.0, 1e-6, (n, 2))
+    edges = rng.choice([-1.0, 1.0], (n, 2)) * near
+    free = rng.uniform(size=(n, 2)) < 0.25
+    edges[free] = rng.uniform(-abs(energy), abs(energy), free.sum())
+    return edges
+
+
+@pytest.mark.parametrize("name", sorted(CONVENTIONS))
+def test_batched_channels_match_per_system_reference_bit_for_bit(name):
+    conv = get_convention(name)
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for _ in range(6):
+            energy = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
+            edges = seeded_edges(rng, n, energy)
+            prof = PotentialProfile([
+                Segment(-1.0, 0.0, np.diag(edges[:, 0]).astype(complex)),
+                Segment(0.0, 1.0, random_hermitian(rng, n)),
+                Segment(1.0, 2.0, np.diag(edges[:, 1]).astype(complex)),
+            ])
+            got = _scattering_modes(prof, energy, conv, None, "dirac")
+            want = reference_scattering_modes(edges, energy, conv)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes()
+            modes, currents = _dirac_channels(edges, energy, conv)
+            assert (currents[..., 0] > 0.0).all() and (currents[..., 1] < 0.0).all()
+            kernel_j = np.einsum("...a,ab,...b->...", modes.conj(), conv.current_matrix, modes)
+            np.testing.assert_allclose(currents, kernel_j.real, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # Exactness: ODE residual and current conservation
 
 
@@ -512,12 +620,28 @@ def test_rotated_convention_same_observables():
 
 def test_evanescent_errors():
     prof = uniform_profile(np.array([[2.0]]), 0.0, 1.0)
-    with pytest.raises(EvanescentChannelError):
-        solve_dirac(prof, 1.0, Scattering(np.array([1.0])))  # |E| < |V|
-    with pytest.raises(EvanescentChannelError):
-        solve_schrodinger(prof, 1.0, Scattering(np.array([1.0])))  # E < V
-    with pytest.raises(EvanescentChannelError):
-        solve_dirac(prof, 2.0, Scattering(np.array([1.0])), convention="vector")  # E = V
+    one = Scattering(np.array([1.0]))
+    with pytest.raises(EvanescentChannelError, match=r"system 1 is evanescent in the "
+                       r"leftmost segment \(E = 1.0, V = 2.0, eigenvalues"):
+        solve_dirac(prof, 1.0, one)  # |E| < |V|
+    with pytest.raises(EvanescentChannelError, match=r"system 1 is evanescent in the "
+                       r"leftmost segment \(E = 1.0, V = 2.0\)"):
+        solve_schrodinger(prof, 1.0, one)  # E < V
+    with pytest.raises(EvanescentChannelError, match=r"system 1 has a zero-current mode "
+                       r"in the leftmost segment \(E = 2.0, V = 2.0"):
+        solve_dirac(prof, 2.0, one, convention="vector")  # E = V
+    # Only system 2 on the right is evanescent: the error names that channel.
+    prof = PotentialProfile([
+        Segment(0.0, 1.0, np.diag([0.0, 0.0]).astype(complex)),
+        Segment(1.0, 2.0, np.diag([0.5, 2.0]).astype(complex)),
+    ])
+    two = Scattering(np.array([1.0, 1.0]))
+    with pytest.raises(EvanescentChannelError, match=r"system 2 is evanescent in the "
+                       r"rightmost segment \(E = 1.0, V = 2.0, eigenvalues"):
+        solve_dirac(prof, 1.0, two)
+    with pytest.raises(EvanescentChannelError, match=r"system 2 is evanescent in the "
+                       r"rightmost segment \(E = 1.0, V = 2.0\)"):
+        solve_schrodinger(prof, 1.0, two)
 
 
 def test_scattering_needs_diagonal_asymptotics():
