@@ -27,6 +27,7 @@ whose dtype is not float64.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -36,6 +37,7 @@ _MIN_ABS, _MAX_ABS = 1e-280, 1e280
 # Exponents s = 16 - k the table covers: log10 puts k in [-281, 280], and
 # one correction moves it by one.
 _S_MIN, _S_MAX = 16 - 282, 16 + 282
+_K = 1023  # 2**_K / 10 still converts to a float
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: halves of 26 bits each
 # |frac(V) - 1/2| must exceed this for round(p + q) to be round(V).
 _TIE_MARGIN = 2.0**-40
@@ -69,65 +71,68 @@ def _split(v):
 @functools.cache
 def _tables():
     """Read-only lookup tables, built on the first call, not at import."""
+    # Exact (hi, lo) pairs of 10**s, each from the last by one step of
+    # integer arithmetic.  For s < 0, q = floor(2**K / 10**-s) and the
+    # remainder makes 2**K * 10**s = q + f with 0 < f < 1; q and q - H
+    # (H = hi * 2**K) keep over 80 bits, so their odd neighbours round to
+    # 53 bits as q + f and q - H + f do.
+    ldexp = math.ldexp
     his, los = [], []
-    for s in range(_S_MIN, _S_MAX + 1):
-        if s >= 0:
-            n = 10**s
-            hi = float(n)
-            lo = float(n - int(hi))
-        else:
-            d = 10**-s
-            hi = 1 / d  # int / int division rounds correctly
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * d) / (den * d)  # exactly 1/d - hi, rounded
+    q = (1 << _K) // 10
+    for _ in range(-_S_MIN):
+        hi = ldexp(float(q | 1), -_K)
         his.append(hi)
-        los.append(lo)
+        los.append(ldexp(float((q - int(ldexp(hi, _K))) | 1), -_K))
+        q //= 10
+    his.reverse()
+    los.reverse()
+    n = 1
+    for _ in range(_S_MAX + 1):
+        hi = float(n)
+        his.append(hi)
+        los.append(float(n - int(hi)))
+        n *= 10
     hi = np.array(his)
     powers = (hi, *_split(hi), np.array(los))
 
-    def ascii_digits(values, n):
-        """The n decimal digits of each value, most significant first."""
-        return np.stack([values // 10**j % 10 for j in range(n - 1, -1, -1)], 1) + ord("0")
-
+    # The four digits of every four-digit chunk c, most significant first.
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
     heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
-    # "d.d.d.d." of every four-digit chunk c: its digits, each before a point.
-    c = np.arange(10**4)
-    chars = np.full((len(c), 8), ord("."), dtype=np.uint8)
-    chars[:, 0::2] = ascii_digits(c, 4)
+    # "d.d.d.d." of every chunk c: its digits, each before a point.
+    chars = np.full((10**4, 8), ord("."), dtype=np.uint8)
+    chars[:, 0::2] = digits + ord("0")
     chunks = chars.reshape(-1).view(np.uint64)
     # "e±XXX," and two NULs for every exponent X.
     xs = np.arange(-_X_MAX, _X_MAX + 1)
     chars = np.zeros((len(xs), 8), dtype=np.uint8)
     chars[:, :2] = np.frombuffer(b"e+", dtype=np.uint8)
     chars[xs < 0, 1] = ord("-")
-    chars[:, 2:5] = ascii_digits(np.abs(xs), 3)
+    chars[:, 2:5] = digits[np.abs(xs), 1:] + ord("0")
     chars[:, 5] = ord(",")
     exponents = chars.reshape(-1).view(np.uint64)
     classes = np.where((-4 <= xs) & (xs <= 16), xs + 4, 21 + (np.abs(xs) >= 100))
-    # Trailing zeros of each four-digit chunk; 4 for chunk 0.
-    tz = np.sum([c % 10**j == 0 for j in (1, 2, 3)], axis=0) + (c == 0)
+    # Trailing zeros of each chunk; 4 for chunk 0.
+    tz = np.zeros(10**4, dtype=np.int64)
+    for step in (10, 100, 1000, 10**4):
+        tz[::step] += 1
 
-    layout = np.zeros((_FALLBACK + 1, _WIDTH), dtype=bool)
-    layout[:, _SEP] = True
-    for cls in range(_CLASSES):
-        x = cls - 4
-        for zeros in range(17):
-            row = layout[(cls * 17 + zeros) * 2]
-            if x > 16:  # classes 21 and 22: "e" and two or three digits
-                row[_EXP:_SEP] = True
-                row[_EXP + 2] = cls == 22
-                n_int = 1
-            elif x < 0:
-                row[1:2 - x] = True  # "0." and -X - 1 zeros
-                n_int = 0
-            else:
-                n_int = x + 1
-            n_digits = max(17 - zeros, n_int)
-            row[_DIGIT0:_DIGIT0 + 2 * n_digits:2] = True
-            if 0 < n_int < n_digits:
-                row[_DIGIT0 + 2 * n_int - 1] = True
-            layout[(cls * 17 + zeros) * 2 + 1] = row
-            layout[(cls * 17 + zeros) * 2 + 1, 0] = True
+    # The mask row of every (class, trailing zeros) pair, by byte position.
+    x = np.arange(_CLASSES)[:, None, None] - 4
+    zeros = np.arange(17)[None, :, None]
+    at = np.arange(_WIDTH)
+    n_int = np.where(x > 16, 1, np.where(x < 0, 0, x + 1))  # digits before the point
+    j = at - _DIGIT0
+    rows = (j >= 0) & (j % 2 == 0) & (j < 2 * np.maximum(17 - zeros, n_int))
+    rows |= (0 < n_int) & (n_int < 17 - zeros) & (j == 2 * n_int - 1)  # the point
+    rows |= (x < 0) & (1 <= at) & (at < 2 - x)  # "0." and -X - 1 zeros
+    # Classes 21 and 22 (x = 17, 18): "e", its sign and two or three digits.
+    rows |= (x > 16) & (_EXP <= at) & (at < _SEP) & ((at != _EXP + 2) | (x == 18))
+    rows |= at == _SEP
+    layout = np.empty((_FALLBACK + 1, _WIDTH), dtype=bool)
+    signed = layout[:-1].reshape(_CLASSES, 17, 2, _WIDTH)
+    signed[:, :, 0] = rows
+    signed[:, :, 1] = rows | (at == 0)
+    layout[-1] = at == _SEP
     lengths = layout.sum(axis=1)
     # As words whose kept bytes are 0xff: a cell ANDed with its row keeps
     # the characters %g prints and turns the rest into NULs.

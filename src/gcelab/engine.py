@@ -176,6 +176,22 @@ def _outer_triangle(model: str, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK = 1 << 15  # products per block of samples; only results span the grid
+
+
+def _spans(n: int, width: int):
+    """(lo, hi) blocks covering range(n), _BLOCK // width samples each (at
+    least 16) for ``width`` products per sample.
+
+    A last block of one sample joins the block before it: a product of one
+    sample takes numpy's matrix-vector path, which may round differently.
+    """
+    bounds = [*range(0, n, max(16, _BLOCK // width)), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 # ---------------------------------------------------------------------------
 # Current profiles
 
@@ -215,21 +231,27 @@ def _current(sols, basis, index, grid, model: str) -> CurrentProfile:
         for k in (i, j):
             if not 1 <= k <= sol.n_systems:
                 raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
-        # One sampling of the solution, both systems as views.
-        if model == "dirac":
-            vals = sol.evaluate(grid).reshape(len(grid), sol.n_systems, 2)
-        else:
-            vals = sol.evaluate(grid).reshape(len(grid), 2, sol.n_systems).swapaxes(1, 2)
-        a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
-        j1 = _bilinear(a_vals, blocks[0], b_vals)
-        j0 = _bilinear(a_vals, blocks[1], b_vals)
-        return CurrentProfile("pair", (int(i), int(j)), grid, j1, j0)
+        out = np.empty((2, len(grid)), dtype=complex)
+        for lo, hi in _spans(len(grid), sol.dim):
+            # One sampling of the solution, both systems as views.
+            vals = sol.evaluate_range(grid, lo, hi)
+            if model == "dirac":
+                vals = vals.reshape(hi - lo, sol.n_systems, 2)
+            else:
+                vals = vals.reshape(hi - lo, 2, sol.n_systems).swapaxes(1, 2)
+            a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
+            out[0, lo:hi] = _bilinear(a_vals, blocks[0], b_vals)
+            out[1, lo:hi] = _bilinear(a_vals, blocks[1], b_vals)
+        return CurrentProfile("pair", (int(i), int(j)), grid, out[0], out[1])
     if basis is None or basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
     t_a = basis.generator(int(index))
     coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
-    j1, j0 = (coeffs @ _outer_triangle(model, sol.evaluate(grid))).real
-    return CurrentProfile("generator", int(index), grid, j1, j0)
+    out = np.empty((2, len(grid)))
+    for lo, hi in _spans(len(grid), coeffs.shape[1]):
+        products = _outer_triangle(model, sol.evaluate_range(grid, lo, hi))
+        out[:, lo:hi] = (coeffs @ products).real
+    return CurrentProfile("generator", int(index), grid, out[0], out[1])
 
 
 def dirac_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
@@ -245,26 +267,6 @@ def dirac_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
 def schrodinger_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
     """Generalized Schroedinger current; j1 uses the exact stored derivatives."""
     return _current(sols, basis, index, grid, "schrodinger")
-
-
-def ladder_pair_current(sols, basis: SunBasis, i: int, j: int, grid) -> CurrentProfile:
-    """Pair current rebuilt from generator currents via the ladder combination.
-
-    T_sym(i,j) + i T_asym(i,j) = E_ij, so J_ij = j_sym + i j_asym.  Kept as an
-    independent cross-check of the direct bilinear path.
-    """
-    if i == j:
-        raise ValueError("ladder combination needs two distinct systems")
-    lo, hi = sorted((i, j))
-    pos = (hi - 1) * (hi - 1) + 2 * (lo - 1)  # 1-based index of sym(lo, hi)
-    sol = join_solutions(sols)
-    fn = dirac_current if sol.model == "dirac" else schrodinger_current
-    sym = fn(sol, basis, pos, grid)
-    asym = fn(sol, basis, pos + 1, grid)
-    sign = 1.0 if i < j else -1.0
-    return CurrentProfile(
-        "pair", (i, j), sym.grid, sym.j1 + sign * 1j * asym.j1, sym.j0 + sign * 1j * asym.j0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +427,16 @@ def transformed_current(sol1, sol2, spec: TransformSpec, grid) -> CurrentProfile
         raise ValueError("solutions use different conventions")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     mapped = spec.map(grid)
-    a_vals = sol1.evaluate(grid)
-    b_vals = sol2.evaluate(mapped)
     # The identity spinor factor leaves both kernels exactly equal to the pair
     # branch of dirac_current, so the two agree bit for bit.
     kernel = sol1.convention.current_matrix @ spec.spinor_factor
-    j1 = _bilinear(a_vals, kernel, b_vals)
-    j0 = _bilinear(a_vals, spec.spinor_factor, b_vals)
-    return CurrentProfile("transformed", (1, 2), grid, j1, j0)
+    out = np.empty((2, len(grid)), dtype=complex)
+    for lo, hi in _spans(len(grid), sol1.dim + sol2.dim):
+        a_vals = sol1.evaluate_range(grid, lo, hi)
+        b_vals = sol2.evaluate_range(mapped, lo, hi)
+        out[0, lo:hi] = _bilinear(a_vals, kernel, b_vals)
+        out[1, lo:hi] = _bilinear(a_vals, spec.spinor_factor, b_vals)
+    return CurrentProfile("transformed", (1, 2), grid, out[0], out[1])
 
 
 @dataclass(frozen=True)
@@ -549,9 +553,13 @@ def charge_current_relation(
     if n % 2 == 0:
         n += 1
     xs = np.linspace(float(x1), float(x2), n)
-    dens = np.einsum(
-        "xi,xi->x", sol1.evaluate(xs).conj(), sol2.evaluate(xs)
-    )
+    dens = np.empty(n, dtype=complex)
+    for lo, hi in _spans(n, sol1.dim + sol2.dim):
+        dens[lo:hi] = np.einsum(
+            "xi,xi->x",
+            sol1.evaluate_range(xs, lo, hi).conj(),
+            sol2.evaluate_range(xs, lo, hi),
+        )
     q = complex(_simpson(dens, (float(x2) - float(x1)) / (n - 1)))
     kernel = sol1.convention.current_matrix
     ends = [complex(sol1.evaluate([x]).conj()[0] @ kernel @ sol2.evaluate([x])[0])
@@ -588,8 +596,6 @@ def _check_same_profile(p1: PotentialProfile, p2: PotentialProfile) -> None:
 # The residual is linear in the generator, so one pass over the samples gives
 # all N**2 - 1 of them: each block of samples takes one GEMM of its products
 # against every generator's current and time-minus-source coefficients.
-
-_BLOCK = 1 << 15  # products per block; only the table has the grid's length
 
 
 @dataclass(frozen=True)
@@ -631,14 +637,15 @@ def _table_kernels(model, conv, mass, h, generators, energies, sources) -> np.nd
     return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
 
 
-def _residual_rows(model, psi, grid, h, cuts, segments, kernels, j1_shift=None):
+def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=None):
     """The ``ResidualTable`` of every generator, built in blocks.
 
-    ``psi`` holds the flat samples of the grid snapped to the cuts and
-    ``segments`` their segment indices.  A block lies in one stencil cell and
-    one segment and carries up to two neighbours of its cell on each side, so
-    the stencil of j1 (minus ``j1_shift``, (G, len(grid)), when given) needs
-    no other block.  The kernels are Hermitian, so the table is real.
+    ``sample(a, b)`` returns the flat samples a..b-1 of the grid snapped to
+    the cuts and ``segments`` holds their segment indices.  A block lies in
+    one stencil cell and one segment and samples up to two neighbours of its
+    cell on each side, so the stencil of j1 (minus ``j1_shift``, (G,
+    len(grid)), when given) needs no other block.  The kernels are
+    Hermitian, so the table is real.
 
     A form psi^dag K psi rounds by up to eps max|psi_k|**2 sum|K_kl|,
     whatever it cancels to.  A row's floor is that bound for its
@@ -656,17 +663,18 @@ def _residual_rows(model, psi, grid, h, cuts, segments, kernels, j1_shift=None):
     full[0] = grid
     table = full[1:]
     worst = np.zeros(g)
-    seg_starts = np.flatnonzero(np.diff(segments)) + 1
+    seg_starts = (np.flatnonzero(np.diff(segments)) + 1).tolist()
     for s, e in _cells(grid, cuts):
-        inner = seg_starts[(seg_starts > s) & (seg_starts < e)]
-        bounds = [*np.union1d(np.arange(s, e, block), inner).tolist(), e]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        bounds = sorted({*range(s, e, block), *(k for k in seg_starts if s < k < e)})
+        for lo, hi in zip(bounds, [*bounds[1:], e]):
             a, b = max(lo - 2, s), min(hi + 2, e)
-            both = (kernels[segments[lo]] @ _outer_triangle(model, psi[a:b])).real
+            psi = sample(a, b)
+            both = (kernels[segments[lo]] @ _outer_triangle(model, psi)).real
             dj, out = both[:g], both[g:, lo - a:hi - a]
             if j1_shift is not None:
                 dj -= j1_shift[:, a:b] / (2.0 * h)
-            worst = np.maximum(worst, np.abs(psi[lo:hi]).max() ** 2 * kernel_sums[segments[lo]])
+            own = np.abs(psi[lo - a:hi - a]).max() ** 2
+            worst = np.maximum(worst, own * kernel_sums[segments[lo]])
             # Own samples off the cell's edges sit inside the extended block,
             # so the block's one-sided ends fall only on cell edges.
             table[:, lo:hi] = out + _diff(dj.T)[lo - a:hi - a].T
@@ -704,7 +712,9 @@ def gce_residual_sweep(
         sol.model, sol.convention, sol.mass, h, t, sol.energies, source_operator(decomp)
     )
     table = _residual_rows(
-        sol.model, sol.evaluate(eval_xs), grid, h, cuts, decomp.segment_of(eval_xs), kernels
+        sol.model,
+        lambda a, b: sol.evaluate_range(eval_xs, a, b),
+        grid, h, cuts, decomp.segment_of(eval_xs), kernels,
     )
     sol.residual_table = (tuple(np.copy(p) for p in key), table)
     return table
@@ -834,7 +844,9 @@ def gauge_residual(
     shift[row] = k1
     kernels = _table_kernels("dirac", conv, None, h, t, energies if psi.ndim == 2 else None, sources)
     tables = [
-        _residual_rows("dirac", p, grid, h, config.cuts, segments, kernels, shift)
+        _residual_rows(
+            "dirac", lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, shift
+        )
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
     residual = np.stack([tab.residual[row] for tab in tables])

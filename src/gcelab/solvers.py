@@ -518,11 +518,26 @@ class PiecewiseSolution:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = np.searchsorted(self.breakpoints, xs, side="right" if side == "right" else "left")
         out = np.empty((len(xs), self.dim), dtype=complex)
-        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        starts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()][:len(xs)]
         for lo, hi in zip(starts, [*starts[1:], len(xs)]):
             piece = self.pieces[idx[lo]]
             out[lo:hi] = piece.expand(xs[lo:hi] - piece.anchor)
         return out
+
+    def evaluate_range(self, xs, lo: int, hi: int) -> np.ndarray:
+        """``evaluate(xs)[lo:hi]`` bit for bit, expanding only about that range.
+
+        ``evaluate`` expands a run of points in one piece as one product, and
+        a product of one point takes numpy's matrix-vector path, which may
+        round differently.  So a run that continues past ``lo`` or ``hi``
+        with one point inside is expanded with its neighbour there.
+        """
+        xs = np.asarray(xs, dtype=float)
+        near = [min(max(i, 0), len(xs) - 1) for i in (lo - 1, lo, lo + 1, hi - 2, hi - 1, hi)]
+        p = np.searchsorted(self.breakpoints, xs[near], side="right").tolist()
+        a = lo - 1 if lo > 0 and p[0] == p[1] and (hi - lo == 1 or p[1] != p[2]) else lo
+        b = hi + 1 if hi < len(xs) and p[5] == p[4] and (hi - 1 == a or p[3] != p[4]) else hi
+        return self.evaluate(xs[a:b])[lo - a:hi - a]
 
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(left limit, right limit) of the stacked state at x."""

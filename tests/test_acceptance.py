@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ladder_pair_current
 from gcelab.cli import main as cli_main
 from gcelab.engine import (
     DegenerateEnergiesError,
@@ -27,7 +28,6 @@ from gcelab.engine import (
     gce_residual_dirac,
     gce_residual_schrodinger,
     identity_transform,
-    ladder_pair_current,
     residual_cuts,
     transformed_current,
 )

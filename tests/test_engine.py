@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import ladder_pair_current
+from test_properties import coupled_stack
 from gcelab import engine
 from gcelab.engine import (
     ChargeRelation,
@@ -31,7 +33,6 @@ from gcelab.engine import (
     gce_residual_sweep,
     identity_transform,
     interval_stats,
-    ladder_pair_current,
     parity_transform,
     piecewise_derivative,
     residual_cuts,
@@ -42,7 +43,7 @@ from gcelab.engine import (
     _rms,
     _simpson,
 )
-from gcelab.scenario import load_builtin, order_verdict
+from gcelab.scenario import _solve_stack, _transform_spec, load_builtin, order_verdict
 from gcelab.solvers import (
     DeltaBarrier,
     InitialValue,
@@ -436,7 +437,10 @@ def test_public_names_resolve_and_removed_records_are_gone():
 
     for name in gcelab.__all__:
         assert getattr(gcelab, name) is not None
-    removed = ("DomainStat", "DomainVerdict", "_attach_stats", "SolutionStack", "as_stack")
+    removed = (
+        "DomainStat", "DomainVerdict", "_attach_stats", "SolutionStack", "as_stack",
+        "ladder_pair_current",
+    )
     for name in removed:
         assert not hasattr(gcelab, name) and not hasattr(engine, name)
     fields = {f.name for f in dataclasses.fields(engine.CurrentProfile)}
@@ -446,6 +450,186 @@ def test_public_names_resolve_and_removed_records_are_gone():
         if inspect.isfunction(fn) and fn.__module__ == engine.__name__:
             params = inspect.signature(fn).parameters
             assert not {"domains", "fine_grid"} & set(params), fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# Blocked sampling
+#
+# Every consumer samples the solution one block of grid points at a time.
+# The oracles below sample the whole grid in one ``evaluate`` call, as the
+# consumers did before, and must agree bit for bit.  Block lengths are set
+# through ``engine._BLOCK`` so that block edges fall next to piece edges.
+
+
+def piece_starts(sol, xs, side="right") -> list[int]:
+    """Indices in xs where a run of samples in one piece starts."""
+    idx = np.searchsorted(sol.breakpoints, xs, side=side)
+    return (np.flatnonzero(np.diff(idx)) + 1).tolist()
+
+
+def lone_steps(sol, grid) -> tuple[list[int], list[int]]:
+    """Block lengths (at least 16) whose block edges leave one sample of a
+    run in a block: those of the currents, whose blocks start at 0, and
+    those of the residual table, whose blocks start at each cell and sample
+    two more samples on each side."""
+    current = {k + d for k in piece_starts(sol, grid) for d in (-1, 1)}
+    cuts = residual_cuts(sol.profile)
+    cells = engine._cells(grid, cuts)
+    table = {
+        k - c + d
+        for k in piece_starts(sol, engine.snap_to_cuts(grid, cuts))
+        for c, e in cells if c < k < e
+        for d in (-3, -1, 1, 3)
+    }
+    return sorted(t for t in current if t >= 16), sorted(t for t in table if t >= 16)
+
+
+def set_block(monkeypatch, samples: int, width: int):
+    """Make blocks of ``samples`` samples for ``width`` products per sample."""
+    monkeypatch.setattr(engine, "_BLOCK", samples * width)
+
+
+def n_products(model: str, n: int) -> int:
+    return len(engine._outer_triangle(model, np.zeros((1, 2 * n), dtype=complex)))
+
+
+def whole_grid_currents(sol, basis, grid):
+    """(pair (1, 2), then every generator) currents from one sampling."""
+    flat = sol.evaluate(grid)
+    current, density, _ = engine._blocks(sol.model, sol.convention, sol.mass)
+    if sol.model == "dirac":
+        vals = flat.reshape(len(grid), sol.n_systems, 2)
+    else:
+        vals = flat.reshape(len(grid), 2, sol.n_systems).swapaxes(1, 2)
+    a, b = vals[:, 0], vals[:, 1]
+    out = [(engine._bilinear(a, current, b), engine._bilinear(a, density, b))]
+    products = engine._outer_triangle(sol.model, flat)
+    for t_a in basis.generators:
+        coeffs = np.stack([engine._triangle(sol.model, t_a, k) for k in (current, density)])
+        out.append(tuple((coeffs @ products).real))
+    return out
+
+
+def blocked_currents(sol, basis, grid):
+    fn = dirac_current if sol.model == "dirac" else schrodinger_current
+    return [
+        (c.j1, c.j0)
+        for c in [fn(sol, None, (1, 2), grid)]
+        + [fn(sol, basis, a, grid) for a in range(1, basis.dim + 1)]
+    ]
+
+
+def whole_grid_table(sol, basis, grid):
+    """The residual table built from one sampling of the snapped grid."""
+    decomp = decompose(sol.profile, basis)
+    cuts = residual_cuts(sol.profile)
+    eval_xs = engine.snap_to_cuts(grid, cuts)
+    h = uniform_spacing(grid)
+    kernels = engine._table_kernels(
+        sol.model, sol.convention, sol.mass, h, basis.generators, sol.energies,
+        engine.source_operator(decomp),
+    )
+    psi = sol.evaluate(eval_xs)
+    return engine._residual_rows(
+        sol.model, lambda a, b: psi[a:b], grid, h, cuts, decomp.segment_of(eval_xs), kernels
+    )
+
+
+def blocked_table(sol, basis, grid):
+    sol.residual_table = None  # a kept table was built with other blocks
+    return gce_residual_sweep(sol, basis, grid)
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+class TestBlockedSampling:
+    def test_evaluate_range_is_a_slice_of_evaluate(self):
+        # With N = 4 a one-sample product rounds differently from a longer
+        # one, so a range that cut a lone sample off its run would show.
+        sol = coupled_stack(3, "dirac", 4)
+        xs = np.linspace(-4.4, 4.4, 43)
+        full = sol.evaluate(xs)
+        lone = 0
+        for lo in range(len(xs)):
+            for hi in range(lo + 1, len(xs) + 1):
+                assert_same_bits([sol.evaluate_range(xs, lo, hi)], [full[lo:hi]])
+                lone += not np.array_equal(sol.evaluate(xs[lo:hi])[-1], full[hi - 1])
+        assert lone  # the unwidened ranges do differ somewhere
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2", "free2", "globalpair",
+                                      "translate", "unequal"])
+    def test_builtin_currents_and_tables_match_whole_grid(self, monkeypatch, name):
+        s = load_builtin(name)
+        sol = _solve_stack(s)
+        lo, hi = s.grid.x_min, s.grid.x_max
+        # The second grid puts the tails' piece edges inside residual cells.
+        for grid in (s.grid_array(401), np.linspace(lo - 0.7, hi + 0.7, 401)):
+            self.check_blocks(monkeypatch, sol, build_basis(2), grid, *lone_steps(sol, grid))
+
+    def check_blocks(self, monkeypatch, sol, basis, grid, current_steps, table_steps):
+        want = whole_grid_currents(sol, basis, grid)
+        width = n_products(sol.model, sol.n_systems)
+        for step in current_steps:
+            set_block(monkeypatch, step, sol.dim)
+            pair = blocked_currents(sol, basis, grid)[0]
+            set_block(monkeypatch, step, width)
+            assert_same_bits([pair, *blocked_currents(sol, basis, grid)[1:]], want)
+        for step in table_steps:
+            set_block(monkeypatch, step, width)
+            table, got = whole_grid_table(sol, basis, grid), blocked_table(sol, basis, grid)
+            assert_same_bits([got.residual, got.floor], [table.residual, table.floor])
+
+    @pytest.mark.parametrize("name", ["fig1b", "fig2", "translate"])
+    def test_builtin_transformed_currents_match_whole_grid(self, monkeypatch, name):
+        s = load_builtin(name)
+        sol = _solve_stack(s)
+        s1, s2 = sol.system(1), sol.system(2)
+        spec = _transform_spec(s)
+        grid = s.grid_array(401)
+        mapped = spec.map(grid)
+        kernel = s1.convention.current_matrix @ spec.spinor_factor
+        a, b = s1.evaluate(grid), s2.evaluate(mapped)
+        want = [engine._bilinear(a, kernel, b), engine._bilinear(a, spec.spinor_factor, b)]
+        starts = set(piece_starts(s1, grid)) | set(piece_starts(s2, mapped))
+        for step in sorted({k + d for k in starts for d in (-1, 1) if k + d >= 16}):
+            set_block(monkeypatch, step, s1.dim + s2.dim)
+            cur = transformed_current(s1, s2, spec, grid)
+            assert_same_bits([cur.j1, cur.j0], want)
+
+    def test_coupled_stack_currents_and_tables_match_whole_grid(self, monkeypatch):
+        sol = coupled_stack(3, "dirac", 4)
+        for n in (97, 113):  # 113 = 7 x 16 + 1: a last block of one sample joins
+            grid = np.linspace(-4.4, 4.4, n)
+            current, table = lone_steps(sol, grid)
+            assert current and table
+            self.check_blocks(
+                monkeypatch, sol, build_basis(4), grid, [16, 31, *current], [16, 31, *table]
+            )
+
+    def test_joined_solution_on_seven_points(self):
+        # globalpair's joint right tail holds one sample of this grid.
+        sol = _solve_stack(load_builtin("globalpair"))
+        grid = np.linspace(0.0, 6.0, 7)
+        assert piece_starts(sol, grid)[-1] == 6
+        assert_same_bits(
+            [c for pair in blocked_currents(sol, build_basis(2), grid) for c in pair],
+            [c for pair in whole_grid_currents(sol, build_basis(2), grid) for c in pair],
+        )
+
+    def test_charge_relation_matches_whole_grid(self, monkeypatch):
+        s1, s2 = (_solve_stack(load_builtin("globalpair")).system(i) for i in (1, 2))
+        xs = np.linspace(0.0, 5.0, 1001)
+        dens = np.einsum("xi,xi->x", s1.evaluate(xs).conj(), s2.evaluate(xs))
+        want = complex(_simpson(dens, 5.0 / 1000))
+        for step in (16, 33, 999):
+            set_block(monkeypatch, step, s1.dim + s2.dim)
+            got = charge_current_relation(s1, s2, 0.0, 5.0, n_points=1001).q
+            assert (got.real, got.imag) == (want.real, want.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,9 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
                                                    rel=1e-12)
 
 
-def test_sweep_memory_is_the_table_the_samples_and_one_block():
-    """An unblocked build would hold full-length products or GEMM outputs."""
+def test_sweep_memory_is_the_table_and_one_block():
+    """An unblocked build would hold the whole grid's samples, products or
+    GEMM outputs."""
     stack = coupled_stack(7, "schrodinger", 4)
     basis = build_basis(4)
     decomp = decompose(stack.profile, basis)
@@ -256,11 +257,10 @@ def test_sweep_memory_is_the_table_the_samples_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    samples = len(grid) * 2 * stack.n_systems * 16
-    # Grid-length index arrays (the snapped grid, the segment indices, the
-    # evaluation's piece indices and runs) take at most 6 x 8 bytes per
-    # point; one block's products, transposed and conjugated samples, GEMM
-    # output and stencil temporaries stay within six blocks of complex
-    # products.
-    allowance = 6 * 8 * len(grid) + 6 * _BLOCK * 16
-    assert peak <= table.residual.nbytes + samples + allowance
+    # Grid-length index arrays (the snapped grid, the segment indices and
+    # their differences) take 3 x 8 bytes per point; one block's samples,
+    # products, GEMM output and stencil temporaries stay within six blocks
+    # of complex products.  The samples of the whole grid alone would take
+    # 2N x 16 = 128 bytes per point.
+    allowance = 3 * 8 * len(grid) + 6 * _BLOCK * 16
+    assert peak <= table.residual.nbytes + allowance

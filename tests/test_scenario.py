@@ -110,6 +110,55 @@ def loop_built_digit_tables() -> tuple:
     return heads, chunks, exponents, classes * 34, tz * 2
 
 
+def loop_built_power_tables() -> tuple:
+    """The (hi, hi's two halves, lo) tables of 10**s, each pair from its own
+    power by exact integer arithmetic: the oracle of the incremental build."""
+    his, los = [], []
+    for s in range(_fmt17._S_MIN, _fmt17._S_MAX + 1):
+        if s >= 0:
+            n = 10**s
+            hi = float(n)
+            lo = float(n - int(hi))
+        else:
+            d = 10**-s
+            hi = 1 / d  # int / int division rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * d) / (den * d)  # exactly 1/d - hi, rounded
+        his.append(hi)
+        los.append(lo)
+    hi = np.array(his)
+    return (hi, *_fmt17._split(hi), np.array(los))
+
+
+def loop_built_layout() -> tuple:
+    """The mask rows of the %.17g kernel, one (class, zeros, sign) row at a
+    time, as words, with the count of bytes each row keeps."""
+    f = _fmt17
+    layout = np.zeros((f._FALLBACK + 1, f._WIDTH), dtype=bool)
+    layout[:, f._SEP] = True
+    for cls in range(f._CLASSES):
+        x = cls - 4
+        for zeros in range(17):
+            row = layout[(cls * 17 + zeros) * 2]
+            if x > 16:  # classes 21 and 22: "e" and two or three digits
+                row[f._EXP:f._SEP] = True
+                row[f._EXP + 2] = cls == 22
+                n_int = 1
+            elif x < 0:
+                row[1:2 - x] = True  # "0." and -X - 1 zeros
+                n_int = 0
+            else:
+                n_int = x + 1
+            n_digits = max(17 - zeros, n_int)
+            row[f._DIGIT0:f._DIGIT0 + 2 * n_digits:2] = True
+            if 0 < n_int < n_digits:
+                row[f._DIGIT0 + 2 * n_int - 1] = True
+            layout[(cls * 17 + zeros) * 2 + 1] = row
+            layout[(cls * 17 + zeros) * 2 + 1, 0] = True
+    lengths = layout.sum(axis=1)
+    return (layout * np.uint8(0xFF)).view(np.uint64), lengths
+
+
 def written_tables(bundle, out_dir) -> dict:
     """CSV bytes by table name, as write_reports leaves them."""
     paths = write_reports(bundle, str(out_dir))
@@ -512,6 +561,17 @@ class TestReports:
             assert table.tobytes() == ref.tobytes(), name
             assert not table.flags.writeable, name
 
+    def test_power_and_layout_tables_match_loop_built_reference(self):
+        tables = _fmt17._tables()
+        got = {"hi": tables[0], "hi_head": tables[1], "hi_tail": tables[2], "lo": tables[3],
+               "layout": tables[9], "lengths": tables[10]}
+        refs = (*loop_built_power_tables(), *loop_built_layout())
+        for (name, table), ref in zip(got.items(), refs, strict=True):
+            assert table.dtype == ref.dtype, name
+            assert table.shape == ref.shape, name
+            assert table.tobytes() == ref.tobytes(), name
+            assert not table.flags.writeable, name
+
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_builtin_tables_match_per_cell_writer(self, name, tmp_path):
         s = load_builtin(name)
@@ -614,6 +674,21 @@ class TestReports:
         # A whole-table write holds about 60 bytes per cell: 2.9 MiB at
         # 10001 x 5 and 52 MiB at 100001 x 9.
         assert peak < 2 * 2**20
+
+
+def test_fine_grid_run_holds_its_tables_and_one_block():
+    """A 40001-point fig1a run holds its output tables (about 152 bytes per
+    point) plus one block of samples; sampling the whole grid for its
+    currents and residuals held about 197 bytes per point (8.65 MiB)."""
+    s = load_builtin("fig1a")
+    run_scenario(s, n_points=101)  # lazy imports and table builds
+    tracemalloc.start()
+    try:
+        run_scenario(s, n_points=40001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 class TestScan:
