@@ -18,11 +18,12 @@ import numpy as np
 from .solvers import (
     _SNAP,
     Convention,
+    PiecewiseSolution,
     PotentialProfile,
-    _combined_profile,
+    ProfileError,
     _merge_sorted,
     get_convention,
-    join_solutions,
+    system_columns,
 )
 from .sun import PotentialDecomposition, SunBasis, decompose, source_operator
 
@@ -129,7 +130,8 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k) psi_l with c = 1 on
 # the diagonal and 2 off it, so one GEMM of ``_triangle`` coefficients
 # against ``_outer_triangle`` products evaluates any number of kernels.  A
-# pair current is the bilinear psi_i^dag block psi_j of two single systems.
+# pair form is the bilinear psi_i^dag block psi_j of the columns of systems
+# i and j (``system_columns``) of the same flat samples.
 
 _VALUE_BLOCK = np.diag([1.0, 0.0])
 _FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -183,13 +185,55 @@ def _spans(n: int, width: int):
     """(lo, hi) blocks covering range(n), _BLOCK // width samples each (at
     least 16) for ``width`` products per sample.
 
-    A last block of one sample joins the block before it: a product of one
-    sample takes numpy's matrix-vector path, which may round differently.
+    A last block of one sample joins the block before it: the currents'
+    products of one sample with their kernels take numpy's matrix-vector
+    path, which may round differently.
     """
     bounds = [*range(0, n, max(16, _BLOCK // width)), n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
     return zip(bounds[:-1], bounds[1:])
+
+
+def _joint(sol) -> PiecewiseSolution:
+    """``sol`` itself; a sequence of solutions is refused, not joined anew."""
+    if not isinstance(sol, PiecewiseSolution):
+        raise TypeError(
+            f"expected one PiecewiseSolution, got {type(sol).__name__}; "
+            "join single-system solutions once with join_solutions"
+        )
+    return sol
+
+
+def _pair_columns(sol: PiecewiseSolution, pair) -> tuple[slice, slice]:
+    """Flat state columns of the systems i and j (1-based) of ``pair``."""
+    for k in pair:
+        if not 1 <= k <= sol.n_systems:
+            raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
+    return tuple(system_columns(sol.model, sol.n_systems, k - 1) for k in pair)
+
+
+def _pair_forms(sol, columns, kernels, grid, mapped=None) -> np.ndarray:
+    """psi_i(x)^dag K psi_j(F(x)) of every 2x2 kernel K on the grid, shape
+    (len(kernels), len(grid)), for the ``_pair_columns`` (ci, cj) of systems
+    i and j; F(x) is ``mapped`` (x when None)."""
+    ci, cj = columns
+    out = np.empty((len(kernels), len(grid)), dtype=complex)
+    for lo, hi in _spans(len(grid), sol.dim):
+        vals = sol.evaluate(grid[lo:hi])
+        other = vals if mapped is None else sol.evaluate(mapped[lo:hi])
+        for k, kernel in enumerate(kernels):
+            out[k, lo:hi] = _bilinear(vals[:, ci], kernel, other[:, cj])
+    return out
+
+
+def _decoupled_dirac(sol, pair, what: str) -> tuple[slice, slice]:
+    """``_pair_columns`` of a Dirac solution whose profile couples no systems."""
+    if _joint(sol).model != "dirac":
+        raise ValueError(f"{what} needs a Dirac solution, got {sol.model}")
+    if not sol.profile.is_diagonal:
+        raise ProfileError(f"{what} needs a decoupled (diagonal) profile")
+    return _pair_columns(sol, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -220,53 +264,38 @@ def interval_stats(grid, values, x_lo: float, x_hi: float):
     return mean, max_dev, max_dev / max(abs(mean), 1e-30)
 
 
-def _current(sols, basis, index, grid, model: str) -> CurrentProfile:
-    sol = join_solutions(sols)
-    if sol.model != model:
+def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
+    if _joint(sol).model != model:
         raise ValueError(f"expected a {model} stack, got {sol.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     blocks = _blocks(model, sol.convention, sol.mass)
     if isinstance(index, (tuple, list)):
-        i, j = index
-        for k in (i, j):
-            if not 1 <= k <= sol.n_systems:
-                raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
-        out = np.empty((2, len(grid)), dtype=complex)
-        for lo, hi in _spans(len(grid), sol.dim):
-            # One sampling of the solution, both systems as views.
-            vals = sol.evaluate_range(grid, lo, hi)
-            if model == "dirac":
-                vals = vals.reshape(hi - lo, sol.n_systems, 2)
-            else:
-                vals = vals.reshape(hi - lo, 2, sol.n_systems).swapaxes(1, 2)
-            a_vals, b_vals = vals[:, i - 1], vals[:, j - 1]
-            out[0, lo:hi] = _bilinear(a_vals, blocks[0], b_vals)
-            out[1, lo:hi] = _bilinear(a_vals, blocks[1], b_vals)
-        return CurrentProfile("pair", (int(i), int(j)), grid, out[0], out[1])
+        j1, j0 = _pair_forms(sol, _pair_columns(sol, index), blocks[:2], grid)
+        return CurrentProfile("pair", tuple(int(k) for k in index), grid, j1, j0)
     if basis is None or basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
     t_a = basis.generator(int(index))
     coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
     out = np.empty((2, len(grid)))
     for lo, hi in _spans(len(grid), coeffs.shape[1]):
-        products = _outer_triangle(model, sol.evaluate_range(grid, lo, hi))
+        products = _outer_triangle(model, sol.evaluate(grid[lo:hi]))
         out[:, lo:hi] = (coeffs @ products).real
     return CurrentProfile("generator", int(index), grid, out[0], out[1])
 
 
-def dirac_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
+def dirac_current(sol, basis: SunBasis | None, index, grid) -> CurrentProfile:
     """Generalized Dirac current for generator index a (int) or pair (i, j).
 
     The pair form is the conjugate bilinear psi_i^dag gamma0 gamma1 psi_j and
     shares its arithmetic with transformed_current, so the identity transform
     reproduces it bit for bit.  Pair indices are 1-based.
     """
-    return _current(sols, basis, index, grid, "dirac")
+    return _current(sol, basis, index, grid, "dirac")
 
 
-def schrodinger_current(sols, basis: SunBasis | None, index, grid) -> CurrentProfile:
+def schrodinger_current(sol, basis: SunBasis | None, index, grid) -> CurrentProfile:
     """Generalized Schroedinger current; j1 uses the exact stored derivatives."""
-    return _current(sols, basis, index, grid, "schrodinger")
+    return _current(sol, basis, index, grid, "schrodinger")
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +443,20 @@ def detect_domains(
     return domains
 
 
-def transformed_current(sol1, sol2, spec: TransformSpec, grid) -> CurrentProfile:
-    """Mixed current psi1bar(x) gamma1 P psi2(F(x)) for single-system Dirac solutions.
+def transformed_current(sol, pair, spec: TransformSpec, grid) -> CurrentProfile:
+    """Mixed current psibar_i(x) gamma1 P psi_j(F(x)) of a pair (i, j), 1-based,
+    of a decoupled Dirac solution.
 
     Constant on every symmetry domain when the two energies coincide; the
     identity transform reduces to the plain pair current bit for bit.
     """
-    for s in (sol1, sol2):
-        if s.model != "dirac" or s.n_systems != 1:
-            raise ValueError("transformed currents need single-system Dirac solutions")
-    if sol1.convention.name != sol2.convention.name:
-        raise ValueError("solutions use different conventions")
+    columns = _decoupled_dirac(sol, pair, "a transformed current")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    mapped = spec.map(grid)
     # The identity spinor factor leaves both kernels exactly equal to the pair
     # branch of dirac_current, so the two agree bit for bit.
-    kernel = sol1.convention.current_matrix @ spec.spinor_factor
-    out = np.empty((2, len(grid)), dtype=complex)
-    for lo, hi in _spans(len(grid), sol1.dim + sol2.dim):
-        a_vals = sol1.evaluate_range(grid, lo, hi)
-        b_vals = sol2.evaluate_range(mapped, lo, hi)
-        out[0, lo:hi] = _bilinear(a_vals, kernel, b_vals)
-        out[1, lo:hi] = _bilinear(a_vals, spec.spinor_factor, b_vals)
-    return CurrentProfile("transformed", (1, 2), grid, out[0], out[1])
+    kernels = (sol.convention.current_matrix @ spec.spinor_factor, spec.spinor_factor)
+    j1, j0 = _pair_forms(sol, columns, kernels, grid, spec.map(grid))
+    return CurrentProfile("transformed", tuple(int(k) for k in pair), grid, j1, j0)
 
 
 @dataclass(frozen=True)
@@ -450,8 +470,8 @@ class DeltaRelation:
 
 
 def delta_domain_relation(
-    sol1,
-    sol2,
+    sol,
+    pair,
     junction: np.ndarray,
     convention: Convention | str | None = None,
     *,
@@ -462,24 +482,29 @@ def delta_domain_relation(
 ) -> DeltaRelation:
     """Domain constants across an unmatched delta and their junction prediction.
 
-    The mirror-transformed current is constant on each side of the delta at
-    x0; approaching from the left gives c_minus = psi1(x0-)^dag K psi2(x0+)
+    For the pair (i, j), 1-based, of a decoupled Dirac solution, the
+    mirror-transformed current is constant on each side of the delta at x0;
+    approaching from the left gives c_minus = psi_i(x0-)^dag K psi_j(x0+)
     with K = gamma0 gamma1 P, and inserting the junction matrix J that relates
-    psi1(x0+) = J psi1(x0-) predicts c_plus = (J psi1(x0-))^dag K psi2(x0-).
-    Both constants are also measured as domain means next to the delta.
+    psi_i(x0+) = J psi_i(x0-) predicts c_plus = (J psi_i(x0-))^dag K psi_j(x0-).
+    Both constants are also measured as domain means next to the delta.  x0
+    defaults to the one delta with a nonzero (i, i) strength.
     """
-    conv = sol1.convention if convention is None else (
+    ci, cj = _decoupled_dirac(sol, pair, "a delta-domain relation")
+    conv = sol.convention if convention is None else (
         get_convention(convention) if isinstance(convention, str) else convention
     )
     if x0 is None:
-        pos = sol1.profile.delta_positions
+        i = pair[0] - 1
+        pos = [d.x0 for d in sol.profile.deltas if d.strength[i, i] != 0.0]
         if len(pos) != 1:
-            raise ValueError("x0 is required unless sol1 has exactly one delta barrier")
+            raise ValueError(
+                f"x0 is required unless system {i + 1} has exactly one delta barrier"
+            )
         x0 = float(pos[0])
     if spec is None:
         spec = parity_transform(conv, center=x0)
-    prof = _combined_profile([sol1.profile, sol2.profile])
-    domains = detect_domains(prof, (1, 2), spec)
+    domains = detect_domains(sol.profile, pair, spec)
     left_dom = next((d for d in domains if abs(d.x_hi - x0) <= _SNAP), None)
     right_dom = next((d for d in domains if abs(d.x_lo - x0) <= _SNAP), None)
     if left_dom is None or right_dom is None:
@@ -496,17 +521,17 @@ def delta_domain_relation(
     hi = min(right_dom.x_hi, x0 + window)
     xs_minus = np.linspace(lo, x0, samples + 2)[1:-1]
     xs_plus = np.linspace(x0, hi, samples + 2)[1:-1]
-    cur_minus = transformed_current(sol1, sol2, spec, xs_minus)
-    cur_plus = transformed_current(sol1, sol2, spec, xs_plus)
+    cur_minus = transformed_current(sol, pair, spec, xs_minus)
+    cur_plus = transformed_current(sol, pair, spec, xs_plus)
     c_minus = complex(cur_minus.j1.mean())
     c_plus = complex(cur_plus.j1.mean())
     rel_minus = float(np.abs(cur_minus.j1 - c_minus).max()) / max(abs(c_minus), 1e-30)
     rel_plus = float(np.abs(cur_plus.j1 - c_plus).max()) / max(abs(c_plus), 1e-30)
     kernel = conv.current_matrix @ spec.spinor_factor
-    psi1_left = sol1.evaluate([x0], side="left")[0]
-    psi2_left = sol2.evaluate([spec.map(float(x0))], side="left")[0]
+    psi_i_left = sol.evaluate([x0], side="left")[0, ci]
+    psi_j_left = sol.evaluate([spec.map(float(x0))], side="left")[0, cj]
     junction = np.asarray(junction, dtype=complex)
-    predicted = complex((junction @ psi1_left).conj() @ kernel @ psi2_left)
+    predicted = complex((junction @ psi_i_left).conj() @ kernel @ psi_j_left)
     return DeltaRelation(
         c_minus, c_plus, predicted, abs(c_plus - predicted), rel_minus, rel_plus
     )
@@ -524,46 +549,40 @@ class ChargeRelation:
 
 
 def charge_current_relation(
-    sol1, sol2, x1: float, x2: float, n_points: int = 10001
+    sol, pair, x1: float, x2: float, n_points: int = 10001
 ) -> ChargeRelation:
     """Integrated mixed density against the current difference at the ends.
 
-    For two single-system Dirac solutions of the same potential at distinct
-    energies, int_{x1}^{x2} psi1^dag psi2 dx equals
-    i (J_12(x2) - J_12(x1)) / (E_1 - E_2) with J_12 the pair current.
+    For the pair (i, j), 1-based, of a decoupled Dirac solution whose two
+    systems share one potential (V_ii = V_jj on every segment and delta) at
+    distinct energies, int_{x1}^{x2} psi_i^dag psi_j dx equals
+    i (J_ij(x2) - J_ij(x1)) / (E_i - E_j) with J_ij the pair current.
     Quadrature is composite Simpson on a uniform grid (odd point count,
     rounded up when needed).
     """
-    for s in (sol1, sol2):
-        if s.model != "dirac" or s.n_systems != 1:
-            raise ValueError("charge relation needs single-system Dirac solutions")
-    if sol1.convention.name != sol2.convention.name:
-        raise ValueError("solutions use different conventions")
+    ci, cj = _decoupled_dirac(sol, pair, "a charge relation")
     if not x2 > x1:
         raise ValueError(f"need x2 > x1, got [{x1}, {x2}]")
-    de = sol1.energy - sol2.energy
-    if abs(de) <= 1e-12 * max(1.0, abs(sol1.energy)):
+    i, j = pair[0] - 1, pair[1] - 1
+    de = sol.energies[i] - sol.energies[j]
+    if abs(de) <= 1e-12 * max(1.0, abs(sol.energies[i])):
         raise DegenerateEnergiesError(
             "charge-current relation is singular at equal energies"
         )
-    _check_same_profile(sol1.profile, sol2.profile)
+    prof = sol.profile
+    for v in [s.v for s in prof.segments] + [d.strength for d in prof.deltas]:
+        if abs(v[i, i] - v[j, j]) > 1e-12:
+            raise ValueError(f"systems {i + 1} and {j + 1} must share one potential")
     n = int(n_points)
     if n < 3:
         raise ValueError("n_points must be at least 3")
     if n % 2 == 0:
         n += 1
     xs = np.linspace(float(x1), float(x2), n)
-    dens = np.empty(n, dtype=complex)
-    for lo, hi in _spans(n, sol1.dim + sol2.dim):
-        dens[lo:hi] = np.einsum(
-            "xi,xi->x",
-            sol1.evaluate_range(xs, lo, hi).conj(),
-            sol2.evaluate_range(xs, lo, hi),
-        )
+    dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
     q = complex(_simpson(dens, (float(x2) - float(x1)) / (n - 1)))
-    kernel = sol1.convention.current_matrix
-    ends = [complex(sol1.evaluate([x]).conj()[0] @ kernel @ sol2.evaluate([x])[0])
-            for x in (x1, x2)]
+    kernel = sol.convention.current_matrix
+    ends = [complex(v[ci].conj() @ kernel @ v[cj]) for v in sol.evaluate([x1, x2])]
     boundary = 1j * (ends[1] - ends[0]) / de
     return ChargeRelation(q, boundary, abs(q - boundary))
 
@@ -571,23 +590,6 @@ def charge_current_relation(
 def _simpson(y: np.ndarray, h: float):
     """Composite Simpson rule for an odd number of samples spaced h apart."""
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-
-
-def _check_same_profile(p1: PotentialProfile, p2: PotentialProfile) -> None:
-    same = (
-        len(p1.segments) == len(p2.segments)
-        and np.allclose(p1.breakpoints, p2.breakpoints, atol=1e-12)
-        and all(
-            np.abs(a.v - b.v).max() <= 1e-12 for a, b in zip(p1.segments, p2.segments)
-        )
-        and len(p1.deltas) == len(p2.deltas)
-        and all(
-            abs(a.x0 - b.x0) <= 1e-12 and np.abs(a.strength - b.strength).max() <= 1e-12
-            for a, b in zip(p1.deltas, p2.deltas)
-        )
-    )
-    if not same:
-        raise ValueError("the two solutions must share one potential profile")
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +686,16 @@ def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=Non
 
 
 def gce_residual_sweep(
-    sols, basis: SunBasis, grid, decomp: PotentialDecomposition | None = None
+    sol, basis: SunBasis, grid, decomp: PotentialDecomposition | None = None
 ) -> ResidualTable:
     """Stationary continuity residuals of every generator on a uniform grid.
 
     The solution keeps the table of the last grid it was swept on, keyed by
     values (the grid's bits, the decomposition's cuts and coefficients, the
     basis rank), so the calls of a sweep build one table, also with
-    ``decomp=None``.  A sequence of single-system solutions is joined anew
-    on every call, and so builds a new table.
+    ``decomp=None``.
     """
-    sol, grid = join_solutions(sols), np.asarray(grid, dtype=float)
+    sol, grid = _joint(sol), np.asarray(grid, dtype=float)
     if basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
     decomp = decompose(sol.profile, basis) if decomp is None else decomp
@@ -713,7 +714,7 @@ def gce_residual_sweep(
     )
     table = _residual_rows(
         sol.model,
-        lambda a, b: sol.evaluate_range(eval_xs, a, b),
+        lambda a, b: sol.evaluate(eval_xs[a:b]),
         grid, h, cuts, decomp.segment_of(eval_xs), kernels,
     )
     sol.residual_table = (tuple(np.copy(p) for p in key), table)
@@ -724,9 +725,8 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _residual_report(sols, basis, a, grid, decomp, model):
-    sol = join_solutions(sols)
-    if sol.model != model:
+def _residual_report(sol, basis, a, grid, decomp, model):
+    if _joint(sol).model != model:
         raise ValueError(f"expected a {model} stack, got {sol.model}")
     basis.generator(int(a))  # validates the index
     row, grid = int(a) - 1, np.asarray(grid, dtype=float)
@@ -737,7 +737,7 @@ def _residual_report(sols, basis, a, grid, decomp, model):
 
 
 def gce_residual_dirac(
-    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
+    sol, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
 ) -> GceReport:
     """Stationary Dirac continuity residual for generator a on a uniform grid.
 
@@ -746,14 +746,14 @@ def gce_residual_dirac(
     spacing divides the norm by four.  The residual is row a - 1 of
     ``gce_residual_sweep``.
     """
-    return _residual_report(sols, basis, a, grid, decomp, "dirac")
+    return _residual_report(sol, basis, a, grid, decomp, "dirac")
 
 
 def gce_residual_schrodinger(
-    sols, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
+    sol, basis: SunBasis, a: int, grid, decomp: PotentialDecomposition | None = None
 ) -> GceReport:
     """Stationary Schroedinger continuity residual for generator a."""
-    return _residual_report(sols, basis, a, grid, decomp, "schrodinger")
+    return _residual_report(sol, basis, a, grid, decomp, "schrodinger")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .engine import (
     schrodinger_current,
     transform_from_sigma_rho,
     transformed_current,
-    uniform_spacing,
 )
 from .solvers import (
     DeltaBarrier,
@@ -549,8 +548,7 @@ def _pair_current(s: Scenario, sol: PiecewiseSolution, grid: np.ndarray):
     """The current displayed by the scenario: transformed when a map is set."""
     spec = _transform_spec(s)
     if s.model == "dirac" and not spec.is_identity:
-        s1, s2 = (sol.system(i) for i in s.pair)
-        return transformed_current(s1, s2, spec, grid), True
+        return transformed_current(sol, s.pair, spec, grid), True
     fn = dirac_current if s.model == "dirac" else schrodinger_current
     return fn(sol, None, tuple(s.pair), grid), False
 
@@ -690,10 +688,9 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     if "charge_relation" in wanted:
         if s.charge_interval is None:
             _fail("charge_interval", "required for the charge_relation output")
-        s1, s2 = (sol.system(i) for i in s.pair)
         try:
             rel = charge_current_relation(
-                s1, s2, *s.charge_interval, n_points=s.quadrature_points
+                sol, s.pair, *s.charge_interval, n_points=s.quadrature_points
             )
         except ValueError as e:
             _annotate(e, "evaluating the charge-current relation")
@@ -727,11 +724,10 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
         junction = delta_junction(
             np.array([[barrier.strength[i - 1, i - 1]]]), conv
         )
-        s1, s2 = (sol.system(i) for i in s.pair)
         spec = _transform_spec(s)
         try:
             rel = delta_domain_relation(
-                s1, s2, junction, conv, x0=float(barrier.x0), spec=spec
+                sol, s.pair, junction, conv, x0=float(barrier.x0), spec=spec
             )
         except ValueError as e:
             _annotate(e, "evaluating the delta-domain relation")

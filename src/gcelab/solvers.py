@@ -8,10 +8,11 @@ cosh/sinh (exponential) branches of the Hermitian square M^2 (see
 ``Propagator``).  Evaluation anywhere on the line, band edges included, is
 exact up to floating-point rounding; there is no ODE stepping.
 
-State layout: the Dirac stack orders components system-major, psi[2i:2i+2] is
-the 2-spinor of system i.  The Schroedinger stack carries (values, derivatives)
-as u = (phi_1..phi_N, phi_1'..phi_N').  The leftmost/rightmost segment values
-extend to -inf/+inf, so every solution covers the whole line.
+State layout (``system_columns``): the Dirac stack orders components
+system-major, psi[2i:2i+2] is the 2-spinor of system i.  The Schroedinger stack
+carries (values, derivatives) as u = (phi_1..phi_N, phi_1'..phi_N').  The
+leftmost/rightmost segment values extend to -inf/+inf, so every solution covers
+the whole line.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ class Propagator:
     @classmethod
     def block_diagonal(cls, props, rows) -> "Propagator":
         """Propagator of the block-diagonal generator holding the 2 x 2
-        props[i] on rows[i], assembled from their spectral data, not
+        props[i] on the slice rows[i], assembled from their spectral data, not
         diagonalised anew, so that every block keeps its own arithmetic."""
         n = len(props)
         band = [2 - sum(p._bands) for p in props]  # oscillating, zero, growing
@@ -363,8 +364,8 @@ class Propagator:
         self.generator = np.zeros((2 * n, 2 * n), dtype=complex)
         self.basis = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
         for j, i in enumerate(order):
-            self.generator[np.ix_(rows[i], rows[i])] = props[i].generator
-            self.basis[np.ix_([j, n + j], rows[i], rows[i])] = props[i].basis
+            self.generator[rows[i], rows[i]] = props[i].generator
+            self.basis[[j, n + j], rows[i], rows[i]] = props[i].basis
         self._k = np.concatenate([props[i]._k for i in order])
         self._bands = (band.count(0), band.count(0) + band.count(1))
         return self
@@ -451,6 +452,12 @@ BoundarySpec = InitialValue | Scattering
 # Piecewise solutions
 
 
+def system_columns(model: str, n: int, i: int) -> slice:
+    """Columns of system i (0-based) in the flat state of an n-system stack:
+    its 2-spinor for Dirac, its value and derivative for Schroedinger."""
+    return slice(2 * i, 2 * i + 2) if model == "dirac" else slice(i, 2 * n, n)
+
+
 class _Piece:
     """One segment's state u(anchor + dx) = C(dx) u0 + S(dx) M u0, u0 = value.
 
@@ -468,8 +475,17 @@ class _Piece:
         self._coeff = (propagator.basis @ self.value).view(np.float64)
 
     def expand(self, dx: np.ndarray) -> np.ndarray:
-        """State at anchor + dx for an array of offsets, shape (len(dx), dim)."""
-        return (self.propagator.factors(dx).T @ self._coeff).view(complex)
+        """State at anchor + dx for an array of offsets, shape (len(dx), dim).
+
+        One offset is expanded as two: numpy sends a one-row product to its
+        matrix-vector path, which rounds differently from the matrix product
+        of a longer run, and a sample must not depend on how many points
+        share its run.
+        """
+        n = len(dx)
+        if n == 1:
+            dx = np.repeat(dx, 2)
+        return (self.propagator.factors(dx).T @ self._coeff)[:n].view(complex)
 
 
 class PiecewiseSolution:
@@ -524,39 +540,9 @@ class PiecewiseSolution:
             out[lo:hi] = piece.expand(xs[lo:hi] - piece.anchor)
         return out
 
-    def evaluate_range(self, xs, lo: int, hi: int) -> np.ndarray:
-        """``evaluate(xs)[lo:hi]`` bit for bit, expanding only about that range.
-
-        ``evaluate`` expands a run of points in one piece as one product, and
-        a product of one point takes numpy's matrix-vector path, which may
-        round differently.  So a run that continues past ``lo`` or ``hi``
-        with one point inside is expanded with its neighbour there.
-        """
-        xs = np.asarray(xs, dtype=float)
-        near = [min(max(i, 0), len(xs) - 1) for i in (lo - 1, lo, lo + 1, hi - 2, hi - 1, hi)]
-        p = np.searchsorted(self.breakpoints, xs[near], side="right").tolist()
-        a = lo - 1 if lo > 0 and p[0] == p[1] and (hi - lo == 1 or p[1] != p[2]) else lo
-        b = hi + 1 if hi < len(xs) and p[5] == p[4] and (hi - 1 == a or p[3] != p[4]) else hi
-        return self.evaluate(xs[a:b])[lo - a:hi - a]
-
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(left limit, right limit) of the stacked state at x."""
         return self.evaluate([x], side="left")[0], self.evaluate([x], side="right")[0]
-
-    def _slice(self, i: int, rows: list[int]) -> "PiecewiseSolution":
-        sub_profile = self.profile.system(i)
-        pieces = []
-        for p in self.pieces:
-            m = p.propagator.generator
-            other = m[rows, :].copy()
-            other[:, rows] = 0.0
-            if np.abs(other).max() > 1e-13 * max(1.0, np.abs(m).max()):
-                raise ProfileError("cannot extract a system: generator couples systems")
-            pieces.append(_Piece(p.anchor, p.value[rows], Propagator(m[np.ix_(rows, rows)])))
-        return type(self)(
-            sub_profile, self.energies[i - 1:i], pieces, self.breakpoints,
-            convention=self.convention, mass=self.mass,
-        )
 
 
 class SpinorSolution(PiecewiseSolution):
@@ -569,10 +555,6 @@ class SpinorSolution(PiecewiseSolution):
         vals = self.evaluate(xs, side)
         return vals.reshape(len(vals), self.n_systems, 2)
 
-    def system(self, i: int) -> "SpinorSolution":
-        """Single-system solution (1-based i); requires a decoupled stack."""
-        return self._slice(i, [2 * (i - 1), 2 * i - 1])
-
 
 class WaveSolution(PiecewiseSolution):
     """Stacked Schroedinger solution carrying exact values and derivatives."""
@@ -584,9 +566,6 @@ class WaveSolution(PiecewiseSolution):
         vals = self.evaluate(xs, side)
         n = self.n_systems
         return vals[:, :n], vals[:, n:]
-
-    def system(self, i: int) -> "WaveSolution":
-        return self._slice(i, [i - 1, self.n_systems + i - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +628,8 @@ def _scattering_modes(profile, energy, convention, mass, model):
                 "per-system channels are well defined"
             )
         edges[:, s] = seg.v.diagonal().real
-    system = np.arange(n)
     if model == "dirac":
         modes, _ = _dirac_channels(edges, energy, convention)
-        rows = np.stack([2 * system, 2 * system + 1], 1)
     else:
         fault = 2.0 * mass * (energy - edges) <= 1e-12 * max(1.0, abs(energy))
         if fault.any():
@@ -665,12 +642,12 @@ def _scattering_modes(profile, energy, convention, mass, model):
         modes = np.ones((n, 2, 2, 2), dtype=complex)  # (value, derivative) = (1, +-ik)
         modes[..., 0, 1] = 1j * k
         modes[..., 1, 1] = -1j * k
-        rows = np.stack([system, system + n], 1)
     u_in, u_ref, u_out = np.zeros((3, 2 * n, n), dtype=complex)
-    cols = system[:, None]
-    u_in[rows, cols] = modes[:, 0, 0]  # right movers from the left
-    u_ref[rows, cols] = modes[:, 0, 1]  # left movers back to the left
-    u_out[rows, cols] = modes[:, 1, 0]  # right movers out to the right
+    for i in range(n):
+        rows = system_columns(model, n, i)
+        u_in[rows, i] = modes[i, 0, 0]  # right movers from the left
+        u_ref[rows, i] = modes[i, 0, 1]  # left movers back to the left
+        u_out[rows, i] = modes[i, 1, 0]  # right movers out to the right
     return u_in, u_ref, u_out
 
 
@@ -791,11 +768,8 @@ def join_solutions(sols) -> PiecewiseSolution:
     with the union of the members' breakpoints and deltas.  Each piece
     propagates the members' states at its anchor with their block-diagonal
     generator, so where a member's breakpoints are the joint ones its
-    samples (of two or more points per piece) and its ``system(i)`` slice
-    repeat the member's bit for bit.  A joint solution is returned as it is.
+    samples repeat the member's bit for bit.
     """
-    if isinstance(sols, PiecewiseSolution):
-        return sols
     sols = list(sols)
     if not sols:
         raise ValueError("empty solution stack")
@@ -809,12 +783,11 @@ def join_solutions(sols) -> PiecewiseSolution:
         names = {s.convention.name for s in sols}
         if len(names) > 1:
             raise ValueError(f"mixed conventions in one stack: {sorted(names)}")
-        rows = [[2 * i, 2 * i + 1] for i in range(n)]
     else:
         masses = {s.mass for s in sols}
         if len(masses) > 1:
             raise ValueError(f"mixed masses in one stack: {sorted(masses)}")
-        rows = [[i, n + i] for i in range(n)]  # values, then derivatives
+    rows = [system_columns(first.model, n, i) for i in range(n)]
     profile = _combined_profile([s.profile for s in sols])
     b = profile.breakpoints
     # Anchor and an inner point of each piece: left tail, segments, right tail.

@@ -12,7 +12,7 @@ matching the conventional names T_3, T_8, C_8 and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,10 +143,6 @@ class PotentialDecomposition:
 
     def v0_at(self, x: np.ndarray | float, side: str = "right") -> np.ndarray:
         return self.v0[self.segment_of(x, side)]
-
-    def c_at(self, x: np.ndarray | float, side: str = "right") -> np.ndarray:
-        """Coefficient vectors at samples, shape (..., n**2 - 1)."""
-        return self.c[self.segment_of(x, side)]
 
     def reconstruct(self, s: int) -> np.ndarray:
         """Hermitian matrix of segment s rebuilt from its coefficients."""

@@ -248,9 +248,9 @@ def test_charge_current_identity_for_free_spinors():
 
 
 def test_equal_energies_raise_the_degenerate_error():
-    s1, s2 = free_dirac(1.1), free_dirac(1.1)
+    sol = join_solutions([free_dirac(1.1), free_dirac(1.1)])
     with pytest.raises(DegenerateEnergiesError):
-        charge_current_relation(s1, s2, -1.0, 1.0)
+        charge_current_relation(sol, (1, 2), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +343,8 @@ def test_identity_transform_reproduces_pair_current_bitwise():
     s1 = solve_dirac(p1, 1.6, Scattering([1.0]))
     s2 = solve_dirac(p2, 1.6, Scattering([0.7]))
     xs = np.linspace(-2.5, 2.5, 501)
-    # The members' breakpoints differ, so the pair current of the joined
-    # solution is compared with the transformed current of its own slices.
     joined = join_solutions([s1, s2])
-    tc = transformed_current(joined.system(1), joined.system(2), identity_transform(), xs)
+    tc = transformed_current(joined, (1, 2), identity_transform(), xs)
     pc = dirac_current(joined, None, (1, 2), xs)
     assert np.array_equal(tc.j1, pc.j1)
     assert np.array_equal(tc.j0, pc.j0)

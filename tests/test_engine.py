@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import simpson
 
 from conftest import ladder_pair_current
-from test_properties import coupled_stack
+from test_properties import coupled_stack, sequence_stack
 from gcelab import engine
 from gcelab.engine import (
     ChargeRelation,
@@ -49,6 +49,7 @@ from gcelab.solvers import (
     InitialValue,
     PiecewiseSolution,
     PotentialProfile,
+    ProfileError,
     Scattering,
     Segment,
     delta_junction,
@@ -59,6 +60,9 @@ from gcelab.solvers import (
     uniform_profile,
 )
 from gcelab.sun import build_basis, decompose
+
+
+BUILTINS = ["fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequal"]
 
 
 def free_dirac(energy, x_lo=-2.0, x_hi=2.0, amplitude=1.0):
@@ -193,16 +197,11 @@ class TestJoinSolutions:
         with pytest.raises(ValueError, match="mixed masses"):
             join_solutions([w, w2])
 
-    def test_a_joint_solution_is_returned_as_it_is(self):
-        sol = coupled_dirac_solution()
-        assert join_solutions(sol) is sol
-
     def test_joined_solution_keeps_per_system_energies(self):
         joined = join_solutions([free_dirac(1.3), free_dirac(0.7)])
         assert joined.energies.tolist() == [1.3, 0.7]
         with pytest.raises(ValueError, match="different energies"):
             joined.energy
-        assert joined.system(2).energy == 0.7
         with pytest.raises(ValueError):
             joined.energies[0] = 1.0
         assert coupled_dirac_solution(energy=1.4).energies.tolist() == [1.4, 1.4]
@@ -218,7 +217,6 @@ class TestJoinSolutions:
                 for i, member in enumerate(members, start=1):
                     direct = member.evaluate(grid, side)
                     assert np.array_equal(psi[:, i - 1], direct)
-                    assert np.array_equal(joined.system(i).evaluate(grid, side), direct)
 
     @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
     def test_members_repeat_bit_for_bit_across_a_delta(self, model):
@@ -242,7 +240,6 @@ class TestJoinSolutions:
             for i, (member, r) in enumerate(zip(members, rows), start=1):
                 direct = member.evaluate(grid, side)
                 assert np.array_equal(flat[:, r], direct)
-                assert np.array_equal(joined.system(i).evaluate(grid, side), direct)
         left, right = joined.limits(0.0)
         assert not np.allclose(left[rows[0]], right[rows[0]])  # the delta's jump
 
@@ -285,7 +282,6 @@ class TestJoinSolutions:
                 direct = member.evaluate(grid, side)
                 scale = np.abs(direct).max()
                 assert np.abs(flat[:, r] - direct).max() <= 1e-14 * scale
-                assert np.abs(joined.system(i).evaluate(grid, side) - direct).max() <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ class TestCurrents:
         e1, e2 = 1.3, 0.7
         s1, s2 = free_dirac(e1), free_dirac(e2)
         xs = np.linspace(-1.5, 1.5, 301)
-        cur = dirac_current([s1, s2], bases[2], (1, 2), xs)
+        cur = dirac_current(join_solutions([s1, s2]), bases[2], (1, 2), xs)
         oracle = np.exp(1j * (e2 - e1) * (xs + 2.0))
         assert np.abs(cur.j1 - oracle).max() <= 1e-12
         assert np.abs(cur.j0 - oracle).max() <= 1e-12
@@ -309,7 +305,7 @@ class TestCurrents:
         s2 = solve_schrodinger(prof, e2, Scattering([1.0]), mass=m)
         k1, k2 = np.sqrt(2 * m * e1), np.sqrt(2 * m * e2)
         xs = np.linspace(-1.5, 1.5, 301)
-        cur = schrodinger_current([s1, s2], bases[2], (1, 2), xs)
+        cur = schrodinger_current(join_solutions([s1, s2]), bases[2], (1, 2), xs)
         phase = np.exp(1j * (k2 - k1) * (xs + 2.0))
         assert np.abs(cur.j1 - (k1 + k2) / (2 * m) * phase).max() <= 1e-12
         assert np.abs(cur.j0 - phase).max() <= 1e-12
@@ -422,14 +418,29 @@ class TestPairSampling:
             density = flat[:, 0].conj() * flat[:, 1]
         assert np.abs(cur.j0 - density).max() <= 1e-13
 
-    def test_sequence_pair_current_samples_the_joined_solution_once(self, monkeypatch):
-        sols = [free_dirac(e) for e in (1.3, 0.9, 0.7)]
+    def test_joined_pair_current_samples_once(self, monkeypatch):
+        joined = join_solutions([free_dirac(e) for e in (1.3, 0.9, 0.7)])
         xs = np.linspace(-1.5, 1.5, 61)
         calls = count_evaluations(monkeypatch)
-        cur = dirac_current(sols, None, (1, 3), xs)
-        assert len(calls) == 1 and calls[0].energies.tolist() == [1.3, 0.9, 0.7]
+        cur = dirac_current(joined, None, (1, 3), xs)
+        assert calls == [joined] and joined.energies.tolist() == [1.3, 0.9, 0.7]
         oracle = np.exp(1j * (0.7 - 1.3) * (xs + 2.0))
         assert np.abs(cur.j1 - oracle).max() <= 1e-12
+
+
+def test_entry_points_refuse_a_sequence(bases):
+    sols = [free_dirac(1.3), free_dirac(0.7)]
+    grid = np.linspace(-1.5, 1.5, 31)
+    calls = [
+        lambda: dirac_current(sols, None, (1, 2), grid),
+        lambda: schrodinger_current(sols, bases[2], 1, grid),
+        lambda: gce_residual_dirac(sols, bases[2], 1, grid),
+        lambda: gce_residual_schrodinger(sols, bases[2], 1, grid),
+        lambda: gce_residual_sweep(sols, bases[2], grid),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="join_solutions"):
+            call()
 
 
 def test_public_names_resolve_and_removed_records_are_gone():
@@ -548,21 +559,36 @@ def assert_same_bits(got, want):
 
 
 class TestBlockedSampling:
-    def test_evaluate_range_is_a_slice_of_evaluate(self):
-        # With N = 4 a one-sample product rounds differently from a longer
-        # one, so a range that cut a lone sample off its run would show.
+    def test_evaluate_of_a_range_is_a_slice_of_evaluate(self):
+        # With N = 4 a one-sample matrix-vector product would round
+        # differently from a longer run's, so a range that cut a lone sample
+        # off its run would show.
         sol = coupled_stack(3, "dirac", 4)
         xs = np.linspace(-4.4, 4.4, 43)
         full = sol.evaluate(xs)
-        lone = 0
         for lo in range(len(xs)):
             for hi in range(lo + 1, len(xs) + 1):
-                assert_same_bits([sol.evaluate_range(xs, lo, hi)], [full[lo:hi]])
-                lone += not np.array_equal(sol.evaluate(xs[lo:hi])[-1], full[hi - 1])
-        assert lone  # the unwidened ranges do differ somewhere
+                assert_same_bits([sol.evaluate(xs[lo:hi])], [full[lo:hi]])
 
-    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2", "free2", "globalpair",
-                                      "translate", "unequal"])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin_single_points_are_grid_samples(self, name):
+        s = load_builtin(name)
+        lo, hi = s.grid.x_min, s.grid.x_max
+        self.check_single_points(_solve_stack(s), np.linspace(lo - 0.7, hi + 0.7, 301))
+
+    @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_single_points_are_grid_samples(self, model, n):
+        for sol in (coupled_stack(40 + n, model, n), sequence_stack(50 + n, model, n)):
+            self.check_single_points(sol, np.linspace(-4.4, 4.4, 177))
+
+    def check_single_points(self, sol, grid):
+        for side in ("left", "right"):
+            full = sol.evaluate(grid, side)
+            for k, x in enumerate(grid):
+                assert_same_bits([sol.evaluate([x], side)[0]], [full[k]])
+
+    @pytest.mark.parametrize("name", BUILTINS)
     def test_builtin_currents_and_tables_match_whole_grid(self, monkeypatch, name):
         s = load_builtin(name)
         sol = _solve_stack(s)
@@ -588,17 +614,16 @@ class TestBlockedSampling:
     def test_builtin_transformed_currents_match_whole_grid(self, monkeypatch, name):
         s = load_builtin(name)
         sol = _solve_stack(s)
-        s1, s2 = sol.system(1), sol.system(2)
         spec = _transform_spec(s)
         grid = s.grid_array(401)
         mapped = spec.map(grid)
-        kernel = s1.convention.current_matrix @ spec.spinor_factor
-        a, b = s1.evaluate(grid), s2.evaluate(mapped)
+        kernel = sol.convention.current_matrix @ spec.spinor_factor
+        a, b = sol.evaluate(grid)[:, :2], sol.evaluate(mapped)[:, 2:]
         want = [engine._bilinear(a, kernel, b), engine._bilinear(a, spec.spinor_factor, b)]
-        starts = set(piece_starts(s1, grid)) | set(piece_starts(s2, mapped))
+        starts = set(piece_starts(sol, grid)) | set(piece_starts(sol, mapped))
         for step in sorted({k + d for k in starts for d in (-1, 1) if k + d >= 16}):
-            set_block(monkeypatch, step, s1.dim + s2.dim)
-            cur = transformed_current(s1, s2, spec, grid)
+            set_block(monkeypatch, step, sol.dim)
+            cur = transformed_current(sol, (1, 2), spec, grid)
             assert_same_bits([cur.j1, cur.j0], want)
 
     def test_coupled_stack_currents_and_tables_match_whole_grid(self, monkeypatch):
@@ -622,13 +647,14 @@ class TestBlockedSampling:
         )
 
     def test_charge_relation_matches_whole_grid(self, monkeypatch):
-        s1, s2 = (_solve_stack(load_builtin("globalpair")).system(i) for i in (1, 2))
+        sol = _solve_stack(load_builtin("globalpair"))
         xs = np.linspace(0.0, 5.0, 1001)
-        dens = np.einsum("xi,xi->x", s1.evaluate(xs).conj(), s2.evaluate(xs))
+        flat = sol.evaluate(xs)
+        dens = np.einsum("xi,xi->x", flat[:, :2].conj(), flat[:, 2:])
         want = complex(_simpson(dens, 5.0 / 1000))
         for step in (16, 33, 999):
-            set_block(monkeypatch, step, s1.dim + s2.dim)
-            got = charge_current_relation(s1, s2, 0.0, 5.0, n_points=1001).q
+            set_block(monkeypatch, step, sol.dim)
+            got = charge_current_relation(sol, (1, 2), 0.0, 5.0, n_points=1001).q
             assert (got.real, got.imag) == (want.real, want.imag)
 
 
@@ -687,7 +713,7 @@ class TestResiduals:
         s2 = solve_dirac(profile.system(2), 1.1, Scattering([0.8]))
         grid = np.linspace(-1.6, 1.6, 321)
         assert grid[120] < -0.4  # one rounding error short of the cut
-        rep = gce_residual_dirac([s1, s2], bases[2], 1, grid)
+        rep = gce_residual_dirac(join_solutions([s1, s2]), bases[2], 1, grid)
         # A left-segment source paired with a right-cell stencil would leave
         # an O(1) residual spike here.
         assert np.abs(rep.residual[120]) <= 1e-5
@@ -749,11 +775,11 @@ class TestResidualTable:
         sol = coupled_dirac_solution()
         table = gce_residual_sweep(sol, bases[2], self.GRID)
         # A fresh decomposition on every call (decomp=None), an equal explicit
-        # one, a copied grid and a new stack around the solution all hit.
+        # one, a copied grid and a new basis all hit.
         assert gce_residual_sweep(sol, bases[2], self.GRID) is table
         dec = decompose(sol.profile, bases[2])
         assert gce_residual_sweep(sol, bases[2], self.GRID.copy(), dec) is table
-        assert gce_residual_sweep(join_solutions(sol), build_basis(2), self.GRID) is table
+        assert gce_residual_sweep(sol, build_basis(2), self.GRID) is table
         # Samples of the other side or of another grid leave the table valid:
         # it is built from right-continuous samples only.
         sol.evaluate(self.GRID, side="left")
@@ -802,8 +828,8 @@ class TestResidualTable:
         for a in (1, 2, 3):
             rep = gce_residual_dirac(joined, bases[2], a, grid)
             assert np.shares_memory(rep.residual, table.residual)
-        # A sequence is joined anew on every call, so it builds a new table.
-        fresh = gce_residual_sweep(sols, bases[2], grid)
+        # Joining again makes a new solution, and so a new table.
+        fresh = gce_residual_sweep(join_solutions(sols), bases[2], grid)
         assert fresh is not table
         assert np.array_equal(fresh.residual, table.residual)
 
@@ -960,16 +986,15 @@ class TestTransformedCurrents:
         p2 = bump_profile([(-4.5, -3.5, 0.4), (-2.0, -1.0, 0.6)], -6.0, 6.0)
         s1 = solve_dirac(p1, energy, Scattering([1.0]))
         s2 = solve_dirac(p2, energy, Scattering([1.0]))
-        return s1, s2
+        return join_solutions([s1, s2])
 
     def test_parity_transformed_current_constant_on_domains(self):
-        s1, s2 = self.parity_pair()
-        spec = parity_transform(s1.convention)
-        prof = join_solutions([s1, s2]).profile
-        doms = detect_domains(prof, (1, 2), spec)
+        sol = self.parity_pair()
+        spec = parity_transform(sol.convention)
+        doms = detect_domains(sol.profile, (1, 2), spec)
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 3.0), (4.5, np.inf)]
         xs = np.linspace(-5.8, 5.8, 1161)
-        cur = transformed_current(s1, s2, spec, xs)
+        cur = transformed_current(sol, (1, 2), spec, xs)
         for rel in domain_rel_devs(xs, cur.j1, doms):
             assert rel <= 1e-10
         _, _, rel = interval_stats(xs, cur.j1, 3.0, 4.5)
@@ -981,21 +1006,18 @@ class TestTransformedCurrents:
         s1 = solve_dirac(p1, 1.9, Scattering([1.0]))
         s2 = solve_dirac(p2, 1.9, Scattering([1.0]))
         spec = translation_transform(2.0)
-        prof = join_solutions([s1, s2]).profile
-        doms = detect_domains(prof, (1, 2), spec)
+        sol = join_solutions([s1, s2])
+        doms = detect_domains(sol.profile, (1, 2), spec)
         xs = np.linspace(-2.8, 7.8, 1061)
-        cur = transformed_current(s1, s2, spec, xs)
+        cur = transformed_current(sol, (1, 2), spec, xs)
         assert len(doms) == 2
         for rel in domain_rel_devs(xs, cur.j1, doms):
             assert rel <= 1e-10
 
     def test_identity_transform_is_bitwise_pair_current(self):
-        s1, s2 = self.parity_pair()
+        joined = self.parity_pair()
         xs = np.linspace(-5.0, 5.0, 501)
-        # The members' breakpoints differ, so the pair current of the joined
-        # solution is compared with the transformed current of its own slices.
-        joined = join_solutions([s1, s2])
-        tc = transformed_current(joined.system(1), joined.system(2), identity_transform(), xs)
+        tc = transformed_current(joined, (1, 2), identity_transform(), xs)
         pc = dirac_current(joined, None, (1, 2), xs)
         assert np.array_equal(tc.j1, pc.j1)
         assert np.array_equal(tc.j0, pc.j0)
@@ -1005,10 +1027,10 @@ class TestTransformedCurrents:
 
         with pytest.raises(ValueError, match="sigma"):
             TransformSpec(2, 0.0, np.eye(2))
-        s1, _ = self.parity_pair()
         w = solve_schrodinger(uniform_profile([[0.0]], -1, 1), 0.5, Scattering([1.0]))
         with pytest.raises(ValueError, match="Dirac"):
-            transformed_current(s1, w, identity_transform(), np.linspace(-1, 1, 5))
+            transformed_current(join_solutions([w, w]), (1, 2), identity_transform(),
+                                np.linspace(-1, 1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1044,7 @@ class TestChargeRelation:
         s1 = solve_dirac(prof, e1, Scattering([1.0]))
         s2 = solve_dirac(prof, e2, Scattering([1.0]))
         x1, x2 = -0.4, 0.9
-        rel = charge_current_relation(s1, s2, x1, x2, n_points=4001)
+        rel = charge_current_relation(join_solutions([s1, s2]), (1, 2), x1, x2, n_points=4001)
         assert isinstance(rel, ChargeRelation)
         u1 = s1.evaluate([-1.0])[0]
         u2 = s2.evaluate([-1.0])[0]
@@ -1037,9 +1059,10 @@ class TestChargeRelation:
         prof = bump_profile([(-0.5, 0.5, 0.8)], -3.0, 3.0)
         s1 = solve_dirac(prof, 1.7, Scattering([1.0]))
         s2 = solve_dirac(prof, 1.2, Scattering([0.5 + 0.5j]))
-        rel = charge_current_relation(s1, s2, -2.5, 2.5, n_points=20001)
+        sol = join_solutions([s1, s2])
+        rel = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=20001)
         assert rel.discrepancy <= 1e-8
-        even = charge_current_relation(s1, s2, -2.5, 2.5, n_points=10000)
+        even = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=10000)
         assert even.discrepancy <= 1e-8
 
     @pytest.mark.parametrize("n", [3, 5, 101, 4001, 40001])
@@ -1057,16 +1080,16 @@ class TestChargeRelation:
         s1 = solve_dirac(prof, 1.0, Scattering([1.0]))
         s2 = solve_dirac(prof, 1.0, Scattering([0.5]))
         with pytest.raises(DegenerateEnergiesError):
-            charge_current_relation(s1, s2, -1.0, 1.0)
+            charge_current_relation(join_solutions([s1, s2]), (1, 2), -1.0, 1.0)
 
     def test_profile_mismatch_and_bad_interval_raise(self):
         s1 = free_dirac(1.2)
         s2 = solve_dirac(bump_profile([(0.0, 0.5, 0.3)], -2.0, 2.0), 0.9, Scattering([1.0]))
         with pytest.raises(ValueError, match="share one potential"):
-            charge_current_relation(s1, s2, -1.0, 1.0)
+            charge_current_relation(join_solutions([s1, s2]), (1, 2), -1.0, 1.0)
         s3 = free_dirac(0.9)
         with pytest.raises(ValueError, match="x2 > x1"):
-            charge_current_relation(s1, s3, 1.0, -1.0)
+            charge_current_relation(join_solutions([s1, s3]), (1, 2), 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1100,8 @@ class TestDeltaDomainRelation:
     # Left-incident scattering states are single-mover under the reflectionless
     # vector coupling and carry a vanishing mixed parity current, so the
     # fig2-class states are built from mover-mixing initial values instead.
-    def fig2_pair(self, lam, energy=1.2):
+    @staticmethod
+    def fig2_members(lam, energy=1.2):
         bumps = [(-1.5, -0.5, 0.25), (0.5, 1.5, 0.25)]
         deltas = [DeltaBarrier(0.0, [[lam]])] if lam != 0.0 else []
         p1 = bump_profile(bumps, -3.0, 3.0, deltas)
@@ -1088,20 +1112,23 @@ class TestDeltaDomainRelation:
         s2 = solve_dirac(
             p2, energy, InitialValue([0.74 + 0.3j, 0.21 - 0.62j]), convention="vector"
         )
-        return s1, s2
+        return [s1, s2]
+
+    def fig2_pair(self, lam):
+        return join_solutions(self.fig2_members(lam))
 
     def test_no_delta_means_equal_constants(self):
-        s1, s2 = self.fig2_pair(0.0)
-        rel = delta_domain_relation(s1, s2, np.eye(2), x0=0.0)
+        sol = self.fig2_pair(0.0)
+        rel = delta_domain_relation(sol, (1, 2), np.eye(2), x0=0.0)
         assert abs(rel.c_minus - rel.c_plus) <= 1e-12
         assert rel.deviation <= 1e-12
 
     @pytest.mark.parametrize("lam", [np.pi / 6, np.pi / 3, np.pi / 2])
     def test_junction_predicts_jump_of_domain_constant(self, lam):
-        s1, s2 = self.fig2_pair(lam)
+        sol = self.fig2_pair(lam)
         conv = get_convention("vector")
         junction = delta_junction(np.array([[lam]]), conv)
-        rel = delta_domain_relation(s1, s2, junction)
+        rel = delta_domain_relation(sol, (1, 2), junction)
         assert rel.rel_dev_minus <= 1e-10
         assert rel.rel_dev_plus <= 1e-10
         assert rel.deviation <= 1e-10
@@ -1109,16 +1136,72 @@ class TestDeltaDomainRelation:
 
     def test_full_turn_restores_continuity(self):
         lam = 2.0 * np.pi
-        s1, s2 = self.fig2_pair(lam)
+        sol = self.fig2_pair(lam)
         conv = get_convention("vector")
-        rel = delta_domain_relation(s1, s2, delta_junction(np.array([[lam]]), conv))
+        rel = delta_domain_relation(sol, (1, 2), delta_junction(np.array([[lam]]), conv))
         assert abs(rel.c_minus - rel.c_plus) <= 1e-10
         assert rel.deviation <= 1e-10
 
     def test_missing_delta_needs_explicit_position(self):
-        s1, s2 = self.fig2_pair(0.0)
+        sol = self.fig2_pair(0.0)
         with pytest.raises(ValueError, match="x0"):
-            delta_domain_relation(s1, s2, np.eye(2))
+            delta_domain_relation(sol, (1, 2), np.eye(2))
+
+
+class TestPairOperationsOfAStack:
+    """The pair operations read systems i and j of one joint solution."""
+
+    def stack(self):
+        # Systems 1 and 3 are free at distinct energies; system 2 sees a bump.
+        bump = bump_profile([(-0.5, 0.5, 0.8)], -2.0, 2.0)
+        middle = solve_dirac(bump, 1.1, Scattering([0.6]))
+        return join_solutions([free_dirac(1.3), middle, free_dirac(0.7)])
+
+    def test_free_oracles_of_pair_1_3(self):
+        sol = self.stack()
+        xs = np.linspace(-1.5, 1.5, 301)
+        tc = transformed_current(sol, (1, 3), identity_transform(), xs)
+        assert tc.index == (1, 3)
+        assert np.abs(tc.j1 - np.exp(1j * (0.7 - 1.3) * (xs + 2.0))).max() <= 1e-12
+        pc = dirac_current(sol, None, (1, 3), xs)
+        assert np.array_equal(tc.j1, pc.j1)
+        assert np.array_equal(tc.j0, pc.j0)
+        x1, x2, dk = -0.4, 0.9, 0.7 - 1.3
+        rel = charge_current_relation(sol, (1, 3), x1, x2, n_points=4001)
+        u = sol.evaluate([-2.0])[0]
+        oracle = (u[:2].conj() @ u[4:]) * (
+            np.exp(1j * dk * (x2 + 2.0)) - np.exp(1j * dk * (x1 + 2.0))
+        ) / (1j * dk)
+        assert abs(rel.q - oracle) <= 1e-12
+        assert rel.discrepancy <= 1e-10
+
+    def test_delta_relation_of_pair_1_3(self):
+        lam = np.pi / 3
+        s1, s2 = TestDeltaDomainRelation.fig2_members(lam)
+        middle = solve_dirac(
+            uniform_profile([[0.3]], -3.0, 3.0), 1.2, InitialValue([1.0, 0.5j]), "vector"
+        )
+        junction = delta_junction(np.array([[lam]]), get_convention("vector"))
+        rel = delta_domain_relation(join_solutions([s1, middle, s2]), (1, 3), junction)
+        assert rel.rel_dev_minus <= 1e-10
+        assert rel.rel_dev_plus <= 1e-10
+        assert rel.deviation <= 1e-10
+        two = delta_domain_relation(join_solutions([s1, s2]), (1, 2), junction)
+        for got, want in zip(dataclasses.astuple(rel), dataclasses.astuple(two)):
+            assert abs(got - want) <= 1e-12
+
+    def test_coupled_profiles_and_unequal_potentials_raise(self):
+        coupled, xs = coupled_dirac_solution(), np.linspace(-1.0, 1.0, 11)
+        with pytest.raises(ProfileError, match="decoupled"):
+            transformed_current(coupled, (1, 2), identity_transform(), xs)
+        with pytest.raises(ProfileError, match="decoupled"):
+            charge_current_relation(coupled, (1, 2), -1.0, 1.0)
+        with pytest.raises(ProfileError, match="decoupled"):
+            delta_domain_relation(coupled, (1, 2), np.eye(2), x0=0.0)
+        with pytest.raises(ValueError, match="systems 1 and 2 must share one potential"):
+            charge_current_relation(self.stack(), (1, 2), -1.0, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            transformed_current(self.stack(), (1, 4), identity_transform(), xs)
 
 
 # ---------------------------------------------------------------------------
