@@ -183,15 +183,8 @@ _BLOCK = 1 << 15  # products per block of samples; only results span the grid
 
 def _spans(n: int, width: int):
     """(lo, hi) blocks covering range(n), _BLOCK // width samples each (at
-    least 16) for ``width`` products per sample.
-
-    A last block of one sample joins the block before it: the currents'
-    products of one sample with their kernels take numpy's matrix-vector
-    path, which may round differently.
-    """
+    least 16) for ``width`` products per sample."""
     bounds = [*range(0, n, max(16, _BLOCK // width)), n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
     return zip(bounds[:-1], bounds[1:])
 
 
@@ -278,8 +271,12 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
     coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
     out = np.empty((2, len(grid)))
     for lo, hi in _spans(len(grid), coeffs.shape[1]):
-        products = _outer_triangle(model, sol.evaluate(grid[lo:hi]))
-        out[:, lo:hi] = (coeffs @ products).real
+        psi = sol.evaluate(grid[lo:hi])
+        if hi - lo == 1:
+            # One sample's products are formed as two, as _Piece.expand pads
+            # one offset: numpy rounds a lone complex product differently.
+            psi = np.repeat(psi, 2, axis=0)
+        out[:, lo:hi] = (coeffs @ _outer_triangle(model, psi))[:, :hi - lo].real
     return CurrentProfile("generator", int(index), grid, out[0], out[1])
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ from .solvers import (
     InitialValue,
     PiecewiseSolution,
     PotentialProfile,
+    ProfileError,
     Scattering,
     Segment,
     delta_junction,
@@ -480,8 +482,11 @@ def set_delta_strength(s: Scenario, lam: float) -> Scenario:
 class ReportBundle:
     """Computed tables plus a machine-readable summary for one scenario run.
 
-    Each table is a ``(header, rows)`` pair: a list of column names and a 2-D
-    float64 array with one column per name.  Flag columns hold 0.0/1.0.
+    Each table is a ``(header, columns)`` pair: a list of column names and a
+    list of 1-D float64 arrays of one length, one per name.  A column may be a
+    view of an array the engine already holds (the grid, a current, a row of
+    the residual table), so a table costs no copy of its samples.  Flag
+    columns hold 0.0/1.0.
     """
 
     scenario: Scenario
@@ -493,6 +498,27 @@ class ReportBundle:
 
 def _annotate(e: ValueError, what: str):
     raise type(e)(f"{what}: {e}") from None
+
+
+def _refuse_coupling(s: Scenario) -> None:
+    """Name the first segment or delta that couples two systems of a stack
+    solved system by system, preferring two systems at unequal energies."""
+    entries = [(f"profile.segments[{k}]", seg.v) for k, seg in enumerate(s.segments)]
+    entries += [(f"profile.deltas[{k}]", d.strength) for k, d in enumerate(s.deltas)]
+    found = [
+        (s.energies[i] == s.energies[j], key, i, j)
+        for key, m in entries
+        for i in range(s.n_systems)
+        for j in range(i + 1, s.n_systems)
+        if m[i][j] != 0.0 or m[j][i] != 0.0
+    ]
+    if found:
+        _, key, i, j = min(found, key=lambda f: f[0])
+        raise ProfileError(
+            f"{key} couples systems {i + 1} and {j + 1} at energies {s.energies[i]} "
+            f"and {s.energies[j]}; a coupled profile needs one energy and one "
+            "boundary kind for all systems"
+        )
 
 
 def _solve_stack(s: Scenario) -> PiecewiseSolution:
@@ -516,6 +542,7 @@ def _solve_stack(s: Scenario) -> PiecewiseSolution:
             if s.model == "dirac":
                 return solve_dirac(profile, s.energies[0], boundary, convention=conv)
             return solve_schrodinger(profile, s.energies[0], boundary, mass=mass)
+        _refuse_coupling(s)
         sols = []
         for i in range(1, s.n_systems + 1):
             b = s.boundaries[i - 1]
@@ -599,9 +626,7 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     if "currents" in wanted:
         bundle.tables["currents"] = (
             ["x", "re_j1", "im_j1", "re_j0", "im_j0"],
-            np.column_stack(
-                [grid, current.j1.real, current.j1.imag, current.j0.real, current.j0.imag]
-            ),
+            [grid, current.j1.real, current.j1.imag, current.j0.real, current.j0.imag],
         )
         summary["currents"] = {
             "pair": list(s.pair),
@@ -616,9 +641,10 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
             report = fn(sol, basis, s.generator_index, grid)
         except ValueError as e:
             _annotate(e, "evaluating the continuity residual")
+        # The residual table is real: its imaginary column is exactly 0.
         bundle.tables["residuals"] = (
             ["x", "re_residual", "im_residual"],
-            np.column_stack([grid, report.residual.real, report.residual.imag]),
+            [grid, report.residual, np.broadcast_to(0.0, len(grid))],
         )
         summary["residuals"] = {
             "generator_index": s.generator_index,
@@ -661,10 +687,10 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
             )
         # Columns are the keys of the sampled items; `passed` becomes 0.0/1.0.
         header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
-        rows = [[it[k] for k in header] for it in items if it["sampled"]]
+        sampled = [it for it in items if it["sampled"]]
         bundle.tables["domains"] = (
             header,
-            np.array(rows, dtype=float).reshape(len(rows), len(header)),
+            [np.array([it[k] for it in sampled], dtype=float) for k in header],
         )
         summary["domains"] = {
             "count": len(items),
@@ -766,7 +792,7 @@ def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
     header = ["x"] + [f"{part}_u{c}" for c in range(1, n_comp + 1) for part in ("re", "im")]
     bundle = ReportBundle(scenario=s, grid=grid)
     # The float view of the contiguous complex samples interleaves re, im.
-    bundle.tables["solution"] = (header, np.column_stack([grid, samples.view(float)]))
+    bundle.tables["solution"] = (header, [grid, *samples.view(float).T])
     bundle.summary = _summary_head(s, grid)
     bundle.summary["components"] = n_comp
     bundle.summary["passed"] = True
@@ -840,7 +866,7 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     verdict = order_verdict(actual, norms, floors)
     ok = verdict["passed"]
     bundle = ReportBundle(scenario=s, grid=s.grid_array())
-    bundle.tables["scan"] = (["h", "rms"], np.column_stack([actual, norms]))
+    bundle.tables["scan"] = (["h", "rms"], [np.array(actual), np.array(norms)])
     bundle.summary = _summary_head(s)
     bundle.summary["generator_index"] = s.generator_index
     bundle.summary["scan"] = {
@@ -899,13 +925,22 @@ def _atomic_write(files) -> None:
         raise
 
 
-def _csv_chunks(header, rows):
-    """The CSV bytes of one table: the header line, then blocks of rows."""
-    yield (",".join(header) + "\n").encode("utf-8")
-    n_rows, n_cols = rows.shape
-    step = max(1, _BLOCK_CELLS // n_cols)
-    for lo in range(0, n_rows, step):
-        yield csv_block(rows[lo:lo + step])
+def _csv_chunks(header, columns):
+    """The CSV bytes of one table: the header line, then blocks of rows, each
+    stacked from its slices of the columns.  A table whose columns do not
+    match its names or differ in length raises before any byte is made."""
+    lengths = {len(c) for c in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(
+            f"a table needs one column per name ({len(header)}) of one length, "
+            f"got {len(columns)} columns of lengths {sorted(lengths)}"
+        )
+    step = max(1, _BLOCK_CELLS // len(columns))
+    blocks = (
+        csv_block(np.column_stack([c[lo:lo + step] for c in columns]))
+        for lo in range(0, len(columns[0]), step)
+    )
+    return itertools.chain([(",".join(header) + "\n").encode("utf-8")], blocks)
 
 
 def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
@@ -915,8 +950,8 @@ def write_reports(bundle: ReportBundle, out_dir) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     files = [
-        (os.path.join(out_dir, f"{name}.csv"), _csv_chunks(header, rows))
-        for name, (header, rows) in bundle.tables.items()
+        (os.path.join(out_dir, f"{name}.csv"), _csv_chunks(header, columns))
+        for name, (header, columns) in bundle.tables.items()
     ]
     payload = json.dumps(bundle.summary, indent=2, sort_keys=True) + "\n"
     files.append((os.path.join(out_dir, "summary.json"), [payload.encode("utf-8")]))

@@ -211,6 +211,21 @@ class TestExitContract:
             assert code == 2, argv
             assert err, argv
 
+    def test_coupling_at_unequal_energies_names_its_cause(self, tmp_path, capsys):
+        doc = json.loads((Path(gcelab.__file__).parent / "scenarios" / "unequal.json").read_text())
+        doc["profile"]["segments"][0]["v"] = [[0.2, 0.2], [0.2, 0.5]]
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            ["run", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: solving the scenario systems: profile.segments[0] couples "
+            "systems 1 and 2 at energies 1.5 and 1.1; a coupled profile needs one "
+            "energy and one boundary kind for all systems\n"
+        )
+
     def test_malformed_scenario_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": "dirac"\n')

@@ -628,13 +628,25 @@ class TestBlockedSampling:
 
     def test_coupled_stack_currents_and_tables_match_whole_grid(self, monkeypatch):
         sol = coupled_stack(3, "dirac", 4)
-        for n in (97, 113):  # 113 = 7 x 16 + 1: a last block of one sample joins
+        for n in (97, 113):  # 113 = 7 x 16 + 1: a last block of one sample
             grid = np.linspace(-4.4, 4.4, n)
             current, table = lone_steps(sol, grid)
             assert current and table
             self.check_blocks(
                 monkeypatch, sol, build_basis(4), grid, [16, 31, *current], [16, 31, *table]
             )
+
+    def test_one_point_currents_are_grid_samples(self):
+        # N = 4: one sample's products with its kernels would take numpy's
+        # matrix-vector path, which rounds differently from a block's GEMM.
+        sol = coupled_stack(3, "dirac", 4)
+        basis = build_basis(4)
+        grid = np.linspace(-4.4, 4.4, 113)
+        for index in [(1, 2), (3, 1), *range(1, basis.dim + 1)]:
+            full = dirac_current(sol, basis, index, grid)
+            for k, x in enumerate(grid):
+                one = dirac_current(sol, basis, index, [x])
+                assert_same_bits([one.j1, one.j0], [full.j1[k:k + 1], full.j0[k:k + 1]])
 
     def test_joined_solution_on_seven_points(self):
         # globalpair's joint right tail holds one sample of this grid.

@@ -84,10 +84,10 @@ def tricky_cells(rng) -> dict:
     }
 
 
-def reference_csv(header, rows) -> bytes:
+def reference_csv(header, columns) -> bytes:
     """The per-cell writer that the block format replaced: the test oracle."""
     lines = [",".join(header)]
-    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -413,8 +413,8 @@ class TestRunScenario:
 
     def test_grid_override_changes_row_count(self):
         b = run_scenario(load_builtin("free2"), n_points=501)
-        header, rows = b.tables["currents"]
-        assert len(rows) == 501 and b.summary["grid"]["n_points"] == 501
+        header, columns = b.tables["currents"]
+        assert len(columns[0]) == 501 and b.summary["grid"]["n_points"] == 501
 
     def test_verdict_failure_still_produces_summary(self):
         s = load_builtin("fig1a")
@@ -470,16 +470,16 @@ class TestRunScenario:
             for c in range(samples.shape[1]):
                 row += [samples[k, c].real, samples[k, c].imag]
             expected.append(row)
-        header, rows = solution_bundle(s, n_points=201).tables["solution"]
+        header, columns = solution_bundle(s, n_points=201).tables["solution"]
         assert header == expected_header
-        assert rows.dtype == np.float64
-        assert np.array_equal(rows, np.array(expected))
+        assert all(c.dtype == np.float64 for c in columns)
+        assert np.array_equal(np.column_stack(columns), np.array(expected))
 
     def test_solution_bundle_shape(self):
         b = solution_bundle(load_builtin("fig1a"), n_points=201)
-        header, rows = b.tables["solution"]
+        header, columns = b.tables["solution"]
         assert header[0] == "x" and len(header) == 1 + 2 * 4
-        assert len(rows) == 201
+        assert len(columns[0]) == 201
         assert b.summary["components"] == 4
 
 
@@ -499,8 +499,8 @@ class TestReports:
         paths = write_reports(b, str(tmp_path))
         path = [p for p in paths if p.endswith("currents.csv")][0]
         lines = open(path).read().rstrip("\n").split("\n")[1:]
-        _, rows = b.tables["currents"]
-        for ln, row in zip(lines, rows, strict=True):
+        _, columns = b.tables["currents"]
+        for ln, row in zip(lines, zip(*columns), strict=True):
             cells = [float(c) for c in ln.split(",")]
             # 17 significant digits make the double round trip bit exact.
             assert cells == [float(v) for v in row]
@@ -541,14 +541,14 @@ class TestReports:
             ]
         )
         bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
-        bundle.tables["cells"] = (["a", "b", "flag", "d"], cells)
-        bundle.tables["empty"] = (["x", "y"], np.empty((0, 2)))
+        bundle.tables["cells"] = (["a", "b", "flag", "d"], list(cells.T))
+        bundle.tables["empty"] = (["x", "y"], [np.empty(0), np.empty(0)])
         for name, rows in tricky_cells(np.random.default_rng(2025)).items():
-            bundle.tables[name] = ([f"c{k}" for k in range(rows.shape[1])], rows)
+            bundle.tables[name] = ([f"c{k}" for k in range(rows.shape[1])], list(rows.T))
         got = written_tables(bundle, tmp_path)
         assert set(got) == set(bundle.tables)
-        for table, (header, rows) in bundle.tables.items():
-            assert got[table] == reference_csv(header, rows), table
+        for table, (header, columns) in bundle.tables.items():
+            assert got[table] == reference_csv(header, columns), table
         assert got["cells"].split(b"\n")[1] == b"-0,0,1,0"
         assert got["empty"] == b"x,y\n"
 
@@ -580,9 +580,10 @@ class TestReports:
         ):
             got = written_tables(bundle, tmp_path / str(i))
             assert set(got) == set(bundle.tables)
-            for table, (header, rows) in bundle.tables.items():
-                assert rows.dtype == np.float64 and rows.ndim == 2
-                assert got[table] == reference_csv(header, rows), table
+            for table, (header, columns) in bundle.tables.items():
+                assert len(columns) == len(header)
+                assert all(c.dtype == np.float64 and c.ndim == 1 for c in columns)
+                assert got[table] == reference_csv(header, columns), table
 
     def test_version_has_one_source(self):
         tomllib = pytest.importorskip("tomllib")
@@ -606,14 +607,14 @@ class TestReports:
         header = ["a", "b", "c", "d", "e"]
         per_block = _BLOCK_CELLS // len(header)
         good = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
-        good.tables["cells"] = (header, np.ones((2 * per_block + 1, len(header))))
+        good.tables["cells"] = (header, [np.ones(2 * per_block + 1)] * len(header))
         before = file_digests(write_reports(good, str(tmp_path)))
         # A cell that cannot be formatted in the second block fails the write
         # after the first block has reached the .tmp file.
         rows = np.ones((2 * per_block + 1, len(header)), dtype=object)
         rows[per_block + 1, 2] = "not a number"
         bad = ReportBundle(scenario=good.scenario, grid=good.grid)
-        bad.tables["cells"] = (header, rows)
+        bad.tables["cells"] = (header, list(rows.T))
         with pytest.raises(TypeError):
             write_reports(bad, str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.csv", "summary.json"]
@@ -646,25 +647,26 @@ class TestReports:
             edges = [i for i in range(n_rows) if i % per_block in (0, per_block - 1)]
             for k, i in enumerate(edges + [n_rows - 1] if n_rows else []):
                 rows[i] = np.roll(SPECIAL_CELLS, k)[:n_cols]
-            bundle.tables[f"rows{n_rows}"] = (header, rows)
-            assert len(list(_csv_chunks(header, rows))) == 1 + -(-n_rows // per_block)
+            bundle.tables[f"rows{n_rows}"] = (header, list(rows.T))
+            assert len(list(_csv_chunks(header, list(rows.T)))) == 1 + -(-n_rows // per_block)
         got = written_tables(bundle, tmp_path)
-        for table, (header, rows) in bundle.tables.items():
-            assert got[table] == reference_csv(header, rows), table
+        for table, (header, columns) in bundle.tables.items():
+            assert got[table] == reference_csv(header, columns), table
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_fine_grid_tables_match_per_cell_writer(self, name, tmp_path):
         bundle = run_scenario(load_builtin(name), n_points=40001)
-        assert max(rows.size for _, rows in bundle.tables.values()) > 20 * _BLOCK_CELLS
+        cells = [sum(map(len, columns)) for _, columns in bundle.tables.values()]
+        assert max(cells) > 20 * _BLOCK_CELLS
         got = written_tables(bundle, tmp_path)
-        for table, (header, rows) in bundle.tables.items():
-            assert got[table] == reference_csv(header, rows), table
+        for table, (header, columns) in bundle.tables.items():
+            assert got[table] == reference_csv(header, columns), table
 
     @pytest.mark.parametrize("shape", [(10001, 5), (100001, 9)])
     def test_write_memory_does_not_grow_with_the_table(self, shape, tmp_path):
         bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
         rows = np.random.default_rng(0).standard_normal(shape)
-        bundle.tables["cells"] = ([f"c{k}" for k in range(shape[1])], rows)
+        bundle.tables["cells"] = ([f"c{k}" for k in range(shape[1])], list(rows.T))
         tracemalloc.start()
         try:
             write_reports(bundle, str(tmp_path))
@@ -677,9 +679,9 @@ class TestReports:
 
 
 def test_fine_grid_run_holds_its_tables_and_one_block():
-    """A 40001-point fig1a run holds its output tables (about 152 bytes per
-    point) plus one block of samples; sampling the whole grid for its
-    currents and residuals held about 197 bytes per point (8.65 MiB)."""
+    """A 40001-point fig1a run holds the engine's results its tables refer
+    to plus one block of samples; sampling the whole grid for its currents
+    and residuals held about 197 bytes per point (8.65 MiB)."""
     s = load_builtin("fig1a")
     run_scenario(s, n_points=101)  # lazy imports and table builds
     tracemalloc.start()
@@ -691,14 +693,91 @@ def test_fine_grid_run_holds_its_tables_and_one_block():
     assert peak < 7.5 * 2**20
 
 
+def traced_report_peak(make, name: str, n_points: int, out_dir) -> int:
+    """tracemalloc peak of building a builtin's bundle and writing it."""
+    s = load_builtin(name)
+    tracemalloc.start()
+    try:
+        write_reports(make(s, n_points=n_points), str(out_dir))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make, name", [(run_scenario, "fig1a"), (solution_bundle, "fig2")])
+def test_report_memory_per_point(make, name, tmp_path):
+    """A report grows only with the engine's arrays, which its tables refer
+    to.  Stacked copies of every table grew by 145 (fig1a run) and 141
+    (fig2 solve) bytes per point; the engine's arrays take about 88 and 86."""
+    write_reports(make(load_builtin(name), n_points=101), str(tmp_path))  # lazy tables
+    small, large = (traced_report_peak(make, name, n, tmp_path) for n in (20001, 60001))
+    assert (large - small) / 40000 <= 110
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory a view reads."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestTableColumns:
+    def test_columns_refer_to_the_engine_arrays(self):
+        s = load_builtin("fig1a")
+        b = run_scenario(s, n_points=501)
+        x, re_j1, im_j1, re_j0, im_j0 = b.tables["currents"][1]
+        assert x is b.grid
+        # The four current columns are views of one complex (2, n) result.
+        assert all(owner(c) is owner(re_j1) for c in (im_j1, re_j0, im_j0))
+        x, re_res, im_res = b.tables["residuals"][1]
+        assert x is b.grid and not re_res.flags.writeable
+        assert im_res.strides == (0,) and not im_res.any()
+        x, *parts = solution_bundle(s, n_points=501).tables["solution"][1]
+        assert all(owner(c) is owner(parts[0]) for c in parts)
+
+    @pytest.mark.parametrize(
+        "columns", [[np.zeros(3), np.zeros(4)], [np.zeros(3)], [np.zeros(3)] * 3]
+    )
+    def test_mismatched_columns_raise_before_any_write(self, columns, tmp_path):
+        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle.tables["cells"] = (["a", "b"], columns)
+        with pytest.raises(ValueError, match="one column per name"):
+            write_reports(bundle, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCoupledStacksSolvedApart:
+    def unequal_doc(self) -> dict:
+        return json.loads((Path(gcelab.__file__).parent / "scenarios" / "unequal.json").read_text())
+
+    def test_a_coupling_delta_is_named(self):
+        doc = self.unequal_doc()
+        doc["profile"]["deltas"] = [{"x0": -0.4, "strength": [[0.3, 0.1], [0.1, 0.3]]}]
+        with pytest.raises(ValueError, match=(
+            r"profile\.deltas\[0\] couples systems 1 and 2 at energies 1\.5 and 1\.1"
+        )):
+            run_scenario(scenario_from_dict(doc))
+
+    def test_equal_energies_with_mixed_boundaries_are_named(self):
+        doc = self.unequal_doc()
+        doc["profile"]["segments"][0]["v"] = [[0.2, 0.2], [0.2, 0.5]]
+        doc["energies"] = [1.5, 1.5]
+        doc["boundaries"][1] = {"kind": "initial", "value": [1.0, 0.0]}
+        with pytest.raises(ValueError, match=(
+            r"profile\.segments\[0\] couples systems 1 and 2 at energies 1\.5 and 1\.5; "
+            r"a coupled profile needs one energy and one boundary kind"
+        )):
+            run_scenario(scenario_from_dict(doc))
+
+
 class TestScan:
     def test_unequal_scan_detects_second_order(self):
         b = scan_scenario(load_builtin("unequal"), [1e-2, 5e-3, 2.5e-3])
         assert b.passed
         assert b.summary["scan"]["mean_order"] == pytest.approx(2.0, abs=0.2)
-        header, rows = b.tables["scan"]
+        header, columns = b.tables["scan"]
         assert header == ["h", "rms"]
-        assert len(rows) == 3
+        assert len(columns[0]) == 3
 
     def test_scan_summary_reports_rounding_floors(self):
         scan = scan_scenario(load_builtin("unequal"), [1e-2, 5e-3]).summary["scan"]
