@@ -3,13 +3,14 @@
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
 constancy or convergence order), 2 on usage or input errors and on errors
 writing the outputs.  Verdict failures still write the full summary so
-results can be inspected.
+results can be inspected, and print one line per failing check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -36,6 +37,23 @@ EXIT_USAGE = 2
 _DEFAULT_TOL = 1e-8
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a tolerance must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_spacings(text: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -45,8 +63,8 @@ def _parse_spacings(text: str) -> list[float]:
         ) from None
     if len(vals) < 2:
         raise argparse.ArgumentTypeError("need at least two spacings, e.g. 1e-2,5e-3")
-    if any(h <= 0 for h in vals):
-        raise argparse.ArgumentTypeError("grid spacings must be positive")
+    if not all(0 < h < math.inf for h in vals):
+        raise argparse.ArgumentTypeError("grid spacings must be positive and finite")
     return vals
 
 
@@ -71,7 +89,7 @@ def _add_scenario_options(p: argparse.ArgumentParser, *, grid: bool = True,
             help="comma-separated grid spacings to scan, e.g. 1e-2,5e-3,2.5e-3",
         )
     p.add_argument(
-        "--lambda", dest="lam", type=float, metavar="X",
+        "--lambda", dest="lam", type=_finite, metavar="X",
         help="override the first delta-barrier strength (system 1 entry)",
     )
     p.add_argument(
@@ -80,7 +98,7 @@ def _add_scenario_options(p: argparse.ArgumentParser, *, grid: bool = True,
     )
     if tol:
         p.add_argument(
-            "--tol", type=float, default=_DEFAULT_TOL, metavar="X",
+            "--tol", type=_tolerance, default=_DEFAULT_TOL, metavar="X",
             help="relative tolerance for constancy verdicts (default 1e-8)",
         )
 
@@ -165,12 +183,27 @@ def _out_dir(args) -> str:
 def _emit(bundle, args) -> int:
     for path in write_reports(bundle, _out_dir(args)):
         print(f"wrote {path}")
+    for c in bundle.checks:
+        if not c["passed"]:
+            print(
+                f"failed check: {c['name']} value={_show(c['value'])} "
+                f"tol={_show(c['tol'])} where={_show(c['where'])}"
+            )
     print(f"verdict: {'pass' if bundle.passed else 'fail'}")
     return EXIT_OK if bundle.passed else EXIT_VERDICT
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _show(value) -> str:
+    """A check field: a number, a list of numbers or none."""
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+    return _fmt(value)
 
 
 def _fmt_entry(z: complex) -> str:

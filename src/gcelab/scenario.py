@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -56,7 +58,6 @@ from .sun import build_basis
 # The package version; gcelab/__init__.py re-exports it.
 __version__ = "0.1.0"
 
-OUTPUT_KINDS = ("currents", "residuals", "domains", "charge_relation", "delta_relation")
 _CHARGE_TOL = 1e-6
 _SCAN_ORDER_TOL = 0.2
 
@@ -142,9 +143,15 @@ def _fail(key: str, why: str):
     raise ScenarioFormatError(f"{key}: {why}")
 
 
+def _is_real(value) -> bool:
+    """A finite double: not a bool, NaN, an infinity or an int beyond range."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(key, f"expected a real number, got {value!r}")
+    if not _is_real(value):
+        _fail(key, f"expected a finite real number, got {value!r}")
     return float(value)
 
 
@@ -155,15 +162,11 @@ def _as_int(value, key: str) -> int:
 
 
 def _as_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(p) for p in value):
         return complex(value[0], value[1])
-    _fail(key, f"expected a real or an [re, im] pair, got {value!r}")
+    _fail(key, f"expected a finite real or an [re, im] pair, got {value!r}")
 
 
 def _as_matrix(value, n: int, key: str) -> tuple:
@@ -487,13 +490,36 @@ class ReportBundle:
     view of an array the engine already holds (the grid, a current, a row of
     the residual table), so a table costs no copy of its samples.  Flag
     columns hold 0.0/1.0.
+
+    ``checks`` lists the run's verdicts as ``_check`` records; the read-only
+    ``passed`` is true when all of them passed (so with none), and the
+    summary carries both under the same keys.
     """
 
     scenario: Scenario
     grid: np.ndarray
     tables: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-    passed: bool = True
+    checks: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+
+def _check(name: str, value, tol: float, where=None, passed=None) -> dict:
+    """One verdict of ``value`` against ``tol`` at ``where``, an interval or a
+    point; passed when ``value <= tol`` unless ``passed`` is given."""
+    if passed is None:
+        passed = bool(value <= tol)
+    return {"name": name, "value": value, "tol": tol, "passed": passed, "where": where}
+
+
+def _finish(bundle: ReportBundle) -> ReportBundle:
+    """Record the bundle's checks and its verdict in its summary."""
+    bundle.summary["checks"] = bundle.checks
+    bundle.summary["passed"] = bundle.passed
+    return bundle
 
 
 def _annotate(e: ValueError, what: str):
@@ -602,201 +628,178 @@ def _summary_head(s: Scenario, grid=None) -> dict:
     return head
 
 
+def _currents(s, sol, grid, tol, current):
+    j, transformed = current()
+    columns = [grid, j.j1.real, j.j1.imag, j.j0.real, j.j0.imag]
+    block = {"pair": list(s.pair), "transformed": transformed}
+    return (["x", "re_j1", "im_j1", "re_j0", "im_j0"], columns), block, []
+
+
+def _residuals(s, sol, grid, tol, current):
+    if s.n_systems < 2:
+        raise ScenarioFormatError("residuals need at least two systems")
+    fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
+    try:
+        report = fn(sol, build_basis(s.n_systems), s.generator_index, grid)
+    except ValueError as e:
+        _annotate(e, "evaluating the continuity residual")
+    # The residual table is real: its imaginary column is exactly 0.
+    columns = [grid, report.residual, np.broadcast_to(0.0, len(grid))]
+    block = {
+        "generator_index": s.generator_index,
+        "rms": report.residual_rms,
+        "max": report.residual_max,
+    }
+    return (["x", "re_residual", "im_residual"], columns), block, []
+
+
+def _domains(s, sol, grid, tol, current):
+    i, j = s.pair
+    # A pair at unequal energies keeps the time term i(E_i - E_j) psi_i^dag psi_j
+    # of its continuity law: its current is conserved nowhere.
+    same = sol.energies[i - 1] == sol.energies[j - 1]
+    domains = detect_domains(sol.profile, s.pair, _transform_spec(s)) if same else []
+    j1 = current()[0].j1
+    snap = 1e-9 * max(1.0, float(np.abs(grid).max()))
+    items, checks = [], []
+    covered = np.zeros(len(grid), dtype=bool)
+    for dom in domains:
+        covered |= (grid >= dom.x_lo - snap) & (grid <= dom.x_hi + snap)
+        items.append({"x_lo": dom.x_lo, "x_hi": dom.x_hi, "sampled": False})
+        if not ((grid > dom.x_lo + snap) & (grid < dom.x_hi - snap)).any():
+            continue  # detected but off-grid: listed without stats, not judged
+        mean, max_dev, rel = interval_stats(grid, j1, dom.x_lo, dom.x_hi)
+        checks.append(_check("domain_constancy", rel, tol, where=[dom.x_lo, dom.x_hi]))
+        items[-1].update(
+            sampled=True, re_mean=mean.real, im_mean=mean.imag, max_dev=max_dev,
+            rel_dev=rel, passed=checks[-1]["passed"],
+        )
+    # Columns are the keys of the sampled items; `passed` becomes 0.0/1.0.
+    header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
+    sampled = [it for it in items if it["sampled"]]
+    table = (header, [np.array([it[k] for it in sampled], dtype=float) for k in header])
+    all_passed = all(c["passed"] for c in checks)
+    block = {"count": len(items), "tol": tol, "all_passed": all_passed, "items": items}
+    # Locality guard: the current should actually vary off the domains.
+    # Informational only; the verdict tracks domain constancy.
+    if not covered.all():
+        off = j1[~covered]
+        off_mean = complex(off.mean())
+        off_dev = float(np.abs(off - off_mean).max())
+        block["outside"] = {
+            "n_points": int((~covered).sum()),
+            "rel_variation": off_dev / max(abs(off_mean), 1e-30),
+            "guard": 0.1,
+        }
+    return table, block, checks
+
+
+def _charge_relation(s, sol, grid, tol, current):
+    if s.charge_interval is None:
+        _fail("charge_interval", "required for the charge_relation output")
+    x1, x2 = s.charge_interval
+    try:
+        rel = charge_current_relation(sol, s.pair, x1, x2, n_points=s.quadrature_points)
+    except ValueError as e:
+        _annotate(e, "evaluating the charge-current relation")
+    check = _check("charge_relation", rel.discrepancy, _CHARGE_TOL, where=[x1, x2])
+    block = {
+        "x1": x1, "x2": x2,
+        "quadrature_points": s.quadrature_points,
+        "re_q": rel.q.real, "im_q": rel.q.imag,
+        "re_boundary": rel.boundary_value.real, "im_boundary": rel.boundary_value.imag,
+        "discrepancy": rel.discrepancy,
+        "tol": _CHARGE_TOL,
+        "passed": check["passed"],
+    }
+    return None, block, [check]
+
+
+def _delta_relation(s, sol, grid, tol, current):
+    if s.model != "dirac":
+        _fail("requested_outputs", "delta_relation needs the dirac model")
+    deltas = sol.profile.deltas
+    if not len(deltas):
+        _fail("profile.deltas", "delta_relation needs a delta barrier")
+    i = s.pair[0]
+    barrier = next((d for d in deltas if d.strength[i - 1, i - 1] != 0.0), deltas[0])
+    x0 = float(barrier.x0)
+    conv = get_convention(s.convention or "default")
+    junction = delta_junction(np.array([[barrier.strength[i - 1, i - 1]]]), conv)
+    try:
+        rel = delta_domain_relation(sol, s.pair, junction, conv, x0=x0, spec=_transform_spec(s))
+    except ValueError as e:
+        _annotate(e, "evaluating the delta-domain relation")
+    checks = [
+        _check(f"delta_relation.{key}", getattr(rel, key), tol, where=x0)
+        for key in ("deviation", "rel_dev_minus", "rel_dev_plus")
+    ]
+    block = {
+        "x0": x0,
+        "re_c_minus": rel.c_minus.real, "im_c_minus": rel.c_minus.imag,
+        "re_c_plus": rel.c_plus.real, "im_c_plus": rel.c_plus.imag,
+        "re_predicted_c_plus": rel.predicted_c_plus.real,
+        "im_predicted_c_plus": rel.predicted_c_plus.imag,
+        "deviation": rel.deviation,
+        "rel_dev_minus": rel.rel_dev_minus,
+        "rel_dev_plus": rel.rel_dev_plus,
+        "tol": tol,
+        "passed": all(c["passed"] for c in checks),
+    }
+    return None, block, checks
+
+
+# One function per output kind, in canonical order.  Each takes (scenario,
+# solution, grid, tol, current), current() being the run's one pair current,
+# and returns (table or None, summary block, checks).
+OUTPUTS = {
+    "currents": _currents,
+    "residuals": _residuals,
+    "domains": _domains,
+    "charge_relation": _charge_relation,
+    "delta_relation": _delta_relation,
+}
+OUTPUT_KINDS = tuple(OUTPUTS)
+
+
 def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None) -> ReportBundle:
     """Execute a scenario and collect the requested outputs in canonical order."""
     wanted = tuple(outputs) if outputs is not None else s.requested_outputs
     for o in wanted:
-        if o not in OUTPUT_KINDS:
+        if o not in OUTPUTS:
             _fail("requested_outputs", f"unknown output {o!r}")
     sol = _solve_stack(s)
     grid = s.grid_array(n_points)
-    basis = build_basis(s.n_systems) if s.n_systems >= 2 else None
-    bundle = ReportBundle(scenario=s, grid=grid)
-    summary = _summary_head(s, grid)
+    current = functools.cache(lambda: _pair_current(s, sol, grid))
+    bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
+    summary = bundle.summary
     summary["convention"] = (s.convention or "default") if s.model == "dirac" else None
     summary["mass"] = (
         (s.mass if s.mass is not None else 1.0) if s.model == "schrodinger" else None
     )
     summary["outputs"] = [o for o in OUTPUT_KINDS if o in wanted]
-    verdicts = []
-
-    current = None
-    if "currents" in wanted or "domains" in wanted:
-        current, transformed = _pair_current(s, sol, grid)
-    if "currents" in wanted:
-        bundle.tables["currents"] = (
-            ["x", "re_j1", "im_j1", "re_j0", "im_j0"],
-            [grid, current.j1.real, current.j1.imag, current.j0.real, current.j0.imag],
-        )
-        summary["currents"] = {
-            "pair": list(s.pair),
-            "transformed": transformed,
-        }
-
-    if "residuals" in wanted:
-        if basis is None:
-            raise ScenarioFormatError("residuals need at least two systems")
-        fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
-        try:
-            report = fn(sol, basis, s.generator_index, grid)
-        except ValueError as e:
-            _annotate(e, "evaluating the continuity residual")
-        # The residual table is real: its imaginary column is exactly 0.
-        bundle.tables["residuals"] = (
-            ["x", "re_residual", "im_residual"],
-            [grid, report.residual, np.broadcast_to(0.0, len(grid))],
-        )
-        summary["residuals"] = {
-            "generator_index": s.generator_index,
-            "rms": report.residual_rms,
-            "max": report.residual_max,
-        }
-
-    if "domains" in wanted:
-        i, j = s.pair
-        # A pair at unequal energies keeps the time term i(E_i - E_j)
-        # psi_i^dag psi_j of its continuity law: its current is conserved
-        # nowhere.
-        same = sol.energies[i - 1] == sol.energies[j - 1]
-        domains = detect_domains(sol.profile, s.pair, _transform_spec(s)) if same else []
-        snap = 1e-9 * max(1.0, float(np.abs(grid).max()))
-        items = []
-        all_ok = True
-        covered = np.zeros(len(grid), dtype=bool)
-        for dom in domains:
-            covered |= (grid >= dom.x_lo - snap) & (grid <= dom.x_hi + snap)
-            inside = (grid > dom.x_lo + snap) & (grid < dom.x_hi - snap)
-            if not inside.any():
-                # Detected but off-grid; listed without stats, not judged.
-                items.append({"x_lo": dom.x_lo, "x_hi": dom.x_hi, "sampled": False})
-                continue
-            mean, max_dev, rel = interval_stats(grid, current.j1, dom.x_lo, dom.x_hi)
-            ok = rel <= tol
-            all_ok = all_ok and ok
-            items.append(
-                {
-                    "x_lo": dom.x_lo,
-                    "x_hi": dom.x_hi,
-                    "sampled": True,
-                    "re_mean": mean.real,
-                    "im_mean": mean.imag,
-                    "max_dev": max_dev,
-                    "rel_dev": rel,
-                    "passed": ok,
-                }
-            )
-        # Columns are the keys of the sampled items; `passed` becomes 0.0/1.0.
-        header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
-        sampled = [it for it in items if it["sampled"]]
-        bundle.tables["domains"] = (
-            header,
-            [np.array([it[k] for it in sampled], dtype=float) for k in header],
-        )
-        summary["domains"] = {
-            "count": len(items),
-            "tol": tol,
-            "all_passed": all_ok,
-            "items": items,
-        }
-        # Locality guard: the current should actually vary off the domains.
-        # Informational only; the verdict tracks domain constancy.
-        if not covered.all():
-            off = current.j1[~covered]
-            off_mean = complex(off.mean())
-            off_dev = float(np.abs(off - off_mean).max())
-            summary["domains"]["outside"] = {
-                "n_points": int((~covered).sum()),
-                "rel_variation": off_dev / max(abs(off_mean), 1e-30),
-                "guard": 0.1,
-            }
-        verdicts.append(all_ok)
-
-    if "charge_relation" in wanted:
-        if s.charge_interval is None:
-            _fail("charge_interval", "required for the charge_relation output")
-        try:
-            rel = charge_current_relation(
-                sol, s.pair, *s.charge_interval, n_points=s.quadrature_points
-            )
-        except ValueError as e:
-            _annotate(e, "evaluating the charge-current relation")
-        ok = rel.discrepancy <= _CHARGE_TOL
-        summary["charge_relation"] = {
-            "x1": s.charge_interval[0],
-            "x2": s.charge_interval[1],
-            "quadrature_points": s.quadrature_points,
-            "re_q": rel.q.real,
-            "im_q": rel.q.imag,
-            "re_boundary": rel.boundary_value.real,
-            "im_boundary": rel.boundary_value.imag,
-            "discrepancy": rel.discrepancy,
-            "tol": _CHARGE_TOL,
-            "passed": ok,
-        }
-        verdicts.append(ok)
-
-    if "delta_relation" in wanted:
-        if s.model != "dirac":
-            _fail("requested_outputs", "delta_relation needs the dirac model")
-        profile = sol.profile
-        if not len(profile.deltas):
-            _fail("profile.deltas", "delta_relation needs a delta barrier")
-        i = s.pair[0]
-        barrier = next(
-            (d for d in profile.deltas if d.strength[i - 1, i - 1] != 0.0),
-            profile.deltas[0],
-        )
-        conv = get_convention(s.convention or "default")
-        junction = delta_junction(
-            np.array([[barrier.strength[i - 1, i - 1]]]), conv
-        )
-        spec = _transform_spec(s)
-        try:
-            rel = delta_domain_relation(
-                sol, s.pair, junction, conv, x0=float(barrier.x0), spec=spec
-            )
-        except ValueError as e:
-            _annotate(e, "evaluating the delta-domain relation")
-        ok = (
-            rel.deviation <= tol
-            and rel.rel_dev_minus <= tol
-            and rel.rel_dev_plus <= tol
-        )
-        summary["delta_relation"] = {
-            "x0": float(barrier.x0),
-            "re_c_minus": rel.c_minus.real,
-            "im_c_minus": rel.c_minus.imag,
-            "re_c_plus": rel.c_plus.real,
-            "im_c_plus": rel.c_plus.imag,
-            "re_predicted_c_plus": rel.predicted_c_plus.real,
-            "im_predicted_c_plus": rel.predicted_c_plus.imag,
-            "deviation": rel.deviation,
-            "rel_dev_minus": rel.rel_dev_minus,
-            "rel_dev_plus": rel.rel_dev_plus,
-            "tol": tol,
-            "passed": ok,
-        }
-        verdicts.append(ok)
-
-    bundle.passed = all(verdicts) if verdicts else True
-    summary["passed"] = bundle.passed
-    bundle.summary = summary
-    return bundle
+    for kind in summary["outputs"]:
+        table, summary[kind], checks = OUTPUTS[kind](s, sol, grid, tol, current)
+        if table is not None:
+            bundle.tables[kind] = table
+        bundle.checks += checks
+    return _finish(bundle)
 
 
 def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
     """Solver stage only: sampled state components on the scenario grid."""
     grid = s.grid_array(n_points)
-    samples = _solve_stack(s).evaluate(grid)
-    n_comp = samples.shape[1]
-    header = ["x"] + [f"{part}_u{c}" for c in range(1, n_comp + 1) for part in ("re", "im")]
-    bundle = ReportBundle(scenario=s, grid=grid)
+    sol = _solve_stack(s)
+    # Sampled one block at a time, so the solver's work does not span the grid.
+    samples = np.empty((len(grid), sol.dim), dtype=complex)
+    for lo, hi in engine._spans(len(grid), sol.dim):
+        samples[lo:hi] = sol.evaluate(grid[lo:hi])
+    header = ["x"] + [f"{part}_u{c}" for c in range(1, sol.dim + 1) for part in ("re", "im")]
+    bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
     # The float view of the contiguous complex samples interleaves re, im.
     bundle.tables["solution"] = (header, [grid, *samples.view(float).T])
-    bundle.summary = _summary_head(s, grid)
-    bundle.summary["components"] = n_comp
-    bundle.summary["passed"] = True
-    return bundle
+    bundle.summary["components"] = sol.dim
+    return _finish(bundle)
 
 
 # A residual RMS within this many rounding floors is rounding, not stencil
@@ -849,9 +852,7 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     basis = build_basis(s.n_systems)
     fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
     span = s.grid.x_max - s.grid.x_min
-    norms = []
-    floors = []
-    actual = []
+    norms, floors, actual = [], [], []
     for h in spacings:
         n = max(3, int(round(span / h)) + 1)
         grid = s.grid_array(n)
@@ -859,30 +860,28 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
             report = fn(sol, basis, s.generator_index, grid)
         except ValueError as e:
             _annotate(e, f"evaluating the residual at spacing {h}")
-        h_eff = float(grid[1] - grid[0])
-        actual.append(h_eff)
+        actual.append(float(grid[1] - grid[0]))
         norms.append(report.residual_rms)
         floors.append(report.floor)
     verdict = order_verdict(actual, norms, floors)
-    ok = verdict["passed"]
-    bundle = ReportBundle(scenario=s, grid=s.grid_array())
+    mean = verdict["mean_order"]
+    value = None if mean is None else abs(mean - 2.0)
+    check = _check("scan_order", value, _SCAN_ORDER_TOL, passed=verdict["passed"])
+    bundle = ReportBundle(s, s.grid_array(), summary=_summary_head(s), checks=[check])
     bundle.tables["scan"] = (["h", "rms"], [np.array(actual), np.array(norms)])
-    bundle.summary = _summary_head(s)
     bundle.summary["generator_index"] = s.generator_index
     bundle.summary["scan"] = {
         "spacings": actual,
         "rms": norms,
         "orders": verdict["orders"],
-        "mean_order": verdict["mean_order"],
+        "mean_order": mean,
         "order_tol": _SCAN_ORDER_TOL,
         "floors": floors,
         "floor_factor": ROUNDING_FACTOR,
         "at_rounding": verdict["at_rounding"],
-        "passed": ok,
+        "passed": check["passed"],
     }
-    bundle.summary["passed"] = ok
-    bundle.passed = ok
-    return bundle
+    return _finish(bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ byte at a fixed 80-column width.  Exit codes follow the contract: 0 success,
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +197,15 @@ class TestExitContract:
         assert "verdict: fail" in stdout
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["passed"] is False
+        # One line per failing check, before the verdict.
+        failed = [ln for ln in stdout.splitlines() if ln.startswith("failed check:")]
+        assert failed == [
+            f"failed check: domain_constancy value={summary['checks'][0]['value']:.12g} "
+            "tol=1e-18 where=[0, 2]"
+        ]
+        assert stdout.index("domain_constancy") < stdout.index("verdict: fail")
+        ok, stdout, _ = run_cli(["run", "--scenario", "fig1a", "--out", out], capsys)
+        assert ok == 0 and "failed check" not in stdout
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         cases = [
@@ -210,6 +221,69 @@ class TestExitContract:
             code, _, err = run_cli(argv, capsys)
             assert code == 2, argv
             assert err, argv
+
+    @pytest.mark.parametrize(
+        "edit, argv, error",
+        [
+            pytest.param(
+                lambda d: d["grid"].update(x_max=math.inf), ["run"],
+                r"gcelab: error: grid\.x_max: expected a finite real number, got inf",
+                id="grid.x_max"),
+            pytest.param(
+                lambda d: d.update(transform={"sigma": -1, "rho": math.nan}), ["run"],
+                r"gcelab: error: transform\.rho: expected a finite real number, got nan",
+                id="transform.rho"),
+            pytest.param(
+                lambda d: d["profile"]["segments"][2].update(x_hi=math.inf), ["run"],
+                r"gcelab: error: profile\.segments\[2\]\.x_hi: expected a finite real",
+                id="segment.x_hi"),
+            pytest.param(
+                lambda d: d["profile"]["segments"][0].update(x_lo=-10**400), ["run"],
+                r"gcelab: error: profile\.segments\[0\]\.x_lo: expected a finite real",
+                id="segment.x_lo-beyond-double"),
+            pytest.param(
+                lambda d: d["profile"]["segments"][1]["v"][0].__setitem__(1, math.nan), ["run"],
+                r"gcelab: error: profile\.segments\[1\]\.v\[0\]\[1\]: expected a finite",
+                id="segment.v"),
+            pytest.param(
+                lambda d: d["boundaries"][0].update(amplitude=math.nan), ["run"],
+                r"gcelab: error: boundaries\[0\]\.amplitude: expected a finite real or",
+                id="amplitude"),
+            pytest.param(
+                lambda d: d["boundaries"][1].update(amplitude=[1.0, -math.inf]), ["run"],
+                r"gcelab: error: boundaries\[1\]\.amplitude: expected a finite real or",
+                id="amplitude-pair"),
+            pytest.param(
+                lambda d: d.update(energies=[math.nan, math.nan]), ["run"],
+                r"gcelab: error: energies\[0\]: expected a finite real number",
+                id="energies"),
+            pytest.param(None, ["run", "--lambda", "nan"],
+                         r"argument --lambda: expected a finite number", id="--lambda"),
+            pytest.param(None, ["run", "--tol", "nan"],
+                         r"argument --tol: expected a finite number", id="--tol-nan"),
+            pytest.param(None, ["run", "--tol", "inf"],
+                         r"argument --tol: expected a finite number", id="--tol-inf"),
+            pytest.param(None, ["run", "--tol", "-0.5"],
+                         r"argument --tol: a tolerance must be >= 0", id="--tol-negative"),
+            pytest.param(None, ["scan", "--h", "nan,1e-2"],
+                         r"argument --h: grid spacings must be positive and finite", id="--h-nan"),
+            pytest.param(None, ["scan", "--h", "1e-2,inf"],
+                         r"argument --h: grid spacings must be positive and finite", id="--h-inf"),
+        ],
+    )
+    def test_non_finite_numbers_exit_two(self, edit, argv, error, tmp_path, capsys):
+        doc = json.loads((Path(gcelab.__file__).parent / "scenarios" / "fig1a.json").read_text())
+        if edit is not None:
+            edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        code, _, err = run_cli([*argv, "--scenario", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert re.search(error, err), err
+        if edit is not None:
+            assert err.count("\n") == 1, err
+        assert not (out / "summary.json").exists()
 
     def test_coupling_at_unequal_energies_names_its_cause(self, tmp_path, capsys):
         doc = json.loads((Path(gcelab.__file__).parent / "scenarios" / "unequal.json").read_text())

@@ -423,6 +423,32 @@ class TestRunScenario:
         assert not b.passed
         assert b.summary["passed"] is False
         assert b.summary["domains"]["all_passed"] is False
+        failing = [c for c in b.checks if not c["passed"]]
+        assert [(c["name"], c["where"], c["tol"]) for c in failing] == [
+            ("domain_constancy", [0.0, 2.0], 1e-18)
+        ]
+        assert failing[0]["value"] == b.summary["domains"]["items"][0]["rel_dev"]
+
+    def test_fig2_delta_relation_is_three_checks_at_the_delta(self):
+        b = run_scenario(load_builtin("fig2"))
+        rel = b.summary["delta_relation"]
+        checks = [c for c in b.checks if c["name"].startswith("delta_relation.")]
+        assert [c["name"] for c in checks] == [
+            "delta_relation.deviation",
+            "delta_relation.rel_dev_minus",
+            "delta_relation.rel_dev_plus",
+        ]
+        for c in checks:
+            assert c["value"] == rel[c["name"].split(".")[1]]
+            assert c["where"] == rel["x0"] and c["tol"] == rel["tol"] and c["passed"]
+
+    def test_passed_is_read_only(self):
+        b = run_scenario(load_builtin("fig1a"), outputs=())
+        assert b.checks == [] and b.passed
+        with pytest.raises(AttributeError):
+            b.passed = False
+        with pytest.raises(TypeError):
+            ReportBundle(scenario=b.scenario, grid=b.grid, passed=False)
 
     def test_solver_errors_carry_scenario_context(self):
         s = load_builtin("free2")
@@ -526,6 +552,21 @@ class TestReports:
         assert doc["passed"] is True
         assert doc["domains"]["items"][0]["x_lo"] == -math.inf
         assert doc["scenario"]["model"] == "dirac"
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_every_summary_lists_its_checks(self, name, tmp_path):
+        for bundle in (
+            run_scenario(load_builtin(name), n_points=401),
+            solution_bundle(load_builtin(name), n_points=401),
+            scan_scenario(load_builtin(name), [2e-2, 1e-2]),
+        ):
+            doc = json.loads(Path(write_reports(bundle, str(tmp_path))[-1]).read_text())
+            checks = doc["checks"]
+            assert all(
+                set(c) == {"name", "value", "tol", "passed", "where"} for c in checks
+            )
+            assert doc["passed"] is all(c["passed"] for c in checks) is bundle.passed
+        assert checks[0]["name"] == "scan_order"
 
     def test_summary_names_the_package_version(self):
         b = run_scenario(load_builtin("free2"), n_points=11, outputs=())
@@ -704,14 +745,25 @@ def traced_report_peak(make, name: str, n_points: int, out_dir) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("make, name", [(run_scenario, "fig1a"), (solution_bundle, "fig2")])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (run_scenario, "fig1a"),
+        (solution_bundle, "fig2"),
+        (solution_bundle, "fig1a"),
+        (solution_bundle, "unequal"),
+    ],
+)
 def test_report_memory_per_point(make, name, tmp_path):
     """A report grows only with the engine's arrays, which its tables refer
     to.  Stacked copies of every table grew by 145 (fig1a run) and 141
-    (fig2 solve) bytes per point; the engine's arrays take about 88 and 86."""
+    (fig2 solve) bytes per point; the engine's arrays take about 88 and 86.
+    A solve holds its samples (64 bytes per point for N = 2) and the grid;
+    sampling the whole grid at once grew by 92 (fig2), 120 (fig1a) and 113
+    (unequal) bytes per point."""
     write_reports(make(load_builtin(name), n_points=101), str(tmp_path))  # lazy tables
     small, large = (traced_report_peak(make, name, n, tmp_path) for n in (20001, 60001))
-    assert (large - small) / 40000 <= 110
+    assert (large - small) / 40000 <= (110 if make is run_scenario else 85)
 
 
 def owner(a: np.ndarray) -> np.ndarray:
@@ -788,6 +840,10 @@ class TestScan:
         assert free.passed
         assert free.summary["scan"]["at_rounding"] is True
         assert free.summary["scan"]["mean_order"] is None
+        assert free.checks == [{
+            "name": "scan_order", "value": None, "tol": 0.2, "passed": True, "where": None
+        }]
+        assert free.summary["checks"] == free.checks
 
     def test_order_rule(self):
         hs = [1e-2, 5e-3, 2.5e-3]
