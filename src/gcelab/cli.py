@@ -20,6 +20,7 @@ import numpy as np
 from .scenario import (
     Scenario,
     ScenarioFormatError,
+    _as_matrix,
     resolve_scenario,
     run_scenario,
     scan_scenario,
@@ -263,21 +264,7 @@ def _read_matrix(path: str) -> np.ndarray:
         ) from None
     if not isinstance(doc, list) or not doc:
         raise ScenarioFormatError(f"{path}: expected a nested-list square matrix")
-    n = len(doc)
-    out = np.zeros((n, n), dtype=complex)
-    for r, row in enumerate(doc):
-        if not isinstance(row, list) or len(row) != n:
-            raise ScenarioFormatError(f"{path}: row {r} is not length {n}")
-        for c, e in enumerate(row):
-            if isinstance(e, (int, float)) and not isinstance(e, bool):
-                out[r, c] = e
-            elif isinstance(e, list) and len(e) == 2:
-                out[r, c] = complex(e[0], e[1])
-            else:
-                raise ScenarioFormatError(
-                    f"{path}: entry [{r}][{c}] is not a real or an [re, im] pair"
-                )
-    return out
+    return np.array(_as_matrix(doc, len(doc), path), dtype=complex)
 
 
 def _cmd_decompose(args) -> int:

@@ -16,16 +16,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import (
-    _SNAP,
     Convention,
     PiecewiseSolution,
     PotentialProfile,
     ProfileError,
-    _merge_sorted,
     get_convention,
     system_columns,
 )
 from .sun import PotentialDecomposition, SunBasis, decompose, source_operator
+
+
+_SNAP = 1e-9  # relative window within which two positions are one
+
+
+def _merge_sorted(points: np.ndarray) -> np.ndarray:
+    pts = np.sort(np.asarray(points, dtype=float))
+    if len(pts) == 0:
+        return pts
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if p - keep[-1] > _SNAP * max(1.0, abs(p)):
+            keep.append(p)
+    return np.array(keep)
 
 
 class DegenerateEnergiesError(ValueError):
@@ -189,11 +201,11 @@ def _spans(n: int, width: int):
 
 
 def _joint(sol) -> PiecewiseSolution:
-    """``sol`` itself; a sequence of solutions is refused, not joined anew."""
+    """``sol`` itself; a sequence of solutions is refused."""
     if not isinstance(sol, PiecewiseSolution):
         raise TypeError(
             f"expected one PiecewiseSolution, got {type(sol).__name__}; "
-            "join single-system solutions once with join_solutions"
+            "solve the stack once, with one energy per system"
         )
     return sol
 

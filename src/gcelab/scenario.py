@@ -2,9 +2,9 @@
 
 A scenario is a JSON document whose keys match the Scenario dataclass fields.
 Complex numbers are written as plain reals or two-element [re, im] lists;
-matrices are nested lists.  Running a scenario solves the stated systems
-(jointly when the energies and boundary kinds allow it, otherwise per system
-and joined into one solution), evaluates the requested outputs in a fixed
+matrices are nested lists.  Running a scenario solves the stated systems in
+one solve, each at its own energy and with its own boundary kind (a coupled
+profile needs one of each), evaluates the requested outputs in a fixed
 canonical order, and returns a ReportBundle whose serialized form is
 byte-deterministic: no timestamps, 17 significant digits in CSV cells, LF
 line endings, sorted JSON keys.
@@ -49,7 +49,6 @@ from .solvers import (
     Segment,
     delta_junction,
     get_convention,
-    join_solutions,
     solve_dirac,
     solve_schrodinger,
 )
@@ -528,7 +527,8 @@ def _annotate(e: ValueError, what: str):
 
 def _refuse_coupling(s: Scenario) -> None:
     """Name the first segment or delta that couples two systems of a stack
-    solved system by system, preferring two systems at unequal energies."""
+    whose systems differ in energy or boundary kind, preferring two systems
+    at unequal energies."""
     entries = [(f"profile.segments[{k}]", seg.v) for k, seg in enumerate(s.segments)]
     entries += [(f"profile.deltas[{k}]", d.strength) for k, d in enumerate(s.deltas)]
     found = [
@@ -548,43 +548,17 @@ def _refuse_coupling(s: Scenario) -> None:
 
 
 def _solve_stack(s: Scenario) -> PiecewiseSolution:
-    profile = s.profile
-    conv = s.convention or "default"
-    mass = s.mass if s.mass is not None else 1.0
-    kinds = {b.kind for b in s.boundaries}
-    joint = len(set(s.energies)) == 1 and len(kinds) == 1
+    boundary = [
+        Scattering(b.values) if b.kind == "incoming" else InitialValue(b.values)
+        for b in s.boundaries
+    ]
     try:
-        if joint:
-            if kinds == {"incoming"}:
-                boundary = Scattering([b.values[0] for b in s.boundaries])
-            elif s.model == "dirac":
-                boundary = InitialValue([v for b in s.boundaries for v in b.values])
-            else:
-                # Wave stacks order all values before all derivatives.
-                boundary = InitialValue(
-                    [b.values[0] for b in s.boundaries]
-                    + [b.values[1] for b in s.boundaries]
-                )
-            if s.model == "dirac":
-                return solve_dirac(profile, s.energies[0], boundary, convention=conv)
-            return solve_schrodinger(profile, s.energies[0], boundary, mass=mass)
-        _refuse_coupling(s)
-        sols = []
-        for i in range(1, s.n_systems + 1):
-            b = s.boundaries[i - 1]
-            boundary = (
-                Scattering([b.values[0]])
-                if b.kind == "incoming"
-                else InitialValue(b.values)
-            )
-            sub = profile.system(i)
-            if s.model == "dirac":
-                sols.append(solve_dirac(sub, s.energies[i - 1], boundary, convention=conv))
-            else:
-                sols.append(
-                    solve_schrodinger(sub, s.energies[i - 1], boundary, mass=mass)
-                )
-        return join_solutions(sols)
+        if len(set(s.energies)) > 1 or len({b.kind for b in s.boundaries}) > 1:
+            _refuse_coupling(s)
+        if s.model == "dirac":
+            return solve_dirac(s.profile, s.energies, boundary, s.convention or "default")
+        mass = s.mass if s.mass is not None else 1.0
+        return solve_schrodinger(s.profile, s.energies, boundary, mass=mass)
     except ValueError as e:
         _annotate(e, "solving the scenario systems")
 

@@ -25,7 +25,6 @@ import numpy as np
 from .sun import _hermitian_or_raise
 
 _BOUNDARY_ATOL = 1e-9
-_SNAP = 1e-9  # relative merge window of positions from different profiles
 
 
 class EvanescentChannelError(ValueError):
@@ -210,64 +209,10 @@ class PotentialProfile:
         off += [d.strength - np.diag(np.diag(d.strength)) for d in self.deltas]
         return all(np.abs(o).max() == 0.0 for o in off)
 
-    def system(self, i: int) -> "PotentialProfile":
-        """Single-system sub-profile (1-based i); requires a diagonal profile."""
-        if not 1 <= i <= self.n_systems:
-            raise ValueError(f"system index must be in 1..{self.n_systems}, got {i}")
-        if not self.is_diagonal:
-            raise ProfileError("cannot extract a system from a coupled profile")
-        segs = [
-            Segment(s.x_lo, s.x_hi, np.array([[s.v[i - 1, i - 1]]])) for s in self.segments
-        ]
-        deltas = [
-            DeltaBarrier(d.x0, np.array([[d.strength[i - 1, i - 1]]]))
-            for d in self.deltas
-            if d.strength[i - 1, i - 1] != 0.0
-        ]
-        return PotentialProfile(segs, deltas)
-
 
 def uniform_profile(v, x_lo: float = 0.0, x_hi: float = 1.0) -> PotentialProfile:
     """Single-segment profile; with the asymptotic extension, V is constant on R."""
     return PotentialProfile([Segment(x_lo, x_hi, np.asarray(v, dtype=complex))])
-
-
-def _merge_sorted(points: np.ndarray) -> np.ndarray:
-    pts = np.sort(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        return pts
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > _SNAP * max(1.0, abs(p)):
-            keep.append(p)
-    return np.array(keep)
-
-
-def _combined_profile(profiles) -> PotentialProfile:
-    """Diagonal N-system profile assembled from N single-system profiles."""
-    n = len(profiles)
-    bps = _merge_sorted(np.concatenate([p.breakpoints for p in profiles]))
-    if len(bps) < 2:
-        bps = np.array([bps[0], bps[0] + 1.0])
-    segments = []
-    for lo, hi in zip(bps[:-1], bps[1:]):
-        mid = 0.5 * (lo + hi)
-        diag = [profiles[i].matrix_at(mid)[0, 0] for i in range(n)]
-        segments.append(Segment(lo, hi, np.diag(diag)))
-    delta_pos = _merge_sorted(
-        np.concatenate([p.delta_positions for p in profiles])
-        if any(len(p.deltas) for p in profiles)
-        else np.zeros(0)
-    )
-    deltas = []
-    for x0 in delta_pos:
-        diag = np.zeros(n, dtype=complex)
-        for i, p in enumerate(profiles):
-            d = p.delta_at(x0)
-            if d is not None:
-                diag[i] = d.strength[0, 0]
-        deltas.append(DeltaBarrier(x0, np.diag(diag)))
-    return PotentialProfile(segments, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +225,14 @@ def _kron(a, b) -> np.ndarray:
     return np.multiply.outer(a, b).swapaxes(-3, -2).reshape(*stack, 2 * n, 2 * n)
 
 
-def dirac_generator(v, energy: float, convention: Convention) -> np.ndarray:
+def dirac_generator(v, energy, convention: Convention) -> np.ndarray:
     """Generator M of psi' = M psi for a constant Hermitian potential block.
 
-    M = -i (I_N kron gamma1^-1) (V kron K - E I_N kron gamma0), so for a free
+    M = -i (I_N kron gamma1^-1) (V kron K - diag(E) kron gamma0), so for a free
     single system at energy E the eigenvalues are +-iE and exp(M x) rotates the
-    spinor with period 2 pi / |E|.  A stack of blocks v[..., :, :] gives the
-    stack of their generators.
+    spinor with period 2 pi / |E|.  ``energy`` is one energy for every system
+    or one per system, broadcast against v[..., 0].  A stack of blocks
+    v[..., :, :] gives the stack of their generators.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
@@ -294,20 +240,21 @@ def dirac_generator(v, energy: float, convention: Convention) -> np.ndarray:
     n = v.shape[-1]
     g1inv = convention.gamma1_inv
     k = convention.coupling_matrix
-    return -1j * (
-        _kron(v, g1inv @ k) - energy * _kron(np.eye(n), g1inv @ convention.gamma0)
-    )
+    # diag(E) kron G: the rows of I_N kron G scaled by their system's energy.
+    e = np.repeat(np.broadcast_to(energy, v.shape[:-1]), 2, axis=-1)[..., None]
+    return -1j * (_kron(v, g1inv @ k) - e * _kron(np.eye(n), g1inv @ convention.gamma0))
 
 
-def schrodinger_generator(v, energy: float, mass: float = 1.0) -> np.ndarray:
-    """Generator of u' = M u with u = (values, derivatives) stacked."""
+def schrodinger_generator(v, energy, mass: float = 1.0) -> np.ndarray:
+    """Generator of u' = M u with u = (values, derivatives) stacked; ``energy``
+    is one energy for every system or one per system."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
         v = v.reshape(1, 1)
     n = v.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=complex)
     m[:n, n:] = np.eye(n)
-    m[n:, :n] = 2.0 * mass * (v - energy * np.eye(n))
+    m[n:, :n] = 2.0 * mass * (v - np.broadcast_to(energy, (n,))[:, None] * np.eye(n))
     return m
 
 
@@ -351,24 +298,6 @@ class Propagator:
         # lam is ascending: oscillating rows, then exact zeros, then growing.
         self._bands = (int(np.searchsorted(lam, 0.0, "left")),
                        int(np.searchsorted(lam, 0.0, "right")))
-
-    @classmethod
-    def block_diagonal(cls, props, rows) -> "Propagator":
-        """Propagator of the block-diagonal generator holding the 2 x 2
-        props[i] on the slice rows[i], assembled from their spectral data, not
-        diagonalised anew, so that every block keeps its own arithmetic."""
-        n = len(props)
-        band = [2 - sum(p._bands) for p in props]  # oscillating, zero, growing
-        order = sorted(range(n), key=band.__getitem__)
-        self = cls.__new__(cls)
-        self.generator = np.zeros((2 * n, 2 * n), dtype=complex)
-        self.basis = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-        for j, i in enumerate(order):
-            self.generator[rows[i], rows[i]] = props[i].generator
-            self.basis[[j, n + j], rows[i], rows[i]] = props[i].basis
-        self._k = np.concatenate([props[i]._k for i in order])
-        self._bands = (band.count(0), band.count(0) + band.count(1))
-        return self
 
     def factors(self, x) -> np.ndarray:
         """Scalar functions multiplying ``basis`` at offsets x, shape (2N,) + x.shape."""
@@ -575,22 +504,28 @@ class WaveSolution(PiecewiseSolution):
 _SIDES = ("leftmost", "rightmost")
 
 
-def _dirac_channels(edges, energy: float, convention: Convention):
-    """Unit (right, left) movers of every asymptotic Dirac channel at once.
+def _dirac_channels(edges, energy, convention: Convention, systems=None):
+    """Unit (right, left) movers of the asymptotic Dirac channels, at once.
 
     edges[i, s] is the potential of system i in the leftmost (s = 0) or the
-    rightmost (s = 1) segment.  Modes are eigenvectors of the 2x2 generators,
+    rightmost (s = 1) segment, and ``energy`` is one energy for every system
+    or one per system.  Only the systems listed (0-based) in ``systems`` are
+    analysed, all by default.  Modes are eigenvectors of the 2x2 generators,
     diagonalised as one stack.  Propagating ones have purely imaginary
     eigenvalues and are labeled by the sign of the conserved current
     u^dag gamma0 gamma1 u.  The phase makes the first significant component
     real positive, which keeps outputs platform-deterministic.
 
-    Returns ``modes`` of shape (N, 2, 2, 2), where modes[i, s, 0] is the right
-    mover and modes[i, s, 1] the left mover, and their ``currents`` of shape
-    (N, 2, 2), positive then negative.
+    Returns ``modes`` of shape (K, 2, 2, 2) for the K systems analysed, where
+    modes[i, s, 0] is the right mover and modes[i, s, 1] the left mover, and
+    their ``currents`` of shape (K, 2, 2), positive then negative.
     """
     edges = np.asarray(edges, dtype=float)
-    mu, vecs = np.linalg.eig(dirac_generator(edges[..., None, None], energy, convention))
+    energy = np.broadcast_to(energy, edges.shape[:1])[:, None]
+    systems = np.arange(len(edges)) if systems is None else np.asarray(systems)
+    edges, energy = edges[systems], energy[systems]
+    m = dirac_generator(edges[..., None, None], energy[..., None], convention)
+    mu, vecs = np.linalg.eig(m)
     u = vecs.swapaxes(-1, -2)  # u[i, s, col] is eigenvector col
     # One norm per vector: a stacked norm sums in another order.
     norms = np.array([np.linalg.norm(w) for w in u.reshape(-1, 2)]).reshape(mu.shape)
@@ -609,17 +544,20 @@ def _dirac_channels(edges, energy: float, convention: Convention):
         if fault.any():
             i, side = np.unravel_index(np.argmax(fault), fault.shape)
             raise EvanescentChannelError(
-                f"system {i + 1} {what} in the {_SIDES[side]} segment "
-                f"(E = {energy}, V = {edges[i, side]}, eigenvalues {mu[i, side]}); "
+                f"system {systems[i] + 1} {what} in the {_SIDES[side]} segment "
+                f"(E = {energy[i, 0]}, V = {edges[i, side]}, eigenvalues {mu[i, side]}); "
                 "scattering boundaries need propagating channels"
             )
     order = np.where(right[..., :1], [0, 1], [1, 0])
     return np.take_along_axis(u, order[..., None], -2), np.take_along_axis(currents, order, -1)
 
 
-def _scattering_modes(profile, energy, convention, mass, model):
-    """Per-system asymptotic mode matrices (U_in, U_ref, U_out), value-normalized."""
+def _scattering_modes(profile, energy, convention, mass, model, systems=None):
+    """Asymptotic mode matrices (U_in, U_ref, U_out), value-normalized, with one
+    column per scattering system: those listed (0-based) in ``systems``, all by
+    default, each at its own energy."""
     n = profile.n_systems
+    systems = np.arange(n) if systems is None else np.asarray(systems)
     edges = np.empty((n, 2))  # edges[i, s]: system i in the leftmost/rightmost segment
     for s, seg in enumerate((profile.segments[0], profile.segments[-1])):
         if np.abs(seg.v - np.diag(np.diag(seg.v))).max() > 0.0:
@@ -629,25 +567,27 @@ def _scattering_modes(profile, energy, convention, mass, model):
             )
         edges[:, s] = seg.v.diagonal().real
     if model == "dirac":
-        modes, _ = _dirac_channels(edges, energy, convention)
+        modes, _ = _dirac_channels(edges, energy, convention, systems)
     else:
-        fault = 2.0 * mass * (energy - edges) <= 1e-12 * max(1.0, abs(energy))
+        energy = np.broadcast_to(energy, (n,))[systems, None]
+        edges = edges[systems]
+        fault = 2.0 * mass * (energy - edges) <= 1e-12 * np.maximum(1.0, np.abs(energy))
         if fault.any():
             i, s = np.unravel_index(np.argmax(fault), fault.shape)
             raise EvanescentChannelError(
-                f"system {i + 1} is evanescent in the {_SIDES[s]} segment "
-                f"(E = {energy}, V = {edges[i, s]})"
+                f"system {systems[i] + 1} is evanescent in the {_SIDES[s]} segment "
+                f"(E = {energy[i, 0]}, V = {edges[i, s]})"
             )
         k = np.sqrt(2.0 * mass * (energy - edges))
-        modes = np.ones((n, 2, 2, 2), dtype=complex)  # (value, derivative) = (1, +-ik)
+        modes = np.ones((len(systems), 2, 2, 2), dtype=complex)  # (value, derivative) = (1, +-ik)
         modes[..., 0, 1] = 1j * k
         modes[..., 1, 1] = -1j * k
-    u_in, u_ref, u_out = np.zeros((3, 2 * n, n), dtype=complex)
-    for i in range(n):
+    u_in, u_ref, u_out = np.zeros((3, 2 * n, len(systems)), dtype=complex)
+    for c, i in enumerate(systems):
         rows = system_columns(model, n, i)
-        u_in[rows, i] = modes[i, 0, 0]  # right movers from the left
-        u_ref[rows, i] = modes[i, 0, 1]  # left movers back to the left
-        u_out[rows, i] = modes[i, 1, 0]  # right movers out to the right
+        u_in[rows, c] = modes[c, 0, 0]  # right movers from the left
+        u_ref[rows, c] = modes[c, 0, 1]  # left movers back to the left
+        u_out[rows, c] = modes[c, 1, 0]  # right movers out to the right
     return u_in, u_ref, u_out
 
 
@@ -666,26 +606,65 @@ def _junction_table(profile, convention, mass, model) -> dict[int, np.ndarray]:
     return table
 
 
+def _boundary_rows(boundary, model: str, n: int):
+    """(scatters, amplitudes, given) of a boundary: which systems scatter, the
+    incoming amplitudes of those, and the left-edge state on the rows of the
+    others.  A sequence of N single-system specs sets each system's kind."""
+    if isinstance(boundary, Scattering):
+        amps = np.asarray(boundary.amplitudes, dtype=complex)
+        if amps.shape != (n,):
+            raise ValueError(f"need {n} incoming amplitudes, got shape {amps.shape}")
+        return np.ones(n, dtype=bool), amps, np.zeros(2 * n, dtype=complex)
+    if isinstance(boundary, InitialValue):
+        given = np.asarray(boundary.values, dtype=complex)
+        if given.shape != (2 * n,):
+            raise ValueError(f"initial values must have shape ({2 * n},), got {given.shape}")
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=complex), given
+    if not isinstance(boundary, (list, tuple)):
+        raise TypeError(f"unsupported boundary spec {type(boundary).__name__}")
+    if len(boundary) != n:
+        raise ValueError(f"need one boundary spec per system ({n}), got {len(boundary)}")
+    scatters, amps = np.zeros(n, dtype=bool), np.zeros(n, dtype=complex)
+    given = np.zeros(2 * n, dtype=complex)
+    for i, spec in enumerate(boundary):
+        s, a, g = _boundary_rows(spec, model, 1)
+        scatters[i], amps[i] = s[0], a[0]
+        given[system_columns(model, n, i)] = g
+    return scatters, amps, given
+
+
 def _solve(profile, energy, boundary, model, convention, mass):
     n = profile.n_systems
     dim = 2 * n
+    energies = np.asarray(energy, dtype=float)
+    if energies.shape not in ((), (n,)):
+        raise ValueError(f"need one energy or {n}, got shape {energies.shape}")
+    energies = np.broadcast_to(energies, (n,))
+    scatters, amps, given = _boundary_rows(boundary, model, n)
+    if not profile.is_diagonal and ((energies != energies[0]).any() or 0 < scatters.sum() < n):
+        raise ProfileError(
+            "a coupled profile needs one energy and one boundary kind for all systems"
+        )
     if model == "dirac":
-        mats = [dirac_generator(s.v, energy, convention) for s in profile.segments]
+        mats = [dirac_generator(s.v, energies, convention) for s in profile.segments]
     else:
         if not mass > 0.0:
             raise ValueError(f"mass must be positive, got {mass}")
-        mats = [schrodinger_generator(s.v, energy, mass) for s in profile.segments]
+        mats = [schrodinger_generator(s.v, energies, mass) for s in profile.segments]
     junctions = _junction_table(profile, convention, mass, model)
     b = profile.breakpoints
     n_seg = len(profile.segments)
     props = [Propagator(m) for m in mats]
     transfers = [props[k](b[k + 1] - b[k]) for k in range(n_seg)]
 
-    if isinstance(boundary, Scattering):
-        amps = np.asarray(boundary.amplitudes, dtype=complex)
-        if amps.shape != (n,):
-            raise ValueError(f"need {n} incoming amplitudes, got shape {amps.shape}")
-        u_in, u_ref, u_out = _scattering_modes(profile, energy, convention, mass, model)
+    psi_left = given
+    systems = np.flatnonzero(scatters)
+    if len(systems):
+        # Match only the rows and unknowns of the scattering systems; the
+        # rows of the others hold their given values.
+        u_in, u_ref, u_out = _scattering_modes(profile, energies, convention, mass, model, systems)
+        scattering_rows = scatters[np.arange(dim) // 2 if model == "dirac" else np.arange(dim) % n]
+        rows = np.flatnonzero(scattering_rows)
         total = np.eye(dim, dtype=complex)
         for k in range(n_seg):
             if k in junctions:
@@ -693,19 +672,14 @@ def _solve(profile, energy, boundary, model, convention, mass):
             total = transfers[k] @ total
         if n_seg in junctions:
             total = junctions[n_seg] @ total
-        lhs = np.hstack([total @ u_ref, -u_out])
-        rhs = -total @ (u_in @ amps)
+        incoming = np.where(scattering_rows, u_in @ amps[systems], given)
+        lhs = np.hstack([total[rows] @ u_ref, -u_out[rows]])
+        rhs = -total[rows] @ incoming
         try:
             sol = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
             raise ValueError("scattering system is singular at this energy") from exc
-        psi_left = u_in @ amps + u_ref @ sol[:n]
-    elif isinstance(boundary, InitialValue):
-        psi_left = np.asarray(boundary.values, dtype=complex)
-        if psi_left.shape != (dim,):
-            raise ValueError(f"initial values must have shape ({dim},), got {psi_left.shape}")
-    else:
-        raise TypeError(f"unsupported boundary spec {type(boundary).__name__}")
+        psi_left = np.where(scattering_rows, incoming + u_ref @ sol[:len(systems)], given)
 
     pieces = [_Piece(float(b[0]), psi_left, props[0])]
     val = junctions[0] @ psi_left if 0 in junctions else psi_left
@@ -717,92 +691,48 @@ def _solve(profile, energy, boundary, model, convention, mass):
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
 
     cls = SpinorSolution if model == "dirac" else WaveSolution
-    return cls(profile, np.full(n, energy), pieces, b, convention=convention, mass=mass)
+    return cls(profile, energies, pieces, b, convention=convention, mass=mass)
 
 
 def solve_dirac(
     profile: PotentialProfile,
-    energy: float,
-    boundary: BoundarySpec,
+    energy,
+    boundary: BoundarySpec | list[BoundarySpec],
     convention: Convention | str = "default",
 ) -> SpinorSolution:
-    """Solve the stationary stacked Dirac problem at a common energy.
+    """Solve the stationary stacked Dirac problem, one energy per system.
 
     Parameters
     ----------
     profile : PotentialProfile
         Piecewise-constant Hermitian potential with optional delta barriers.
-    energy : float
-        Stationary energy shared by the stack; the time dependence is the
-        analytic phase exp(-i E t) and never enters the spatial solve.
-    boundary : InitialValue or Scattering
-        Scattering requires diagonal leftmost/rightmost segments and an energy
-        at which every asymptotic channel propagates.
+    energy : float or sequence of N floats
+        Stationary energy of every system, or of each; the time dependence is
+        the analytic phase exp(-i E t) and never enters the spatial solve.  A
+        coupled profile needs one energy for all systems.
+    boundary : InitialValue or Scattering, or a sequence of N of them
+        One spec for the whole stack, or one single-system spec per system
+        (a coupled profile needs one kind for all).  Scattering requires
+        diagonal leftmost/rightmost segments and energies at which every
+        asymptotic channel of a scattering system propagates.
     convention : Convention or str
         Gamma-matrix pair and coupling channel; see CONVENTIONS.
     """
     if isinstance(convention, str):
         convention = get_convention(convention)
-    return _solve(profile, float(energy), boundary, "dirac", convention, None)
+    return _solve(profile, energy, boundary, "dirac", convention, None)
 
 
 def solve_schrodinger(
     profile: PotentialProfile,
-    energy: float,
-    boundary: BoundarySpec,
+    energy,
+    boundary: BoundarySpec | list[BoundarySpec],
     mass: float = 1.0,
 ) -> WaveSolution:
-    """Solve the stationary stacked Schroedinger problem at a common energy.
+    """Solve the stationary stacked Schroedinger problem, one energy per system.
 
-    The state vector stacks (values, derivatives); delta barriers impose the
-    derivative jump 2 * mass * strength * value across their position.
+    ``energy`` and ``boundary`` are as for ``solve_dirac``.  The state vector
+    stacks (values, derivatives); delta barriers impose the derivative jump
+    2 * mass * strength * value across their position.
     """
-    return _solve(profile, float(energy), boundary, "schrodinger", None, float(mass))
-
-
-def join_solutions(sols) -> PiecewiseSolution:
-    """One N-system solution from N single-system ones, e.g. at distinct energies.
-
-    The members must share a model and a convention (Dirac) or mass
-    (Schroedinger); ``energies`` lists theirs.  The joint profile is diagonal,
-    with the union of the members' breakpoints and deltas.  Each piece
-    propagates the members' states at its anchor with their block-diagonal
-    generator, so where a member's breakpoints are the joint ones its
-    samples repeat the member's bit for bit.
-    """
-    sols = list(sols)
-    if not sols:
-        raise ValueError("empty solution stack")
-    for s in sols:
-        if s.n_systems != 1:
-            raise ValueError("a stack built from a sequence needs single-system solutions")
-        if s.model != sols[0].model:
-            raise ValueError("mixed models in one stack")
-    first, n = sols[0], len(sols)
-    if first.model == "dirac":
-        names = {s.convention.name for s in sols}
-        if len(names) > 1:
-            raise ValueError(f"mixed conventions in one stack: {sorted(names)}")
-    else:
-        masses = {s.mass for s in sols}
-        if len(masses) > 1:
-            raise ValueError(f"mixed masses in one stack: {sorted(masses)}")
-    rows = [system_columns(first.model, n, i) for i in range(n)]
-    profile = _combined_profile([s.profile for s in sols])
-    b = profile.breakpoints
-    # Anchor and an inner point of each piece: left tail, segments, right tail.
-    anchors = np.concatenate([b[:1], b[:-1], b[-1:]])
-    inner = np.concatenate([b[:1] - 1.0, 0.5 * (b[:-1] + b[1:]), b[-1:] + 1.0])
-    which = [np.searchsorted(s.breakpoints, inner, side="right") for s in sols]
-    pieces = []
-    for j, x0 in enumerate(anchors.tolist()):
-        members = [s.pieces[w[j]] for s, w in zip(sols, which)]
-        value = np.empty(2 * n, dtype=complex)
-        for p, r in zip(members, rows):
-            value[r] = p.value if p.anchor == x0 else p.expand(np.array([x0 - p.anchor]))[0]
-        prop = Propagator.block_diagonal([p.propagator for p in members], rows)
-        pieces.append(_Piece(x0, value, prop))
-    return type(first)(
-        profile, [s.energy for s in sols], pieces, b,
-        convention=first.convention, mass=first.mass,
-    )
+    return _solve(profile, energy, boundary, "schrodinger", None, float(mass))

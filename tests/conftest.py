@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gcelab.solvers import DeltaBarrier, PotentialProfile, Segment
 from gcelab.sun import SunBasis, build_basis
 
 
@@ -17,6 +18,35 @@ def bases() -> dict[int, SunBasis]:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def diagonal_profile(members) -> PotentialProfile:
+    """Diagonal N-system profile of N single-system profiles: system i steps
+    as members[i] does, on the union of their breakpoints and deltas."""
+    cuts = np.unique(np.concatenate([p.breakpoints for p in members]))
+    segments = [
+        Segment(lo, hi, np.diag([p.matrix_at(0.5 * (lo + hi))[0, 0] for p in members]))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    spots = np.unique(np.concatenate([p.delta_positions for p in members]))
+
+    def strength(p, x0):
+        d = p.delta_at(x0)
+        return 0.0 if d is None else d.strength[0, 0]
+
+    deltas = [DeltaBarrier(x0, np.diag([strength(p, x0) for p in members])) for x0 in spots]
+    return PotentialProfile(segments, deltas)
+
+
+def system_profile(profile: PotentialProfile, i: int) -> PotentialProfile:
+    """The 1x1 profile of system i (1-based) of a diagonal profile, on its
+    breakpoints, without the deltas that do not act on system i."""
+    k = slice(i - 1, i)
+    segments = [Segment(s.x_lo, s.x_hi, s.v[k, k]) for s in profile.segments]
+    deltas = [
+        DeltaBarrier(d.x0, d.strength[k, k]) for d in profile.deltas if d.strength[k, k] != 0
+    ]
+    return PotentialProfile(segments, deltas)
 
 
 def ladder_pair_current(sol, basis: SunBasis, i: int, j: int, grid):

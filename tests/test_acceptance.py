@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ladder_pair_current
+from conftest import diagonal_profile, ladder_pair_current
 from gcelab.cli import main as cli_main
 from gcelab.engine import (
     DegenerateEnergiesError,
@@ -46,7 +46,6 @@ from gcelab.solvers import (
     Scattering,
     Segment,
     dirac_generator,
-    join_solutions,
     schrodinger_generator,
     solve_dirac,
     solve_schrodinger,
@@ -103,10 +102,11 @@ def probability_current(sol, xs) -> np.ndarray:
     return cur.sum(axis=1).real
 
 
-def free_dirac(energy: float, x_lo: float = -2.0, x_hi: float = 2.0):
-    return solve_dirac(
-        uniform_profile([[0.0]], x_lo, x_hi), energy, Scattering([1.0])
-    )
+def free_stack(energies, x_lo: float = -2.0, x_hi: float = 2.0):
+    """Free Dirac systems at the given energies, unit incoming amplitudes."""
+    n = len(energies)
+    profile = uniform_profile(np.zeros((n, n)), x_lo, x_hi)
+    return solve_dirac(profile, energies, Scattering(np.ones(n)))
 
 
 def coupled_dirac_solution():
@@ -248,7 +248,7 @@ def test_charge_current_identity_for_free_spinors():
 
 
 def test_equal_energies_raise_the_degenerate_error():
-    sol = join_solutions([free_dirac(1.1), free_dirac(1.1)])
+    sol = free_stack([1.1, 1.1])
     with pytest.raises(DegenerateEnergiesError):
         charge_current_relation(sol, (1, 2), -1.0, 1.0)
 
@@ -340,12 +340,10 @@ def test_transformed_currents_constant_on_detected_domains():
 def test_identity_transform_reproduces_pair_current_bitwise():
     p1 = PotentialProfile([Segment(-3.0, 0.5, [[0.0]]), Segment(0.5, 3.0, [[0.4]])])
     p2 = PotentialProfile([Segment(-3.0, -1.0, [[0.2]]), Segment(-1.0, 3.0, [[0.0]])])
-    s1 = solve_dirac(p1, 1.6, Scattering([1.0]))
-    s2 = solve_dirac(p2, 1.6, Scattering([0.7]))
+    sol = solve_dirac(diagonal_profile([p1, p2]), 1.6, Scattering([1.0, 0.7]))
     xs = np.linspace(-2.5, 2.5, 501)
-    joined = join_solutions([s1, s2])
-    tc = transformed_current(joined, (1, 2), identity_transform(), xs)
-    pc = dirac_current(joined, None, (1, 2), xs)
+    tc = transformed_current(sol, (1, 2), identity_transform(), xs)
+    pc = dirac_current(sol, None, (1, 2), xs)
     assert np.array_equal(tc.j1, pc.j1)
     assert np.array_equal(tc.j0, pc.j0)
 
@@ -377,13 +375,13 @@ def test_zero_gauge_field_matches_ungauged_residual(bases):
 def test_constant_abelian_field_converges_second_order(bases):
     alpha = 0.4
     shifted = np.array([1.5 - alpha / 2, 0.9 + alpha / 2])
-    joined = join_solutions([free_dirac(shifted[0]), free_dirac(shifted[1])])
+    sol = free_stack(shifted)
     norms = {}
     for n_pts in (161, 321):
         grid = np.linspace(-2.0, 2.0, n_pts)
         a_fields = np.zeros((3, 2, n_pts))
         a_fields[2, 0, :] = alpha
-        psi = joined.evaluate(grid)
+        psi = sol.evaluate(grid)
         rep = gauge_residual(
             psi, GaugeConfig(grid, a_fields), bases[2], 1, energies=shifted
         )

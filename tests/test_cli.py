@@ -122,6 +122,13 @@ class TestDecompose:
         code, _, err = run_cli(["decompose", str(tmp_path / "gone.json")], capsys)
         assert code == 2 and "no such matrix file" in err
 
+    def test_non_finite_entry_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[[NaN, 0], [0, 1]]\n")
+        code, out, err = run_cli(["decompose", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"{path}[0][0]: expected a finite real" in err
+
 
 class TestExitContract:
     def test_run_fig2_lambda_zero_succeeds(self, tmp_path):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import ladder_pair_current
+from conftest import diagonal_profile, ladder_pair_current, system_profile
 from test_properties import coupled_stack, sequence_stack
-from gcelab import engine
+from gcelab import engine, solvers
 from gcelab.engine import (
     ChargeRelation,
     DegenerateEnergiesError,
@@ -54,7 +54,6 @@ from gcelab.solvers import (
     Segment,
     delta_junction,
     get_convention,
-    join_solutions,
     solve_dirac,
     solve_schrodinger,
     uniform_profile,
@@ -68,6 +67,13 @@ BUILTINS = ["fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequ
 def free_dirac(energy, x_lo=-2.0, x_hi=2.0, amplitude=1.0):
     prof = uniform_profile(np.zeros((1, 1)), x_lo, x_hi)
     return solve_dirac(prof, energy, Scattering([amplitude]))
+
+
+def free_stack(energies, amplitudes=None, x_lo=-2.0, x_hi=2.0):
+    """Free Dirac systems at the given energies, solved as one stack."""
+    n = len(energies)
+    amps = np.ones(n) if amplitudes is None else amplitudes
+    return solve_dirac(uniform_profile(np.zeros((n, n)), x_lo, x_hi), energies, Scattering(amps))
 
 
 def coupled_dirac_solution(energy=1.4, amps=(1.0, 0.6)):
@@ -118,102 +124,94 @@ def domain_rel_devs(xs, j1, doms):
 
 
 # ---------------------------------------------------------------------------
-# Joined solutions
+# One solve, one energy per system
 
 
 def scenario_members(name):
-    """A builtin's single-system solutions, solved as the scenario solves them."""
+    """A builtin's systems, each solved alone on its 1x1 profile."""
     s = load_builtin(name)
     return [
         solve_dirac(
-            s.profile.system(i), s.energies[i - 1], Scattering([s.boundaries[i - 1].values[0]]),
-            s.convention,
+            system_profile(s.profile, i), s.energies[i - 1],
+            Scattering([s.boundaries[i - 1].values[0]]), s.convention,
         )
         for i in (1, 2)
     ]
 
 
-class TestJoinSolutions:
+class TestPerSystemSolve:
     def test_dirac_layout_is_system_major(self):
         prof = PotentialProfile(
             [Segment(-1.0, 0.0, np.diag([0.1, 0.3])), Segment(0.0, 2.0, np.diag([0.2, 0.0]))]
         )
         joint = solve_dirac(prof, 1.5, Scattering([1.0, 0.5]))
         singles = [
-            solve_dirac(prof.system(i), 1.5, Scattering([a]))
+            solve_dirac(system_profile(prof, i), 1.5, Scattering([a]))
             for i, a in ((1, 1.0), (2, 0.5))
         ]
         xs = np.linspace(-0.8, 1.8, 40)
-        joined = join_solutions(singles)
-        va, vb = joint.psi(xs), joined.psi(xs)
-        assert vb.shape == (40, 2, 2)
-        assert np.abs(va - vb).max() <= 1e-12
+        psi = joint.psi(xs)
+        assert psi.shape == (40, 2, 2)
         for i, single in enumerate(singles):
-            assert np.array_equal(vb[:, i], single.evaluate(xs))
+            assert np.array_equal(psi[:, i], single.evaluate(xs))
 
     def test_wave_layout_holds_values_then_derivatives(self):
-        prof = uniform_profile(np.zeros((1, 1)), -1.0, 1.0)
-        sol = solve_schrodinger(prof, 0.5, Scattering([1.0]))
-        joined = join_solutions([sol, sol])
+        single = uniform_profile(np.zeros((1, 1)), -1.0, 1.0)
+        sol = solve_schrodinger(single, 0.5, Scattering([1.0]))
+        stack = solve_schrodinger(
+            uniform_profile(np.zeros((2, 2)), -1.0, 1.0), 0.5, Scattering([1.0, 1.0])
+        )
         xs = np.linspace(-0.5, 0.5, 11)
-        values, derivatives = joined.value_and_derivative(xs)
+        values, derivatives = stack.value_and_derivative(xs)
         assert values.shape == derivatives.shape == (11, 2)
         direct = sol.evaluate(xs)
         assert np.array_equal(values[:, 0], direct[:, 0])
         assert np.array_equal(derivatives[:, 1], direct[:, 1])
 
-    def test_joined_profile_unions_breakpoints_and_deltas(self):
-        p1 = bump_profile([(0.0, 1.0, 0.6)], -2.0, 2.0, [DeltaBarrier(0.0, [[0.3]])])
-        p2 = bump_profile([(-1.0, 0.5, 0.2)], -2.0, 2.0)
-        s1 = solve_dirac(p1, 1.4, Scattering([1.0]))
-        s2 = solve_dirac(p2, 1.4, Scattering([1.0]))
-        joined = join_solutions([s1, s2])
-        prof = joined.profile
-        assert prof.n_systems == 2
-        assert np.allclose(prof.breakpoints, [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
-        assert np.array_equal(joined.breakpoints, prof.breakpoints)
-        assert len(joined.pieces) == len(prof.segments) + 2
-        assert np.allclose(prof.matrix_at(0.2), np.diag([0.6, 0.2]))
-        assert np.allclose(prof.delta_at(0.0).strength, np.diag([0.3, 0.0]))
+    def test_coupled_profile_needs_one_energy_and_one_boundary_kind(self):
+        coupled = PotentialProfile([
+            Segment(-1.0, 0.0, np.zeros((2, 2))),
+            Segment(0.0, 1.0, np.array([[0.2, 0.1], [0.1, 0.0]])),
+            Segment(1.0, 2.0, np.zeros((2, 2))),
+        ])
+        with pytest.raises(ProfileError, match="one energy and one boundary kind"):
+            solve_dirac(coupled, [1.5, 1.1], Scattering([1.0, 1.0]))
+        with pytest.raises(ProfileError, match="one energy and one boundary kind"):
+            solve_schrodinger(coupled, 1.5, [Scattering([1.0]), InitialValue([1.0, 0.0])])
+        # One kind and one energy, given per system, is the joint solve.
+        joint = solve_dirac(coupled, 1.5, Scattering([1.0, 0.5]))
+        per_system = solve_dirac(coupled, [1.5, 1.5], [Scattering([1.0]), Scattering([0.5])])
+        xs = np.linspace(-2.0, 2.0, 41)
+        assert np.array_equal(per_system.evaluate(xs), joint.evaluate(xs))
 
-    def test_join_rejects_inconsistent_members(self):
-        d = free_dirac(1.0)
-        w = solve_schrodinger(uniform_profile([[0.0]], -1, 1), 0.5, Scattering([1.0]))
-        with pytest.raises(ValueError, match="mixed models"):
-            join_solutions([d, w])
-        with pytest.raises(ValueError, match="empty"):
-            join_solutions([])
-        joint = coupled_dirac_solution()
-        with pytest.raises(ValueError, match="single-system"):
-            join_solutions([joint, joint])
-        rot = solve_dirac(
-            uniform_profile([[0.0]], -1, 1), 1.0, Scattering([1.0]), convention="rotated"
-        )
-        with pytest.raises(ValueError, match="mixed conventions"):
-            join_solutions([d, rot])
-        w2 = solve_schrodinger(
-            uniform_profile([[0.0]], -1, 1), 0.5, Scattering([1.0]), mass=2.0
-        )
-        with pytest.raises(ValueError, match="mixed masses"):
-            join_solutions([w, w2])
+    def test_energy_and_boundary_shapes_are_checked(self):
+        prof = uniform_profile(np.zeros((2, 2)), -1.0, 1.0)
+        with pytest.raises(ValueError, match="one energy or 2"):
+            solve_dirac(prof, [1.0, 1.1, 1.2], Scattering([1.0, 1.0]))
+        with pytest.raises(ValueError, match="one boundary spec per system"):
+            solve_dirac(prof, 1.0, [Scattering([1.0])])
+        with pytest.raises(ValueError, match="need 1 incoming amplitudes"):
+            solve_dirac(prof, 1.0, [Scattering([1.0, 1.0]), Scattering([1.0])])
+        with pytest.raises(TypeError, match="unsupported boundary spec"):
+            solve_dirac(prof, 1.0, [1.0, 1.0])
 
-    def test_joined_solution_keeps_per_system_energies(self):
-        joined = join_solutions([free_dirac(1.3), free_dirac(0.7)])
-        assert joined.energies.tolist() == [1.3, 0.7]
+    def test_solution_keeps_per_system_energies(self):
+        sol = free_stack([1.3, 0.7])
+        assert sol.energies.tolist() == [1.3, 0.7]
         with pytest.raises(ValueError, match="different energies"):
-            joined.energy
+            sol.energy
         with pytest.raises(ValueError):
-            joined.energies[0] = 1.0
+            sol.energies[0] = 1.0
         assert coupled_dirac_solution(energy=1.4).energies.tolist() == [1.4, 1.4]
 
     @pytest.mark.parametrize("name", ["unequal", "globalpair"])
-    def test_members_repeat_bit_for_bit(self, name):
+    def test_stack_rows_equal_single_system_solves_bit_for_bit(self, name):
         members = scenario_members(name)
-        joined = join_solutions(members)
         s = load_builtin(name)
+        stack = _solve_stack(s)
         for grid in (s.grid_array(), np.linspace(s.grid.x_min - 1.0, s.grid.x_max + 1.0, 501)):
             for side in ("left", "right"):
-                psi = joined.psi(grid, side)
+                psi = stack.psi(grid, side)
                 for i, member in enumerate(members, start=1):
                     direct = member.evaluate(grid, side)
                     assert np.array_equal(psi[:, i - 1], direct)
@@ -227,57 +225,69 @@ class TestJoinSolutions:
 
         p1 = steps((0.0, 0.4, 0.0, 0.0), DeltaBarrier(0.0, [[0.7]]))
         p2 = steps((0.0, 0.0, 0.3, 0.0), DeltaBarrier(-1.0, [[0.2]]))
+        prof, energies, amps = diagonal_profile([p1, p2]), [1.6, 1.2], Scattering([1.0, 1.0])
         if model == "dirac":
             members = [solve_dirac(p, e, Scattering([1.0]), "vector")
                        for p, e in ((p1, 1.6), (p2, 1.2))]
+            stack = solve_dirac(prof, energies, amps, "vector")
         else:
             members = [solve_schrodinger(p, e, Scattering([1.0])) for p, e in ((p1, 1.6), (p2, 1.2))]
-        joined = join_solutions(members)
+            stack = solve_schrodinger(prof, energies, amps)
         grid = np.arange(-150, 151) * 0.01  # holds -1.0 and 0.0 exactly
         rows = ([0, 1], [2, 3]) if model == "dirac" else ([0, 2], [1, 3])
         for side in ("left", "right"):
-            flat = joined.evaluate(grid, side)
+            flat = stack.evaluate(grid, side)
             for i, (member, r) in enumerate(zip(members, rows), start=1):
                 direct = member.evaluate(grid, side)
-                assert np.array_equal(flat[:, r], direct)
-        left, right = joined.limits(0.0)
+                if model == "dirac":
+                    assert np.array_equal(flat[:, r], direct)
+                else:
+                    # A wave system's rows interleave with the other's, and
+                    # the complex products of the stack's transfers, summed
+                    # over its zero entries, may round in another order.
+                    assert np.abs(flat[:, r] - direct).max() <= 1e-15 * np.abs(direct).max()
+        left, right = stack.limits(0.0)
         assert not np.allclose(left[rows[0]], right[rows[0]])  # the delta's jump
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_members_at_one_energy_keep_their_bits(self, seed):
-        # Equal energies and potentials give the joint generator a degenerate
-        # square: diagonalising it anew mixes the systems' eigenvectors and
-        # moves samples by about 1e-15.
+    def test_members_at_one_energy_agree_to_rounding(self, seed):
+        # Equal energies and potentials give the stack's generator a
+        # degenerate square, whose eigenvectors may mix the systems' rows:
+        # the samples then move by about 1e-15.
         rng = np.random.default_rng(seed)
         edges = (-2.0, -0.5, 0.7, 2.0)
         segs = [Segment(lo, hi, [[rng.uniform(-0.5, 0.5)]]) for lo, hi in zip(edges[:-1], edges[1:])]
         energy = 1.2 + rng.uniform()
+        profiles = [PotentialProfile(segs, d) for d in ([], [DeltaBarrier(0.7, [[0.3]])])]
+        amps = [complex(*rng.normal(size=2)) for _ in profiles]
         members = [
-            solve_dirac(PotentialProfile(segs, deltas), energy,
-                        Scattering([complex(*rng.normal(size=2))]), "rotated")
-            for deltas in ([], [DeltaBarrier(0.7, [[0.3]])])
+            solve_dirac(p, energy, Scattering([a]), "rotated") for p, a in zip(profiles, amps)
         ]
-        joined = join_solutions(members)
+        stack = solve_dirac(diagonal_profile(profiles), energy, Scattering(amps), "rotated")
         xs = np.linspace(-3.0, 3.0, 101)
         for side in ("left", "right"):
             for i, member in enumerate(members):
-                assert np.array_equal(joined.psi(xs, side)[:, i], member.evaluate(xs, side))
+                direct = member.evaluate(xs, side)
+                err = np.abs(stack.psi(xs, side)[:, i] - direct).max()
+                assert err <= 1e-14 * np.abs(direct).max()
 
     @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
     def test_members_with_their_own_breakpoints_agree_to_rounding(self, model):
         p1 = bump_profile([(0.0, 1.0, 0.6)], -2.0, 2.0, [DeltaBarrier(0.0, [[0.3]])])
-        p2 = bump_profile([(-1.0, 0.5, 0.2)], -2.5, 1.5)
+        p2 = bump_profile([(-1.0, 0.5, 0.2)], -2.0, 1.5)
+        prof, energies, amps = diagonal_profile([p1, p2]), [1.4, 1.1], Scattering([1.0, 0.7j])
         if model == "dirac":
             members = [solve_dirac(p1, 1.4, Scattering([1.0])),
                        solve_dirac(p2, 1.1, Scattering([0.7j]))]
+            stack = solve_dirac(prof, energies, amps)
         else:
             members = [solve_schrodinger(p1, 1.4, Scattering([1.0])),
                        solve_schrodinger(p2, 1.1, Scattering([0.7j]))]
-        joined = join_solutions(members)
+            stack = solve_schrodinger(prof, energies, amps)
         grid = np.linspace(-3.0, 3.0, 1201)
         rows = ([0, 1], [2, 3]) if model == "dirac" else ([0, 2], [1, 3])
         for side in ("left", "right"):
-            flat = joined.evaluate(grid, side)
+            flat = stack.evaluate(grid, side)
             for i, (member, r) in enumerate(zip(members, rows), start=1):
                 direct = member.evaluate(grid, side)
                 scale = np.abs(direct).max()
@@ -291,21 +301,19 @@ class TestJoinSolutions:
 class TestCurrents:
     def test_free_dirac_pair_current_is_pure_phase(self, bases):
         e1, e2 = 1.3, 0.7
-        s1, s2 = free_dirac(e1), free_dirac(e2)
         xs = np.linspace(-1.5, 1.5, 301)
-        cur = dirac_current(join_solutions([s1, s2]), bases[2], (1, 2), xs)
+        cur = dirac_current(free_stack([e1, e2]), bases[2], (1, 2), xs)
         oracle = np.exp(1j * (e2 - e1) * (xs + 2.0))
         assert np.abs(cur.j1 - oracle).max() <= 1e-12
         assert np.abs(cur.j0 - oracle).max() <= 1e-12
 
     def test_free_wave_pair_current_oracle(self, bases):
         e1, e2, m = 0.9, 0.5, 1.0
-        prof = uniform_profile([[0.0]], -2.0, 2.0)
-        s1 = solve_schrodinger(prof, e1, Scattering([1.0]), mass=m)
-        s2 = solve_schrodinger(prof, e2, Scattering([1.0]), mass=m)
+        prof = uniform_profile(np.zeros((2, 2)), -2.0, 2.0)
+        sol = solve_schrodinger(prof, [e1, e2], Scattering([1.0, 1.0]), mass=m)
         k1, k2 = np.sqrt(2 * m * e1), np.sqrt(2 * m * e2)
         xs = np.linspace(-1.5, 1.5, 301)
-        cur = schrodinger_current(join_solutions([s1, s2]), bases[2], (1, 2), xs)
+        cur = schrodinger_current(sol, bases[2], (1, 2), xs)
         phase = np.exp(1j * (k2 - k1) * (xs + 2.0))
         assert np.abs(cur.j1 - (k1 + k2) / (2 * m) * phase).max() <= 1e-12
         assert np.abs(cur.j0 - phase).max() <= 1e-12
@@ -418,12 +426,12 @@ class TestPairSampling:
             density = flat[:, 0].conj() * flat[:, 1]
         assert np.abs(cur.j0 - density).max() <= 1e-13
 
-    def test_joined_pair_current_samples_once(self, monkeypatch):
-        joined = join_solutions([free_dirac(e) for e in (1.3, 0.9, 0.7)])
+    def test_stacked_pair_current_samples_once(self, monkeypatch):
+        stack = free_stack([1.3, 0.9, 0.7])
         xs = np.linspace(-1.5, 1.5, 61)
         calls = count_evaluations(monkeypatch)
-        cur = dirac_current(joined, None, (1, 3), xs)
-        assert calls == [joined] and joined.energies.tolist() == [1.3, 0.9, 0.7]
+        cur = dirac_current(stack, None, (1, 3), xs)
+        assert calls == [stack] and stack.energies.tolist() == [1.3, 0.9, 0.7]
         oracle = np.exp(1j * (0.7 - 1.3) * (xs + 2.0))
         assert np.abs(cur.j1 - oracle).max() <= 1e-12
 
@@ -439,7 +447,7 @@ def test_entry_points_refuse_a_sequence(bases):
         lambda: gce_residual_sweep(sols, bases[2], grid),
     ]
     for call in calls:
-        with pytest.raises(TypeError, match="join_solutions"):
+        with pytest.raises(TypeError, match="one energy per system"):
             call()
 
 
@@ -450,10 +458,13 @@ def test_public_names_resolve_and_removed_records_are_gone():
         assert getattr(gcelab, name) is not None
     removed = (
         "DomainStat", "DomainVerdict", "_attach_stats", "SolutionStack", "as_stack",
-        "ladder_pair_current",
+        "ladder_pair_current", "join_solutions",
     )
     for name in removed:
         assert not hasattr(gcelab, name) and not hasattr(engine, name)
+    assert not hasattr(solvers, "join_solutions") and not hasattr(solvers, "_combined_profile")
+    assert not hasattr(PotentialProfile, "system")
+    assert not hasattr(solvers.Propagator, "block_diagonal")
     fields = {f.name for f in dataclasses.fields(engine.CurrentProfile)}
     fields |= {f.name for f in dataclasses.fields(engine.GceReport)}
     assert not fields & {"domain_stats", "domain_verdicts", "convergence_order"}
@@ -648,8 +659,8 @@ class TestBlockedSampling:
                 one = dirac_current(sol, basis, index, [x])
                 assert_same_bits([one.j1, one.j0], [full.j1[k:k + 1], full.j0[k:k + 1]])
 
-    def test_joined_solution_on_seven_points(self):
-        # globalpair's joint right tail holds one sample of this grid.
+    def test_globalpair_solution_on_seven_points(self):
+        # globalpair's right tail holds one sample of this grid.
         sol = _solve_stack(load_builtin("globalpair"))
         grid = np.linspace(0.0, 6.0, 7)
         assert piece_starts(sol, grid)[-1] == 6
@@ -721,11 +732,10 @@ class TestResiduals:
                 Segment(0.6, 1.6, np.diag([0.35, 0.45])),
             ]
         )
-        s1 = solve_dirac(profile.system(1), 1.5, Scattering([1.0]))
-        s2 = solve_dirac(profile.system(2), 1.1, Scattering([0.8]))
+        sol = solve_dirac(profile, [1.5, 1.1], Scattering([1.0, 0.8]))
         grid = np.linspace(-1.6, 1.6, 321)
         assert grid[120] < -0.4  # one rounding error short of the cut
-        rep = gce_residual_dirac(join_solutions([s1, s2]), bases[2], 1, grid)
+        rep = gce_residual_dirac(sol, bases[2], 1, grid)
         # A left-segment source paired with a right-cell stencil would leave
         # an O(1) residual spike here.
         assert np.abs(rep.residual[120]) <= 1e-5
@@ -831,17 +841,16 @@ class TestResidualTable:
         assert diff[:, same].max() <= 100 * base.floor.max()
         assert diff[:, ~same].max() > 1e-3
 
-    def test_joined_solution_keeps_its_table(self, bases):
-        sols = [free_dirac(1.5), free_dirac(1.1)]
-        joined = join_solutions(sols)
+    def test_stacked_solution_keeps_its_table(self, bases):
+        stack = free_stack([1.5, 1.1])
         grid = np.linspace(-1.5, 1.5, 301)
-        table = gce_residual_sweep(joined, bases[2], grid)
-        assert gce_residual_sweep(joined, bases[2], grid) is table
+        table = gce_residual_sweep(stack, bases[2], grid)
+        assert gce_residual_sweep(stack, bases[2], grid) is table
         for a in (1, 2, 3):
-            rep = gce_residual_dirac(joined, bases[2], a, grid)
+            rep = gce_residual_dirac(stack, bases[2], a, grid)
             assert np.shares_memory(rep.residual, table.residual)
-        # Joining again makes a new solution, and so a new table.
-        fresh = gce_residual_sweep(join_solutions(sols), bases[2], grid)
+        # Solving again makes a new solution, and so a new table.
+        fresh = gce_residual_sweep(free_stack([1.5, 1.1]), bases[2], grid)
         assert fresh is not table
         assert np.array_equal(fresh.residual, table.residual)
 
@@ -859,7 +868,7 @@ class TestResidualTable:
         # Free systems at equal energy carry constant currents, so every
         # residual is the stencil's rounding alone; T_2's current cancels to
         # about 1e-31 by structure, far below the rounding of its terms.
-        sol = join_solutions([free_dirac(1.3), free_dirac(1.3, amplitude=0.5)])
+        sol = free_stack([1.3, 1.3], [1.0, 0.5])
         grids = [np.linspace(-1.5, 1.5, n) for n in (301, 601)]
         tables = [gce_residual_sweep(sol, bases[2], g) for g in grids]
         for a in (1, 2, 3):
@@ -996,9 +1005,7 @@ class TestTransformedCurrents:
     def parity_pair(self, energy=1.6):
         p1 = bump_profile([(1.0, 2.0, 0.6), (3.0, 4.0, 0.9)], -6.0, 6.0)
         p2 = bump_profile([(-4.5, -3.5, 0.4), (-2.0, -1.0, 0.6)], -6.0, 6.0)
-        s1 = solve_dirac(p1, energy, Scattering([1.0]))
-        s2 = solve_dirac(p2, energy, Scattering([1.0]))
-        return join_solutions([s1, s2])
+        return solve_dirac(diagonal_profile([p1, p2]), energy, Scattering([1.0, 1.0]))
 
     def test_parity_transformed_current_constant_on_domains(self):
         sol = self.parity_pair()
@@ -1015,10 +1022,8 @@ class TestTransformedCurrents:
     def test_translation_transformed_current_constant_on_domains(self):
         p1 = bump_profile([(0.0, 1.0, 0.6), (4.0, 5.0, 0.5)], -3.0, 8.0)
         p2 = bump_profile([(2.0, 3.0, 0.6), (6.2, 7.0, 0.8)], -3.0, 8.0)
-        s1 = solve_dirac(p1, 1.9, Scattering([1.0]))
-        s2 = solve_dirac(p2, 1.9, Scattering([1.0]))
+        sol = solve_dirac(diagonal_profile([p1, p2]), 1.9, Scattering([1.0, 1.0]))
         spec = translation_transform(2.0)
-        sol = join_solutions([s1, s2])
         doms = detect_domains(sol.profile, (1, 2), spec)
         xs = np.linspace(-2.8, 7.8, 1061)
         cur = transformed_current(sol, (1, 2), spec, xs)
@@ -1027,10 +1032,10 @@ class TestTransformedCurrents:
             assert rel <= 1e-10
 
     def test_identity_transform_is_bitwise_pair_current(self):
-        joined = self.parity_pair()
+        sol = self.parity_pair()
         xs = np.linspace(-5.0, 5.0, 501)
-        tc = transformed_current(joined, (1, 2), identity_transform(), xs)
-        pc = dirac_current(joined, None, (1, 2), xs)
+        tc = transformed_current(sol, (1, 2), identity_transform(), xs)
+        pc = dirac_current(sol, None, (1, 2), xs)
         assert np.array_equal(tc.j1, pc.j1)
         assert np.array_equal(tc.j0, pc.j0)
 
@@ -1039,10 +1044,9 @@ class TestTransformedCurrents:
 
         with pytest.raises(ValueError, match="sigma"):
             TransformSpec(2, 0.0, np.eye(2))
-        w = solve_schrodinger(uniform_profile([[0.0]], -1, 1), 0.5, Scattering([1.0]))
+        w = solve_schrodinger(uniform_profile(np.zeros((2, 2)), -1, 1), 0.5, Scattering([1, 1]))
         with pytest.raises(ValueError, match="Dirac"):
-            transformed_current(join_solutions([w, w]), (1, 2), identity_transform(),
-                                np.linspace(-1, 1, 5))
+            transformed_current(w, (1, 2), identity_transform(), np.linspace(-1, 1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,14 +1056,11 @@ class TestTransformedCurrents:
 class TestChargeRelation:
     def test_free_oracle(self):
         e1, e2 = 1.3, 0.7
-        prof = uniform_profile([[0.0]], -1.0, 1.0)
-        s1 = solve_dirac(prof, e1, Scattering([1.0]))
-        s2 = solve_dirac(prof, e2, Scattering([1.0]))
+        sol = free_stack([e1, e2], x_lo=-1.0, x_hi=1.0)
         x1, x2 = -0.4, 0.9
-        rel = charge_current_relation(join_solutions([s1, s2]), (1, 2), x1, x2, n_points=4001)
+        rel = charge_current_relation(sol, (1, 2), x1, x2, n_points=4001)
         assert isinstance(rel, ChargeRelation)
-        u1 = s1.evaluate([-1.0])[0]
-        u2 = s2.evaluate([-1.0])[0]
+        u1, u2 = sol.psi([-1.0])[0]
         dk = e2 - e1
         oracle = (u1.conj() @ u2) * (
             np.exp(1j * dk * (x2 + 1.0)) - np.exp(1j * dk * (x1 + 1.0))
@@ -1068,10 +1069,8 @@ class TestChargeRelation:
         assert rel.discrepancy <= 1e-10
 
     def test_holds_through_a_barrier(self):
-        prof = bump_profile([(-0.5, 0.5, 0.8)], -3.0, 3.0)
-        s1 = solve_dirac(prof, 1.7, Scattering([1.0]))
-        s2 = solve_dirac(prof, 1.2, Scattering([0.5 + 0.5j]))
-        sol = join_solutions([s1, s2])
+        prof = diagonal_profile([bump_profile([(-0.5, 0.5, 0.8)], -3.0, 3.0)] * 2)
+        sol = solve_dirac(prof, [1.7, 1.2], Scattering([1.0, 0.5 + 0.5j]))
         rel = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=20001)
         assert rel.discrepancy <= 1e-8
         even = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=10000)
@@ -1088,20 +1087,19 @@ class TestChargeRelation:
             assert abs(_simpson(y, h) - ref) <= 1e-14 * abs(ref)
 
     def test_equal_energies_raise(self):
-        prof = uniform_profile([[0.0]], -1.0, 1.0)
-        s1 = solve_dirac(prof, 1.0, Scattering([1.0]))
-        s2 = solve_dirac(prof, 1.0, Scattering([0.5]))
+        sol = free_stack([1.0, 1.0], [1.0, 0.5], x_lo=-1.0, x_hi=1.0)
         with pytest.raises(DegenerateEnergiesError):
-            charge_current_relation(join_solutions([s1, s2]), (1, 2), -1.0, 1.0)
+            charge_current_relation(sol, (1, 2), -1.0, 1.0)
 
     def test_profile_mismatch_and_bad_interval_raise(self):
-        s1 = free_dirac(1.2)
-        s2 = solve_dirac(bump_profile([(0.0, 0.5, 0.3)], -2.0, 2.0), 0.9, Scattering([1.0]))
+        prof = diagonal_profile(
+            [uniform_profile([[0.0]], -2.0, 2.0), bump_profile([(0.0, 0.5, 0.3)], -2.0, 2.0)]
+        )
+        sol = solve_dirac(prof, [1.2, 0.9], Scattering([1.0, 1.0]))
         with pytest.raises(ValueError, match="share one potential"):
-            charge_current_relation(join_solutions([s1, s2]), (1, 2), -1.0, 1.0)
-        s3 = free_dirac(0.9)
+            charge_current_relation(sol, (1, 2), -1.0, 1.0)
         with pytest.raises(ValueError, match="x2 > x1"):
-            charge_current_relation(join_solutions([s1, s3]), (1, 2), 1.0, -1.0)
+            charge_current_relation(free_stack([1.2, 0.9]), (1, 2), 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,22 +1110,17 @@ class TestDeltaDomainRelation:
     # Left-incident scattering states are single-mover under the reflectionless
     # vector coupling and carry a vanishing mixed parity current, so the
     # fig2-class states are built from mover-mixing initial values instead.
+    FIG2_VALUES = ([0.9 + 0.2j, -0.4 + 0.55j], [0.74 + 0.3j, 0.21 - 0.62j])
+
     @staticmethod
-    def fig2_members(lam, energy=1.2):
+    def fig2_profiles(lam):
         bumps = [(-1.5, -0.5, 0.25), (0.5, 1.5, 0.25)]
         deltas = [DeltaBarrier(0.0, [[lam]])] if lam != 0.0 else []
-        p1 = bump_profile(bumps, -3.0, 3.0, deltas)
-        p2 = bump_profile(bumps, -3.0, 3.0)
-        s1 = solve_dirac(
-            p1, energy, InitialValue([0.9 + 0.2j, -0.4 + 0.55j]), convention="vector"
-        )
-        s2 = solve_dirac(
-            p2, energy, InitialValue([0.74 + 0.3j, 0.21 - 0.62j]), convention="vector"
-        )
-        return [s1, s2]
+        return [bump_profile(bumps, -3.0, 3.0, deltas), bump_profile(bumps, -3.0, 3.0)]
 
-    def fig2_pair(self, lam):
-        return join_solutions(self.fig2_members(lam))
+    def fig2_pair(self, lam, energy=1.2):
+        boundary = [InitialValue(v) for v in self.FIG2_VALUES]
+        return solve_dirac(diagonal_profile(self.fig2_profiles(lam)), energy, boundary, "vector")
 
     def test_no_delta_means_equal_constants(self):
         sol = self.fig2_pair(0.0)
@@ -1165,9 +1158,9 @@ class TestPairOperationsOfAStack:
 
     def stack(self):
         # Systems 1 and 3 are free at distinct energies; system 2 sees a bump.
-        bump = bump_profile([(-0.5, 0.5, 0.8)], -2.0, 2.0)
-        middle = solve_dirac(bump, 1.1, Scattering([0.6]))
-        return join_solutions([free_dirac(1.3), middle, free_dirac(0.7)])
+        free = uniform_profile(np.zeros((1, 1)), -2.0, 2.0)
+        prof = diagonal_profile([free, bump_profile([(-0.5, 0.5, 0.8)], -2.0, 2.0), free])
+        return solve_dirac(prof, [1.3, 1.1, 0.7], Scattering([1.0, 0.6, 1.0]))
 
     def test_free_oracles_of_pair_1_3(self):
         sol = self.stack()
@@ -1189,16 +1182,17 @@ class TestPairOperationsOfAStack:
 
     def test_delta_relation_of_pair_1_3(self):
         lam = np.pi / 3
-        s1, s2 = TestDeltaDomainRelation.fig2_members(lam)
-        middle = solve_dirac(
-            uniform_profile([[0.3]], -3.0, 3.0), 1.2, InitialValue([1.0, 0.5j]), "vector"
-        )
+        fig2 = TestDeltaDomainRelation
+        p1, p2 = fig2.fig2_profiles(lam)
+        prof = diagonal_profile([p1, uniform_profile([[0.3]], -3.0, 3.0), p2])
+        v1, v2 = fig2.FIG2_VALUES
+        boundary = [InitialValue(v1), InitialValue([1.0, 0.5j]), InitialValue(v2)]
         junction = delta_junction(np.array([[lam]]), get_convention("vector"))
-        rel = delta_domain_relation(join_solutions([s1, middle, s2]), (1, 3), junction)
+        rel = delta_domain_relation(solve_dirac(prof, 1.2, boundary, "vector"), (1, 3), junction)
         assert rel.rel_dev_minus <= 1e-10
         assert rel.rel_dev_plus <= 1e-10
         assert rel.deviation <= 1e-10
-        two = delta_domain_relation(join_solutions([s1, s2]), (1, 2), junction)
+        two = delta_domain_relation(fig2().fig2_pair(lam), (1, 2), junction)
         for got, want in zip(dataclasses.astuple(rel), dataclasses.astuple(two)):
             assert abs(got - want) <= 1e-12
 
@@ -1254,13 +1248,13 @@ class TestGauge:
         alpha = 0.4
         e1, e2 = 1.5, 0.9
         shifted = np.array([e1 - alpha / 2, e2 + alpha / 2])
-        joined = join_solutions([free_dirac(shifted[0]), free_dirac(shifted[1])])
+        stack = free_stack(shifted)
         norms = {}
         for n_pts in (161, 321):
             grid = np.linspace(-2.0, 2.0, n_pts)
             a_fields = np.zeros((3, 2, n_pts))
             a_fields[2, 0, :] = alpha
-            psi = joined.evaluate(grid)
+            psi = stack.evaluate(grid)
             rep = gauge_residual(
                 psi, GaugeConfig(grid, a_fields), bases[2], 1, energies=shifted
             )
@@ -1305,10 +1299,10 @@ class TestGauge:
 
     def test_sampled_time_path_matches_stationary_phases(self, bases):
         e = np.array([1.3, 0.7])
-        joined = join_solutions([free_dirac(e[0]), free_dirac(e[1])])
+        stack = free_stack(e)
         grid = np.linspace(-2.0, 2.0, 161)
         ts = np.linspace(0.0, 0.8, 9)
-        vals = joined.psi(grid)
+        vals = stack.psi(grid)
         psi = np.empty((len(ts), len(grid), 4), dtype=complex)
         for k, t in enumerate(ts):
             phases = np.exp(-1j * e * t)

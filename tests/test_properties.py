@@ -1,8 +1,8 @@
 """Seeded property checks of the generator currents and continuity residuals.
 
 Random Hermitian stacks (N = 2, 3, 4, 8) in every Dirac convention, the
-Schroedinger model, and stacks joined from single-system solutions at
-distinct energies.  The oracle is the per-term einsum arithmetic that the
+Schroedinger model, and diagonal stacks whose systems step at their own
+breakpoints and sit at distinct energies.  The oracle is the per-term einsum arithmetic that the
 engine used before every bilinear went through one 2N x 2N kernel; it is kept
 here, independent of the engine's kernels, so that each current, time term and
 source is checked on its own formula.
@@ -14,8 +14,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import diagonal_profile, random_hermitian
 from gcelab.engine import (
     _BLOCK,
     _blocks,
@@ -32,10 +33,10 @@ from gcelab.engine import (
 )
 from gcelab.scenario import order_verdict
 from gcelab.solvers import (
+    DeltaBarrier,
     PotentialProfile,
     Scattering,
     Segment,
-    join_solutions,
     solve_dirac,
     solve_schrodinger,
 )
@@ -137,25 +138,25 @@ def coupled_stack(seed: int, model: str, n: int, convention: str = "default"):
 
 
 def sequence_stack(seed: int, model: str, n: int, convention: str = "default"):
-    """N single-system solutions at distinct energies with their own steps, joined."""
+    """N systems at distinct energies with their own steps, solved as one
+    diagonal stack."""
     rng = np.random.default_rng(seed)
-    sols = []
+    profiles, amps, energies = [], [], []
     for _ in range(n):
         # Steps on a half-unit lattice keep every smooth cell wide enough for
         # the coarse stencil once the systems' breakpoints are merged.
         cuts = np.sort(rng.choice(np.arange(-3.0, 3.5, 0.5), 2, replace=False))
         edges = (-4.0, *cuts, 4.0)
-        segs = [
+        profiles.append(PotentialProfile([
             Segment(lo, hi, np.array([[rng.uniform(-0.5, 0.5)]], dtype=complex))
             for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        profile = PotentialProfile(segs)
-        amp = Scattering([complex(rng.normal(), rng.normal())])
-        if model == "dirac":
-            sols.append(solve_dirac(profile, 1.5 + rng.uniform(), amp, convention))
-        else:
-            sols.append(solve_schrodinger(profile, 2.0 + rng.uniform(), amp))
-    return join_solutions(sols)
+        ]))
+        amps.append(complex(rng.normal(), rng.normal()))
+        energies.append((1.5 if model == "dirac" else 2.0) + rng.uniform())
+    profile, boundary = diagonal_profile(profiles), Scattering(amps)
+    if model == "dirac":
+        return solve_dirac(profile, energies, boundary, convention)
+    return solve_schrodinger(profile, energies, boundary)
 
 
 CASES = [
@@ -264,3 +265,54 @@ def test_sweep_memory_is_the_table_and_one_block():
     # 2N x 16 = 128 bytes per point.
     allowance = 3 * 8 * len(grid) + 6 * _BLOCK * 16
     assert peak <= table.residual.nbytes + allowance
+
+
+# ---------------------------------------------------------------------------
+# Closed form: vector-coupled stacks are chiral
+#
+# With the default gammas the vector generator is M = i(V - E) kron sigma_y
+# and a delta's transfer is exp(i lambda kron sigma_y): both commute with
+# sigma_y.  The current kernel gamma0 gamma1 = -sigma_y makes the sigma_y = -1
+# spinor (1, -i)/sqrt(2) the right mover, so any such stack, coupled or not,
+# reflects nothing, and its right movers evolve by the ordered product of
+# exp(-i(V_s - E) L_s) over segments and exp(-i lambda_d) over deltas.
+# (Thaller, The Dirac Equation (1992), ch. 1, on the chiral decomposition.)
+
+RIGHT = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+LEFT = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+
+
+def chiral_stack(seed: int, n: int):
+    """Diagonal leads, coupled interior segments, one coupled delta."""
+    rng = np.random.default_rng(seed)
+    last = len(BREAKS) - 2
+    segs = [
+        Segment(lo, hi, np.diag(rng.uniform(-0.5, 0.5, n)).astype(complex)
+                if k in (0, last) else 0.4 * random_hermitian(rng, n))
+        for k, (lo, hi) in enumerate(zip(BREAKS[:-1], BREAKS[1:]))
+    ]
+    delta = DeltaBarrier(BREAKS[2], 0.5 * random_hermitian(rng, n))
+    profile = PotentialProfile(segs, [delta])
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return profile, 1.5 + 0.5 * rng.uniform(), amps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vector_coupled_stack_matches_chiral_closed_form(seed):
+    n = 2 + seed % 4
+    profile, energy, amps = chiral_stack(seed, n)
+    sol = solve_dirac(profile, energy, Scattering(amps), "vector")
+    product = np.eye(n, dtype=complex)
+    for k, seg in enumerate(profile.segments):
+        delta = profile.delta_at(seg.x_lo)
+        if delta is not None:
+            product = expm(-1j * delta.strength) @ product
+        product = expm(-1j * (seg.v - energy * np.eye(n)) * (seg.x_hi - seg.x_lo)) @ product
+    x_lo, x_hi = profile.extent
+    for x, right_movers in ((x_lo, amps), (x_hi, product @ amps)):
+        psi = sol.psi([x])[0]
+        right, left = psi @ RIGHT.conj(), psi @ LEFT.conj()
+        scale = np.abs(right_movers).max()
+        assert np.abs(left).max() <= 1e-13 * scale
+        assert np.abs(right - right_movers).max() <= 1e-12 * scale
+

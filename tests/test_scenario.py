@@ -43,7 +43,15 @@ from gcelab.scenario import (
     _csv_chunks,
     _solve_stack,
 )
-from gcelab.solvers import Scattering, solve_dirac, solve_schrodinger
+from conftest import system_profile
+from gcelab.solvers import (
+    InitialValue,
+    PotentialProfile,
+    Scattering,
+    Segment,
+    solve_dirac,
+    solve_schrodinger,
+)
 
 ALL_BUILTINS = ("fig1a", "fig1b", "fig2", "free2", "globalpair", "translate", "unequal")
 
@@ -473,14 +481,14 @@ class TestRunScenario:
     def test_solution_columns_match_per_element_reference(self, name, energies, joint):
         s = load_builtin(name)
         if energies is not None:
-            # Unequal energies make the Schroedinger pair solve per system.
+            # Unequal energies: each system at its own.
             s = dataclasses.replace(s, energies=energies)
         grid = s.grid_array(201)
         samples = _solve_stack(s).evaluate(grid)
         n = s.n_systems
-        # Each per-system solve sits in its rows of the joined layout.
+        # Each single-system solve sits in its rows of the stack's layout.
         for i in range(1, n + 1) if not joint else ():
-            sub, e = s.profile.system(i), s.energies[i - 1]
+            sub, e = system_profile(s.profile, i), s.energies[i - 1]
             amp = Scattering([s.boundaries[i - 1].values[0]])
             if s.model == "dirac":
                 member, rows = solve_dirac(sub, e, amp, s.convention), [2 * i - 2, 2 * i - 1]
@@ -798,7 +806,69 @@ class TestTableColumns:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestCoupledStacksSolvedApart:
+class TestMixedBoundaryKinds:
+    """A diagonal stack with an incoming and an initial-valued system; each
+    system's rows are its single-system solve, bit for bit."""
+
+    LEADS = (-2.0, 0.0, 1.0, 2.0)
+
+    def stack(self, model, v2, **extra) -> Scenario:
+        steps = (0.0, 0.4, 0.0)
+        segments = [
+            {"x_lo": lo, "x_hi": hi, "v": [[v1, 0.0], [0.0, v2]]}
+            for lo, hi, v1 in zip(self.LEADS[:-1], self.LEADS[1:], steps)
+        ]
+        return scenario_from_dict({
+            "model": model, "n_systems": 2, "profile": {"segments": segments},
+            "energies": [1.0, 1.0],
+            "boundaries": [
+                {"kind": "incoming", "amplitude": [0.8, 0.3]},
+                {"kind": "initial", "value": [[0.6, 0.1], -0.4]},
+            ],
+            "grid": {"x_min": -3.0, "x_max": 3.0, "n_points": 601},
+            "requested_outputs": ["currents", "residuals"],
+            **extra,
+        })
+
+    def singles(self, v2):
+        steps = (0.0, 0.4, 0.0)
+        p1 = PotentialProfile([
+            Segment(lo, hi, [[v1]]) for lo, hi, v1 in zip(self.LEADS[:-1], self.LEADS[1:], steps)
+        ])
+        p2 = PotentialProfile([
+            Segment(lo, hi, [[v2]]) for lo, hi in zip(self.LEADS[:-1], self.LEADS[1:])
+        ])
+        return p1, p2, Scattering([0.8 + 0.3j]), InitialValue([0.6 + 0.1j, -0.4])
+
+    def check_rows(self, s, members, rows, rel=0.0):
+        bundle = run_scenario(s)
+        assert set(bundle.tables) == {"currents", "residuals"}
+        for grid in (s.grid_array(), np.linspace(-2.5, 2.5, 101)):
+            for side in ("left", "right"):
+                flat = _solve_stack(s).evaluate(grid, side)
+                for member, r in zip(members, rows):
+                    direct = member.evaluate(grid, side)
+                    assert np.abs(flat[:, r] - direct).max() <= rel * np.abs(direct).max()
+
+    def test_dirac_incoming_and_initial(self):
+        s = self.stack("dirac", 0.5, convention="default")
+        p1, p2, incoming, initial = self.singles(0.5)
+        members = [solve_dirac(p1, 1.0, incoming), solve_dirac(p2, 1.0, initial)]
+        self.check_rows(s, members, ([0, 1], [2, 3]))
+
+    def test_schrodinger_initial_system_in_an_evanescent_lead(self):
+        s = self.stack("schrodinger", 3.0, mass=1.0)
+        p1, p2, incoming, initial = self.singles(3.0)
+        members = [solve_schrodinger(p1, 1.0, incoming), solve_schrodinger(p2, 1.0, initial)]
+        # Bit for bit only where the rows' complex sums round alike: a wave
+        # system's rows interleave with the other's (values, derivatives).
+        self.check_rows(s, members, ([0, 2], [1, 3]), rel=1e-15)
+        # The same lead refuses a scattering boundary.
+        with pytest.raises(ValueError, match="system 2 is evanescent"):
+            _solve_stack(dataclasses.replace(s, boundaries=(s.boundaries[0],) * 2))
+
+
+class TestCoupledStacksRefused:
     def unequal_doc(self) -> dict:
         return json.loads((Path(gcelab.__file__).parent / "scenarios" / "unequal.json").read_text())
 

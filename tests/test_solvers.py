@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import random_hermitian, system_profile
 from gcelab.engine import gce_residual_dirac, gce_residual_schrodinger, gce_residual_sweep
 from gcelab.solvers import (
     CONVENTIONS,
@@ -122,7 +122,7 @@ def test_profile_validation():
         PotentialProfile([Segment(0, 1, np.eye(2))], [DeltaBarrier(0.5, np.eye(2))])
 
 
-def test_profile_lookup_and_extraction():
+def test_profile_lookup():
     prof = PotentialProfile(
         [Segment(-1, 0, np.diag([1.0, 2.0])), Segment(0, 1, np.diag([3.0, 4.0]))],
         [DeltaBarrier(0.0, np.diag([0.5, 0.0]))],
@@ -133,13 +133,7 @@ def test_profile_lookup_and_extraction():
     assert prof.matrix_at(0.0)[0, 0] == 3.0  # right-continuous
     assert prof.matrix_at(0.0, side="left")[0, 0] == 1.0
     assert prof.is_diagonal
-    sub = prof.system(1)
-    assert sub.n_systems == 1
-    assert len(sub.deltas) == 1 and sub.deltas[0].strength[0, 0] == 0.5
-    assert len(prof.system(2).deltas) == 0  # zero-strength delta dropped
-    coupled = uniform_profile(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ProfileError, match="coupled"):
-        coupled.system(1)
+    assert not uniform_profile(np.array([[0.0, 1.0], [1.0, 0.0]])).is_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +202,26 @@ def test_dirac_generator_matches_kron_form_bit_for_bit(name):
     for v in (0.0, -0.0, 0.7, -2.5):
         want = kron_dirac_generator(v, 1.3, conv)
         assert dirac_generator(v, 1.3, conv).tobytes() == want.tobytes()
+
+
+def test_generators_take_one_energy_per_system():
+    """diag(E) in place of E I: each diagonal block is its system's generator
+    at its own energy, bit for bit, and the blocks do not couple."""
+    v, energies = np.array([0.3, -0.2, 0.5]), np.array([1.1, -0.7, 2.0])
+    for name in sorted(CONVENTIONS):
+        conv = get_convention(name)
+        m = dirac_generator(np.diag(v), energies, conv)
+        for i in range(3):
+            block = m[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+            assert block.tobytes() == dirac_generator(v[i], energies[i], conv).tobytes()
+            m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
+        assert not m.any()
+    m = schrodinger_generator(np.diag(v), energies, mass=1.5)
+    for i in range(3):
+        single = schrodinger_generator(v[i], energies[i], mass=1.5)
+        assert m[np.ix_([i, 3 + i], [i, 3 + i])].tobytes() == single.tobytes()
+        m[np.ix_([i, 3 + i], [i, 3 + i])] = 0.0
+    assert not m.any()
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +601,7 @@ def test_extracted_system_matches_direct_solve():
     joint = solve_dirac(prof, 1.7, Scattering(amps))
     xs = np.linspace(-2.0, 2.0, 101)
     for i in (1, 2):
-        direct = solve_dirac(prof.system(i), 1.7, Scattering(amps[[i - 1]]))
+        direct = solve_dirac(system_profile(prof, i), 1.7, Scattering(amps[[i - 1]]))
         np.testing.assert_allclose(
             joint.evaluate(xs)[:, system_columns("dirac", 2, i - 1)],
             direct.evaluate(xs),
