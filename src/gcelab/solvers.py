@@ -231,8 +231,8 @@ def dirac_generator(v, energy, convention: Convention) -> np.ndarray:
     M = -i (I_N kron gamma1^-1) (V kron K - diag(E) kron gamma0), so for a free
     single system at energy E the eigenvalues are +-iE and exp(M x) rotates the
     spinor with period 2 pi / |E|.  ``energy`` is one energy for every system
-    or one per system, broadcast against v[..., 0].  A stack of blocks
-    v[..., :, :] gives the stack of their generators.
+    or one per system along its last axis.  A stack of blocks v[..., :, :]
+    gives the stack of their generators.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
@@ -241,7 +241,9 @@ def dirac_generator(v, energy, convention: Convention) -> np.ndarray:
     g1inv = convention.gamma1_inv
     k = convention.coupling_matrix
     # diag(E) kron G: the rows of I_N kron G scaled by their system's energy.
-    e = np.repeat(np.broadcast_to(energy, v.shape[:-1]), 2, axis=-1)[..., None]
+    e = np.asarray(energy, dtype=float)
+    if e.ndim:
+        e = np.repeat(e, 2, axis=-1)[..., None]
     return -1j * (_kron(v, g1inv @ k) - e * _kron(np.eye(n), g1inv @ convention.gamma0))
 
 
@@ -254,7 +256,7 @@ def schrodinger_generator(v, energy, mass: float = 1.0) -> np.ndarray:
     n = v.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=complex)
     m[:n, n:] = np.eye(n)
-    m[n:, :n] = 2.0 * mass * (v - np.broadcast_to(energy, (n,))[:, None] * np.eye(n))
+    m[n:, :n] = 2.0 * mass * (v - np.reshape(energy, (-1, 1)) * np.eye(n))
     return m
 
 
@@ -636,21 +638,21 @@ def _boundary_rows(boundary, model: str, n: int):
 def _solve(profile, energy, boundary, model, convention, mass):
     n = profile.n_systems
     dim = 2 * n
-    energies = np.asarray(energy, dtype=float)
-    if energies.shape not in ((), (n,)):
-        raise ValueError(f"need one energy or {n}, got shape {energies.shape}")
-    energies = np.broadcast_to(energies, (n,))
+    energy = np.asarray(energy, dtype=float)
+    if energy.shape not in ((), (n,)):
+        raise ValueError(f"need one energy or {n}, got shape {energy.shape}")
+    energies = np.broadcast_to(energy, (n,))
     scatters, amps, given = _boundary_rows(boundary, model, n)
     if not profile.is_diagonal and ((energies != energies[0]).any() or 0 < scatters.sum() < n):
         raise ProfileError(
             "a coupled profile needs one energy and one boundary kind for all systems"
         )
     if model == "dirac":
-        mats = [dirac_generator(s.v, energies, convention) for s in profile.segments]
+        mats = [dirac_generator(s.v, energy, convention) for s in profile.segments]
     else:
         if not mass > 0.0:
             raise ValueError(f"mass must be positive, got {mass}")
-        mats = [schrodinger_generator(s.v, energies, mass) for s in profile.segments]
+        mats = [schrodinger_generator(s.v, energy, mass) for s in profile.segments]
     junctions = _junction_table(profile, convention, mass, model)
     b = profile.breakpoints
     n_seg = len(profile.segments)
@@ -714,7 +716,10 @@ def solve_dirac(
         One spec for the whole stack, or one single-system spec per system
         (a coupled profile needs one kind for all).  Scattering requires
         diagonal leftmost/rightmost segments and energies at which every
-        asymptotic channel of a scattering system propagates.
+        asymptotic channel of a scattering system propagates.  Every
+        system's incoming amplitude is referenced at the profile's left
+        edge, so a system padded to a wider stack carries its lead's
+        plane-wave phase over the padding.
     convention : Convention or str
         Gamma-matrix pair and coupling channel; see CONVENTIONS.
     """

@@ -49,6 +49,28 @@ def system_profile(profile: PotentialProfile, i: int) -> PotentialProfile:
     return PotentialProfile(segments, deltas)
 
 
+EPS = np.finfo(float).eps
+
+# A stack's rows repeat a single-system solve bit for bit when the stack's
+# extra product terms are exact zeros and the BLAS kernels sum the other
+# terms in the single system's order.  That order is the kernel's choice.
+BITS_CHECKED_ON = "OpenBLAS 0.3.31 (DYNAMIC_ARCH, numpy 2.4.6) on x86-64 with AVX-512"
+
+
+def assert_same_bits(stacked, single):
+    """Assert that a stack's rows repeat a single-system solve bit for bit.
+
+    A failure names the largest difference, in units of eps times the
+    samples' size, and the platform where the equality was checked.
+    """
+    if not np.array_equal(stacked, single):
+        worst = np.abs(stacked - single).max() / (EPS * np.abs(single).max())
+        pytest.fail(
+            f"stack rows differ from the single-system solve by {worst:.3g} eps of their "
+            f"size; bit equality was checked with {BITS_CHECKED_ON}"
+        )
+
+
 def ladder_pair_current(sol, basis: SunBasis, i: int, j: int, grid):
     """Pair current rebuilt from generator currents via the ladder combination.
 

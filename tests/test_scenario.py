@@ -43,7 +43,7 @@ from gcelab.scenario import (
     _csv_chunks,
     _solve_stack,
 )
-from conftest import system_profile
+from conftest import EPS, assert_same_bits, system_profile
 from gcelab.solvers import (
     InitialValue,
     PotentialProfile,
@@ -494,7 +494,7 @@ class TestRunScenario:
                 member, rows = solve_dirac(sub, e, amp, s.convention), [2 * i - 2, 2 * i - 1]
             else:
                 member, rows = solve_schrodinger(sub, e, amp, s.mass), [i - 1, n + i - 1]
-            assert np.array_equal(samples[:, rows], member.evaluate(grid))
+            assert_same_bits(samples[:, rows], member.evaluate(grid))
         expected_header = ["x"]
         for c in range(samples.shape[1]):
             expected_header += [f"re_u{c + 1}", f"im_u{c + 1}"]
@@ -808,7 +808,7 @@ class TestTableColumns:
 
 class TestMixedBoundaryKinds:
     """A diagonal stack with an incoming and an initial-valued system; each
-    system's rows are its single-system solve, bit for bit."""
+    system's rows are its single-system solve, bit for bit for Dirac."""
 
     LEADS = (-2.0, 0.0, 1.0, 2.0)
 
@@ -840,7 +840,8 @@ class TestMixedBoundaryKinds:
         ])
         return p1, p2, Scattering([0.8 + 0.3j]), InitialValue([0.6 + 0.1j, -0.4])
 
-    def check_rows(self, s, members, rows, rel=0.0):
+    def check_rows(self, s, members, rows, eps=None):
+        """Bit for bit, or within ``eps`` eps of the samples' size."""
         bundle = run_scenario(s)
         assert set(bundle.tables) == {"currents", "residuals"}
         for grid in (s.grid_array(), np.linspace(-2.5, 2.5, 101)):
@@ -848,7 +849,10 @@ class TestMixedBoundaryKinds:
                 flat = _solve_stack(s).evaluate(grid, side)
                 for member, r in zip(members, rows):
                     direct = member.evaluate(grid, side)
-                    assert np.abs(flat[:, r] - direct).max() <= rel * np.abs(direct).max()
+                    if eps is None:
+                        assert_same_bits(flat[:, r], direct)
+                    else:
+                        assert np.abs(flat[:, r] - direct).max() <= eps * EPS * np.abs(direct).max()
 
     def test_dirac_incoming_and_initial(self):
         s = self.stack("dirac", 0.5, convention="default")
@@ -860,9 +864,10 @@ class TestMixedBoundaryKinds:
         s = self.stack("schrodinger", 3.0, mass=1.0)
         p1, p2, incoming, initial = self.singles(3.0)
         members = [solve_schrodinger(p1, 1.0, incoming), solve_schrodinger(p2, 1.0, initial)]
-        # Bit for bit only where the rows' complex sums round alike: a wave
-        # system's rows interleave with the other's (values, derivatives).
-        self.check_rows(s, members, ([0, 2], [1, 3]), rel=1e-15)
+        # A wave system's rows interleave with the other's (values,
+        # derivatives), and their complex sums round in another order: up
+        # to 1.4 eps of the samples' size (OpenBLAS, x86-64).
+        self.check_rows(s, members, ([0, 2], [1, 3]), eps=3)
         # The same lead refuses a scattering boundary.
         with pytest.raises(ValueError, match="system 2 is evanescent"):
             _solve_stack(dataclasses.replace(s, boundaries=(s.boundaries[0],) * 2))
