@@ -256,10 +256,15 @@ class CurrentProfile:
     j0: np.ndarray
 
 
+def grid_snap(grid) -> float:
+    """Window within which a grid point counts as sitting on a position."""
+    return _SNAP * max(1.0, float(np.abs(grid).max()))
+
+
 def interval_stats(grid, values, x_lo: float, x_hi: float):
     """(mean, max deviation, relative deviation) over grid points strictly inside."""
     grid = np.asarray(grid, dtype=float)
-    snap = _SNAP * max(1.0, float(np.abs(grid).max()))
+    snap = grid_snap(grid)
     mask = (grid > x_lo + snap) & (grid < x_hi - snap)
     if not mask.any():
         raise ValueError(f"no grid points strictly inside ({x_lo}, {x_hi})")
@@ -482,7 +487,6 @@ def delta_domain_relation(
     sol,
     pair,
     junction: np.ndarray,
-    convention: Convention | str | None = None,
     *,
     x0: float | None = None,
     spec: TransformSpec | None = None,
@@ -500,9 +504,6 @@ def delta_domain_relation(
     defaults to the one delta with a nonzero (i, i) strength.
     """
     ci, cj = _decoupled_dirac(sol, pair, "a delta-domain relation")
-    conv = sol.convention if convention is None else (
-        get_convention(convention) if isinstance(convention, str) else convention
-    )
     if x0 is None:
         i = pair[0] - 1
         pos = [d.x0 for d in sol.profile.deltas if d.strength[i, i] != 0.0]
@@ -512,7 +513,7 @@ def delta_domain_relation(
             )
         x0 = float(pos[0])
     if spec is None:
-        spec = parity_transform(conv, center=x0)
+        spec = parity_transform(sol.convention, center=x0)
     domains = detect_domains(sol.profile, pair, spec)
     left_dom = next((d for d in domains if abs(d.x_hi - x0) <= _SNAP), None)
     right_dom = next((d for d in domains if abs(d.x_lo - x0) <= _SNAP), None)
@@ -536,7 +537,7 @@ def delta_domain_relation(
     c_plus = complex(cur_plus.j1.mean())
     rel_minus = float(np.abs(cur_minus.j1 - c_minus).max()) / max(abs(c_minus), 1e-30)
     rel_plus = float(np.abs(cur_plus.j1 - c_plus).max()) / max(abs(c_plus), 1e-30)
-    kernel = conv.current_matrix @ spec.spinor_factor
+    kernel = sol.convention.current_matrix @ spec.spinor_factor
     psi_i_left = sol.evaluate([x0], side="left")[0, ci]
     psi_j_left = sol.evaluate([spec.map(float(x0))], side="left")[0, cj]
     junction = np.asarray(junction, dtype=complex)

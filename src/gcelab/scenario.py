@@ -2,12 +2,14 @@
 
 A scenario is a JSON document whose keys match the Scenario dataclass fields.
 Complex numbers are written as plain reals or two-element [re, im] lists;
-matrices are nested lists.  Running a scenario solves the stated systems in
-one solve, each at its own energy and with its own boundary kind (a coupled
-profile needs one of each), evaluates the requested outputs in a fixed
-canonical order, and returns a ReportBundle whose serialized form is
-byte-deterministic: no timestamps, 17 significant digits in CSV cells, LF
-line endings, sorted JSON keys.
+matrices are nested lists.  A parsed scenario holds the solver's own inputs:
+segments, delta barriers in file order and one boundary per system.  Running
+a scenario solves the stated systems in one solve, each at its own energy and
+with its own boundary kind (the solver names the entry of a coupled profile
+that needs one of each), evaluates the requested outputs in a fixed canonical
+order, and returns a ReportBundle whose serialized form is byte-deterministic:
+no timestamps, 17 significant digits in CSV cells, LF line endings, sorted
+JSON keys.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .solvers import (
     InitialValue,
     PiecewiseSolution,
     PotentialProfile,
-    ProfileError,
     Scattering,
     Segment,
     delta_junction,
@@ -66,7 +67,9 @@ class ScenarioFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scenario model (plain immutable values so round-trip equality is exact)
+# Scenario model: GridSpec, TransformEntry and the solver's Segment,
+# DeltaBarrier, Scattering and InitialValue, all with tuple payloads, so
+# equality, hashing and the save/load round trip are exact.
 
 
 @dataclass(frozen=True)
@@ -74,27 +77,6 @@ class GridSpec:
     x_min: float
     x_max: float
     n_points: int
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    x_lo: float
-    x_hi: float
-    v: tuple
-
-
-@dataclass(frozen=True)
-class DeltaSpec:
-    x0: float
-    strength: tuple
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Per-system boundary: 'incoming' amplitude or full 'initial' state."""
-
-    kind: str
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -123,9 +105,7 @@ class Scenario:
 
     @property
     def profile(self) -> PotentialProfile:
-        segs = [Segment(s.x_lo, s.x_hi, np.array(s.v, dtype=complex)) for s in self.segments]
-        deltas = [DeltaBarrier(d.x0, np.array(d.strength, dtype=complex)) for d in self.deltas]
-        return PotentialProfile(segs, deltas)
+        return PotentialProfile(self.segments, self.deltas)
 
     def grid_array(self, n_points: int | None = None) -> np.ndarray:
         n = int(n_points) if n_points is not None else self.grid.n_points
@@ -223,19 +203,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _known_keys(seg, {"x_lo", "x_hi", "v"}, key)
         lo = _as_float(seg.get("x_lo"), f"{key}.x_lo")
         hi = _as_float(seg.get("x_hi"), f"{key}.x_hi")
-        segments.append(SegmentSpec(lo, hi, _as_matrix(seg.get("v"), n, f"{key}.v")))
+        segments.append(Segment(lo, hi, _as_matrix(seg.get("v"), n, f"{key}.v")))
     deltas = []
     for d, delta in enumerate(prof.get("deltas", [])):
         key = f"profile.deltas[{d}]"
         if not isinstance(delta, dict):
             _fail(key, "expected an object")
         _known_keys(delta, {"x0", "strength"}, key)
-        deltas.append(
-            DeltaSpec(
-                _as_float(delta.get("x0"), f"{key}.x0"),
-                _as_matrix(delta.get("strength"), n, f"{key}.strength"),
-            )
-        )
+        x0 = _as_float(delta.get("x0"), f"{key}.x0")
+        deltas.append(DeltaBarrier(x0, _as_matrix(delta.get("strength"), n, f"{key}.strength")))
 
     energies = doc["energies"]
     if not isinstance(energies, list) or len(energies) != n:
@@ -253,18 +229,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
         kind = bound["kind"]
         if kind == "incoming":
             _known_keys(bound, {"kind", "amplitude"}, key)
-            values = (_as_complex(bound.get("amplitude"), f"{key}.amplitude"),)
+            amplitude = _as_complex(bound.get("amplitude"), f"{key}.amplitude")
+            boundaries.append(Scattering((amplitude,)))
         elif kind == "initial":
             _known_keys(bound, {"kind", "value"}, key)
             raw = bound.get("value")
             if not isinstance(raw, list) or len(raw) != 2:
                 _fail(f"{key}.value", "expected a two-component state")
-            values = tuple(
+            boundaries.append(InitialValue(tuple(
                 _as_complex(v, f"{key}.value[{i}]") for i, v in enumerate(raw)
-            )
+            )))
         else:
             _fail(f"{key}.kind", f"must be 'incoming' or 'initial', got {kind!r}")
-        boundaries.append(BoundarySpec(kind, values))
 
     convention = doc.get("convention")
     if convention is not None:
@@ -352,7 +328,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         quadrature_points=quadrature_points,
     )
     try:
-        profile = scenario.profile
+        scenario.profile  # building the profile validates its geometry
     except ValueError as e:
         raise ScenarioFormatError(f"profile.segments: {e}") from None
     if scenario.convention is not None:
@@ -360,7 +336,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
             get_convention(scenario.convention)
         except ValueError as e:
             raise ScenarioFormatError(f"convention: {e}") from None
-    del profile
     return scenario
 
 
@@ -402,9 +377,9 @@ def serialize_scenario(s: Scenario) -> dict:
         },
         "energies": list(s.energies),
         "boundaries": [
-            {"kind": b.kind, "amplitude": _complex_out(b.values[0])}
-            if b.kind == "incoming"
-            else {"kind": b.kind, "value": [_complex_out(v) for v in b.values]}
+            {"kind": "incoming", "amplitude": _complex_out(b.amplitudes[0])}
+            if isinstance(b, Scattering)
+            else {"kind": "initial", "value": [_complex_out(v) for v in b.values]}
             for b in s.boundaries
         ],
         "grid": {
@@ -525,55 +500,27 @@ def _annotate(e: ValueError, what: str):
     raise type(e)(f"{what}: {e}") from None
 
 
-def _refuse_coupling(s: Scenario) -> None:
-    """Name the first segment or delta that couples two systems of a stack
-    whose systems differ in energy or boundary kind, preferring two systems
-    at unequal energies."""
-    entries = [(f"profile.segments[{k}]", seg.v) for k, seg in enumerate(s.segments)]
-    entries += [(f"profile.deltas[{k}]", d.strength) for k, d in enumerate(s.deltas)]
-    found = [
-        (s.energies[i] == s.energies[j], key, i, j)
-        for key, m in entries
-        for i in range(s.n_systems)
-        for j in range(i + 1, s.n_systems)
-        if m[i][j] != 0.0 or m[j][i] != 0.0
-    ]
-    if found:
-        _, key, i, j = min(found, key=lambda f: f[0])
-        raise ProfileError(
-            f"{key} couples systems {i + 1} and {j + 1} at energies {s.energies[i]} "
-            f"and {s.energies[j]}; a coupled profile needs one energy and one "
-            "boundary kind for all systems"
-        )
-
-
 def _solve_stack(s: Scenario) -> PiecewiseSolution:
-    boundary = [
-        Scattering(b.values) if b.kind == "incoming" else InitialValue(b.values)
-        for b in s.boundaries
-    ]
+    """The scenario's one solve.  The convention and mass defaults are
+    resolved here only; the outputs read them from the solution."""
     try:
-        if len(set(s.energies)) > 1 or len({b.kind for b in s.boundaries}) > 1:
-            _refuse_coupling(s)
         if s.model == "dirac":
-            return solve_dirac(s.profile, s.energies, boundary, s.convention or "default")
+            return solve_dirac(s.profile, s.energies, s.boundaries, s.convention or "default")
         mass = s.mass if s.mass is not None else 1.0
-        return solve_schrodinger(s.profile, s.energies, boundary, mass=mass)
+        return solve_schrodinger(s.profile, s.energies, s.boundaries, mass=mass)
     except ValueError as e:
         _annotate(e, "solving the scenario systems")
 
 
-def _transform_spec(s: Scenario):
+def _transform_spec(s: Scenario, sol: PiecewiseSolution):
     if s.transform is None:
         return engine.identity_transform()
-    return transform_from_sigma_rho(
-        s.transform.sigma, s.transform.rho, s.convention or "default"
-    )
+    return transform_from_sigma_rho(s.transform.sigma, s.transform.rho, sol.convention)
 
 
 def _pair_current(s: Scenario, sol: PiecewiseSolution, grid: np.ndarray):
     """The current displayed by the scenario: transformed when a map is set."""
-    spec = _transform_spec(s)
+    spec = _transform_spec(s, sol)
     if s.model == "dirac" and not spec.is_identity:
         return transformed_current(sol, s.pair, spec, grid), True
     fn = dirac_current if s.model == "dirac" else schrodinger_current
@@ -632,9 +579,9 @@ def _domains(s, sol, grid, tol, current):
     # A pair at unequal energies keeps the time term i(E_i - E_j) psi_i^dag psi_j
     # of its continuity law: its current is conserved nowhere.
     same = sol.energies[i - 1] == sol.energies[j - 1]
-    domains = detect_domains(sol.profile, s.pair, _transform_spec(s)) if same else []
+    domains = detect_domains(sol.profile, s.pair, _transform_spec(s, sol)) if same else []
     j1 = current()[0].j1
-    snap = 1e-9 * max(1.0, float(np.abs(grid).max()))
+    snap = engine.grid_snap(grid)
     items, checks = [], []
     covered = np.zeros(len(grid), dtype=bool)
     for dom in domains:
@@ -698,10 +645,9 @@ def _delta_relation(s, sol, grid, tol, current):
     i = s.pair[0]
     barrier = next((d for d in deltas if d.strength[i - 1, i - 1] != 0.0), deltas[0])
     x0 = float(barrier.x0)
-    conv = get_convention(s.convention or "default")
-    junction = delta_junction(np.array([[barrier.strength[i - 1, i - 1]]]), conv)
+    junction = delta_junction(np.array([[barrier.strength[i - 1, i - 1]]]), sol.convention)
     try:
-        rel = delta_domain_relation(sol, s.pair, junction, conv, x0=x0, spec=_transform_spec(s))
+        rel = delta_domain_relation(sol, s.pair, junction, x0=x0, spec=_transform_spec(s, sol))
     except ValueError as e:
         _annotate(e, "evaluating the delta-domain relation")
     checks = [
@@ -747,10 +693,8 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     current = functools.cache(lambda: _pair_current(s, sol, grid))
     bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
     summary = bundle.summary
-    summary["convention"] = (s.convention or "default") if s.model == "dirac" else None
-    summary["mass"] = (
-        (s.mass if s.mass is not None else 1.0) if s.model == "schrodinger" else None
-    )
+    summary["convention"] = sol.convention.name if s.model == "dirac" else None
+    summary["mass"] = sol.mass
     summary["outputs"] = [o for o in OUTPUT_KINDS if o in wanted]
     for kind in summary["outputs"]:
         table, summary[kind], checks = OUTPUTS[kind](s, sol, grid, tol, current)

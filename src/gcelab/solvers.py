@@ -130,7 +130,10 @@ class DeltaBarrier:
 
 
 class PotentialProfile:
-    """Ordered contiguous segments plus delta barriers at segment boundaries."""
+    """Ordered contiguous segments plus delta barriers at segment boundaries.
+
+    The deltas keep the order given, so ``deltas[d]`` is the caller's delta d.
+    """
 
     def __init__(self, segments, deltas=()):
         if not segments:
@@ -166,10 +169,10 @@ class PotentialProfile:
                 )
             lam = _hermitian_or_raise(delta.strength, n, what=f"delta {d} strength")
             snapped.append(DeltaBarrier(float(self.breakpoints[k]), lam))
-        snapped.sort(key=lambda d: d.x0)
-        for a, b in zip(snapped, snapped[1:]):
-            if a.x0 == b.x0:
-                raise ProfileError(f"two delta barriers share position {a.x0}")
+        positions = [d.x0 for d in snapped]
+        for d, x0 in enumerate(positions):
+            if x0 in positions[:d]:
+                raise ProfileError(f"two delta barriers share position {x0}")
         self.deltas: tuple[DeltaBarrier, ...] = tuple(snapped)
 
     @property
@@ -635,6 +638,25 @@ def _boundary_rows(boundary, model: str, n: int):
     return scatters, amps, given
 
 
+def _refuse_coupled(profile, energies) -> None:
+    """Raise ProfileError naming the first segment or delta that couples two
+    systems, preferring two systems at unequal energies."""
+    entries = [(f"profile.segments[{k}]", s.v) for k, s in enumerate(profile.segments)]
+    entries += [(f"profile.deltas[{k}]", d.strength) for k, d in enumerate(profile.deltas)]
+    found = [
+        (energies[i] == energies[j], key, i, j)
+        for key, m in entries
+        for i, j in np.argwhere(np.triu((m != 0.0) | (m.T != 0.0), 1))
+    ]
+    if found:
+        _, key, i, j = min(found, key=lambda f: f[0])
+        raise ProfileError(
+            f"{key} couples systems {i + 1} and {j + 1} at energies {float(energies[i])} "
+            f"and {float(energies[j])}; a coupled profile needs one energy and one "
+            "boundary kind for all systems"
+        )
+
+
 def _solve(profile, energy, boundary, model, convention, mass):
     n = profile.n_systems
     dim = 2 * n
@@ -643,10 +665,8 @@ def _solve(profile, energy, boundary, model, convention, mass):
         raise ValueError(f"need one energy or {n}, got shape {energy.shape}")
     energies = np.broadcast_to(energy, (n,))
     scatters, amps, given = _boundary_rows(boundary, model, n)
-    if not profile.is_diagonal and ((energies != energies[0]).any() or 0 < scatters.sum() < n):
-        raise ProfileError(
-            "a coupled profile needs one energy and one boundary kind for all systems"
-        )
+    if (energies != energies[0]).any() or 0 < scatters.sum() < n:
+        _refuse_coupled(profile, energies)
     if model == "dirac":
         mats = [dirac_generator(s.v, energy, convention) for s in profile.segments]
     else:
@@ -711,7 +731,8 @@ def solve_dirac(
     energy : float or sequence of N floats
         Stationary energy of every system, or of each; the time dependence is
         the analytic phase exp(-i E t) and never enters the spatial solve.  A
-        coupled profile needs one energy for all systems.
+        coupled profile needs one energy for all systems; otherwise a
+        ProfileError names its first coupling entry, systems and energies.
     boundary : InitialValue or Scattering, or a sequence of N of them
         One spec for the whole stack, or one single-system spec per system
         (a coupled profile needs one kind for all).  Scattering requires

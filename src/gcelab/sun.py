@@ -151,25 +151,21 @@ class PotentialDecomposition:
 
 
 def decompose(v, basis: SunBasis) -> PotentialDecomposition:
-    """Decompose a Hermitian matrix, stack of matrices, or potential profile.
+    """Decompose a Hermitian matrix or a potential profile.
 
-    Accepts a single (n, n) Hermitian matrix, an (m, n, n) stack sharing jump
-    positions ``cuts`` of length m - 1 (pass via a profile), or any object with
-    ``segment_matrices`` and ``interior_cuts`` attributes (a PotentialProfile).
-    Coefficients are v0 = Tr(V)/n and c_k = 2 Tr(V T_k); both are real for
-    Hermitian input and satisfy V = v0 I + sum_k c_k T_k exactly.
+    Accepts a single (n, n) Hermitian matrix, or any object with
+    ``segment_matrices`` and ``interior_cuts`` attributes (a PotentialProfile),
+    whose segments are decomposed one each.  Coefficients are v0 = Tr(V)/n
+    and c_k = 2 Tr(V T_k); both are real for Hermitian input and satisfy
+    V = v0 I + sum_k c_k T_k exactly.
     """
     n = basis.n
     if hasattr(v, "segment_matrices") and hasattr(v, "interior_cuts"):
         mats = np.asarray(v.segment_matrices, dtype=complex)
         cuts = np.asarray(v.interior_cuts, dtype=float)
     else:
-        mats = np.asarray(v, dtype=complex)
-        if mats.ndim == 2:
-            mats = mats[None]
+        mats = np.asarray(v, dtype=complex)[None]
         cuts = np.zeros(0)
-    if mats.ndim != 3 or mats.shape[0] != len(cuts) + 1:
-        raise ValueError("expected one matrix per segment (len(cuts) + 1 segments)")
     for s in range(mats.shape[0]):
         _hermitian_or_raise(mats[s], n, what=f"segment {s} potential")
     v0 = np.einsum("sii->s", mats).real / n

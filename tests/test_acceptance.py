@@ -424,7 +424,7 @@ def test_cli_exit_status_contract(tmp_path, capsys, monkeypatch):
     ok = str(tmp_path / "ok")
     code, out, _ = run(["run", "--scenario", "fig2", "--lambda", "0", "--out", ok])
     assert code == 0 and "verdict: pass" in out
-    assert json.load(open(os.path.join(ok, "summary.json")))["domains"]["count"] == 1
+    assert json.loads(Path(ok, "summary.json").read_text())["domains"]["count"] == 1
 
     bad = str(tmp_path / "bad")
     code, out, _ = run(["run", "--scenario", "fig1a", "--tol", "1e-18", "--out", bad])

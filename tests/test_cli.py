@@ -136,7 +136,7 @@ class TestExitContract:
         proc = run_proc(["run", "--scenario", "fig2", "--lambda", "0", "--out", out])
         assert proc.returncode == 0, proc.stderr
         assert "verdict: pass" in proc.stdout
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["passed"] is True
         assert summary["domains"]["count"] == 1  # single constant current
 
@@ -202,7 +202,7 @@ class TestExitContract:
         )
         assert code == 1
         assert "verdict: fail" in stdout
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["passed"] is False
         # One line per failing check, before the verdict.
         failed = [ln for ln in stdout.splitlines() if ln.startswith("failed check:")]
@@ -380,6 +380,25 @@ class TestOutputRouting:
 
 
 class TestSubcommandOutputs:
+    def test_lambda_and_delta_relation_pick_the_first_delta_in_the_file(
+        self, tmp_path, capsys
+    ):
+        doc = json.loads((Path(gcelab.__file__).parent / "scenarios" / "fig2.json").read_text())
+        doc["profile"]["deltas"].append({"x0": -1.5, "strength": [[0.4, 0.0], [0.0, 0.0]]})
+        path = tmp_path / "two_deltas.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        code, _, err = run_cli(
+            ["run", "--scenario", str(path), "--lambda", "0.7", "--out", str(out)], capsys
+        )
+        assert code == 0, err
+        summary = json.loads((out / "summary.json").read_text())
+        deltas = summary["scenario"]["profile"]["deltas"]
+        assert [d["x0"] for d in deltas] == [0.0, -1.5]
+        assert deltas[0]["strength"][0][0] == 0.7
+        # The relation judges the delta --lambda set, not the leftmost one.
+        assert summary["delta_relation"]["x0"] == 0.0
+
     def test_solve_writes_sampled_states(self, tmp_path, capsys):
         out = tmp_path / "rep"
         code, _, _ = run_cli(
@@ -434,7 +453,7 @@ class TestSubcommandOutputs:
             capsys,
         )
         assert code == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["convention"] == "rotated"
 
 

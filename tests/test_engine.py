@@ -139,7 +139,7 @@ def scenario_members(name):
     return [
         solve_dirac(
             system_profile(s.profile, i), s.energies[i - 1],
-            Scattering([s.boundaries[i - 1].values[0]]), s.convention,
+            Scattering([s.boundaries[i - 1].amplitudes[0]]), s.convention,
         )
         for i in (1, 2)
     ]
@@ -641,7 +641,7 @@ class TestBlockedSampling:
     def test_builtin_transformed_currents_match_whole_grid(self, monkeypatch, name):
         s = load_builtin(name)
         sol = _solve_stack(s)
-        spec = _transform_spec(s)
+        spec = _transform_spec(s, sol)
         grid = s.grid_array(401)
         mapped = spec.map(grid)
         kernel = sol.convention.current_matrix @ spec.spinor_factor

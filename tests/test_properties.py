@@ -316,3 +316,106 @@ def test_vector_coupled_stack_matches_chiral_closed_form(seed):
         assert np.abs(left).max() <= 1e-13 * scale
         assert np.abs(right - right_movers).max() <= 1e-12 * scale
 
+
+
+# ---------------------------------------------------------------------------
+# Closed form: rotation-decoupled stacks
+#
+# With V_s = a_s I + b_s Q on every segment (b = 0 in the leads) and deltas
+# alpha I + beta Q for one Hermitian Q = W diag(q) W^dag, the constant W
+# splits the stack into N single systems: eigen-channel k sees a_s + b_s q_k
+# and alpha + beta q_k.  Every system meets the same leads, so W maps channel
+# states to the joint ones at both edges.  The oracle solves each channel with
+# 2 x 2 transfers exp(M L) from scipy's expm, built from the convention's
+# gammas rather than the solver's generators.
+
+KAPPA_L_CAP = 3.0  # past it the joint solve loses digits to e^{2 kappa L}
+
+
+def channel_generator(model, conv, v, energy):
+    """2 x 2 generator of one channel: Dirac -i gamma1^-1 (v - E gamma0) with
+    scalar coupling, or Schroedinger (phi, phi')' = (phi', 2 (v - E) phi)."""
+    if model == "dirac":
+        return 1j * conv.gamma1 @ (v * np.eye(2) - energy * conv.gamma0)
+    return np.array([[0.0, 1.0], [2.0 * (v - energy), 0.0]], dtype=complex)
+
+
+def channel_movers(model, conv, v, energy):
+    """Unit (right, left) movers of a propagating lead: Dirac spinors of unit
+    norm with their first component real positive, labelled by the sign of
+    u^dag gamma0 gamma1 u; Schroedinger (1, +-ik)."""
+    if model == "schrodinger":
+        k = np.sqrt(2.0 * (energy - v))
+        return np.array([1.0, 1j * k]), np.array([1.0, -1j * k])
+    _, vecs = np.linalg.eig(channel_generator(model, conv, v, energy))
+    movers = [u / np.linalg.norm(u) * abs(u[0]) / u[0] for u in vecs.T]
+    current = [(u.conj() @ conv.current_matrix @ u).real for u in movers]
+    return tuple(movers) if current[0] > 0.0 else tuple(movers[::-1])
+
+
+def decoupled_stack(seed: int, model: str, n: int):
+    """Leads a I, interior segments a_s I + b_s Q, one delta alpha I + beta Q,
+    with Q normalised to spectral radius 1."""
+    rng = np.random.default_rng(seed)
+    q = random_hermitian(rng, n)
+    q /= np.abs(np.linalg.eigvalsh(q)).max()
+    last = len(BREAKS) - 2
+    coeffs = [
+        (rng.uniform(-0.5, 0.5), 0.0) if k in (0, last)
+        else (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for k in range(last + 1)
+    ]
+    segs = [Segment(lo, hi, a * np.eye(n) + b * q)
+            for (lo, hi), (a, b) in zip(zip(BREAKS[:-1], BREAKS[1:]), coeffs)]
+    alpha, beta = rng.uniform(-0.5, 0.5, 2)
+    delta = DeltaBarrier(BREAKS[2], alpha * np.eye(n) + beta * q)
+    # |v| <= 2 inside, so kappa L stays below 2.9 for Dirac and 2.6 for
+    # Schroedinger, and about a quarter of the interior channels are evanescent.
+    energy = 0.6 + 0.4 * rng.uniform()
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return PotentialProfile(segs, [delta]), q, coeffs, (alpha, beta), energy, amps
+
+
+@pytest.mark.parametrize("model, convention", [
+    ("dirac", "default"), ("dirac", "rotated"), ("schrodinger", None),
+])
+@pytest.mark.parametrize("seed", range(6))
+def test_rotation_decoupled_stack_matches_channel_closed_form(seed, model, convention):
+    n = 2 + seed % 3
+    profile, q, coeffs, (alpha, beta), energy, amps = decoupled_stack(seed, model, n)
+    if model == "dirac":
+        sol = solve_dirac(profile, energy, Scattering(amps), convention)
+        conv = sol.convention
+    else:
+        sol, conv = solve_schrodinger(profile, energy, Scattering(amps)), None
+    qk, w = np.linalg.eigh(q)
+    incoming = w.conj().T @ amps
+    lengths = np.diff(BREAKS)
+    left, right = [], []
+    for k in range(n):
+        v = [a + b * qk[k] for a, b in coeffs]
+        u_in, u_ref = channel_movers(model, conv, v[0], energy)
+        out, _ = channel_movers(model, conv, v[-1], energy)
+        transfer = np.eye(2, dtype=complex)
+        for s, length in enumerate(lengths):
+            if BREAKS[s] == profile.deltas[0].x0:
+                lam = alpha + beta * qk[k]
+                jump = (expm(1j * lam * conv.gamma1) if model == "dirac"
+                        else np.array([[1.0, 0.0], [2.0 * lam, 1.0]]))
+                transfer = jump @ transfer
+            m = channel_generator(model, conv, v[s], energy)
+            if 0 < s < len(lengths) - 1:
+                kappa = np.sqrt(max(np.linalg.eigvals(m @ m).real.max(), 0.0))
+                assert kappa * length <= KAPPA_L_CAP
+            transfer = expm(m * length) @ transfer
+        # transfer (c u_in + r u_ref) = t out
+        r, _ = np.linalg.solve(
+            np.column_stack([transfer @ u_ref, -out]), -incoming[k] * (transfer @ u_in)
+        )
+        left.append(incoming[k] * u_in + r * u_ref)
+        right.append(transfer @ left[-1])
+    for x, channels in zip(profile.extent, (left, right)):
+        joint = sol.evaluate([x])[0]
+        joint = joint.reshape(n, 2) if model == "dirac" else joint.reshape(2, n).T
+        want = w @ np.array(channels)
+        assert np.abs(joint - want).max() <= 1e-12 * np.abs(want).max()

@@ -309,7 +309,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_scenario(s, p1)
         save_scenario(s, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestBuiltins:
@@ -489,7 +489,7 @@ class TestRunScenario:
         # Each single-system solve sits in its rows of the stack's layout.
         for i in range(1, n + 1) if not joint else ():
             sub, e = system_profile(s.profile, i), s.energies[i - 1]
-            amp = Scattering([s.boundaries[i - 1].values[0]])
+            amp = Scattering([s.boundaries[i - 1].amplitudes[0]])
             if s.model == "dirac":
                 member, rows = solve_dirac(sub, e, amp, s.convention), [2 * i - 2, 2 * i - 1]
             else:
@@ -532,7 +532,7 @@ class TestReports:
         b = run_scenario(load_builtin("fig1a"), n_points=101)
         paths = write_reports(b, str(tmp_path))
         path = [p for p in paths if p.endswith("currents.csv")][0]
-        lines = open(path).read().rstrip("\n").split("\n")[1:]
+        lines = Path(path).read_text().rstrip("\n").split("\n")[1:]
         _, columns = b.tables["currents"]
         for ln, row in zip(lines, zip(*columns), strict=True):
             cells = [float(c) for c in ln.split(",")]

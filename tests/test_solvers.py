@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -667,6 +669,78 @@ def test_scattering_needs_diagonal_asymptotics():
         solve_dirac(coupled, 2.0, Scattering(np.array([1.0, 1.0])))
     sol = solve_dirac(coupled, 2.0, InitialValue(np.array([1.0, 0.0, 0.5, 0.0])))
     assert sol.dim == 4  # initial-value path has no such restriction
+
+
+# ---------------------------------------------------------------------------
+# Coupled stacks that mix energies or boundary kinds are refused by name
+
+
+def refusal(entry: str, i: int, j: int, e_i: float, e_j: float) -> str:
+    return "^" + re.escape(
+        f"profile.{entry} couples systems {i} and {j} at energies {e_i} and {e_j}; "
+        "a coupled profile needs one energy and one boundary kind for all systems"
+    ) + "$"
+
+
+def four_segments(*interior, deltas=()):
+    """Diagonal leads on [-2, -1] and [1, 2] around the interior matrices."""
+    n = len(interior[0])
+    mats = [np.eye(n) * 0.1, *interior, np.eye(n) * 0.2]
+    edges = np.linspace(-2.0, 2.0, len(mats) + 1)
+    segs = [Segment(lo, hi, np.asarray(m, dtype=complex))
+            for lo, hi, m in zip(edges[:-1], edges[1:], mats)]
+    return PotentialProfile(segs, deltas)
+
+
+def solve_model(model, profile, energy, boundary):
+    if model == "dirac":
+        return solve_dirac(profile, energy, boundary)
+    return solve_schrodinger(profile, energy, boundary)
+
+
+COUPLED = [[0.3, 0.2], [0.2, 0.4]]
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_coupling_at_unequal_energies_is_named(model):
+    prof = four_segments(np.diag([0.3, 0.4]), COUPLED)
+    with pytest.raises(ProfileError, match=refusal("segments[2]", 1, 2, 1.5, 1.1)):
+        solve_model(model, prof, [1.5, 1.1], Scattering([1.0, 0.8]))
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_coupling_with_mixed_boundary_kinds_is_named(model):
+    prof = four_segments(COUPLED, np.diag([0.3, 0.4]))
+    mixed = [Scattering([1.0]), InitialValue([1.0, 0.0])]
+    with pytest.raises(ProfileError, match=refusal("segments[1]", 1, 2, 1.5, 1.5)):
+        solve_model(model, prof, 1.5, mixed)
+    # The same stack with one kind solves.
+    assert solve_model(model, prof, 1.5, Scattering([1.0, 0.5])).dim == 4
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_coupling_at_unequal_energies_is_named_before_an_earlier_one(model):
+    first = [[0.3, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.5]]  # systems 1, 2: equal E
+    second = [[0.3, 0.0, 0.0], [0.0, 0.4, 0.1j], [0.0, -0.1j, 0.5]]  # systems 2, 3
+    prof = four_segments(first, second)
+    with pytest.raises(ProfileError, match=refusal("segments[2]", 2, 3, 1.2, 1.7)):
+        solve_model(model, prof, [1.2, 1.2, 1.7], Scattering([1.0, 0.5, 0.2]))
+
+
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_coupled_delta_listed_second_is_named_by_its_index(model):
+    deltas = [DeltaBarrier(0.0, np.diag([0.3, 0.0])), DeltaBarrier(-1.0, COUPLED)]
+    prof = four_segments(np.diag([0.3, 0.4]), np.diag([0.1, 0.2]), deltas=deltas)
+    assert [d.x0 for d in prof.deltas] == [0.0, -1.0]  # the order given
+    with pytest.raises(ProfileError, match=refusal("deltas[1]", 1, 2, 1.5, 1.1)):
+        solve_model(model, prof, [1.5, 1.1], Scattering([1.0, 0.8]))
+
+
+def test_deltas_at_one_position_are_refused_in_any_order():
+    segs = [Segment(lo, lo + 1.0, np.eye(1)) for lo in (-1.0, 0.0)]
+    at = [DeltaBarrier(x0, np.eye(1)) for x0 in (0.0, 1.0, 0.0)]
+    with pytest.raises(ProfileError, match="two delta barriers share position 0.0"):
+        PotentialProfile(segs, at)
 
 
 def test_shape_errors():

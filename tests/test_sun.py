@@ -246,6 +246,10 @@ def test_rank_and_hermiticity_errors(bases):
             build_basis(bad)
     with pytest.raises(ValueError, match="Hermitian"):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), bases[2])
+    # A raw stack of matrices has no cuts: a profile carries them.
+    for stack in (np.stack([np.eye(2)] * 2), np.eye(2)[None]):
+        with pytest.raises(ValueError, match=r"must have shape \(2, 2\)"):
+            decompose(stack, bases[2])
     with pytest.raises(ValueError):
         source_operator(decompose(np.eye(2), bases[2]), 4)
     with pytest.raises(ValueError):
