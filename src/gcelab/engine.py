@@ -132,18 +132,18 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # ---------------------------------------------------------------------------
 # One quadratic form for every current, time term and source
 #
-# States are sampled flat in solver layout, shape (..., 2N): Dirac is
-# system-major (component i of system s at 2s + i), Schroedinger holds the N
-# values and then the N derivatives.  Every term of the continuity law is
-# psi^dag K psi for a Hermitian kernel K, the Kronecker product of an N x N
-# system matrix (T_a, the time weight i(E_s - E_t) T_a or a source S_a) and
-# a 2x2 block of ``_blocks``: M (x) block for Dirac, block (x) M in
-# (value, derivative) space for Schroedinger.  Hermitian K gives
-# psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k) psi_l with c = 1 on
-# the diagonal and 2 off it, so one GEMM of ``_triangle`` coefficients
-# against ``_outer_triangle`` products evaluates any number of kernels.  A
-# pair form is the bilinear psi_i^dag block psi_j of the columns of systems
-# i and j (``system_columns``) of the same flat samples.
+# States are sampled flat in solver layout, shape (..., 2N): system-major,
+# component c of system s at 2s + c (``system_columns``).  Every term of the
+# continuity law is psi^dag K psi for a Hermitian kernel K = M (x) block, the
+# Kronecker product of an N x N system matrix (T_a, the time weight
+# i(E_s - E_t) T_a or a source S_a) and a 2x2 block of ``_blocks``.
+# Hermitian K gives psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k)
+# psi_l with c = 1 on the diagonal and 2 off it, so one GEMM of ``_triangle``
+# coefficients against ``_outer_triangle`` products evaluates any number of
+# kernels.  Products of two second components are left out when every block
+# has a zero (1, 1) entry (``_full``): no Schroedinger kernel pairs two
+# derivatives.  A pair form is the bilinear psi_i^dag block psi_j of the
+# columns of systems i and j of the same flat samples.
 
 _VALUE_BLOCK = np.diag([1.0, 0.0])
 _FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -161,32 +161,35 @@ def _blocks(model: str, conv: Convention, mass: float):
     return (0.5j / mass) * _FLUX_BLOCK, _VALUE_BLOCK, _VALUE_BLOCK
 
 
-def _triangle(model: str, m: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _full(blocks) -> bool:
+    """Whether the forms of these blocks weigh products of two second components."""
+    return any(b[1, 1] != 0.0 for b in blocks)
+
+
+def _triangle(m: np.ndarray, block: np.ndarray, full: bool) -> np.ndarray:
     """Coefficients c_kl K_kl on ``_outer_triangle`` of the kernel of system
     matrices m (..., N, N) and a block, gathered without forming K."""
-    n = m.shape[-1]
-    k, l = np.triu_indices(2 * n)
-    if model == "dirac":
-        (sk, ik), (sl, il) = divmod(k, 2), divmod(l, 2)
-    else:  # no Schroedinger kernel pairs two derivatives
-        keep = k < n
+    k, l = np.triu_indices(2 * m.shape[-1])
+    if not full:
+        keep = (k % 2 == 0) | (l % 2 == 0)
         k, l = k[keep], l[keep]
-        (ik, sk), (il, sl) = divmod(k, n), divmod(l, n)
+    (sk, ik), (sl, il) = divmod(k, 2), divmod(l, 2)
     return m[..., sk, sl] * (block[ik, il] * np.where(k == l, 1.0, 2.0))
 
 
-def _outer_triangle(model: str, psi: np.ndarray) -> np.ndarray:
+def _outer_triangle(psi: np.ndarray, full: bool) -> np.ndarray:
     """conj(psi_k) psi_l in ``_triangle`` order for flat samples (b, 2N),
     shape (P, b) with samples last."""
     p = np.ascontiguousarray(psi.T)
     pc = p.conj()
     m = len(p)
-    rows = m if model == "dirac" else m // 2
-    out = np.empty((sum(range(m - rows + 1, m + 1)), len(psi)), dtype=complex)
+    skipped = 0 if full else (m // 2) * (m // 2 + 1) // 2  # second with second
+    out = np.empty((m * (m + 1) // 2 - skipped, len(psi)), dtype=complex)
     start = 0
-    for k in range(rows):
-        np.multiply(pc[k], p[k:], out=out[start:start + m - k])
-        start += m - k
+    for k in range(m):
+        row = p[k:] if full or k % 2 == 0 else p[k + 1::2]
+        np.multiply(pc[k], row, out=out[start:start + len(row)])
+        start += len(row)
     return out
 
 
@@ -215,7 +218,7 @@ def _pair_columns(sol: PiecewiseSolution, pair) -> tuple[slice, slice]:
     for k in pair:
         if not 1 <= k <= sol.n_systems:
             raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
-    return tuple(system_columns(sol.model, sol.n_systems, k - 1) for k in pair)
+    return tuple(system_columns(k - 1) for k in pair)
 
 
 def _pair_forms(sol, columns, kernels, grid, mapped=None) -> np.ndarray:
@@ -284,8 +287,8 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
         return CurrentProfile("pair", tuple(int(k) for k in index), grid, j1, j0)
     if basis is None or basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
-    t_a = basis.generator(int(index))
-    coeffs = np.stack([_triangle(model, t_a, b) for b in blocks[:2]])
+    t_a, full = basis.generator(int(index)), _full(blocks)
+    coeffs = np.stack([_triangle(t_a, b, full) for b in blocks[:2]])
     out = np.empty((2, len(grid)))
     for lo, hi in _spans(len(grid), coeffs.shape[1]):
         psi = sol.evaluate(grid[lo:hi])
@@ -293,7 +296,7 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
             # One sample's products are formed as two, as _Piece.expand pads
             # one offset: numpy rounds a lone complex product differently.
             psi = np.repeat(psi, 2, axis=0)
-        out[:, lo:hi] = (coeffs @ _outer_triangle(model, psi))[:, :hi - lo].real
+        out[:, lo:hi] = (coeffs @ _outer_triangle(psi, full))[:, :hi - lo].real
     return CurrentProfile("generator", int(index), grid, out[0], out[1])
 
 
@@ -636,28 +639,29 @@ class ResidualTable:
     floor: np.ndarray
 
 
-def _table_kernels(model, conv, mass, h, generators, energies, sources) -> np.ndarray:
+def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
     """Per segment, the coefficients of every generator's j1 / (2h) (rows
     0..G-1) and time term i(E_s - E_t) T_a minus source (rows G..2G-1), shape
-    (n_seg, 2G, P), from sources (G, n_seg, N, N); no time term without
-    ``energies``."""
-    current, density, potential = _blocks(model, conv, mass)
+    (n_seg, 2G, P), from the ``_blocks`` and sources (G, n_seg, N, N); no time
+    term without ``energies``."""
+    (current, density, potential), full = blocks, _full(blocks)
     e = np.zeros(generators.shape[1]) if energies is None else np.asarray(energies, float)
     weights = 1j * (e[:, None] - e[None, :]) * generators[:, None]
-    rest = _triangle(model, weights, density) - _triangle(model, sources, potential)
-    dj = _triangle(model, generators[:, None] / (2.0 * h), current)
+    rest = _triangle(weights, density, full) - _triangle(sources, potential, full)
+    dj = _triangle(generators[:, None] / (2.0 * h), current, full)
     return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
 
 
-def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=None):
+def _residual_rows(sample, grid, h, cuts, segments, kernels, full, j1_shift=None):
     """The ``ResidualTable`` of every generator, built in blocks.
 
     ``sample(a, b)`` returns the flat samples a..b-1 of the grid snapped to
-    the cuts and ``segments`` holds their segment indices.  A block lies in
-    one stencil cell and one segment and samples up to two neighbours of its
-    cell on each side, so the stencil of j1 (minus ``j1_shift``, (G,
-    len(grid)), when given) needs no other block.  The kernels are
-    Hermitian, so the table is real.
+    the cuts, ``segments`` holds their segment indices and ``kernels`` come
+    from ``_table_kernels`` of blocks whose ``_full`` is ``full``.  A block
+    lies in one stencil cell and one segment and samples up to two
+    neighbours of its cell on each side, so the stencil of j1 (minus
+    ``j1_shift``, (G, len(grid)), when given) needs no other block.  The
+    kernels are Hermitian, so the table is real.
 
     A form psi^dag K psi rounds by up to eps max|psi_k|**2 sum|K_kl|,
     whatever it cancels to.  A row's floor is that bound for its
@@ -671,9 +675,9 @@ def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=Non
     # The grid's copy shares the table's allocation: kept as a block of its
     # own beside a memoised table, it raised the peak RSS of 40001-point
     # builtin reports by about 4 MiB (glibc could no longer trim the heap).
-    full = np.empty((g + 1, len(grid)))
-    full[0] = grid
-    table = full[1:]
+    grid_table = np.empty((g + 1, len(grid)))
+    grid_table[0] = grid
+    table = grid_table[1:]
     worst = np.zeros(g)
     seg_starts = (np.flatnonzero(np.diff(segments)) + 1).tolist()
     for s, e in _cells(grid, cuts):
@@ -681,7 +685,7 @@ def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=Non
         for lo, hi in zip(bounds, [*bounds[1:], e]):
             a, b = max(lo - 2, s), min(hi + 2, e)
             psi = sample(a, b)
-            both = (kernels[segments[lo]] @ _outer_triangle(model, psi)).real
+            both = (kernels[segments[lo]] @ _outer_triangle(psi, full)).real
             dj, out = both[:g], both[g:, lo - a:hi - a]
             if j1_shift is not None:
                 dj -= j1_shift[:, a:b] / (2.0 * h)
@@ -691,8 +695,8 @@ def _residual_rows(model, sample, grid, h, cuts, segments, kernels, j1_shift=Non
             # so the block's one-sided ends fall only on cell edges.
             table[:, lo:hi] = out + _diff(dj.T)[lo - a:hi - a].T
     floor = np.finfo(float).eps * worst
-    full.flags.writeable = floor.flags.writeable = False
-    return ResidualTable(full[0], full[1:], floor)
+    grid_table.flags.writeable = floor.flags.writeable = False
+    return ResidualTable(grid_table[0], grid_table[1:], floor)
 
 
 def gce_residual_sweep(
@@ -718,14 +722,13 @@ def gce_residual_sweep(
             return table
     cuts = residual_cuts(sol.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    h, t = uniform_spacing(grid), basis.generators
+    h, blocks = uniform_spacing(grid), _blocks(sol.model, sol.convention, sol.mass)
     kernels = _table_kernels(
-        sol.model, sol.convention, sol.mass, h, t, sol.energies, source_operator(decomp)
+        blocks, h, basis.generators, sol.energies, source_operator(decomp)
     )
     table = _residual_rows(
-        sol.model,
         lambda a, b: sol.evaluate(eval_xs[a:b]),
-        grid, h, cuts, decomp.segment_of(eval_xs), kernels,
+        grid, h, cuts, decomp.segment_of(eval_xs), kernels, _full(blocks),
     )
     sol.residual_table = (tuple(np.copy(p) for p in key), table)
     return table
@@ -852,10 +855,12 @@ def gauge_residual(
     # time derivative leaves the rows without the analytic time term.
     shift = np.zeros((d, len(grid)))
     shift[row] = k1
-    kernels = _table_kernels("dirac", conv, None, h, t, energies if psi.ndim == 2 else None, sources)
+    # Dirac forms use every product (``_full``).
+    blocks = _blocks("dirac", conv, None)
+    kernels = _table_kernels(blocks, h, t, energies if psi.ndim == 2 else None, sources)
     tables = [
         _residual_rows(
-            "dirac", lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, shift
+            lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, True, shift
         )
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
@@ -865,7 +870,7 @@ def gauge_residual(
         residual = residual[0]
     else:
         flat = psi.reshape(-1, psi.shape[-1])
-        j0s = (_triangle("dirac", t_a, np.eye(2)) @ _outer_triangle("dirac", flat)).real
+        j0s = (_triangle(t_a, np.eye(2), True) @ _outer_triangle(flat, True)).real
         ts = np.asarray(config.t_grid, dtype=float)
         residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
     rms = _rms(residual)

@@ -103,8 +103,9 @@ class Scenario:
     charge_interval: tuple | None = None
     quadrature_points: int = 10001
 
-    @property
+    @functools.cached_property
     def profile(self) -> PotentialProfile:
+        """Built once: parsing validates it, and solving reuses it."""
         return PotentialProfile(self.segments, self.deltas)
 
     def grid_array(self, n_points: int | None = None) -> np.ndarray:

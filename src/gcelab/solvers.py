@@ -8,11 +8,12 @@ cosh/sinh (exponential) branches of the Hermitian square M^2 (see
 ``Propagator``).  Evaluation anywhere on the line, band edges included, is
 exact up to floating-point rounding; there is no ODE stepping.
 
-State layout (``system_columns``): the Dirac stack orders components
-system-major, psi[2i:2i+2] is the 2-spinor of system i.  The Schroedinger stack
-carries (values, derivatives) as u = (phi_1..phi_N, phi_1'..phi_N').  The
-leftmost/rightmost segment values extend to -inf/+inf, so every solution covers
-the whole line.
+State layout (``system_columns``): both stacks order components system-major,
+u[2i:2i+2] belongs to system i: its 2-spinor for Dirac, its value and
+derivative for Schroedinger, u = (phi_1, phi_1', phi_2, phi_2', ...).  Every
+generator and junction is therefore a sum of N x N system matrices Kronecker
+2x2 blocks.  The leftmost/rightmost segment values extend to -inf/+inf, so
+every solution covers the whole line.
 """
 
 from __future__ import annotations
@@ -250,28 +251,30 @@ def dirac_generator(v, energy, convention: Convention) -> np.ndarray:
     return -1j * (_kron(v, g1inv @ k) - e * _kron(np.eye(n), g1inv @ convention.gamma0))
 
 
+_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
 def schrodinger_generator(v, energy, mass: float = 1.0) -> np.ndarray:
-    """Generator of u' = M u with u = (values, derivatives) stacked; ``energy``
-    is one energy for every system or one per system."""
+    """Generator M of u' = M u, u = (phi_1, phi_1', ...):
+    M = 2m (V - diag(E)) kron [[0, 0], [1, 0]] + I_N kron [[0, 1], [0, 0]].
+    ``energy`` is one energy for every system or one per system."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
         v = v.reshape(1, 1)
     n = v.shape[0]
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[:n, n:] = np.eye(n)
-    m[n:, :n] = 2.0 * mass * (v - np.reshape(energy, (-1, 1)) * np.eye(n))
-    return m
+    a = 2.0 * mass * (v - np.reshape(energy, (-1, 1)) * np.eye(n))
+    return _kron(a, _LOWER) + _kron(np.eye(n), _LOWER.T)
 
 
 class Propagator:
     """Exact exp(M x) = C(x) + S(x) M of a constant generator M.
 
-    Every generator here squares to a Hermitian matrix: A kron I_2 for Dirac
-    (A = V^2 - E^2 under scalar coupling, -(V - E)^2 under vector coupling),
-    I_2 kron 2m(V - E) for Schroedinger, and +-strength^2 kron I_2 for a
-    Dirac delta junction.  Splitting the exponential series into even and odd
-    powers gives C = cosh(sqrt(M^2) x) and S = sinh(sqrt(M^2) x) / sqrt(M^2),
-    entire functions of M^2.  On the eigenvalues lam of eigh(M^2) they are
+    Every generator here squares to A kron I_2 with A Hermitian: A = V^2 - E^2
+    (scalar coupling) or -(V - E)^2 (vector coupling) for Dirac, 2m(V - E)
+    for Schroedinger, and +-strength^2 for a Dirac delta junction.  Splitting
+    the exponential series into even and odd powers gives
+    C = cosh(sqrt(M^2) x) and S = sinh(sqrt(M^2) x) / sqrt(M^2), entire
+    functions of M^2.  On the eigenvalues lam of eigh(M^2) they are
     cos(k x) and sin(k x) / k for lam = -k^2 < 0, cosh(k x) and sinh(k x) / k
     for lam = k^2 > 0, and exactly (1, x) for lam = 0, so a defective
     generator at a band edge takes the same path as any other.
@@ -345,14 +348,12 @@ def delta_junction(strength, convention: Convention) -> np.ndarray:
 
 
 def schrodinger_delta_junction(strength, mass: float = 1.0) -> np.ndarray:
-    """Transfer across a delta: values continuous, derivative jump 2 m strength."""
+    """Transfer across a delta: values continuous, derivative jump 2 m strength,
+    J = I + 2m strength kron [[0, 0], [1, 0]]."""
     lam = np.asarray(strength, dtype=complex)
     if lam.ndim == 0:
         lam = lam.reshape(1, 1)
-    n = lam.shape[0]
-    j = np.eye(2 * n, dtype=complex)
-    j[n:, :n] = 2.0 * mass * lam
-    return j
+    return np.eye(2 * len(lam)) + _kron(2.0 * mass * lam, _LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,8 @@ def schrodinger_delta_junction(strength, mass: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InitialValue:
-    """Full stacked state at the left edge x_lo, before any junction there."""
+    """Full stacked state at the left edge x_lo, before any junction there, in
+    the ``system_columns`` layout."""
 
     values: np.ndarray
 
@@ -386,10 +388,10 @@ BoundarySpec = InitialValue | Scattering
 # Piecewise solutions
 
 
-def system_columns(model: str, n: int, i: int) -> slice:
-    """Columns of system i (0-based) in the flat state of an n-system stack:
-    its 2-spinor for Dirac, its value and derivative for Schroedinger."""
-    return slice(2 * i, 2 * i + 2) if model == "dirac" else slice(i, 2 * n, n)
+def system_columns(i: int) -> slice:
+    """Columns of system i (0-based) in the flat state of a stack: its
+    2-spinor for Dirac, its value and derivative for Schroedinger."""
+    return slice(2 * i, 2 * i + 2)
 
 
 class _Piece:
@@ -423,22 +425,23 @@ class _Piece:
 
 
 class PiecewiseSolution:
-    """Piecewise-exponential solution of a first-order stacked system.
+    """Piecewise-exponential solution of a stacked Dirac or Schroedinger system.
 
     ``pieces[j]`` rules [breakpoints[j-1], breakpoints[j]) for 1 <= j <= m, with
     pieces[0] the left tail and pieces[m+1] the right tail.  Values at a
     breakpoint follow the right-continuous convention; ``limits`` exposes both
     one-sided values, which differ exactly by the junction matrix at a delta.
+    ``evaluate(xs).reshape(len(xs), N, 2)`` resolves the systems
+    (``system_columns``).
     """
 
-    model = "generic"
-
-    def __init__(self, profile, energies, pieces, breakpoints, convention=None, mass=None):
+    def __init__(self, profile, energies, pieces, breakpoints, model, convention=None, mass=None):
         self.profile = profile
         self.energies = np.array(energies, dtype=float).reshape(profile.n_systems)
         self.energies.flags.writeable = False
         self.pieces: list[_Piece] = pieces
         self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.model = model
         self.convention = convention
         self.mass = mass
         self.residual_table = None  # engine's (key, table) of the last grid swept
@@ -477,29 +480,6 @@ class PiecewiseSolution:
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(left limit, right limit) of the stacked state at x."""
         return self.evaluate([x], side="left")[0], self.evaluate([x], side="right")[0]
-
-
-class SpinorSolution(PiecewiseSolution):
-    """Stacked Dirac solution; psi[2i:2i+2] is the 2-spinor of system i (0-based)."""
-
-    model = "dirac"
-
-    def psi(self, xs, side: str = "right") -> np.ndarray:
-        """Spinors resolved per system, shape (len(xs), N, 2)."""
-        vals = self.evaluate(xs, side)
-        return vals.reshape(len(vals), self.n_systems, 2)
-
-
-class WaveSolution(PiecewiseSolution):
-    """Stacked Schroedinger solution carrying exact values and derivatives."""
-
-    model = "schrodinger"
-
-    def value_and_derivative(self, xs, side: str = "right"):
-        """(values, derivatives), each of shape (len(xs), N)."""
-        vals = self.evaluate(xs, side)
-        n = self.n_systems
-        return vals[:, :n], vals[:, n:]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +569,7 @@ def _scattering_modes(profile, energy, convention, mass, model, systems=None):
         modes[..., 1, 1] = -1j * k
     u_in, u_ref, u_out = np.zeros((3, 2 * n, len(systems)), dtype=complex)
     for c, i in enumerate(systems):
-        rows = system_columns(model, n, i)
+        rows = system_columns(i)
         u_in[rows, c] = modes[c, 0, 0]  # right movers from the left
         u_ref[rows, c] = modes[c, 0, 1]  # left movers back to the left
         u_out[rows, c] = modes[c, 1, 0]  # right movers out to the right
@@ -611,7 +591,7 @@ def _junction_table(profile, convention, mass, model) -> dict[int, np.ndarray]:
     return table
 
 
-def _boundary_rows(boundary, model: str, n: int):
+def _boundary_rows(boundary, n: int):
     """(scatters, amplitudes, given) of a boundary: which systems scatter, the
     incoming amplitudes of those, and the left-edge state on the rows of the
     others.  A sequence of N single-system specs sets each system's kind."""
@@ -632,9 +612,9 @@ def _boundary_rows(boundary, model: str, n: int):
     scatters, amps = np.zeros(n, dtype=bool), np.zeros(n, dtype=complex)
     given = np.zeros(2 * n, dtype=complex)
     for i, spec in enumerate(boundary):
-        s, a, g = _boundary_rows(spec, model, 1)
+        s, a, g = _boundary_rows(spec, 1)
         scatters[i], amps[i] = s[0], a[0]
-        given[system_columns(model, n, i)] = g
+        given[system_columns(i)] = g
     return scatters, amps, given
 
 
@@ -659,12 +639,11 @@ def _refuse_coupled(profile, energies) -> None:
 
 def _solve(profile, energy, boundary, model, convention, mass):
     n = profile.n_systems
-    dim = 2 * n
     energy = np.asarray(energy, dtype=float)
     if energy.shape not in ((), (n,)):
         raise ValueError(f"need one energy or {n}, got shape {energy.shape}")
     energies = np.broadcast_to(energy, (n,))
-    scatters, amps, given = _boundary_rows(boundary, model, n)
+    scatters, amps, given = _boundary_rows(boundary, n)
     if (energies != energies[0]).any() or 0 < scatters.sum() < n:
         _refuse_coupled(profile, energies)
     if model == "dirac":
@@ -685,9 +664,9 @@ def _solve(profile, energy, boundary, model, convention, mass):
         # Match only the rows and unknowns of the scattering systems; the
         # rows of the others hold their given values.
         u_in, u_ref, u_out = _scattering_modes(profile, energies, convention, mass, model, systems)
-        scattering_rows = scatters[np.arange(dim) // 2 if model == "dirac" else np.arange(dim) % n]
+        scattering_rows = np.repeat(scatters, 2)
         rows = np.flatnonzero(scattering_rows)
-        total = np.eye(dim, dtype=complex)
+        total = np.eye(2 * n, dtype=complex)
         for k in range(n_seg):
             if k in junctions:
                 total = junctions[k] @ total
@@ -712,8 +691,7 @@ def _solve(profile, energy, boundary, model, convention, mass):
             val = junctions[k + 1] @ val
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
 
-    cls = SpinorSolution if model == "dirac" else WaveSolution
-    return cls(profile, energies, pieces, b, convention=convention, mass=mass)
+    return PiecewiseSolution(profile, energies, pieces, b, model, convention, mass)
 
 
 def solve_dirac(
@@ -721,7 +699,7 @@ def solve_dirac(
     energy,
     boundary: BoundarySpec | list[BoundarySpec],
     convention: Convention | str = "default",
-) -> SpinorSolution:
+) -> PiecewiseSolution:
     """Solve the stationary stacked Dirac problem, one energy per system.
 
     Parameters
@@ -754,11 +732,12 @@ def solve_schrodinger(
     energy,
     boundary: BoundarySpec | list[BoundarySpec],
     mass: float = 1.0,
-) -> WaveSolution:
+) -> PiecewiseSolution:
     """Solve the stationary stacked Schroedinger problem, one energy per system.
 
     ``energy`` and ``boundary`` are as for ``solve_dirac``.  The state vector
-    stacks (values, derivatives); delta barriers impose the derivative jump
-    2 * mass * strength * value across their position.
+    is system-major, u = (phi_1, phi_1', phi_2, phi_2', ...), for a
+    whole-stack ``InitialValue`` too; delta barriers impose the derivative
+    jump 2 * mass * strength * value across their position.
     """
     return _solve(profile, energy, boundary, "schrodinger", None, float(mass))

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gcelab.solvers import DeltaBarrier, PotentialProfile, Segment
+from gcelab.solvers import (
+    DeltaBarrier,
+    PotentialProfile,
+    Segment,
+    solve_dirac,
+    solve_schrodinger,
+)
 from gcelab.sun import SunBasis, build_basis
 
 
@@ -47,6 +53,19 @@ def system_profile(profile: PotentialProfile, i: int) -> PotentialProfile:
         DeltaBarrier(d.x0, d.strength[k, k]) for d in profile.deltas if d.strength[k, k] != 0
     ]
     return PotentialProfile(segments, deltas)
+
+
+def solve_model(model: str, profile, energy, boundary, convention: str = "default"):
+    """``solve_dirac`` in ``convention``, or ``solve_schrodinger``."""
+    if model == "dirac":
+        return solve_dirac(profile, energy, boundary, convention)
+    return solve_schrodinger(profile, energy, boundary)
+
+
+def per_system(sol, xs, side: str = "right") -> np.ndarray:
+    """Sampled states resolved per system, shape (len(xs), N, 2): spinors, or
+    (value, derivative) pairs."""
+    return sol.evaluate(xs, side).reshape(-1, sol.n_systems, 2)
 
 
 EPS = np.finfo(float).eps

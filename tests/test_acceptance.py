@@ -94,12 +94,12 @@ def interior_points(profile, n_per: int, pad: float = 0.05) -> np.ndarray:
 
 def probability_current(sol, xs) -> np.ndarray:
     if sol.model == "dirac":
-        kernel = np.kron(np.eye(sol.n_systems), sol.convention.current_matrix)
-        vals = sol.evaluate(xs)
-        return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
-    vals, ders = sol.value_and_derivative(xs)
-    cur = 0.5j / sol.mass * (ders.conj() * vals - vals.conj() * ders)
-    return cur.sum(axis=1).real
+        block = sol.convention.current_matrix
+    else:  # (i / 2m) (phi'^* phi - phi^* phi') on (value, derivative)
+        block = 0.5j / sol.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
+    kernel = np.kron(np.eye(sol.n_systems), block)
+    vals = sol.evaluate(xs)
+    return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
 
 
 def free_stack(energies, x_lo: float = -2.0, x_hi: float = 2.0):

@@ -20,6 +20,8 @@ from conftest import (
     assert_same_bits,
     diagonal_profile,
     ladder_pair_current,
+    per_system,
+    solve_model,
     system_profile,
 )
 from test_properties import coupled_stack, sequence_stack
@@ -146,33 +148,16 @@ def scenario_members(name):
 
 
 class TestPerSystemSolve:
-    def test_dirac_layout_is_system_major(self):
+    @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+    def test_layout_is_system_major(self, model):
         prof = PotentialProfile(
             [Segment(-1.0, 0.0, np.diag([0.1, 0.3])), Segment(0.0, 2.0, np.diag([0.2, 0.0]))]
         )
-        joint = solve_dirac(prof, 1.5, Scattering([1.0, 0.5]))
-        singles = [
-            solve_dirac(system_profile(prof, i), 1.5, Scattering([a]))
-            for i, a in ((1, 1.0), (2, 0.5))
-        ]
         xs = np.linspace(-0.8, 1.8, 40)
-        psi = joint.psi(xs)
-        assert psi.shape == (40, 2, 2)
-        for i, single in enumerate(singles):
-            assert_same_bits(psi[:, i], single.evaluate(xs))
-
-    def test_wave_layout_holds_values_then_derivatives(self):
-        single = uniform_profile(np.zeros((1, 1)), -1.0, 1.0)
-        sol = solve_schrodinger(single, 0.5, Scattering([1.0]))
-        stack = solve_schrodinger(
-            uniform_profile(np.zeros((2, 2)), -1.0, 1.0), 0.5, Scattering([1.0, 1.0])
-        )
-        xs = np.linspace(-0.5, 0.5, 11)
-        values, derivatives = stack.value_and_derivative(xs)
-        assert values.shape == derivatives.shape == (11, 2)
-        direct = sol.evaluate(xs)
-        assert_same_bits(values[:, 0], direct[:, 0])
-        assert_same_bits(derivatives[:, 1], direct[:, 1])
+        flat = solve_model(model, prof, 1.5, Scattering([1.0, 0.5])).evaluate(xs)
+        for i, a in enumerate((1.0, 0.5)):
+            single = solve_model(model, system_profile(prof, i + 1), 1.5, Scattering([a]))
+            assert_same_bits(flat[:, 2 * i:2 * i + 2], single.evaluate(xs))
 
     def test_coupled_profile_needs_one_energy_and_one_boundary_kind(self):
         coupled = PotentialProfile([
@@ -186,9 +171,9 @@ class TestPerSystemSolve:
             solve_schrodinger(coupled, 1.5, [Scattering([1.0]), InitialValue([1.0, 0.0])])
         # One kind and one energy, given per system, is the joint solve.
         joint = solve_dirac(coupled, 1.5, Scattering([1.0, 0.5]))
-        per_system = solve_dirac(coupled, [1.5, 1.5], [Scattering([1.0]), Scattering([0.5])])
+        split = solve_dirac(coupled, [1.5, 1.5], [Scattering([1.0]), Scattering([0.5])])
         xs = np.linspace(-2.0, 2.0, 41)
-        assert np.array_equal(per_system.evaluate(xs), joint.evaluate(xs))
+        assert np.array_equal(split.evaluate(xs), joint.evaluate(xs))
 
     def test_energy_and_boundary_shapes_are_checked(self):
         prof = uniform_profile(np.zeros((2, 2)), -1.0, 1.0)
@@ -217,7 +202,7 @@ class TestPerSystemSolve:
         stack = _solve_stack(s)
         for grid in (s.grid_array(), np.linspace(s.grid.x_min - 1.0, s.grid.x_max + 1.0, 501)):
             for side in ("left", "right"):
-                psi = stack.psi(grid, side)
+                psi = per_system(stack, grid, side)
                 for i, member in enumerate(members, start=1):
                     assert_same_bits(psi[:, i - 1], member.evaluate(grid, side))
 
@@ -230,30 +215,17 @@ class TestPerSystemSolve:
 
         p1 = steps((0.0, 0.4, 0.0, 0.0), DeltaBarrier(0.0, [[0.7]]))
         p2 = steps((0.0, 0.0, 0.3, 0.0), DeltaBarrier(-1.0, [[0.2]]))
-        prof, energies, amps = diagonal_profile([p1, p2]), [1.6, 1.2], Scattering([1.0, 1.0])
-        if model == "dirac":
-            members = [solve_dirac(p, e, Scattering([1.0]), "vector")
-                       for p, e in ((p1, 1.6), (p2, 1.2))]
-            stack = solve_dirac(prof, energies, amps, "vector")
-        else:
-            members = [solve_schrodinger(p, e, Scattering([1.0])) for p, e in ((p1, 1.6), (p2, 1.2))]
-            stack = solve_schrodinger(prof, energies, amps)
+        prof, energies = diagonal_profile([p1, p2]), [1.6, 1.2]
+        members = [solve_model(model, p, e, Scattering([1.0]), "vector")
+                   for p, e in ((p1, 1.6), (p2, 1.2))]
+        stack = solve_model(model, prof, energies, Scattering([1.0, 1.0]), "vector")
         grid = np.arange(-150, 151) * 0.01  # holds -1.0 and 0.0 exactly
-        rows = ([0, 1], [2, 3]) if model == "dirac" else ([0, 2], [1, 3])
         for side in ("left", "right"):
-            flat = stack.evaluate(grid, side)
-            for i, (member, r) in enumerate(zip(members, rows), start=1):
-                direct = member.evaluate(grid, side)
-                if model == "dirac":
-                    assert_same_bits(flat[:, r], direct)
-                else:
-                    # A wave system's rows interleave with the other's, and
-                    # the complex products of the stack's transfers, summed
-                    # over its zero entries, round in another order: up to
-                    # 0.57 eps of the samples' size (OpenBLAS, x86-64).
-                    assert np.abs(flat[:, r] - direct).max() <= 2 * EPS * np.abs(direct).max()
+            psi = per_system(stack, grid, side)
+            for i, member in enumerate(members):
+                assert_same_bits(psi[:, i], member.evaluate(grid, side))
         left, right = stack.limits(0.0)
-        assert not np.allclose(left[rows[0]], right[rows[0]])  # the delta's jump
+        assert not np.allclose(left[:2], right[:2])  # the delta's jump
 
     @pytest.mark.parametrize("seed", range(8))
     def test_members_at_one_energy_agree_to_rounding(self, seed):
@@ -275,7 +247,7 @@ class TestPerSystemSolve:
         for side in ("left", "right"):
             for i, member in enumerate(members):
                 direct = member.evaluate(xs, side)
-                err = np.abs(stack.psi(xs, side)[:, i] - direct).max()
+                err = np.abs(per_system(stack, xs, side)[:, i] - direct).max()
                 assert err <= 12 * EPS * np.abs(direct).max()
 
     @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
@@ -285,29 +257,22 @@ class TestPerSystemSolve:
         # at -2.0, carries its free lead's phase exp(i k 0.5) over the padding.
         p1 = bump_profile([(0.0, 1.0, 0.6)], -2.0, 2.0, [DeltaBarrier(0.0, [[0.3]])])
         p2 = bump_profile([(-1.0, 0.5, 0.2)], -2.5, 1.5)
-        prof, energies, amps = diagonal_profile([p1, p2]), [1.4, 1.1], Scattering([1.0, 0.7j])
-        if model == "dirac":
-            members = [solve_dirac(p1, 1.4, Scattering([1.0])),
-                       solve_dirac(p2, 1.1, Scattering([0.7j]))]
-            stack = solve_dirac(prof, energies, amps)
-            k1 = 1.4
-        else:
-            members = [solve_schrodinger(p1, 1.4, Scattering([1.0])),
-                       solve_schrodinger(p2, 1.1, Scattering([0.7j]))]
-            stack = solve_schrodinger(prof, energies, amps)
-            k1 = np.sqrt(2.0 * 1.4)
+        prof = diagonal_profile([p1, p2])
+        members = [solve_model(model, p1, 1.4, Scattering([1.0])),
+                   solve_model(model, p2, 1.1, Scattering([0.7j]))]
+        stack = solve_model(model, prof, [1.4, 1.1], Scattering([1.0, 0.7j]))
         assert prof.extent == (-2.5, 2.0)
+        k1 = 1.4 if model == "dirac" else np.sqrt(2.0 * 1.4)
         phases = (np.exp(0.5j * k1), 1.0)
         grid = np.linspace(-3.0, 3.0, 1201)
-        rows = ([0, 1], [2, 3]) if model == "dirac" else ([0, 2], [1, 3])
         for side in ("left", "right"):
-            flat = stack.evaluate(grid, side)
-            for member, r, phase in zip(members, rows, phases):
+            psi = per_system(stack, grid, side)
+            for i, (member, phase) in enumerate(zip(members, phases)):
                 direct = member.evaluate(grid, side)
                 scale = np.abs(direct).max()
-                assert np.abs(flat[:, r] - phase * direct).max() <= 1e-14 * scale
+                assert np.abs(psi[:, i] - phase * direct).max() <= 1e-14 * scale
             # Without its phase, system 1 is not its own solve.
-            assert np.abs(flat[:, rows[0]] - members[0].evaluate(grid, side)).max() > 0.5
+            assert np.abs(psi[:, 0] - members[0].evaluate(grid, side)).max() > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +403,8 @@ class TestPairSampling:
         assert calls == [sol]
         if model == "dirac":
             density = np.einsum("xk,xk->x", flat[:, :2].conj(), flat[:, 2:])
-        else:  # values, then derivatives
-            density = flat[:, 0].conj() * flat[:, 1]
+        else:  # values only
+            density = flat[:, 0].conj() * flat[:, 2]
         assert np.abs(cur.j0 - density).max() <= 1e-13
 
     def test_stacked_pair_current_samples_once(self, monkeypatch):
@@ -527,23 +492,25 @@ def set_block(monkeypatch, samples: int, width: int):
     monkeypatch.setattr(engine, "_BLOCK", samples * width)
 
 
-def n_products(model: str, n: int) -> int:
-    return len(engine._outer_triangle(model, np.zeros((1, 2 * n), dtype=complex)))
+def blocks_of(sol):
+    """The solution's ``_blocks`` and whether their forms use every product."""
+    blocks = engine._blocks(sol.model, sol.convention, sol.mass)
+    return blocks, engine._full(blocks)
+
+
+def n_products(sol) -> int:
+    return len(engine._outer_triangle(np.zeros((1, sol.dim), dtype=complex), blocks_of(sol)[1]))
 
 
 def whole_grid_currents(sol, basis, grid):
     """(pair (1, 2), then every generator) currents from one sampling."""
     flat = sol.evaluate(grid)
-    current, density, _ = engine._blocks(sol.model, sol.convention, sol.mass)
-    if sol.model == "dirac":
-        vals = flat.reshape(len(grid), sol.n_systems, 2)
-    else:
-        vals = flat.reshape(len(grid), 2, sol.n_systems).swapaxes(1, 2)
-    a, b = vals[:, 0], vals[:, 1]
+    (current, density, _), full = blocks_of(sol)
+    a, b = flat[:, :2], flat[:, 2:4]
     out = [(engine._bilinear(a, current, b), engine._bilinear(a, density, b))]
-    products = engine._outer_triangle(sol.model, flat)
+    products = engine._outer_triangle(flat, full)
     for t_a in basis.generators:
-        coeffs = np.stack([engine._triangle(sol.model, t_a, k) for k in (current, density)])
+        coeffs = np.stack([engine._triangle(t_a, k, full) for k in (current, density)])
         out.append(tuple((coeffs @ products).real))
     return out
 
@@ -562,14 +529,13 @@ def whole_grid_table(sol, basis, grid):
     decomp = decompose(sol.profile, basis)
     cuts = residual_cuts(sol.profile)
     eval_xs = engine.snap_to_cuts(grid, cuts)
-    h = uniform_spacing(grid)
+    h, (blocks, full) = uniform_spacing(grid), blocks_of(sol)
     kernels = engine._table_kernels(
-        sol.model, sol.convention, sol.mass, h, basis.generators, sol.energies,
-        engine.source_operator(decomp),
+        blocks, h, basis.generators, sol.energies, engine.source_operator(decomp)
     )
     psi = sol.evaluate(eval_xs)
     return engine._residual_rows(
-        sol.model, lambda a, b: psi[a:b], grid, h, cuts, decomp.segment_of(eval_xs), kernels
+        lambda a, b: psi[a:b], grid, h, cuts, decomp.segment_of(eval_xs), kernels, full
     )
 
 
@@ -578,11 +544,22 @@ def blocked_table(sol, basis, grid):
     return gce_residual_sweep(sol, basis, grid)
 
 
-def assert_same_bits(got, want):
+def assert_arrays_same_bits(got, want):
     for g, w in zip(got, want, strict=True):
         g, w = np.asarray(g), np.asarray(w)
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("model, products", [("dirac", 36), ("schrodinger", 26)])
+def test_n4_forms_leave_out_only_derivative_pairs(model, products):
+    # Of the 36 products conj(u_k) u_l, k <= l, of an N = 4 state, no
+    # Schroedinger kernel weighs the 10 that pair two derivatives.
+    sol = coupled_stack(3, model, 4)
+    kernels = engine._table_kernels(
+        blocks_of(sol)[0], 0.1, build_basis(4).generators, None, np.zeros((15, 1, 4, 4))
+    )
+    assert n_products(sol) == kernels.shape[-1] == products
 
 
 class TestBlockedSampling:
@@ -595,7 +572,7 @@ class TestBlockedSampling:
         full = sol.evaluate(xs)
         for lo in range(len(xs)):
             for hi in range(lo + 1, len(xs) + 1):
-                assert_same_bits([sol.evaluate(xs[lo:hi])], [full[lo:hi]])
+                assert_arrays_same_bits([sol.evaluate(xs[lo:hi])], [full[lo:hi]])
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_builtin_single_points_are_grid_samples(self, name):
@@ -613,7 +590,7 @@ class TestBlockedSampling:
         for side in ("left", "right"):
             full = sol.evaluate(grid, side)
             for k, x in enumerate(grid):
-                assert_same_bits([sol.evaluate([x], side)[0]], [full[k]])
+                assert_arrays_same_bits([sol.evaluate([x], side)[0]], [full[k]])
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_builtin_currents_and_tables_match_whole_grid(self, monkeypatch, name):
@@ -626,16 +603,16 @@ class TestBlockedSampling:
 
     def check_blocks(self, monkeypatch, sol, basis, grid, current_steps, table_steps):
         want = whole_grid_currents(sol, basis, grid)
-        width = n_products(sol.model, sol.n_systems)
+        width = n_products(sol)
         for step in current_steps:
             set_block(monkeypatch, step, sol.dim)
             pair = blocked_currents(sol, basis, grid)[0]
             set_block(monkeypatch, step, width)
-            assert_same_bits([pair, *blocked_currents(sol, basis, grid)[1:]], want)
+            assert_arrays_same_bits([pair, *blocked_currents(sol, basis, grid)[1:]], want)
         for step in table_steps:
             set_block(monkeypatch, step, width)
             table, got = whole_grid_table(sol, basis, grid), blocked_table(sol, basis, grid)
-            assert_same_bits([got.residual, got.floor], [table.residual, table.floor])
+            assert_arrays_same_bits([got.residual, got.floor], [table.residual, table.floor])
 
     @pytest.mark.parametrize("name", ["fig1b", "fig2", "translate"])
     def test_builtin_transformed_currents_match_whole_grid(self, monkeypatch, name):
@@ -651,7 +628,7 @@ class TestBlockedSampling:
         for step in sorted({k + d for k in starts for d in (-1, 1) if k + d >= 16}):
             set_block(monkeypatch, step, sol.dim)
             cur = transformed_current(sol, (1, 2), spec, grid)
-            assert_same_bits([cur.j1, cur.j0], want)
+            assert_arrays_same_bits([cur.j1, cur.j0], want)
 
     def test_coupled_stack_currents_and_tables_match_whole_grid(self, monkeypatch):
         sol = coupled_stack(3, "dirac", 4)
@@ -673,14 +650,14 @@ class TestBlockedSampling:
             full = dirac_current(sol, basis, index, grid)
             for k, x in enumerate(grid):
                 one = dirac_current(sol, basis, index, [x])
-                assert_same_bits([one.j1, one.j0], [full.j1[k:k + 1], full.j0[k:k + 1]])
+                assert_arrays_same_bits([one.j1, one.j0], [full.j1[k:k + 1], full.j0[k:k + 1]])
 
     def test_globalpair_solution_on_seven_points(self):
         # globalpair's right tail holds one sample of this grid.
         sol = _solve_stack(load_builtin("globalpair"))
         grid = np.linspace(0.0, 6.0, 7)
         assert piece_starts(sol, grid)[-1] == 6
-        assert_same_bits(
+        assert_arrays_same_bits(
             [c for pair in blocked_currents(sol, build_basis(2), grid) for c in pair],
             [c for pair in whole_grid_currents(sol, build_basis(2), grid) for c in pair],
         )
@@ -1076,7 +1053,7 @@ class TestChargeRelation:
         x1, x2 = -0.4, 0.9
         rel = charge_current_relation(sol, (1, 2), x1, x2, n_points=4001)
         assert isinstance(rel, ChargeRelation)
-        u1, u2 = sol.psi([-1.0])[0]
+        u1, u2 = per_system(sol, [-1.0])[0]
         dk = e2 - e1
         oracle = (u1.conj() @ u2) * (
             np.exp(1j * dk * (x2 + 1.0)) - np.exp(1j * dk * (x1 + 1.0))
@@ -1318,7 +1295,7 @@ class TestGauge:
         stack = free_stack(e)
         grid = np.linspace(-2.0, 2.0, 161)
         ts = np.linspace(0.0, 0.8, 9)
-        vals = stack.psi(grid)
+        vals = per_system(stack, grid)
         psi = np.empty((len(ts), len(grid), 4), dtype=complex)
         for k, t in enumerate(ts):
             phases = np.exp(-1j * e * t)

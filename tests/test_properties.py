@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import diagonal_profile, random_hermitian
+from conftest import diagonal_profile, random_hermitian, solve_model
 from gcelab.engine import (
     _BLOCK,
     _blocks,
@@ -38,7 +38,6 @@ from gcelab.solvers import (
     Scattering,
     Segment,
     solve_dirac,
-    solve_schrodinger,
 )
 from gcelab.sun import build_basis, decompose, source_operator
 
@@ -49,15 +48,12 @@ REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-term einsum formulas, on the (x, N, 2) / (x, 2, N) layout
+# Oracle: the per-term einsum formulas, on the (x, N, 2) layout
 
 
 def values(stack, xs):
-    """Samples (x, N, 2) Dirac or (x, 2, N) Schroedinger, (value, derivative)."""
-    flat = stack.evaluate(xs)
-    if stack.model == "dirac":
-        return flat.reshape(len(xs), stack.n_systems, 2)
-    return flat.reshape(len(xs), 2, stack.n_systems)
+    """Samples (x, N, 2): spinors, or (value, derivative) pairs."""
+    return stack.evaluate(xs).reshape(len(xs), stack.n_systems, 2)
 
 
 def oracle_currents(stack, t_a, vals):
@@ -67,7 +63,7 @@ def oracle_currents(stack, t_a, vals):
         j0 = np.einsum("xsi,st,xti->x", vals.conj(), t_a, vals)
         j1 = np.einsum("xsi,ij,st,xtj->x", vals.conj(), kernel, t_a, vals)
         return j0, j1
-    v, d = vals[:, 0, :], vals[:, 1, :]
+    v, d = vals[..., 0], vals[..., 1]
     j0 = np.einsum("xs,st,xt->x", v.conj(), t_a, v)
     j1 = (0.5j / stack.mass) * (
         np.einsum("xs,st,xt->x", d.conj(), t_a, v)
@@ -91,7 +87,7 @@ def oracle_terms(stack, basis, a, grid, decomp):
         time_term = np.einsum("xsi,st,xti->x", vals.conj(), w, vals)
         source = np.einsum("xsi,ij,xtj,xst->x", vals.conj(), spinor, vals, s_mats)
     else:
-        v = vals[:, 0, :]
+        v = vals[..., 0]
         time_term = np.einsum("xs,st,xt->x", v.conj(), w, v)
         source = np.einsum("xs,xst,xt->x", v.conj(), s_mats, v)
     return time_term, j1, piecewise_derivative(j1, grid, cuts), source
@@ -100,8 +96,7 @@ def oracle_terms(stack, basis, a, grid, decomp):
 def oracle_floor(stack, basis, a, grid, decomp):
     """eps max|psi_k|^2 (sum|time - source kernel| + 2 sum|j1 / (2h) kernel|).
 
-    A sum of absolute kernel entries does not depend on the layout, so the
-    kernels are plain Kronecker products here.
+    The kernels are formed whole here, as Kronecker products.
     """
     t_a, h = basis.generator(a), uniform_spacing(grid)
     current, density, potential = _blocks(stack.model, stack.convention, stack.mass)
@@ -132,9 +127,8 @@ def coupled_stack(seed: int, model: str, n: int, convention: str = "default"):
         segs.append(Segment(lo, hi, v))
     profile = PotentialProfile(segs)
     amps = Scattering(rng.normal(size=n) + 1j * rng.normal(size=n))
-    if model == "dirac":
-        return solve_dirac(profile, 1.5 + 0.5 * rng.uniform(), amps, convention)
-    return solve_schrodinger(profile, 2.0 + 0.5 * rng.uniform(), amps)
+    energy = (1.5 if model == "dirac" else 2.0) + 0.5 * rng.uniform()
+    return solve_model(model, profile, energy, amps, convention)
 
 
 def sequence_stack(seed: int, model: str, n: int, convention: str = "default"):
@@ -153,10 +147,7 @@ def sequence_stack(seed: int, model: str, n: int, convention: str = "default"):
         ]))
         amps.append(complex(rng.normal(), rng.normal()))
         energies.append((1.5 if model == "dirac" else 2.0) + rng.uniform())
-    profile, boundary = diagonal_profile(profiles), Scattering(amps)
-    if model == "dirac":
-        return solve_dirac(profile, energies, boundary, convention)
-    return solve_schrodinger(profile, energies, boundary)
+    return solve_model(model, diagonal_profile(profiles), energies, Scattering(amps), convention)
 
 
 CASES = [
@@ -180,7 +171,7 @@ def case(request):
     build, model, n, conv = request.param
     seed = 1000 + CASES.index(request.param)
     maker = coupled_stack if build == "joint" else sequence_stack
-    stack = maker(seed, model, n, conv) if model == "dirac" else maker(seed, model, n)
+    stack = maker(seed, model, n, conv)
     basis = build_basis(n)
     return stack, basis, decompose(stack.profile, basis)
 
@@ -310,7 +301,7 @@ def test_vector_coupled_stack_matches_chiral_closed_form(seed):
         product = expm(-1j * (seg.v - energy * np.eye(n)) * (seg.x_hi - seg.x_lo)) @ product
     x_lo, x_hi = profile.extent
     for x, right_movers in ((x_lo, amps), (x_hi, product @ amps)):
-        psi = sol.psi([x])[0]
+        psi = sol.evaluate([x])[0].reshape(n, 2)
         right, left = psi @ RIGHT.conj(), psi @ LEFT.conj()
         scale = np.abs(right_movers).max()
         assert np.abs(left).max() <= 1e-13 * scale
@@ -383,11 +374,8 @@ def decoupled_stack(seed: int, model: str, n: int):
 def test_rotation_decoupled_stack_matches_channel_closed_form(seed, model, convention):
     n = 2 + seed % 3
     profile, q, coeffs, (alpha, beta), energy, amps = decoupled_stack(seed, model, n)
-    if model == "dirac":
-        sol = solve_dirac(profile, energy, Scattering(amps), convention)
-        conv = sol.convention
-    else:
-        sol, conv = solve_schrodinger(profile, energy, Scattering(amps)), None
+    sol = solve_model(model, profile, energy, Scattering(amps), convention)
+    conv = sol.convention
     qk, w = np.linalg.eigh(q)
     incoming = w.conj().T @ amps
     lengths = np.diff(BREAKS)
@@ -415,7 +403,6 @@ def test_rotation_decoupled_stack_matches_channel_closed_form(seed, model, conve
         left.append(incoming[k] * u_in + r * u_ref)
         right.append(transfer @ left[-1])
     for x, channels in zip(profile.extent, (left, right)):
-        joint = sol.evaluate([x])[0]
-        joint = joint.reshape(n, 2) if model == "dirac" else joint.reshape(2, n).T
+        joint = sol.evaluate([x])[0].reshape(n, 2)
         want = w @ np.array(channels)
         assert np.abs(joint - want).max() <= 1e-12 * np.abs(want).max()

@@ -43,7 +43,7 @@ from gcelab.scenario import (
     _csv_chunks,
     _solve_stack,
 )
-from conftest import EPS, assert_same_bits, system_profile
+from conftest import assert_same_bits, per_system, system_profile
 from gcelab.solvers import (
     InitialValue,
     PotentialProfile,
@@ -304,6 +304,21 @@ class TestRoundTrip:
         save_scenario(s, path)
         assert load_scenario(path) == s
 
+    def test_a_loaded_scenario_builds_its_profile_once(self, monkeypatch):
+        made, init = [], PotentialProfile.__init__
+
+        def counted(profile, *args):
+            made.append(profile)
+            init(profile, *args)
+
+        monkeypatch.setattr(PotentialProfile, "__init__", counted)
+        s = load_builtin("fig2")
+        run_scenario(s)
+        assert made == [s.profile]
+        # The kept profile is no field: equality and hashing ignore it.
+        copy = scenario_from_dict(serialize_scenario(s))
+        assert copy == s and hash(copy) == hash(s)
+
     def test_save_is_byte_deterministic(self, tmp_path):
         s = load_builtin("fig1a")
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -485,16 +500,15 @@ class TestRunScenario:
             s = dataclasses.replace(s, energies=energies)
         grid = s.grid_array(201)
         samples = _solve_stack(s).evaluate(grid)
-        n = s.n_systems
-        # Each single-system solve sits in its rows of the stack's layout.
-        for i in range(1, n + 1) if not joint else ():
+        # Each single-system solve sits in its columns u_{2i-1}, u_{2i}.
+        for i in range(1, s.n_systems + 1) if not joint else ():
             sub, e = system_profile(s.profile, i), s.energies[i - 1]
             amp = Scattering([s.boundaries[i - 1].amplitudes[0]])
             if s.model == "dirac":
-                member, rows = solve_dirac(sub, e, amp, s.convention), [2 * i - 2, 2 * i - 1]
+                member = solve_dirac(sub, e, amp, s.convention)
             else:
-                member, rows = solve_schrodinger(sub, e, amp, s.mass), [i - 1, n + i - 1]
-            assert_same_bits(samples[:, rows], member.evaluate(grid))
+                member = solve_schrodinger(sub, e, amp, s.mass)
+            assert_same_bits(samples[:, 2 * i - 2:2 * i], member.evaluate(grid))
         expected_header = ["x"]
         for c in range(samples.shape[1]):
             expected_header += [f"re_u{c + 1}", f"im_u{c + 1}"]
@@ -840,34 +854,27 @@ class TestMixedBoundaryKinds:
         ])
         return p1, p2, Scattering([0.8 + 0.3j]), InitialValue([0.6 + 0.1j, -0.4])
 
-    def check_rows(self, s, members, rows, eps=None):
-        """Bit for bit, or within ``eps`` eps of the samples' size."""
+    def check_rows(self, s, members):
+        """Each system's columns repeat its single-system solve bit for bit."""
         bundle = run_scenario(s)
         assert set(bundle.tables) == {"currents", "residuals"}
         for grid in (s.grid_array(), np.linspace(-2.5, 2.5, 101)):
             for side in ("left", "right"):
-                flat = _solve_stack(s).evaluate(grid, side)
-                for member, r in zip(members, rows):
-                    direct = member.evaluate(grid, side)
-                    if eps is None:
-                        assert_same_bits(flat[:, r], direct)
-                    else:
-                        assert np.abs(flat[:, r] - direct).max() <= eps * EPS * np.abs(direct).max()
+                psi = per_system(_solve_stack(s), grid, side)
+                for i, member in enumerate(members):
+                    assert_same_bits(psi[:, i], member.evaluate(grid, side))
 
     def test_dirac_incoming_and_initial(self):
         s = self.stack("dirac", 0.5, convention="default")
         p1, p2, incoming, initial = self.singles(0.5)
         members = [solve_dirac(p1, 1.0, incoming), solve_dirac(p2, 1.0, initial)]
-        self.check_rows(s, members, ([0, 1], [2, 3]))
+        self.check_rows(s, members)
 
     def test_schrodinger_initial_system_in_an_evanescent_lead(self):
         s = self.stack("schrodinger", 3.0, mass=1.0)
         p1, p2, incoming, initial = self.singles(3.0)
         members = [solve_schrodinger(p1, 1.0, incoming), solve_schrodinger(p2, 1.0, initial)]
-        # A wave system's rows interleave with the other's (values,
-        # derivatives), and their complex sums round in another order: up
-        # to 1.4 eps of the samples' size (OpenBLAS, x86-64).
-        self.check_rows(s, members, ([0, 2], [1, 3]), eps=3)
+        self.check_rows(s, members)
         # The same lead refuses a scattering boundary.
         with pytest.raises(ValueError, match="system 2 is evanescent"):
             _solve_stack(dataclasses.replace(s, boundaries=(s.boundaries[0],) * 2))

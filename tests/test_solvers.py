@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_hermitian, system_profile
+from conftest import per_system, random_hermitian, solve_model, system_profile
 from gcelab.engine import gce_residual_dirac, gce_residual_schrodinger, gce_residual_sweep
 from gcelab.solvers import (
     CONVENTIONS,
@@ -75,11 +76,12 @@ def interior_points(profile, n_per=40, pad=0.05):
 
 def probability_current(sol, xs):
     if sol.model == "dirac":
-        kernel = np.kron(np.eye(sol.n_systems), sol.convention.current_matrix)
-        vals = sol.evaluate(xs)
-        return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
-    vals, ders = sol.value_and_derivative(xs)
-    return (0.5j / sol.mass * (ders.conj() * vals - vals.conj() * ders)).sum(axis=1).real
+        block = sol.convention.current_matrix
+    else:  # (i / 2m) (phi'^* phi - phi^* phi') on (value, derivative)
+        block = 0.5j / sol.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
+    kernel = np.kron(np.eye(sol.n_systems), block)
+    vals = sol.evaluate(xs)
+    return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +212,14 @@ def test_generators_take_one_energy_per_system():
     """diag(E) in place of E I: each diagonal block is its system's generator
     at its own energy, bit for bit, and the blocks do not couple."""
     v, energies = np.array([0.3, -0.2, 0.5]), np.array([1.1, -0.7, 2.0])
-    for name in sorted(CONVENTIONS):
-        conv = get_convention(name)
-        m = dirac_generator(np.diag(v), energies, conv)
+    generators = [partial(dirac_generator, convention=c) for c in CONVENTIONS.values()]
+    for generator in [*generators, partial(schrodinger_generator, mass=1.5)]:
+        m = generator(np.diag(v), energies)
         for i in range(3):
             block = m[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-            assert block.tobytes() == dirac_generator(v[i], energies[i], conv).tobytes()
+            assert block.tobytes() == generator(v[i], energies[i]).tobytes()
             m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
         assert not m.any()
-    m = schrodinger_generator(np.diag(v), energies, mass=1.5)
-    for i in range(3):
-        single = schrodinger_generator(v[i], energies[i], mass=1.5)
-        assert m[np.ix_([i, 3 + i], [i, 3 + i])].tobytes() == single.tobytes()
-        m[np.ix_([i, 3 + i], [i, 3 + i])] = 0.0
-    assert not m.any()
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +361,10 @@ def test_free_schrodinger_plane_wave():
     k = 1.3
     sol = solve_schrodinger(prof, k * k / 2.0, Scattering(np.array([1.0])), mass=1.0)
     xs = np.linspace(-3.0, 4.0, 41)
-    vals, ders = sol.value_and_derivative(xs)
-    np.testing.assert_allclose(vals[:, 0], np.exp(1j * k * xs), atol=1e-12)
-    np.testing.assert_allclose(ders[:, 0], 1j * k * np.exp(1j * k * xs), atol=1e-12)
-    assert np.abs(np.abs(vals[:, 0]) - 1.0).max() <= 1e-12
+    vals, ders = sol.evaluate(xs).T
+    np.testing.assert_allclose(vals, np.exp(1j * k * xs), atol=1e-12)
+    np.testing.assert_allclose(ders, 1j * k * np.exp(1j * k * xs), atol=1e-12)
+    assert np.abs(np.abs(vals) - 1.0).max() <= 1e-12
 
 
 def test_free_dirac_plane_wave_periodicity():
@@ -404,12 +400,11 @@ def test_schrodinger_barrier_transmission_oracle():
     k = np.sqrt(2 * m * e)
     kappa = np.sqrt(2 * m * (v0 - e))
     t_prob = 1.0 / (1.0 + (v0 * np.sinh(kappa * length)) ** 2 / (4 * e * (v0 - e)))
-    vals, ders = sol.value_and_derivative(np.array([length + 0.5]))
-    assert abs(abs(vals[0, 0]) ** 2 - t_prob) <= 1e-12
+    assert abs(abs(sol.evaluate([length + 0.5])[0, 0]) ** 2 - t_prob) <= 1e-12
     # Reflection from the left-edge state, then unitarity.
-    vl, dl = sol.value_and_derivative(np.array([-0.5]))
-    a_plus = 0.5 * (vl[0, 0] + dl[0, 0] / (1j * k))
-    a_minus = 0.5 * (vl[0, 0] - dl[0, 0] / (1j * k))
+    vl, dl = sol.evaluate([-0.5])[0]
+    a_plus = 0.5 * (vl + dl / (1j * k))
+    a_minus = 0.5 * (vl - dl / (1j * k))
     # Incoming wave is exp(ik (x - x_lo)) with x_lo = -1, so at x = -0.5
     # the right-moving part carries phase exp(ik * 0.5).
     assert abs(a_plus - np.exp(1j * k * 0.5)) <= 1e-12
@@ -425,9 +420,8 @@ def test_schrodinger_delta_transmission_oracle():
     )
     sol = solve_schrodinger(prof, e, Scattering(np.array([1.0])), mass=m)
     t_std = 1.0 / (1.0 + 1j * m * lam / k)
-    vals, _ = sol.value_and_derivative(np.array([0.7]))
     # Incoming wave referenced at the left edge x_lo = -1: phase exp(ik (x + 1)).
-    np.testing.assert_allclose(vals[0, 0], t_std * np.exp(1j * k * 1.7), atol=1e-12)
+    np.testing.assert_allclose(sol.evaluate([0.7])[0, 0], t_std * np.exp(1j * k * 1.7), atol=1e-12)
     left, right = sol.limits(0.0)
     assert abs(right[0] - left[0]) <= 1e-13  # value continuous
     assert abs((right[1] - left[1]) - 2 * m * lam * left[0]) <= 1e-12
@@ -575,10 +569,7 @@ def test_probability_current_constant_across_delta(model):
         [Segment(-2.0, 0.0, np.array([[0.2]])), Segment(0.0, 2.0, np.array([[0.5]]))],
         [DeltaBarrier(0.0, np.array([[0.7]]))],
     )
-    if model == "dirac":
-        sol = solve_dirac(prof, 1.6, Scattering(np.array([1.0])))
-    else:
-        sol = solve_schrodinger(prof, 1.6, Scattering(np.array([1.0])))
+    sol = solve_model(model, prof, 1.6, Scattering(np.array([1.0])))
     xs = np.linspace(-4.0, 4.0, 401)
     j = probability_current(sol, xs)
     assert np.abs(j - j[0]).max() <= 1e-10
@@ -590,7 +581,7 @@ def test_identical_systems_give_identical_components():
     )
     sol = solve_dirac(prof, 1.5, Scattering(np.array([1.0, 1.0])))
     xs = np.linspace(-2.0, 2.0, 101)
-    psi = sol.psi(xs)
+    psi = per_system(sol, xs)
     assert np.abs(psi[:, 0, :] - psi[:, 1, :]).max() <= 1e-13
 
 
@@ -605,7 +596,7 @@ def test_extracted_system_matches_direct_solve():
     for i in (1, 2):
         direct = solve_dirac(system_profile(prof, i), 1.7, Scattering(amps[[i - 1]]))
         np.testing.assert_allclose(
-            joint.evaluate(xs)[:, system_columns("dirac", 2, i - 1)],
+            joint.evaluate(xs)[:, system_columns(i - 1)],
             direct.evaluate(xs),
             atol=1e-12,
         )
@@ -619,6 +610,22 @@ def test_initial_value_boundary_round_trip():
     sol = solve_dirac(prof, 1.3, InitialValue(start))
     np.testing.assert_allclose(sol.evaluate([0.0])[0], start, atol=1e-14)
     assert ode_residual(sol, interior_points(prof)) <= 1e-10
+
+
+def test_whole_stack_schrodinger_initial_value_is_system_major():
+    """InitialValue((phi_1, phi_1', phi_2, phi_2')): each system's pair of
+    the joint solve is the single-system solve from its own pair."""
+    prof = PotentialProfile(
+        [Segment(0.0, 1.0, np.diag([0.2, -0.4])), Segment(1.0, 2.0, np.diag([0.7, 0.1]))]
+    )
+    pairs, energies = [(1.0 + 0.5j, -0.3j), (0.2, 0.8 - 0.1j)], [1.3, 0.6]
+    joint = solve_schrodinger(prof, energies, InitialValue([*pairs[0], *pairs[1]]))
+    xs = np.linspace(-0.5, 2.5, 31)
+    for i, (pair, energy) in enumerate(zip(pairs, energies)):
+        single = solve_schrodinger(system_profile(prof, i + 1), energy, InitialValue(pair))
+        np.testing.assert_allclose(
+            per_system(joint, xs)[:, i], single.evaluate(xs), rtol=0, atol=1e-13
+        )
 
 
 def test_rotated_convention_same_observables():
@@ -690,12 +697,6 @@ def four_segments(*interior, deltas=()):
     segs = [Segment(lo, hi, np.asarray(m, dtype=complex))
             for lo, hi, m in zip(edges[:-1], edges[1:], mats)]
     return PotentialProfile(segs, deltas)
-
-
-def solve_model(model, profile, energy, boundary):
-    if model == "dirac":
-        return solve_dirac(profile, energy, boundary)
-    return solve_schrodinger(profile, energy, boundary)
 
 
 COUPLED = [[0.3, 0.2], [0.2, 0.4]]
@@ -783,8 +784,7 @@ def delta_stack(model: str):
         [DeltaBarrier(0.0, 0.3 * random_hermitian(rng, 3))],
     )
     amps = Scattering(np.array([1.0, 0.5 - 0.2j, 0.3j]))
-    solve = solve_dirac if model == "dirac" else solve_schrodinger
-    return solve(prof, 1.6, amps)
+    return solve_model(model, prof, 1.6, amps)
 
 
 # x = 0.0 (index 4) sits exactly on the delta, x = 1.0 (index 8) on a step.
