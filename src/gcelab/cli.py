@@ -9,7 +9,6 @@ results can be inspected, and print one line per failing check.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -21,6 +20,7 @@ from .scenario import (
     Scenario,
     ScenarioFormatError,
     _as_matrix,
+    _read_json,
     resolve_scenario,
     run_scenario,
     scan_scenario,
@@ -253,15 +253,7 @@ def _cmd_generators(args) -> int:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioFormatError(f"{path}: no such matrix file") from None
-    except json.JSONDecodeError as e:
-        raise ScenarioFormatError(
-            f"{path}: parse error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    doc = _read_json(path, "matrix")
     if not isinstance(doc, list) or not doc:
         raise ScenarioFormatError(f"{path}: expected a nested-list square matrix")
     return np.array(_as_matrix(doc, len(doc), path), dtype=complex)

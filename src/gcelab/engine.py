@@ -186,7 +186,8 @@ def _outer_triangle(psi: np.ndarray, full: bool) -> np.ndarray:
     skipped = 0 if full else (m // 2) * (m // 2 + 1) // 2  # second with second
     out = np.empty((m * (m + 1) // 2 - skipped, len(psi)), dtype=complex)
     start = 0
-    for k in range(m):
+    # The last row of a form without second-with-second products is empty.
+    for k in range(m if full else m - 1):
         row = p[k:] if full or k % 2 == 0 else p[k + 1::2]
         np.multiply(pc[k], row, out=out[start:start + len(row)])
         start += len(row)
@@ -321,32 +322,27 @@ def schrodinger_current(sol, basis: SunBasis | None, index, grid) -> CurrentProf
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Affine coordinate map F(x) = sigma x + rho with a spinor factor."""
+    """Affine coordinate map F(x) = sigma x + rho.
+
+    The spinor factor P of a transformed bilinear comes from the solution's
+    convention (``_spinor_factor``): gamma0 for a mirror, the identity for a
+    translation.
+    """
 
     sigma: int
     rho: float
-    spinor_factor: np.ndarray
 
     def __post_init__(self):
         if self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be -1 or +1, got {self.sigma}")
-        object.__setattr__(
-            self, "spinor_factor", np.asarray(self.spinor_factor, dtype=complex)
-        )
-        if self.spinor_factor.shape != (2, 2):
-            raise ValueError("spinor factor must be a 2x2 matrix")
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.sigma == 1
-            and self.rho == 0.0
-            and np.array_equal(self.spinor_factor, np.eye(2))
-        )
+        return self.sigma == 1 and self.rho == 0.0
 
     def map(self, xs):
         xs = np.asarray(xs, dtype=float)
-        if self.sigma == 1 and self.rho == 0.0:
+        if self.is_identity:
             return xs
         return self.sigma * xs + self.rho
 
@@ -356,28 +352,22 @@ class TransformSpec:
 
 
 def identity_transform() -> TransformSpec:
-    return TransformSpec(1, 0.0, np.eye(2))
+    return TransformSpec(1, 0.0)
 
 
-def parity_transform(convention: Convention | str, center: float = 0.0) -> TransformSpec:
-    """Mirror about ``center``: F(x) = -x + 2 center, spinor factor gamma0."""
-    conv = get_convention(convention) if isinstance(convention, str) else convention
-    return TransformSpec(-1, 2.0 * center, conv.parity_matrix)
+def parity_transform(center: float = 0.0) -> TransformSpec:
+    """Mirror about ``center``: F(x) = -x + 2 center."""
+    return TransformSpec(-1, 2.0 * center)
 
 
 def translation_transform(shift: float) -> TransformSpec:
-    """F(x) = x + shift with trivial spinor factor."""
-    return TransformSpec(1, float(shift), np.eye(2))
+    """F(x) = x + shift."""
+    return TransformSpec(1, float(shift))
 
 
-def transform_from_sigma_rho(
-    sigma: int, rho: float, convention: Convention | str | None = None
-) -> TransformSpec:
-    """Spec from the (sigma, rho) pair; mirrors pick up the parity spinor factor."""
-    if sigma == 1 or convention is None:
-        return TransformSpec(sigma, float(rho), np.eye(2))
-    conv = get_convention(convention) if isinstance(convention, str) else convention
-    return TransformSpec(sigma, float(rho), conv.parity_matrix)
+def _spinor_factor(spec: TransformSpec, conv: Convention) -> np.ndarray:
+    """P of the transformed bilinears: gamma0 for a mirror, else the identity."""
+    return conv.gamma0 if spec.sigma == -1 else np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -471,7 +461,8 @@ def transformed_current(sol, pair, spec: TransformSpec, grid) -> CurrentProfile:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     # The identity spinor factor leaves both kernels exactly equal to the pair
     # branch of dirac_current, so the two agree bit for bit.
-    kernels = (sol.convention.current_matrix @ spec.spinor_factor, spec.spinor_factor)
+    factor = _spinor_factor(spec, sol.convention)
+    kernels = (sol.convention.current_matrix @ factor, factor)
     j1, j0 = _pair_forms(sol, columns, kernels, grid, spec.map(grid))
     return CurrentProfile("transformed", tuple(int(k) for k in pair), grid, j1, j0)
 
@@ -516,7 +507,7 @@ def delta_domain_relation(
             )
         x0 = float(pos[0])
     if spec is None:
-        spec = parity_transform(sol.convention, center=x0)
+        spec = parity_transform(center=x0)
     domains = detect_domains(sol.profile, pair, spec)
     left_dom = next((d for d in domains if abs(d.x_hi - x0) <= _SNAP), None)
     right_dom = next((d for d in domains if abs(d.x_lo - x0) <= _SNAP), None)
@@ -540,7 +531,7 @@ def delta_domain_relation(
     c_plus = complex(cur_plus.j1.mean())
     rel_minus = float(np.abs(cur_minus.j1 - c_minus).max()) / max(abs(c_minus), 1e-30)
     rel_plus = float(np.abs(cur_plus.j1 - c_plus).max()) / max(abs(c_plus), 1e-30)
-    kernel = sol.convention.current_matrix @ spec.spinor_factor
+    kernel = sol.convention.current_matrix @ _spinor_factor(spec, sol.convention)
     psi_i_left = sol.evaluate([x0], side="left")[0, ci]
     psi_j_left = sol.evaluate([spec.map(float(x0))], side="left")[0, cj]
     junction = np.asarray(junction, dtype=complex)
@@ -707,12 +698,15 @@ def gce_residual_sweep(
     The solution keeps the table of the last grid it was swept on, keyed by
     values (the grid's bits, the decomposition's cuts and coefficients, the
     basis rank), so the calls of a sweep build one table, also with
-    ``decomp=None``.
+    ``decomp=None``.  A given ``decomp`` that misses the kept table must be
+    the decomposition of ``sol.profile``: other cuts or coefficients raise
+    ``ValueError``.
     """
     sol, grid = _joint(sol), np.asarray(grid, dtype=float)
     if basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
-    decomp = decompose(sol.profile, basis) if decomp is None else decomp
+    own = decomp is None
+    decomp = decompose(sol.profile, basis) if own else decomp
     key = (decomp.cuts, decomp.c, basis.n)
     if sol.residual_table is not None:
         kept, table = sol.residual_table
@@ -720,6 +714,8 @@ def gce_residual_sweep(
             np.array_equal(p, q) for p, q in zip(kept, key)
         ):
             return table
+    if not own:
+        _check_decomposition(decomp, decompose(sol.profile, basis))
     cuts = residual_cuts(sol.profile)
     eval_xs = snap_to_cuts(grid, cuts)
     h, blocks = uniform_spacing(grid), _blocks(sol.model, sol.convention, sol.mass)
@@ -732,6 +728,23 @@ def gce_residual_sweep(
     )
     sol.residual_table = (tuple(np.copy(p) for p in key), table)
     return table
+
+
+def _check_decomposition(given: PotentialDecomposition, want: PotentialDecomposition):
+    """Raise unless ``given`` has the cuts and coefficients of ``want``, the
+    decomposition of the solution's profile."""
+    if not np.array_equal(given.cuts, want.cuts) or given.c.shape != want.c.shape:
+        raise ValueError(
+            f"decomp has cuts {given.cuts.tolist()} and {given.c.shape[1]} generators, "
+            f"the solution's profile {want.cuts.tolist()} and {want.c.shape[1]}"
+        )
+    diff = np.abs(given.c - want.c)
+    if diff.max() > 1e-12 * max(1.0, float(np.abs(want.c).max())):
+        s, a = np.unravel_index(int(diff.argmax()), diff.shape)
+        raise ValueError(
+            f"decomp coefficient C_{a + 1} of segment {s} is {float(given.c[s, a])!r}, "
+            f"the solution's profile has {float(want.c[s, a])!r}"
+        )
 
 
 def _rms(values: np.ndarray) -> float:

@@ -30,6 +30,7 @@ import numpy as np
 from . import engine
 from ._fmt17 import csv_block
 from .engine import (
+    TransformSpec,
     charge_current_relation,
     delta_domain_relation,
     detect_domains,
@@ -38,7 +39,6 @@ from .engine import (
     gce_residual_schrodinger,
     interval_stats,
     schrodinger_current,
-    transform_from_sigma_rho,
     transformed_current,
 )
 from .solvers import (
@@ -67,9 +67,9 @@ class ScenarioFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scenario model: GridSpec, TransformEntry and the solver's Segment,
-# DeltaBarrier, Scattering and InitialValue, all with tuple payloads, so
-# equality, hashing and the save/load round trip are exact.
+# Scenario model: GridSpec, the engine's TransformSpec and the solver's
+# Segment, DeltaBarrier, Scattering and InitialValue, all with tuple or scalar
+# payloads, so equality, hashing and the save/load round trip are exact.
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ class GridSpec:
     x_min: float
     x_max: float
     n_points: int
-
-
-@dataclass(frozen=True)
-class TransformEntry:
-    sigma: int
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class Scenario:
     requested_outputs: tuple
     convention: str | None = None
     mass: float | None = None
-    transform: TransformEntry | None = None
+    transform: TransformSpec | None = None
     pair: tuple = (1, 2)
     generator_index: int = 1
     charge_interval: tuple | None = None
@@ -263,7 +257,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         sigma = _as_int(transform.get("sigma"), "transform.sigma")
         if sigma not in (-1, 1):
             _fail("transform.sigma", "must be -1 or +1")
-        transform = TransformEntry(sigma, _as_float(transform.get("rho"), "transform.rho"))
+        transform = TransformSpec(sigma, _as_float(transform.get("rho"), "transform.rho"))
 
     raw_grid = doc["grid"]
     if not isinstance(raw_grid, dict):
@@ -340,18 +334,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file; parse errors carry line/column."""
+def _read_json(path, what: str):
+    """The JSON document of a ``what`` file; parse errors carry line/column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ScenarioFormatError(f"{path}: no such scenario file") from None
+        raise ScenarioFormatError(f"{path}: no such {what} file") from None
     except json.JSONDecodeError as e:
         raise ScenarioFormatError(
             f"{path}: parse error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
-    return scenario_from_dict(doc)
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario file; parse errors carry line/column."""
+    return scenario_from_dict(_read_json(path, "scenario"))
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +511,9 @@ def _solve_stack(s: Scenario) -> PiecewiseSolution:
         _annotate(e, "solving the scenario systems")
 
 
-def _transform_spec(s: Scenario, sol: PiecewiseSolution):
-    if s.transform is None:
-        return engine.identity_transform()
-    return transform_from_sigma_rho(s.transform.sigma, s.transform.rho, sol.convention)
-
-
 def _pair_current(s: Scenario, sol: PiecewiseSolution, grid: np.ndarray):
     """The current displayed by the scenario: transformed when a map is set."""
-    spec = _transform_spec(s, sol)
+    spec = s.transform or engine.identity_transform()
     if s.model == "dirac" and not spec.is_identity:
         return transformed_current(sol, s.pair, spec, grid), True
     fn = dirac_current if s.model == "dirac" else schrodinger_current
@@ -580,7 +572,8 @@ def _domains(s, sol, grid, tol, current):
     # A pair at unequal energies keeps the time term i(E_i - E_j) psi_i^dag psi_j
     # of its continuity law: its current is conserved nowhere.
     same = sol.energies[i - 1] == sol.energies[j - 1]
-    domains = detect_domains(sol.profile, s.pair, _transform_spec(s, sol)) if same else []
+    spec = s.transform or engine.identity_transform()
+    domains = detect_domains(sol.profile, s.pair, spec) if same else []
     j1 = current()[0].j1
     snap = engine.grid_snap(grid)
     items, checks = [], []
@@ -648,7 +641,8 @@ def _delta_relation(s, sol, grid, tol, current):
     x0 = float(barrier.x0)
     junction = delta_junction(np.array([[barrier.strength[i - 1, i - 1]]]), sol.convention)
     try:
-        rel = delta_domain_relation(sol, s.pair, junction, x0=x0, spec=_transform_spec(s, sol))
+        spec = s.transform or engine.identity_transform()
+        rel = delta_domain_relation(sol, s.pair, junction, x0=x0, spec=spec)
     except ValueError as e:
         _annotate(e, "evaluating the delta-domain relation")
     checks = [

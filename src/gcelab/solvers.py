@@ -84,11 +84,6 @@ class Convention:
         return np.eye(2, dtype=complex) if self.coupling == "scalar" else self.gamma0
 
     @property
-    def parity_matrix(self) -> np.ndarray:
-        """Spinor factor of the parity map psi(x) -> gamma0 psi(-x)."""
-        return self.gamma0
-
-    @property
     def current_matrix(self) -> np.ndarray:
         """Hermitian bilinear kernel gamma0 gamma1 of the spatial current."""
         return self.gamma0 @ self.gamma1

@@ -122,6 +122,14 @@ class TestDecompose:
         code, _, err = run_cli(["decompose", str(tmp_path / "gone.json")], capsys)
         assert code == 2 and "no such matrix file" in err
 
+    @pytest.mark.parametrize("command", ["decompose {}", "run --scenario {} --out rep"])
+    def test_parse_error_names_line_and_column(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("[[1, 0],\n [0 1]]\n")
+        code, _, err = run_cli(command.format("bad.json").split(), capsys)
+        assert code == 2
+        assert "bad.json: parse error at line 2 column 5: Expecting ',' delimiter" in err
+
     def test_non_finite_entry_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[[NaN, 0], [0, 1]]\n")
@@ -455,6 +463,39 @@ class TestSubcommandOutputs:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["convention"] == "rotated"
+
+
+class TestCoupledThreeSystemStack:
+    """tests/data/coupled3.json: three Dirac systems at one energy with
+    diagonal leads and coupled complex interior segments."""
+
+    SCENARIO = str(DATA / "coupled3.json")
+
+    @pytest.mark.parametrize("command, tables", [
+        ("run", ["currents.csv", "residuals.csv"]),
+        ("gce-verify", ["residuals.csv", "domains.csv"]),
+    ])
+    def test_residual_meets_the_second_order_bound(self, command, tables, tmp_path, capsys):
+        code, stdout, err = run_cli([command, "--scenario", self.SCENARIO, "--out", str(tmp_path)],
+                                    capsys)
+        assert code == 0, stdout + err
+        assert "verdict: pass" in stdout
+        for name in tables:
+            assert (tmp_path / name).exists()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_systems"] == 3
+        residuals, h = summary["residuals"], summary["grid"]["spacing"]
+        assert residuals["generator_index"] == 4
+        assert 0.0 < residuals["rms"] <= 100 * h * h
+
+    def test_scan_reports_second_order(self, tmp_path, capsys):
+        argv = ["scan", "--scenario", self.SCENARIO, "--h", "1e-2,5e-3,2.5e-3",
+                "--out", str(tmp_path)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, stdout + err
+        scan = json.loads((tmp_path / "summary.json").read_text())["scan"]
+        assert not scan["at_rounding"] and None not in scan["orders"]
+        assert abs(scan["mean_order"] - 2.0) <= 0.2
 
 
 def test_runtime_never_imports_scipy(tmp_path):

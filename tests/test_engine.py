@@ -30,6 +30,7 @@ from gcelab.engine import (
     ChargeRelation,
     DegenerateEnergiesError,
     GaugeConfig,
+    TransformSpec,
     charge_current_relation,
     delta_domain_relation,
     detect_domains,
@@ -51,7 +52,7 @@ from gcelab.engine import (
     _rms,
     _simpson,
 )
-from gcelab.scenario import _solve_stack, _transform_spec, load_builtin, order_verdict
+from gcelab.scenario import _solve_stack, load_builtin, order_verdict
 from gcelab.solvers import (
     DeltaBarrier,
     InitialValue,
@@ -618,12 +619,13 @@ class TestBlockedSampling:
     def test_builtin_transformed_currents_match_whole_grid(self, monkeypatch, name):
         s = load_builtin(name)
         sol = _solve_stack(s)
-        spec = _transform_spec(s, sol)
+        spec = s.transform
         grid = s.grid_array(401)
         mapped = spec.map(grid)
-        kernel = sol.convention.current_matrix @ spec.spinor_factor
+        factor = sol.convention.gamma0 if spec.sigma == -1 else np.eye(2, dtype=complex)
+        kernel = sol.convention.current_matrix @ factor
         a, b = sol.evaluate(grid)[:, :2], sol.evaluate(mapped)[:, 2:]
-        want = [engine._bilinear(a, kernel, b), engine._bilinear(a, spec.spinor_factor, b)]
+        want = [engine._bilinear(a, kernel, b), engine._bilinear(a, factor, b)]
         starts = set(piece_starts(sol, grid)) | set(piece_starts(sol, mapped))
         for step in sorted({k + d for k in starts for d in (-1, 1) if k + d >= 16}):
             set_block(monkeypatch, step, sol.dim)
@@ -768,6 +770,21 @@ class TestResiduals:
         assert np.abs(d - (6.0 * xs - 2.0)).max() <= 1e-11
 
 
+def gauge_free_residuals(sol, basis, grid, decomp):
+    """Every generator's residual, and the largest floor, at A = 0 through
+    ``gauge_residual``, which takes ``decomp`` as given: the residual sweep
+    refuses the decomposition of another profile."""
+    cuts = residual_cuts(sol.profile)
+    config = GaugeConfig(grid, np.zeros((basis.dim, 2, len(grid))), tuple(cuts))
+    psi = sol.evaluate(engine.snap_to_cuts(grid, cuts))
+    reports = [
+        gauge_residual(psi, config, basis, a, energies=sol.energies, decomp=decomp,
+                       convention=sol.convention)
+        for a in range(1, basis.dim + 1)
+    ]
+    return np.stack([r.residual for r in reports]), max(r.floor for r in reports)
+
+
 class TestResidualTable:
     """One read-only residual table per solution and grid, keyed by values."""
 
@@ -810,28 +827,55 @@ class TestResidualTable:
         other = gce_residual_sweep(sol, bases[2], signed, dec)
         assert other is not table
         assert np.array_equal(other.residual, table.residual)
-        scaled = dataclasses.replace(dec, c=1.5 * dec.c)
-        assert not np.array_equal(gce_residual_sweep(sol, bases[2], self.GRID, scaled).residual,
-                                  table.residual)
-        moved = dataclasses.replace(dec, cuts=dec.cuts + 0.05)
-        assert not np.array_equal(gce_residual_sweep(sol, bases[2], self.GRID, moved).residual,
-                                  table.residual)
         with pytest.raises(ValueError, match="rank"):
             gce_residual_sweep(sol, bases[3], self.GRID)
+
+    def test_another_profiles_decomposition_is_refused(self, bases):
+        sol = coupled_dirac_solution()
+        dec = decompose(sol.profile, bases[2])
+        table = gce_residual_sweep(sol, bases[2], self.GRID, dec)
+        scaled = dataclasses.replace(dec, c=1.5 * dec.c)
+        moved = dataclasses.replace(dec, cuts=dec.cuts + 0.05)
+        for other, what in ((scaled, "coefficient C_"), (moved, "cuts")):
+            with pytest.raises(ValueError, match=what):
+                gce_residual_sweep(sol, bases[2], self.GRID, other)
+            with pytest.raises(ValueError, match=what):
+                gce_residual_dirac(sol, bases[2], 1, self.GRID[:-1], other)
+        assert sol.residual_table[1] is table
+        # The solution's own decomposition, equal but not the same object.
+        sol.residual_table = None
+        again = gce_residual_sweep(sol, bases[2], self.GRID, decompose(sol.profile, bases[2]))
+        assert_arrays_same_bits([again.residual, again.floor], [table.residual, table.floor])
+
+    def test_another_stacks_decomposition_is_refused(self):
+        # Two coupled N = 4 stacks on one set of breakpoints: only the
+        # coefficients tell their decompositions apart.
+        sol, other = coupled_stack(3, "dirac", 4), coupled_stack(4, "dirac", 4)
+        basis, grid = build_basis(4), np.linspace(-3.5, 3.5, 2001)
+        with pytest.raises(ValueError, match="coefficient C_.* of segment"):
+            gce_residual_dirac(sol, basis, 5, grid, decompose(other.profile, basis))
+        assert sol.residual_table is None
+        own = gce_residual_dirac(sol, basis, 5, grid, decompose(sol.profile, basis))
+        sol.residual_table = None
+        fresh = gce_residual_dirac(sol, basis, 5, grid)
+        assert_arrays_same_bits([own.residual], [fresh.residual])
+        assert own.residual_rms <= 100 * uniform_spacing(grid) ** 2
 
     def test_blocks_split_at_foreign_segment_cuts(self, bases):
         """Cuts one grid step past the cell starts leave one-sample blocks."""
         sol = coupled_dirac_solution()
         dec = decompose(sol.profile, bases[2])
         moved = dataclasses.replace(dec, cuts=dec.cuts + 0.01)
-        base = gce_residual_sweep(sol, bases[2], self.GRID, dec)
-        shifted = gce_residual_sweep(sol, bases[2], self.GRID, moved)
+        table = gce_residual_sweep(sol, bases[2], self.GRID, dec)
+        base, floor = gauge_free_residuals(sol, bases[2], self.GRID, dec)
+        assert_arrays_same_bits([base], [table.residual])
+        shifted, _ = gauge_free_residuals(sol, bases[2], self.GRID, moved)
         # Only the source moves with the cuts; elsewhere the stencil of j1
         # must not see how the samples were split into blocks.
         same = dec.segment_of(self.GRID) == moved.segment_of(self.GRID)
         assert not same.all()
-        diff = np.abs(shifted.residual - base.residual)
-        assert diff[:, same].max() <= 100 * base.floor.max()
+        diff = np.abs(shifted - base)
+        assert diff[:, same].max() <= 100 * floor
         assert diff[:, ~same].max() > 1e-3
 
     def test_stacked_solution_keeps_its_table(self, bases):
@@ -921,13 +965,12 @@ class TestDomains:
         assert doms[1].x_lo == 5.0 and np.isinf(doms[1].x_hi)
 
     def test_matched_delta_does_not_split_parity_domain(self):
-        conv = get_convention("default")
         segs = [Segment(-2.0, 0.0, np.zeros((2, 2))), Segment(0.0, 2.0, np.zeros((2, 2)))]
         matched = PotentialProfile(segs, [DeltaBarrier(0.0, np.diag([0.3, 0.3]))])
-        doms = detect_domains(matched, (1, 2), parity_transform(conv))
+        doms = detect_domains(matched, (1, 2), parity_transform())
         assert len(doms) == 1
         unmatched = PotentialProfile(segs, [DeltaBarrier(0.0, np.diag([0.3, 0.1]))])
-        doms = detect_domains(unmatched, (1, 2), parity_transform(conv))
+        doms = detect_domains(unmatched, (1, 2), parity_transform())
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (0.0, np.inf)]
 
     def test_off_diagonal_coupling_breaks_the_domain(self, bases):
@@ -953,7 +996,7 @@ class TestDomains:
     def test_off_diagonal_delta_splits_the_domain(self):
         segs = [Segment(-2.0, 0.0, np.diag([0.1, 0.1])), Segment(0.0, 2.0, np.diag([0.1, 0.1]))]
         prof = PotentialProfile(segs, [DeltaBarrier(0.0, np.array([[0.3, 0.2], [0.2, 0.3]]))])
-        for spec in (identity_transform(), parity_transform(get_convention("default"))):
+        for spec in (identity_transform(), parity_transform()):
             doms = detect_domains(prof, (1, 2), spec)
             assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 0.0), (0.0, np.inf)]
 
@@ -995,14 +1038,14 @@ class TestDomains:
 
 
 class TestTransformedCurrents:
-    def parity_pair(self, energy=1.6):
+    def parity_pair(self, energy=1.6, convention="default"):
         p1 = bump_profile([(1.0, 2.0, 0.6), (3.0, 4.0, 0.9)], -6.0, 6.0)
         p2 = bump_profile([(-4.5, -3.5, 0.4), (-2.0, -1.0, 0.6)], -6.0, 6.0)
-        return solve_dirac(diagonal_profile([p1, p2]), energy, Scattering([1.0, 1.0]))
+        return solve_dirac(diagonal_profile([p1, p2]), energy, Scattering([1.0, 1.0]), convention)
 
     def test_parity_transformed_current_constant_on_domains(self):
         sol = self.parity_pair()
-        spec = parity_transform(sol.convention)
+        spec = parity_transform()
         doms = detect_domains(sol.profile, (1, 2), spec)
         assert [(d.x_lo, d.x_hi) for d in doms] == [(-np.inf, 3.0), (4.5, np.inf)]
         xs = np.linspace(-5.8, 5.8, 1161)
@@ -1032,11 +1075,27 @@ class TestTransformedCurrents:
         assert np.array_equal(tc.j1, pc.j1)
         assert np.array_equal(tc.j0, pc.j0)
 
+    @pytest.mark.parametrize("name", ["default", "vector", "rotated"])
+    @pytest.mark.parametrize("spec", [parity_transform(0.25), translation_transform(0.5)])
+    def test_spinor_factor_is_the_conventions_gamma0_for_a_mirror(self, name, spec):
+        sol, conv = self.parity_pair(convention=name), get_convention(name)
+        factor = conv.gamma0 if spec.sigma == -1 else np.eye(2, dtype=complex)
+        xs = np.linspace(-5.0, 5.0, 501)
+        a, b = sol.evaluate(xs)[:, :2], sol.evaluate(spec.map(xs))[:, 2:]
+        want = [engine._bilinear(a, conv.current_matrix @ factor, b), engine._bilinear(a, factor, b)]
+        cur = transformed_current(sol, (1, 2), spec, xs)
+        assert_arrays_same_bits([cur.j1, cur.j0], want)
+
+    def test_transform_spec_is_a_hashable_value(self):
+        assert parity_transform(1.5) == TransformSpec(-1, 3.0)
+        assert hash(translation_transform(2.0)) == hash(TransformSpec(1, 2.0))
+        assert identity_transform().is_identity and not parity_transform().is_identity
+        assert len({parity_transform(), TransformSpec(-1, 0.0), identity_transform()}) == 2
+
     def test_transform_validation(self):
-        from gcelab.engine import TransformSpec
 
         with pytest.raises(ValueError, match="sigma"):
-            TransformSpec(2, 0.0, np.eye(2))
+            TransformSpec(2, 0.0)
         w = solve_schrodinger(uniform_profile(np.zeros((2, 2)), -1, 1), 0.5, Scattering([1, 1]))
         with pytest.raises(ValueError, match="Dirac"):
             transformed_current(w, (1, 2), identity_transform(), np.linspace(-1, 1, 5))

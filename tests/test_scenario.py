@@ -44,6 +44,7 @@ from gcelab.scenario import (
     _solve_stack,
 )
 from conftest import assert_same_bits, per_system, system_profile
+from gcelab.engine import TransformSpec
 from gcelab.solvers import (
     InitialValue,
     PotentialProfile,
@@ -318,6 +319,26 @@ class TestRoundTrip:
         # The kept profile is no field: equality and hashing ignore it.
         copy = scenario_from_dict(serialize_scenario(s))
         assert copy == s and hash(copy) == hash(s)
+
+    @pytest.mark.parametrize("name", ["fig1b", "fig2", "translate"])
+    def test_transform_is_the_engines_map_through_a_file(self, name, tmp_path):
+        s = load_builtin(name)
+        assert isinstance(s.transform, TransformSpec)
+        path = str(tmp_path / "copy.json")
+        save_scenario(s, path)
+        copy = load_scenario(path)
+        assert copy == s and hash(copy) == hash(s)
+        assert copy.transform == s.transform and hash(copy.transform) == hash(s.transform)
+        assert json.loads(Path(path).read_text())["transform"] == {
+            "sigma": s.transform.sigma, "rho": s.transform.rho,
+        }
+        # Another map, or none, makes another scenario.
+        for other in (TransformSpec(-s.transform.sigma, s.transform.rho),
+                      TransformSpec(s.transform.sigma, s.transform.rho + 0.5), None):
+            moved = dataclasses.replace(s, transform=other)
+            assert moved != s
+            assert load_scenario(save_scenario(moved, str(tmp_path / "moved.json"))) == moved
+        assert len({s, copy, dataclasses.replace(s, transform=None)}) == 2
 
     def test_save_is_byte_deterministic(self, tmp_path):
         s = load_builtin("fig1a")
