@@ -1,8 +1,8 @@
 """Command-line front end: basis inspection, solving, verification, scenario runs.
 
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
-constancy or convergence order), 2 on usage or input errors and on errors
-writing the outputs.  Verdict failures still write the full summary so
+constancy, the charge or delta-domain relation, or the convergence order), 2
+on usage or input errors and on errors writing the outputs.  Verdict failures still write the full summary so
 results can be inspected, and print one line per failing check.
 """
 

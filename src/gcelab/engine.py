@@ -20,6 +20,7 @@ from .solvers import (
     PiecewiseSolution,
     PotentialProfile,
     ProfileError,
+    delta_junction,
     get_convention,
     system_columns,
 )
@@ -380,17 +381,18 @@ class Domain:
     transform: TransformSpec
 
 
-def detect_domains(
-    profile: PotentialProfile, pair, spec: TransformSpec, tol: float = 1e-8
-) -> list[Domain]:
+_DOMAIN_TOL = 1e-8  # potential entries within this are one value
+
+
+def detect_domains(profile: PotentialProfile, pair, spec: TransformSpec) -> list[Domain]:
     """Exact symmetry domains of a pair from segment breakpoints, not sampling.
 
-    An interval belongs to a domain when |V_ii(x) - V_jj(F(x))| <= tol on it,
-    systems i and j are decoupled there (every off-diagonal entry in rows and
-    columns i and j of V(x) and of V(F(x)) is within tol, so the pair's source
-    vanishes), and every delta barrier inside matches its mapped partner in
-    position and strength and is decoupled in the same sense; an unmatched or
-    coupling delta splits the domain at its position.
+    An interval belongs to a domain when |V_ii(x) - V_jj(F(x))| <= _DOMAIN_TOL
+    on it, systems i and j are decoupled there (every off-diagonal entry in
+    rows and columns i and j of V(x) and of V(F(x)) is within that tolerance,
+    so the pair's source vanishes), and every delta barrier inside matches its
+    mapped partner in position and strength and is decoupled in the same
+    sense; an unmatched or coupling delta splits the domain at its position.
     """
     i, j = pair
     for k in (i, j):
@@ -402,19 +404,19 @@ def detect_domains(
         """V_ii(x) = V_jj(F(x)) with systems i and j decoupled at x and F(x)."""
         for v in (v_x, v_f):
             off = np.abs(v - np.diag(np.diag(v)))
-            if max(off[pair_idx].max(), off[:, pair_idx].max()) > tol:
+            if max(off[pair_idx].max(), off[:, pair_idx].max()) > _DOMAIN_TOL:
                 return False
-        return abs(v_x[i - 1, i - 1].real - v_f[j - 1, j - 1].real) <= tol
+        return abs(v_x[i - 1, i - 1].real - v_f[j - 1, j - 1].real) <= _DOMAIN_TOL
 
+    # The cuts hold the profile's breakpoints, so no interval is unbounded on
+    # both sides.
     cuts = _merge_sorted(
         np.concatenate([profile.breakpoints, spec.inverse_map(profile.breakpoints)])
     )
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
     passing = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if np.isinf(lo) and np.isinf(hi):
-            mid = 0.0
-        elif np.isinf(lo):
+        if np.isinf(lo):
             mid = hi - 1.0
         elif np.isinf(hi):
             mid = lo + 1.0
@@ -475,17 +477,17 @@ class DeltaRelation:
     deviation: float
     rel_dev_minus: float
     rel_dev_plus: float
+    x0: float
+
+
+# Each side's domain constant is the mean of _DELTA_SAMPLES samples strictly
+# inside its domain, at most _DELTA_WINDOW from the delta.
+_DELTA_WINDOW = 1.5
+_DELTA_SAMPLES = 401
 
 
 def delta_domain_relation(
-    sol,
-    pair,
-    junction: np.ndarray,
-    *,
-    x0: float | None = None,
-    spec: TransformSpec | None = None,
-    window: float = 1.5,
-    samples: int = 401,
+    sol, pair, *, x0: float | None = None, spec: TransformSpec | None = None
 ) -> DeltaRelation:
     """Domain constants across an unmatched delta and their junction prediction.
 
@@ -494,50 +496,48 @@ def delta_domain_relation(
     approaching from the left gives c_minus = psi_i(x0-)^dag K psi_j(x0+)
     with K = gamma0 gamma1 P, and inserting the junction matrix J that relates
     psi_i(x0+) = J psi_i(x0-) predicts c_plus = (J psi_i(x0-))^dag K psi_j(x0-).
-    Both constants are also measured as domain means next to the delta.  x0
-    defaults to the one delta with a nonzero (i, i) strength.
+    J comes from the (i, i) strength of the delta at x0 and the solution's
+    convention, and is the identity where no delta sits.  Both constants are
+    also measured as domain means next to the delta.  x0 defaults to the
+    first delta with a nonzero (i, i) strength, else the first delta; a
+    profile without deltas needs an explicit x0.  ``spec`` defaults to the
+    mirror about x0.
     """
     ci, cj = _decoupled_dirac(sol, pair, "a delta-domain relation")
+    i = pair[0] - 1
+    deltas = sol.profile.deltas
     if x0 is None:
-        i = pair[0] - 1
-        pos = [d.x0 for d in sol.profile.deltas if d.strength[i, i] != 0.0]
-        if len(pos) != 1:
-            raise ValueError(
-                f"x0 is required unless system {i + 1} has exactly one delta barrier"
-            )
-        x0 = float(pos[0])
+        if not deltas:
+            raise ValueError("x0 is required for a profile without delta barriers")
+        x0 = next((d.x0 for d in deltas if d.strength[i, i] != 0.0), deltas[0].x0)
+    x0 = float(x0)
     if spec is None:
         spec = parity_transform(center=x0)
+    barrier = sol.profile.delta_at(x0)
+    if barrier is None:
+        junction = np.eye(2, dtype=complex)
+    else:
+        junction = delta_junction(barrier.strength[i:i + 1, i:i + 1], sol.convention)
     domains = detect_domains(sol.profile, pair, spec)
-    left_dom = next((d for d in domains if abs(d.x_hi - x0) <= _SNAP), None)
-    right_dom = next((d for d in domains if abs(d.x_lo - x0) <= _SNAP), None)
-    if left_dom is None or right_dom is None:
-        # A matched (or absent) barrier leaves one domain covering x0; use it
-        # for both one-sided means.
-        spanning = next(
-            (d for d in domains if d.x_lo < x0 - _SNAP and d.x_hi > x0 + _SNAP), None
-        )
-        if spanning is None:
-            raise ValueError(f"no symmetry domains adjacent to the delta at {x0}")
-        left_dom = left_dom or spanning
-        right_dom = right_dom or spanning
-    lo = max(left_dom.x_lo, x0 - window)
-    hi = min(right_dom.x_hi, x0 + window)
-    xs_minus = np.linspace(lo, x0, samples + 2)[1:-1]
-    xs_plus = np.linspace(x0, hi, samples + 2)[1:-1]
-    cur_minus = transformed_current(sol, pair, spec, xs_minus)
-    cur_plus = transformed_current(sol, pair, spec, xs_plus)
-    c_minus = complex(cur_minus.j1.mean())
-    c_plus = complex(cur_plus.j1.mean())
-    rel_minus = float(np.abs(cur_minus.j1 - c_minus).max()) / max(abs(c_minus), 1e-30)
-    rel_plus = float(np.abs(cur_plus.j1 - c_plus).max()) / max(abs(c_plus), 1e-30)
+    # The domains just left and right of x0: one domain covering x0 when the
+    # barrier is matched (or absent).
+    left = next((d for d in domains if d.x_lo < x0 - _SNAP <= d.x_hi), None)
+    right = next((d for d in domains if d.x_lo <= x0 + _SNAP < d.x_hi), None)
+    if left is None or right is None:
+        raise ValueError(f"no symmetry domains adjacent to the delta at {x0}")
+    sides = []
+    for lo, hi in (
+        (max(left.x_lo, x0 - _DELTA_WINDOW), x0), (x0, min(right.x_hi, x0 + _DELTA_WINDOW))
+    ):
+        xs = np.linspace(lo, hi, _DELTA_SAMPLES + 2)[1:-1]
+        sides.append(interval_stats(xs, transformed_current(sol, pair, spec, xs).j1, lo, hi))
+    (c_minus, _, rel_minus), (c_plus, _, rel_plus) = sides
     kernel = sol.convention.current_matrix @ _spinor_factor(spec, sol.convention)
     psi_i_left = sol.evaluate([x0], side="left")[0, ci]
-    psi_j_left = sol.evaluate([spec.map(float(x0))], side="left")[0, cj]
-    junction = np.asarray(junction, dtype=complex)
+    psi_j_left = sol.evaluate([spec.map(x0)], side="left")[0, cj]
     predicted = complex((junction @ psi_i_left).conj() @ kernel @ psi_j_left)
     return DeltaRelation(
-        c_minus, c_plus, predicted, abs(c_plus - predicted), rel_minus, rel_plus
+        c_minus, c_plus, predicted, abs(c_plus - predicted), rel_minus, rel_plus, x0
     )
 
 
@@ -561,8 +561,10 @@ def charge_current_relation(
     systems share one potential (V_ii = V_jj on every segment and delta) at
     distinct energies, int_{x1}^{x2} psi_i^dag psi_j dx equals
     i (J_ij(x2) - J_ij(x1)) / (E_i - E_j) with J_ij the pair current.
-    Quadrature is composite Simpson on a uniform grid (odd point count,
-    rounded up when needed).
+    Quadrature is composite Simpson on each smooth piece of [x1, x2], split
+    at the ``residual_cuts`` inside it, with one-sided samples at each cut
+    (and at x2 when it sits on one).  The pieces share ``n_points`` samples
+    (rounded up to odd) in proportion to their lengths, at least 3 each.
     """
     ci, cj = _decoupled_dirac(sol, pair, "a charge relation")
     if not x2 > x1:
@@ -580,15 +582,23 @@ def charge_current_relation(
     n = int(n_points)
     if n < 3:
         raise ValueError("n_points must be at least 3")
-    if n % 2 == 0:
-        n += 1
-    xs = np.linspace(float(x1), float(x2), n)
-    dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
-    q = complex(_simpson(dens, (float(x2) - float(x1)) / (n - 1)))
+    n += 1 - n % 2
+    cuts = residual_cuts(prof).tolist()
+    edges = [x1, *(c for c in cuts if x1 < c < x2), x2]
+    q = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        # An even number of Simpson intervals, n - 1 for one piece.
+        m = max(2, 2 * (int((n - len(edges) + 1) * ((b - a) / (x2 - x1))) // 2))
+        xs = np.linspace(a, b, m + 1)
+        dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
+        if b in cuts:
+            u = sol.evaluate([b], side="left")[0]
+            dens[-1] = u[ci].conj() @ u[cj]
+        q += _simpson(dens, (b - a) / m)
     kernel = sol.convention.current_matrix
     ends = [complex(v[ci].conj() @ kernel @ v[cj]) for v in sol.evaluate([x1, x2])]
     boundary = 1j * (ends[1] - ends[0]) / de
-    return ChargeRelation(q, boundary, abs(q - boundary))
+    return ChargeRelation(complex(q), boundary, abs(q - boundary))
 
 
 def _simpson(y: np.ndarray, h: float):

@@ -48,7 +48,6 @@ from .solvers import (
     PotentialProfile,
     Scattering,
     Segment,
-    delta_junction,
     get_convention,
     solve_dirac,
     solve_schrodinger,
@@ -180,8 +179,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if model not in ("dirac", "schrodinger"):
         _fail("model", f"must be 'dirac' or 'schrodinger', got {model!r}")
     n = _as_int(doc["n_systems"], "n_systems")
-    if n < 1:
-        _fail("n_systems", "must be at least 1")
+    if n < 2:
+        _fail("n_systems", "must be at least 2")
 
     prof = doc["profile"]
     if not isinstance(prof, dict):
@@ -550,8 +549,6 @@ def _currents(s, sol, grid, tol, current):
 
 
 def _residuals(s, sol, grid, tol, current):
-    if s.n_systems < 2:
-        raise ScenarioFormatError("residuals need at least two systems")
     fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
     try:
         report = fn(sol, build_basis(s.n_systems), s.generator_index, grid)
@@ -587,14 +584,16 @@ def _domains(s, sol, grid, tol, current):
         checks.append(_check("domain_constancy", rel, tol, where=[dom.x_lo, dom.x_hi]))
         items[-1].update(
             sampled=True, re_mean=mean.real, im_mean=mean.imag, max_dev=max_dev,
-            rel_dev=rel, passed=checks[-1]["passed"],
+            rel_dev=rel,
         )
-    # Columns are the keys of the sampled items; `passed` becomes 0.0/1.0.
-    header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
+    # Columns are the keys of the sampled items, one per check, and the
+    # check's verdict as 0.0/1.0.
+    header = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev"]
     sampled = [it for it in items if it["sampled"]]
-    table = (header, [np.array([it[k] for it in sampled], dtype=float) for k in header])
-    all_passed = all(c["passed"] for c in checks)
-    block = {"count": len(items), "tol": tol, "all_passed": all_passed, "items": items}
+    columns = [np.array([it[k] for it in sampled], dtype=float) for k in header]
+    columns.append(np.array([c["passed"] for c in checks], dtype=float))
+    table = ([*header, "passed"], columns)
+    block = {"count": len(items), "items": items}
     # Locality guard: the current should actually vary off the domains.
     # Informational only; the verdict tracks domain constancy.
     if not covered.all():
@@ -624,8 +623,6 @@ def _charge_relation(s, sol, grid, tol, current):
         "re_q": rel.q.real, "im_q": rel.q.imag,
         "re_boundary": rel.boundary_value.real, "im_boundary": rel.boundary_value.imag,
         "discrepancy": rel.discrepancy,
-        "tol": _CHARGE_TOL,
-        "passed": check["passed"],
     }
     return None, block, [check]
 
@@ -633,24 +630,19 @@ def _charge_relation(s, sol, grid, tol, current):
 def _delta_relation(s, sol, grid, tol, current):
     if s.model != "dirac":
         _fail("requested_outputs", "delta_relation needs the dirac model")
-    deltas = sol.profile.deltas
-    if not len(deltas):
+    if not sol.profile.deltas:
         _fail("profile.deltas", "delta_relation needs a delta barrier")
-    i = s.pair[0]
-    barrier = next((d for d in deltas if d.strength[i - 1, i - 1] != 0.0), deltas[0])
-    x0 = float(barrier.x0)
-    junction = delta_junction(np.array([[barrier.strength[i - 1, i - 1]]]), sol.convention)
     try:
         spec = s.transform or engine.identity_transform()
-        rel = delta_domain_relation(sol, s.pair, junction, x0=x0, spec=spec)
+        rel = delta_domain_relation(sol, s.pair, spec=spec)
     except ValueError as e:
         _annotate(e, "evaluating the delta-domain relation")
     checks = [
-        _check(f"delta_relation.{key}", getattr(rel, key), tol, where=x0)
+        _check(f"delta_relation.{key}", getattr(rel, key), tol, where=rel.x0)
         for key in ("deviation", "rel_dev_minus", "rel_dev_plus")
     ]
     block = {
-        "x0": x0,
+        "x0": rel.x0,
         "re_c_minus": rel.c_minus.real, "im_c_minus": rel.c_minus.imag,
         "re_c_plus": rel.c_plus.real, "im_c_plus": rel.c_plus.imag,
         "re_predicted_c_plus": rel.predicted_c_plus.real,
@@ -658,8 +650,6 @@ def _delta_relation(s, sol, grid, tol, current):
         "deviation": rel.deviation,
         "rel_dev_minus": rel.rel_dev_minus,
         "rel_dev_plus": rel.rel_dev_plus,
-        "tol": tol,
-        "passed": all(c["passed"] for c in checks),
     }
     return None, block, checks
 
@@ -788,11 +778,9 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
         "rms": norms,
         "orders": verdict["orders"],
         "mean_order": mean,
-        "order_tol": _SCAN_ORDER_TOL,
         "floors": floors,
         "floor_factor": ROUNDING_FACTOR,
         "at_rounding": verdict["at_rounding"],
-        "passed": check["passed"],
     }
     return _finish(bundle)
 

@@ -61,7 +61,6 @@ from gcelab.solvers import (
     ProfileError,
     Scattering,
     Segment,
-    delta_junction,
     get_convention,
     solve_dirac,
     solve_schrodinger,
@@ -1176,16 +1175,15 @@ class TestDeltaDomainRelation:
 
     def test_no_delta_means_equal_constants(self):
         sol = self.fig2_pair(0.0)
-        rel = delta_domain_relation(sol, (1, 2), np.eye(2), x0=0.0)
+        rel = delta_domain_relation(sol, (1, 2), x0=0.0)
         assert abs(rel.c_minus - rel.c_plus) <= 1e-12
         assert rel.deviation <= 1e-12
 
     @pytest.mark.parametrize("lam", [np.pi / 6, np.pi / 3, np.pi / 2])
     def test_junction_predicts_jump_of_domain_constant(self, lam):
         sol = self.fig2_pair(lam)
-        conv = get_convention("vector")
-        junction = delta_junction(np.array([[lam]]), conv)
-        rel = delta_domain_relation(sol, (1, 2), junction)
+        rel = delta_domain_relation(sol, (1, 2))
+        assert rel.x0 == 0.0
         assert rel.rel_dev_minus <= 1e-10
         assert rel.rel_dev_plus <= 1e-10
         assert rel.deviation <= 1e-10
@@ -1194,15 +1192,40 @@ class TestDeltaDomainRelation:
     def test_full_turn_restores_continuity(self):
         lam = 2.0 * np.pi
         sol = self.fig2_pair(lam)
-        conv = get_convention("vector")
-        rel = delta_domain_relation(sol, (1, 2), delta_junction(np.array([[lam]]), conv))
+        rel = delta_domain_relation(sol, (1, 2))
         assert abs(rel.c_minus - rel.c_plus) <= 1e-10
         assert rel.deviation <= 1e-10
 
     def test_missing_delta_needs_explicit_position(self):
         sol = self.fig2_pair(0.0)
         with pytest.raises(ValueError, match="x0"):
-            delta_domain_relation(sol, (1, 2), np.eye(2))
+            delta_domain_relation(sol, (1, 2))
+
+    def test_default_barrier_is_the_first_delta_of_system_i(self):
+        # System 1 has deltas at 0 and, listed second, at -1.5: the default
+        # is the first in profile order, not the leftmost.
+        lam = np.pi / 3
+        base = diagonal_profile(self.fig2_profiles(lam))
+        second = DeltaBarrier(-1.5, np.diag([0.4, 0.0]))
+        prof = PotentialProfile(base.segments, [*base.deltas, second])
+        boundary = [InitialValue(v) for v in self.FIG2_VALUES]
+        sol = solve_dirac(prof, 1.2, boundary, "vector")
+        rel = delta_domain_relation(sol, (1, 2))
+        assert rel.x0 == 0.0
+        assert rel == delta_domain_relation(sol, (1, 2), x0=0.0)
+        assert rel.deviation <= 1e-10
+        assert abs(rel.c_minus - rel.c_plus) > 1e-3
+
+    def test_delta_on_system_j_only_has_identity_junction(self):
+        sol = self.fig2_pair(np.pi / 3)
+        rel = delta_domain_relation(sol, (2, 1))
+        assert rel.x0 == 0.0
+        spec = parity_transform(center=0.0)
+        kernel = sol.convention.current_matrix @ sol.convention.gamma0
+        psi_i = sol.evaluate([0.0], side="left")[0, 2:]
+        psi_j = sol.evaluate([spec.map(0.0)], side="left")[0, :2]
+        assert abs(rel.predicted_c_plus - psi_i.conj() @ kernel @ psi_j) <= 1e-14
+        assert rel.deviation <= 1e-10
 
 
 class TestPairOperationsOfAStack:
@@ -1239,12 +1262,11 @@ class TestPairOperationsOfAStack:
         prof = diagonal_profile([p1, uniform_profile([[0.3]], -3.0, 3.0), p2])
         v1, v2 = fig2.FIG2_VALUES
         boundary = [InitialValue(v1), InitialValue([1.0, 0.5j]), InitialValue(v2)]
-        junction = delta_junction(np.array([[lam]]), get_convention("vector"))
-        rel = delta_domain_relation(solve_dirac(prof, 1.2, boundary, "vector"), (1, 3), junction)
+        rel = delta_domain_relation(solve_dirac(prof, 1.2, boundary, "vector"), (1, 3))
         assert rel.rel_dev_minus <= 1e-10
         assert rel.rel_dev_plus <= 1e-10
         assert rel.deviation <= 1e-10
-        two = delta_domain_relation(fig2().fig2_pair(lam), (1, 2), junction)
+        two = delta_domain_relation(fig2().fig2_pair(lam), (1, 2))
         for got, want in zip(dataclasses.astuple(rel), dataclasses.astuple(two)):
             assert abs(got - want) <= 1e-12
 
@@ -1255,7 +1277,7 @@ class TestPairOperationsOfAStack:
         with pytest.raises(ProfileError, match="decoupled"):
             charge_current_relation(coupled, (1, 2), -1.0, 1.0)
         with pytest.raises(ProfileError, match="decoupled"):
-            delta_domain_relation(coupled, (1, 2), np.eye(2), x0=0.0)
+            delta_domain_relation(coupled, (1, 2), x0=0.0)
         with pytest.raises(ValueError, match="systems 1 and 2 must share one potential"):
             charge_current_relation(self.stack(), (1, 2), -1.0, 1.0)
         with pytest.raises(ValueError, match="outside"):
