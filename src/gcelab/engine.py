@@ -11,6 +11,7 @@ the energy-weighted time term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -550,21 +551,31 @@ class ChargeRelation:
     q: complex
     boundary_value: complex
     discrepancy: float
+    nodes: int  # quadrature nodes the integral took
 
 
-def charge_current_relation(
-    sol, pair, x1: float, x2: float, n_points: int = 10001
-) -> ChargeRelation:
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """8 Gauss-Legendre nodes and weights on [-1, 1], built on first use: a
+    cold start that never needs them skips numpy.polynomial's 3 ms import."""
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(8)
+    t.flags.writeable = w.flags.writeable = False  # one copy serves every call
+    return t, w
+
+
+def charge_current_relation(sol, pair, x1: float, x2: float) -> ChargeRelation:
     """Integrated mixed density against the current difference at the ends.
 
     For the pair (i, j), 1-based, of a decoupled Dirac solution whose two
     systems share one potential (V_ii = V_jj on every segment and delta) at
     distinct energies, int_{x1}^{x2} psi_i^dag psi_j dx equals
     i (J_ij(x2) - J_ij(x1)) / (E_i - E_j) with J_ij the pair current.
-    Quadrature is composite Simpson on each smooth piece of [x1, x2], split
-    at the ``residual_cuts`` inside it, with one-sided samples at each cut
-    (and at x2 when it sits on one).  The pieces share ``n_points`` samples
-    (rounded up to odd) in proportion to their lengths, at least 3 each.
+    Inside each piece of [x1, x2] between ``residual_cuts`` the density is a
+    sum of products of cos/sin/cosh/sinh factors of the piece's wavenumbers,
+    so ceil(L k_max) equal panels (at least one) of 8 Gauss-Legendre nodes
+    integrate it to rounding, k_max the largest wavenumber of the piece's
+    propagator and L its length.  No node falls on a cut.
     """
     ci, cj = _decoupled_dirac(sol, pair, "a charge relation")
     if not x2 > x1:
@@ -579,31 +590,23 @@ def charge_current_relation(
     for v in [s.v for s in prof.segments] + [d.strength for d in prof.deltas]:
         if abs(v[i, i] - v[j, j]) > 1e-12:
             raise ValueError(f"systems {i + 1} and {j + 1} must share one potential")
-    n = int(n_points)
-    if n < 3:
-        raise ValueError("n_points must be at least 3")
-    n += 1 - n % 2
-    cuts = residual_cuts(prof).tolist()
-    edges = [x1, *(c for c in cuts if x1 < c < x2), x2]
-    q = 0.0
+    t, w = _gauss_rule()
+    edges = [x1, *(c for c in residual_cuts(prof).tolist() if x1 < c < x2), x2]
+    nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        # An even number of Simpson intervals, n - 1 for one piece.
-        m = max(2, 2 * (int((n - len(edges) + 1) * ((b - a) / (x2 - x1))) // 2))
-        xs = np.linspace(a, b, m + 1)
-        dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
-        if b in cuts:
-            u = sol.evaluate([b], side="left")[0]
-            dens[-1] = u[ci].conj() @ u[cj]
-        q += _simpson(dens, (b - a) / m)
+        piece = sol.pieces[int(np.searchsorted(sol.breakpoints, 0.5 * (a + b), "right"))]
+        panels = max(1, int(np.ceil((b - a) * piece.propagator.k.max())))
+        h = (b - a) / panels
+        nodes.append((a + h * np.arange(panels)[:, None] + 0.5 * h * (t + 1.0)).ravel())
+        weights.append(np.tile(0.5 * h * w, panels))
+    xs = np.concatenate(nodes)
+    dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
+    # numpy's pairwise sum, where a BLAS dot would add the terms in sequence.
+    q = complex((dens * np.concatenate(weights)).sum())
     kernel = sol.convention.current_matrix
     ends = [complex(v[ci].conj() @ kernel @ v[cj]) for v in sol.evaluate([x1, x2])]
     boundary = 1j * (ends[1] - ends[0]) / de
-    return ChargeRelation(complex(q), boundary, abs(q - boundary))
-
-
-def _simpson(y: np.ndarray, h: float):
-    """Composite Simpson rule for an odd number of samples spaced h apart."""
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+    return ChargeRelation(q, boundary, abs(q - boundary), len(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,6 @@ class Scenario:
     pair: tuple = (1, 2)
     generator_index: int = 1
     charge_interval: tuple | None = None
-    quadrature_points: int = 10001
 
     @functools.cached_property
     def profile(self) -> PotentialProfile:
@@ -163,6 +162,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a parsed scenario document; errors name the offending key."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("document: expected a JSON object at top level")
+    # "quadrature_points" is accepted and ignored: older saved files carry it.
     _known_keys(
         doc,
         {
@@ -300,9 +300,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         if not charge_interval[1] > charge_interval[0]:
             _fail("charge_interval", "x1 must be below x2")
-    quadrature_points = _as_int(doc.get("quadrature_points", 10001), "quadrature_points")
-    if quadrature_points < 3:
-        _fail("quadrature_points", "need at least 3 points")
 
     scenario = Scenario(
         model=model,
@@ -319,7 +316,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pair=pair,
         generator_index=generator_index,
         charge_interval=charge_interval,
-        quadrature_points=quadrature_points,
     )
     try:
         scenario.profile  # building the profile validates its geometry
@@ -388,7 +384,6 @@ def serialize_scenario(s: Scenario) -> dict:
         "requested_outputs": list(s.requested_outputs),
         "pair": list(s.pair),
         "generator_index": s.generator_index,
-        "quadrature_points": s.quadrature_points,
     }
     if s.deltas:
         doc["profile"]["deltas"] = [
@@ -613,13 +608,13 @@ def _charge_relation(s, sol, grid, tol, current):
         _fail("charge_interval", "required for the charge_relation output")
     x1, x2 = s.charge_interval
     try:
-        rel = charge_current_relation(sol, s.pair, x1, x2, n_points=s.quadrature_points)
+        rel = charge_current_relation(sol, s.pair, x1, x2)
     except ValueError as e:
         _annotate(e, "evaluating the charge-current relation")
     check = _check("charge_relation", rel.discrepancy, _CHARGE_TOL, where=[x1, x2])
     block = {
         "x1": x1, "x2": x2,
-        "quadrature_points": s.quadrature_points,
+        "quadrature_points": rel.nodes,
         "re_q": rel.q.real, "im_q": rel.q.imag,
         "re_boundary": rel.boundary_value.real, "im_boundary": rel.boundary_value.imag,
         "discrepancy": rel.discrepancy,

@@ -279,7 +279,7 @@ class Propagator:
     a 2N x 2N generator needs 2N scalar functions of x, not 4N.
     """
 
-    __slots__ = ("generator", "basis", "_k", "_bands")
+    __slots__ = ("generator", "basis", "k", "_bands")
 
     def __init__(self, generator):
         m = np.asarray(generator, dtype=complex)
@@ -297,7 +297,7 @@ class Propagator:
         self.generator = m
         # basis[j] multiplies c_j(x), basis[N + j] multiplies k_j s_j(x).
         self.basis = np.concatenate([proj, sine])
-        self._k = k
+        self.k = k  # wavenumbers sqrt|lam| of the pairs, in basis order
         # lam is ascending: oscillating rows, then exact zeros, then growing.
         self._bands = (int(np.searchsorted(lam, 0.0, "left")),
                        int(np.searchsorted(lam, 0.0, "right")))
@@ -305,7 +305,7 @@ class Propagator:
     def factors(self, x) -> np.ndarray:
         """Scalar functions multiplying ``basis`` at offsets x, shape (2N,) + x.shape."""
         x = np.asarray(x, dtype=float)
-        t = np.multiply.outer(self._k, x)
+        t = np.multiply.outer(self.k, x)
         lo, hi = self._bands
         f = np.empty((2,) + t.shape)
         # Most generators use one branch; skipping the empty ones makes

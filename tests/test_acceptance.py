@@ -243,7 +243,7 @@ def test_common_window_confines_the_pair_current():
 def test_charge_current_identity_for_free_spinors():
     bundle = run_scenario(load_builtin("globalpair"))
     rel = bundle.summary["charge_relation"]
-    assert rel["quadrature_points"] == 10001
+    assert rel["quadrature_points"] == 56  # 8 Gauss nodes on each of ceil(5 * 1.3) panels
     assert rel["discrepancy"] <= 1e-6
 
 

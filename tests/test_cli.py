@@ -498,6 +498,22 @@ class TestCoupledThreeSystemStack:
         assert abs(scan["mean_order"] - 2.0) <= 0.2
 
 
+def test_charge_relation_through_an_evanescent_barrier(tmp_path, capsys):
+    """tests/data/charge_barrier.json: a Dirac pair at unequal energies shares
+    a barrier with kappa L = 1.9 and 2.1 and a delta on which the interval
+    ends, so the relation integrates two pieces of 2 and 3 panels."""
+    argv = ["run", "--scenario", str(DATA / "charge_barrier.json"), "--out", str(tmp_path)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 0, stdout + err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rel = summary["charge_relation"]
+    assert rel["x2"] == summary["scenario"]["profile"]["deltas"][0]["x0"]
+    assert rel["quadrature_points"] == 8 * (2 + 3)
+    assert rel["discrepancy"] <= 1e-14 * math.hypot(rel["re_q"], rel["im_q"])
+    check = next(c for c in summary["checks"] if c["name"] == "charge_relation")
+    assert check["passed"] and check["where"] == [rel["x1"], rel["x2"]]
+
+
 def test_runtime_never_imports_scipy(tmp_path):
     """scipy is a test-only oracle: a full run must not load it, even lazily."""
     script = (
@@ -533,3 +549,18 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = [line for line in proc.stdout.splitlines() if line.startswith("ma ")]
     assert seen == ["ma 0 False"] * 3
+
+
+def test_run_without_charge_relation_skips_numpy_polynomial(tmp_path):
+    """numpy.polynomial costs a cold process about 3 ms; only the charge
+    relation's Gauss-Legendre rule needs it, and loads it on first use."""
+    script = (
+        "import sys, gcelab.cli\n"
+        f"code = gcelab.cli.main(['run', '--scenario', 'fig1a', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

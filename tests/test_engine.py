@@ -13,7 +13,6 @@ import inspect
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from conftest import (
     EPS,
@@ -50,7 +49,6 @@ from gcelab.engine import (
     translation_transform,
     uniform_spacing,
     _rms,
-    _simpson,
 )
 from gcelab.scenario import _solve_stack, load_builtin, order_verdict
 from gcelab.solvers import (
@@ -664,15 +662,15 @@ class TestBlockedSampling:
         )
 
     def test_charge_relation_matches_whole_grid(self, monkeypatch):
+        # globalpair's 56 Gauss nodes in blocks of 16 and 33, then in one block.
         sol = _solve_stack(load_builtin("globalpair"))
-        xs = np.linspace(0.0, 5.0, 1001)
-        flat = sol.evaluate(xs)
-        dens = np.einsum("xi,xi->x", flat[:, :2].conj(), flat[:, 2:])
-        want = complex(_simpson(dens, 5.0 / 1000))
+        got = []
         for step in (16, 33, 999):
             set_block(monkeypatch, step, sol.dim)
-            got = charge_current_relation(sol, (1, 2), 0.0, 5.0, n_points=1001).q
-            assert (got.real, got.imag) == (want.real, want.imag)
+            rel = charge_current_relation(sol, (1, 2), 0.0, 5.0)
+            assert rel.nodes == 56
+            got.append((rel.q.real, rel.q.imag))
+        assert got[0] == got[1] == got[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1109,33 +1107,21 @@ class TestChargeRelation:
         e1, e2 = 1.3, 0.7
         sol = free_stack([e1, e2], x_lo=-1.0, x_hi=1.0)
         x1, x2 = -0.4, 0.9
-        rel = charge_current_relation(sol, (1, 2), x1, x2, n_points=4001)
+        rel = charge_current_relation(sol, (1, 2), x1, x2)
         assert isinstance(rel, ChargeRelation)
         u1, u2 = per_system(sol, [-1.0])[0]
         dk = e2 - e1
         oracle = (u1.conj() @ u2) * (
             np.exp(1j * dk * (x2 + 1.0)) - np.exp(1j * dk * (x1 + 1.0))
         ) / (1j * dk)
-        assert abs(rel.q - oracle) <= 1e-12
-        assert rel.discrepancy <= 1e-10
+        assert abs(rel.q - oracle) <= 1e-14 * abs(oracle)
+        assert rel.discrepancy <= 1e-14 * abs(oracle)
 
     def test_holds_through_a_barrier(self):
         prof = diagonal_profile([bump_profile([(-0.5, 0.5, 0.8)], -3.0, 3.0)] * 2)
         sol = solve_dirac(prof, [1.7, 1.2], Scattering([1.0, 0.5 + 0.5j]))
-        rel = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=20001)
-        assert rel.discrepancy <= 1e-8
-        even = charge_current_relation(sol, (1, 2), -2.5, 2.5, n_points=10000)
-        assert even.discrepancy <= 1e-8
-
-    @pytest.mark.parametrize("n", [3, 5, 101, 4001, 40001])
-    def test_simpson_matches_scipy(self, n):
-        xs = np.linspace(-0.4, 0.9, n)
-        h = 1.3 / (n - 1)
-        real = np.exp(1.5 * xs) * (2.0 + np.sin(5.0 * xs))
-        cplx = 1.0 + np.exp((0.5 + 3.0j) * xs)
-        for y in (real, cplx):
-            ref = simpson(y, x=xs)
-            assert abs(_simpson(y, h) - ref) <= 1e-14 * abs(ref)
+        rel = charge_current_relation(sol, (1, 2), -2.5, 2.5)
+        assert rel.discrepancy <= 1e-12 * abs(rel.q)
 
     def test_equal_energies_raise(self):
         sol = free_stack([1.0, 1.0], [1.0, 0.5], x_lo=-1.0, x_hi=1.0)
@@ -1247,7 +1233,7 @@ class TestPairOperationsOfAStack:
         assert np.array_equal(tc.j1, pc.j1)
         assert np.array_equal(tc.j0, pc.j0)
         x1, x2, dk = -0.4, 0.9, 0.7 - 1.3
-        rel = charge_current_relation(sol, (1, 3), x1, x2, n_points=4001)
+        rel = charge_current_relation(sol, (1, 3), x1, x2)
         u = sol.evaluate([-2.0])[0]
         oracle = (u[:2].conj() @ u[4:]) * (
             np.exp(1j * dk * (x2 + 2.0)) - np.exp(1j * dk * (x1 + 2.0))

@@ -21,6 +21,7 @@ from gcelab.engine import (
     _BLOCK,
     _blocks,
     _rms,
+    charge_current_relation,
     dirac_current,
     gce_residual_dirac,
     gce_residual_schrodinger,
@@ -406,3 +407,64 @@ def test_rotation_decoupled_stack_matches_channel_closed_form(seed, model, conve
         joint = sol.evaluate([x])[0].reshape(n, 2)
         want = w @ np.array(channels)
         assert np.abs(joint - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# Charge relation on seeded decoupled Dirac stacks
+#
+# Systems i and j of the pair share one potential and the others step on
+# their own, at distinct energies.  Interior segments reach |V| = 2 at
+# energies 0.6-1.4 and are at most 1.5 long, so a scalar-coupled channel can
+# be evanescent there with kappa L <= 3 (thicker barriers lose digits in the
+# joint solve itself).
+
+
+def charge_stack(seed: int):
+    """(solution, pair, x1, x2, interior kappa L values, x2 on a cut)."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    conv = ("default", "vector", "rotated")[(seed // 3) % 3]
+    i, j = rng.choice(n, 2, replace=False)
+    n_seg = 1 + int(rng.integers(4))
+    edges = np.cumsum([0.0, *rng.uniform(0.5, 1.5, n_seg)]) - 1.0
+    last = n_seg - 1
+    diag = []
+    for s in range(n_seg):
+        width = 0.3 if s in (0, last) else 2.0
+        v = rng.uniform(-width, width, n)
+        v[j] = v[i]
+        diag.append(v)
+    segs = [Segment(lo, hi, np.diag(v)) for lo, hi, v in zip(edges[:-1], edges[1:], diag)]
+    deltas = []
+    if n_seg > 1 and rng.uniform() < 0.6:
+        lam = rng.uniform(-1.0, 1.0, n)
+        lam[j] = lam[i]
+        deltas.append(DeltaBarrier(edges[1 + int(rng.integers(n_seg - 1))], np.diag(lam)))
+    energies = rng.uniform(0.6, 1.4, n)
+    energies[j] = energies[i] + np.sign(1.0 - energies[i]) * rng.uniform(0.1, 0.4)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    sol = solve_dirac(PotentialProfile(segs, deltas), energies, Scattering(amps), conv)
+    x1 = rng.uniform(edges[0] - 1.0, 0.5 * (edges[0] + edges[-1]))
+    cuts = [c for c in edges[1:] if c > x1]
+    on_cut = rng.uniform() < 0.5
+    x2 = rng.choice(cuts) if on_cut else edges[-1] + rng.uniform(0.0, 1.0)
+    kappa_l = []
+    for piece, length in zip(sol.pieces[2:-2], np.diff(edges)[1:-1]):
+        m = piece.propagator.generator
+        kappa_l.append(np.sqrt(max(np.linalg.eigvalsh(m @ m).max(), 0.0)) * length)
+    return sol, (i + 1, j + 1), x1, float(x2), kappa_l, on_cut
+
+
+def test_charge_relation_holds_on_seeded_decoupled_stacks():
+    evanescent = on_cut = with_delta = 0
+    for seed in range(40):
+        sol, pair, x1, x2, kappa_l, cut = charge_stack(seed)
+        assert max(kappa_l, default=0.0) <= KAPPA_L_CAP, seed
+        rel = charge_current_relation(sol, pair, x1, x2)
+        scale = max(abs(rel.q), abs(rel.boundary_value))
+        assert rel.discrepancy <= 1e-12 * scale, (seed, rel)
+        evanescent += max(kappa_l, default=0.0) > 0.0
+        on_cut += cut
+        with_delta += bool(sol.profile.deltas)
+    # The seeds reach every feature the relation splits or scales on.
+    assert min(evanescent, on_cut, with_delta) >= 5, (evanescent, on_cut, with_delta)

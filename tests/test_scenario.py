@@ -212,7 +212,7 @@ class TestSchema:
         assert s.model == "dirac"
         assert s.n_systems == 2
         assert s.pair == (1, 2)
-        assert s.quadrature_points == 10001
+        assert not hasattr(s, "quadrature_points")
 
     def test_missing_required_key_named(self):
         doc = minimal_doc()
@@ -313,6 +313,16 @@ class TestRoundTrip:
         path = str(tmp_path / "copy.json")
         save_scenario(s, path)
         assert load_scenario(path) == s
+
+    def test_old_quadrature_points_key_is_ignored(self, tmp_path):
+        # Files saved while the charge relation took a sample count carry it.
+        doc = serialize_scenario(load_builtin("globalpair"))
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps({**doc, "quadrature_points": 10001}))
+        new.write_text(json.dumps(doc))
+        s = load_scenario(str(old))
+        assert s == load_scenario(str(new))
+        assert "quadrature_points" not in json.loads(Path(save_scenario(s, str(old))).read_text())
 
     def test_a_loaded_scenario_builds_its_profile_once(self, monkeypatch):
         made, init = [], PotentialProfile.__init__
@@ -450,9 +460,8 @@ class TestRunScenario:
         "lam, interval", [(0.3, [-1.5, 2.5]), (1.0, [-1.5, 2.5]), (0.3, [-1.5, 1.0])]
     )
     def test_charge_relation_across_a_shared_delta(self, lam, interval):
-        # A scalar delta on both systems makes psi_1^dag psi_2 jump at x = 1;
-        # one Simpson rule across the jump, or a right-sided end sample at
-        # it, drops to first order.
+        # A scalar delta on both systems makes psi_1^dag psi_2 jump at x = 1,
+        # so one rule across the jump would drop to first order.
         segments = [
             {"x_lo": -2.0, "x_hi": 0.0, "v": [[0.0, 0.0], [0.0, 0.0]]},
             {"x_lo": 0.0, "x_hi": 1.0, "v": [[0.4, 0.0], [0.0, 0.4]]},
@@ -474,14 +483,17 @@ class TestRunScenario:
         assert b.passed
         rel = b.summary["charge_relation"]
         assert rel["discrepancy"] <= 1e-10
-        assert rel["quadrature_points"] == 10001
+        # 8 nodes on each of ceil(L k_max) panels per piece: k_max is 1.3 in
+        # the free leads and sqrt(1.3**2 - 0.4**2) = 1.24 in the scalar step,
+        # so 2 + 2 (+ 2 past the delta) panels.
+        assert rel["quadrature_points"] == (48 if interval[1] > 1.0 else 32)
 
     def test_globalpair_charge_relation(self):
         b = run_scenario(load_builtin("globalpair"))
         assert b.passed
         rel = b.summary["charge_relation"]
         assert rel["discrepancy"] <= 1e-6
-        assert rel["quadrature_points"] == 10001
+        assert rel["quadrature_points"] == 8 * math.ceil(5.0 * 1.3)  # 7 panels, k = E_1
 
     def test_free2_schrodinger_constant_current(self):
         b = run_scenario(load_builtin("free2"))
