@@ -13,6 +13,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from conftest import (
     EPS,
@@ -48,6 +49,7 @@ from gcelab.engine import (
     transformed_current,
     translation_transform,
     uniform_spacing,
+    _gauss_rule,
     _rms,
 )
 from gcelab.scenario import _solve_stack, load_builtin, order_verdict
@@ -1122,6 +1124,22 @@ class TestChargeRelation:
         sol = solve_dirac(prof, [1.7, 1.2], Scattering([1.0, 0.5 + 0.5j]))
         rel = charge_current_relation(sol, (1, 2), -2.5, 2.5)
         assert rel.discrepancy <= 1e-12 * abs(rel.q)
+
+    def test_gauss_rule_matches_scipy(self):
+        t, w = _gauss_rule()
+        ref_t, ref_w = roots_legendre(8)
+        # numpy's weights sit a few ulps from scipy's.
+        assert np.abs(t - ref_t).max() <= 16 * EPS
+        assert np.abs(w - ref_w).max() <= 16 * EPS
+        assert not (t.flags.writeable or w.flags.writeable)
+        # Eight nodes: x^16 is the first power the rule misses.
+        assert abs(w @ t**16 - 2.0 / 17.0) > 1e-6
+
+    @pytest.mark.parametrize("degree", [0, 3, 8, 14, 15])
+    def test_gauss_rule_is_exact_through_degree_15(self, degree):
+        t, w = _gauss_rule()
+        want = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(w @ t**degree - want) <= 16 * EPS
 
     def test_equal_energies_raise(self):
         sol = free_stack([1.0, 1.0], [1.0, 0.5], x_lo=-1.0, x_hi=1.0)
