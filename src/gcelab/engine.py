@@ -3,10 +3,11 @@
 Every operation here consumes exact piecewise solutions and checks, rather
 than assumes, the continuity structure: the stationary residual combines the
 analytic i(E_i - E_j) time term, a second-order finite difference of the
-spatial current (one-sided at delta barriers and grid edges), and the
-structure-constant source built from the potential decomposition.  Currents
-and densities are reported at t = 0; the stationary phases enter only through
-the energy-weighted time term.
+spatial current (one-sided at delta barriers and grid edges), and the source
+S_a = -i[T_a, V] of the potential decomposition (``sun.source_operator``).
+Every form's 2x2 blocks come from the solution's ``dynamics.kernels``.
+Currents and densities are reported at t = 0; the stationary phases enter
+only through the energy-weighted time term.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .solvers import (
     PiecewiseSolution,
     PotentialProfile,
     ProfileError,
-    delta_junction,
     get_convention,
     system_columns,
 )
@@ -138,7 +138,8 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # component c of system s at 2s + c (``system_columns``).  Every term of the
 # continuity law is psi^dag K psi for a Hermitian kernel K = M (x) block, the
 # Kronecker product of an N x N system matrix (T_a, the time weight
-# i(E_s - E_t) T_a or a source S_a) and a 2x2 block of ``_blocks``.
+# i(E_s - E_t) T_a or a source S_a) and a 2x2 block of the solution's
+# ``dynamics.kernels``.
 # Hermitian K gives psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k)
 # psi_l with c = 1 on the diagonal and 2 off it, so one GEMM of ``_triangle``
 # coefficients against ``_outer_triangle`` products evaluates any number of
@@ -147,20 +148,9 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # derivatives.  A pair form is the bilinear psi_i^dag block psi_j of the
 # columns of systems i and j of the same flat samples.
 
-_VALUE_BLOCK = np.diag([1.0, 0.0])
-_FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
     """psi^dag K phi per sample: one GEMM and one row-wise dot."""
     return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
-
-
-def _blocks(model: str, conv: Convention, mass: float):
-    """2x2 blocks of the current, density and potential kernels."""
-    if model == "dirac":
-        return conv.current_matrix, np.eye(2), conv.gamma0 @ conv.coupling_matrix
-    return (0.5j / mass) * _FLUX_BLOCK, _VALUE_BLOCK, _VALUE_BLOCK
 
 
 def _full(blocks) -> bool:
@@ -240,8 +230,8 @@ def _pair_forms(sol, columns, kernels, grid, mapped=None) -> np.ndarray:
 
 def _decoupled_dirac(sol, pair, what: str) -> tuple[slice, slice]:
     """``_pair_columns`` of a Dirac solution whose profile couples no systems."""
-    if _joint(sol).model != "dirac":
-        raise ValueError(f"{what} needs a Dirac solution, got {sol.model}")
+    if _joint(sol).dynamics.model != "dirac":
+        raise ValueError(f"{what} needs a Dirac solution, got {sol.dynamics.model}")
     if not sol.profile.is_diagonal:
         raise ProfileError(f"{what} needs a decoupled (diagonal) profile")
     return _pair_columns(sol, pair)
@@ -281,10 +271,10 @@ def interval_stats(grid, values, x_lo: float, x_hi: float):
 
 
 def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
-    if _joint(sol).model != model:
-        raise ValueError(f"expected a {model} stack, got {sol.model}")
+    if _joint(sol).dynamics.model != model:
+        raise ValueError(f"expected a {model} stack, got {sol.dynamics.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    blocks = _blocks(model, sol.convention, sol.mass)
+    blocks = sol.dynamics.kernels
     if isinstance(index, (tuple, list)):
         j1, j0 = _pair_forms(sol, _pair_columns(sol, index), blocks[:2], grid)
         return CurrentProfile("pair", tuple(int(k) for k in index), grid, j1, j0)
@@ -464,8 +454,8 @@ def transformed_current(sol, pair, spec: TransformSpec, grid) -> CurrentProfile:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     # The identity spinor factor leaves both kernels exactly equal to the pair
     # branch of dirac_current, so the two agree bit for bit.
-    factor = _spinor_factor(spec, sol.convention)
-    kernels = (sol.convention.current_matrix @ factor, factor)
+    factor = _spinor_factor(spec, sol.dynamics)
+    kernels = (sol.dynamics.current_matrix @ factor, factor)
     j1, j0 = _pair_forms(sol, columns, kernels, grid, spec.map(grid))
     return CurrentProfile("transformed", tuple(int(k) for k in pair), grid, j1, j0)
 
@@ -518,7 +508,7 @@ def delta_domain_relation(
     if barrier is None:
         junction = np.eye(2, dtype=complex)
     else:
-        junction = delta_junction(barrier.strength[i:i + 1, i:i + 1], sol.convention)
+        junction = sol.dynamics.junction(barrier.strength[i:i + 1, i:i + 1])
     domains = detect_domains(sol.profile, pair, spec)
     # The domains just left and right of x0: one domain covering x0 when the
     # barrier is matched (or absent).
@@ -533,7 +523,7 @@ def delta_domain_relation(
         xs = np.linspace(lo, hi, _DELTA_SAMPLES + 2)[1:-1]
         sides.append(interval_stats(xs, transformed_current(sol, pair, spec, xs).j1, lo, hi))
     (c_minus, _, rel_minus), (c_plus, _, rel_plus) = sides
-    kernel = sol.convention.current_matrix @ _spinor_factor(spec, sol.convention)
+    kernel = sol.dynamics.current_matrix @ _spinor_factor(spec, sol.dynamics)
     psi_i_left = sol.evaluate([x0], side="left")[0, ci]
     psi_j_left = sol.evaluate([spec.map(x0)], side="left")[0, cj]
     predicted = complex((junction @ psi_i_left).conj() @ kernel @ psi_j_left)
@@ -603,7 +593,7 @@ def charge_current_relation(sol, pair, x1: float, x2: float) -> ChargeRelation:
     dens = _pair_forms(sol, (ci, cj), [np.eye(2)], xs)[0]
     # numpy's pairwise sum, where a BLAS dot would add the terms in sequence.
     q = complex((dens * np.concatenate(weights)).sum())
-    kernel = sol.convention.current_matrix
+    kernel = sol.dynamics.current_matrix
     ends = [complex(v[ci].conj() @ kernel @ v[cj]) for v in sol.evaluate([x1, x2])]
     boundary = 1j * (ends[1] - ends[0]) / de
     return ChargeRelation(q, boundary, abs(q - boundary), len(xs))
@@ -646,8 +636,8 @@ class ResidualTable:
 def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
     """Per segment, the coefficients of every generator's j1 / (2h) (rows
     0..G-1) and time term i(E_s - E_t) T_a minus source (rows G..2G-1), shape
-    (n_seg, 2G, P), from the ``_blocks`` and sources (G, n_seg, N, N); no time
-    term without ``energies``."""
+    (n_seg, 2G, P), from the ``dynamics.kernels`` blocks and sources
+    (G, n_seg, N, N); no time term without ``energies``."""
     (current, density, potential), full = blocks, _full(blocks)
     e = np.zeros(generators.shape[1]) if energies is None else np.asarray(energies, float)
     weights = 1j * (e[:, None] - e[None, :]) * generators[:, None]
@@ -656,16 +646,15 @@ def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
     return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
 
 
-def _residual_rows(sample, grid, h, cuts, segments, kernels, full, j1_shift=None):
+def _residual_rows(sample, grid, h, cuts, segments, kernels, full):
     """The ``ResidualTable`` of every generator, built in blocks.
 
     ``sample(a, b)`` returns the flat samples a..b-1 of the grid snapped to
     the cuts, ``segments`` holds their segment indices and ``kernels`` come
     from ``_table_kernels`` of blocks whose ``_full`` is ``full``.  A block
     lies in one stencil cell and one segment and samples up to two
-    neighbours of its cell on each side, so the stencil of j1 (minus
-    ``j1_shift``, (G, len(grid)), when given) needs no other block.  The
-    kernels are Hermitian, so the table is real.
+    neighbours of its cell on each side, so the stencil of j1 needs no other
+    block.  The kernels are Hermitian, so the table is real.
 
     A form psi^dag K psi rounds by up to eps max|psi_k|**2 sum|K_kl|,
     whatever it cancels to.  A row's floor is that bound for its
@@ -691,8 +680,6 @@ def _residual_rows(sample, grid, h, cuts, segments, kernels, full, j1_shift=None
             psi = sample(a, b)
             both = (kernels[segments[lo]] @ _outer_triangle(psi, full)).real
             dj, out = both[:g], both[g:, lo - a:hi - a]
-            if j1_shift is not None:
-                dj -= j1_shift[:, a:b] / (2.0 * h)
             own = np.abs(psi[lo - a:hi - a]).max() ** 2
             worst = np.maximum(worst, own * kernel_sums[segments[lo]])
             # Own samples off the cell's edges sit inside the extended block,
@@ -731,7 +718,7 @@ def gce_residual_sweep(
         _check_decomposition(decomp, decompose(sol.profile, basis))
     cuts = residual_cuts(sol.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    h, blocks = uniform_spacing(grid), _blocks(sol.model, sol.convention, sol.mass)
+    h, blocks = uniform_spacing(grid), sol.dynamics.kernels
     kernels = _table_kernels(
         blocks, h, basis.generators, sol.energies, source_operator(decomp)
     )
@@ -765,8 +752,8 @@ def _rms(values: np.ndarray) -> float:
 
 
 def _residual_report(sol, basis, a, grid, decomp, model):
-    if _joint(sol).model != model:
-        raise ValueError(f"expected a {model} stack, got {sol.model}")
+    if _joint(sol).dynamics.model != model:
+        raise ValueError(f"expected a {model} stack, got {sol.dynamics.model}")
     basis.generator(int(a))  # validates the index
     row, grid = int(a) - 1, np.asarray(grid, dtype=float)
     table = gce_residual_sweep(sol, basis, grid, decomp)
@@ -876,27 +863,25 @@ def gauge_residual(
     else:
         sources = source_operator(decomp)
         segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
-    # Every generator's row goes through the table build, so A = 0 repeats
-    # the ungauged arithmetic bit for bit; only row a is kept.  A sampled
-    # time derivative leaves the rows without the analytic time term.
-    shift = np.zeros((d, len(grid)))
-    shift[row] = k1
-    # Dirac forms use every product (``_full``).
-    blocks = _blocks("dirac", conv, None)
+    # Row a of the ungauged table, less d_x K^1: A = 0 gives K^1 = 0 exactly,
+    # so it repeats the ungauged arithmetic bit for bit.  A sampled time
+    # derivative leaves the rows without the analytic time term.
+    blocks = conv.kernels
     kernels = _table_kernels(blocks, h, t, energies if psi.ndim == 2 else None, sources)
     tables = [
         _residual_rows(
-            lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, True, shift
+            lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, _full(blocks)
         )
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
-    residual = np.stack([tab.residual[row] for tab in tables])
+    dx_k1 = piecewise_derivative(k1, grid, config.cuts).real
+    residual = np.stack([tab.residual[row] for tab in tables]) - dx_k1
     floor = max(tab.floor[row] for tab in tables)
     if psi.ndim == 2:
         residual = residual[0]
     else:
         flat = psi.reshape(-1, psi.shape[-1])
-        j0s = (_triangle(t_a, np.eye(2), True) @ _outer_triangle(flat, True)).real
+        j0s = (_triangle(t_a, blocks[1], True) @ _outer_triangle(flat, True)).real
         ts = np.asarray(config.t_grid, dtype=float)
         residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
     rms = _rms(residual)

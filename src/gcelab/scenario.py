@@ -250,6 +250,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     transform = doc.get("transform")
     if transform is not None:
+        if model != "dirac":
+            _fail("transform", "only meaningful for the dirac model")
         if not isinstance(transform, dict):
             _fail("transform", "expected an object with 'sigma' and 'rho'")
         _known_keys(transform, {"sigma", "rho"}, "transform")
@@ -508,7 +510,7 @@ def _solve_stack(s: Scenario) -> PiecewiseSolution:
 def _pair_current(s: Scenario, sol: PiecewiseSolution, grid: np.ndarray):
     """The current displayed by the scenario: transformed when a map is set."""
     spec = s.transform or engine.identity_transform()
-    if s.model == "dirac" and not spec.is_identity:
+    if not spec.is_identity:  # refused for a Schroedinger solution
         return transformed_current(sol, s.pair, spec, grid), True
     fn = dirac_current if s.model == "dirac" else schrodinger_current
     return fn(sol, None, tuple(s.pair), grid), False
@@ -673,8 +675,8 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     current = functools.cache(lambda: _pair_current(s, sol, grid))
     bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
     summary = bundle.summary
-    summary["convention"] = sol.convention.name if s.model == "dirac" else None
-    summary["mass"] = sol.mass
+    summary["convention"] = getattr(sol.dynamics, "name", None)
+    summary["mass"] = getattr(sol.dynamics, "mass", None)
     summary["outputs"] = [o for o in OUTPUT_KINDS if o in wanted]
     for kind in summary["outputs"]:
         table, summary[kind], checks = OUTPUTS[kind](s, sol, grid, tol, current)

@@ -37,12 +37,32 @@ class ProfileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Gamma-matrix conventions
+# Dynamics: a solution's ``Convention`` (Dirac) or ``Schrodinger`` (mass).
+# Both provide ``model``, ``generator``, ``junction``, ``channels`` and
+# ``kernels``, so neither the solver nor the engine branches on the model.
+
+_VALUE_BLOCK = np.diag([1.0, 0.0])
+_FLUX_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
+_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
+_SIDES = ("leftmost", "rightmost")
+
+
+def _kron(a, b) -> np.ndarray:
+    """np.kron(a, b) for a stack a of square blocks, by the same products."""
+    *stack, n, _ = a.shape
+    return np.multiply.outer(a, b).swapaxes(-3, -2).reshape(*stack, 2 * n, 2 * n)
+
+
+def _as_block(m) -> np.ndarray:
+    """A complex matrix, a scalar as a 1x1 one."""
+    m = np.asarray(m, dtype=complex)
+    return m.reshape(1, 1) if m.ndim == 0 else m
 
 
 @dataclass(frozen=True)
 class Convention:
-    """1+1 dimensional Clifford pair plus the potential coupling channel.
+    """Dirac dynamics: a 1+1 dimensional Clifford pair plus the potential
+    coupling channel.
 
     ``gamma0`` must be Hermitian with square +1, ``gamma1`` anti-Hermitian with
     square -1, and the two must anticommute.  ``coupling`` selects whether the
@@ -53,6 +73,7 @@ class Convention:
     gamma0: np.ndarray
     gamma1: np.ndarray
     coupling: str = "scalar"
+    model = "dirac"
 
     def __post_init__(self):
         g0 = np.asarray(self.gamma0, dtype=complex)
@@ -87,6 +108,135 @@ class Convention:
     def current_matrix(self) -> np.ndarray:
         """Hermitian bilinear kernel gamma0 gamma1 of the spatial current."""
         return self.gamma0 @ self.gamma1
+
+    @property
+    def kernels(self) -> tuple:
+        """2x2 current (gamma0 gamma1), density and potential (gamma0 K) blocks."""
+        return self.current_matrix, np.eye(2), self.gamma0 @ self.coupling_matrix
+
+    def generator(self, v, energy) -> np.ndarray:
+        """Generator M of psi' = M psi for a constant Hermitian potential block.
+
+        M = -i (I_N kron gamma1^-1) (V kron K - diag(E) kron gamma0), so for a free
+        single system at energy E the eigenvalues are +-iE and exp(M x) rotates the
+        spinor with period 2 pi / |E|.  ``energy`` is one energy for every system
+        or one per system along its last axis.  A stack of blocks v[..., :, :]
+        gives the stack of their generators.
+        """
+        v = _as_block(v)
+        n = v.shape[-1]
+        g1inv = self.gamma1_inv
+        # diag(E) kron G: the rows of I_N kron G scaled by their system's energy.
+        e = np.asarray(energy, dtype=float)
+        if e.ndim:
+            e = np.repeat(e, 2, axis=-1)[..., None]
+        return -1j * (_kron(v, g1inv @ self.coupling_matrix)
+                      - e * _kron(np.eye(n), g1inv @ self.gamma0))
+
+    def junction(self, strength) -> np.ndarray:
+        """Transfer matrix across a delta barrier of Hermitian strength.
+
+        J = exp(-i strength kron gamma1^-1 K).  With vector coupling and the
+        default gammas this is the rotation [[cos s, sin s], [-sin s, cos s]] per
+        unit strength; with scalar coupling it is the Hermitian exp(-s sigma_x)
+        family instead.
+        """
+        lam = _as_block(strength)
+        return Propagator(-1j * np.kron(lam, self.gamma1_inv @ self.coupling_matrix))(1.0)
+
+    def channels(self, edges, energies, systems) -> np.ndarray:
+        """Unit (right, left) movers of the asymptotic channels, at once.
+
+        edges[c, s] is the potential of system systems[c] (0-based) in the
+        leftmost (s = 0) or the rightmost (s = 1) segment, and energies[c] its
+        energy.  Modes are eigenvectors of the 2x2 generators, diagonalised as
+        one stack.  Propagating ones have purely imaginary eigenvalues and are
+        labeled by the sign of their current u^dag kernels[0] u.  The phase
+        makes the first significant component real positive, which keeps
+        outputs platform-deterministic.
+
+        Returns ``modes`` of shape (K, 2, 2, 2) for the K systems, where
+        modes[c, s, 0] is the right mover and modes[c, s, 1] the left mover.
+        """
+        edges = np.asarray(edges, dtype=float)
+        energy = np.asarray(energies, dtype=float)[:, None]
+        mu, vecs = np.linalg.eig(self.generator(edges[..., None, None], energy[..., None]))
+        u = vecs.swapaxes(-1, -2)  # u[c, s, col] is eigenvector col
+        # One norm per vector: a stacked norm sums in another order.
+        norms = np.array([np.linalg.norm(w) for w in u.reshape(-1, 2)]).reshape(mu.shape)
+        u = u / norms[..., None]
+        lead = np.take_along_axis(u, np.argmax(np.abs(u) > 1e-9, axis=-1)[..., None], -1)
+        u = u * (np.abs(lead) / lead)
+        currents = ((u.conj() @ self.current_matrix) * u).sum(axis=-1).real
+        right = currents > 0.0
+        scale = np.maximum(1.0, np.abs(mu).max(axis=-1))
+        faults = (
+            (np.abs(mu.real).max(axis=-1) > 1e-9 * scale, "is evanescent"),
+            ((np.abs(currents) <= 1e-12).any(axis=-1), "has a zero-current mode"),
+            (right[..., 0] == right[..., 1], "does not split into left/right movers"),
+        )
+        for fault, what in faults:
+            if fault.any():
+                i, side = np.unravel_index(np.argmax(fault), fault.shape)
+                raise EvanescentChannelError(
+                    f"system {systems[i] + 1} {what} in the {_SIDES[side]} segment "
+                    f"(E = {energy[i, 0]}, V = {edges[i, side]}, eigenvalues {mu[i, side]}); "
+                    "scattering boundaries need propagating channels"
+                )
+        order = np.where(right[..., :1], [0, 1], [1, 0])
+        return np.take_along_axis(u, order[..., None], -2)
+
+
+@dataclass(frozen=True)
+class Schrodinger:
+    """Schroedinger dynamics of one ``mass`` (positive) in the (value,
+    derivative) layout, with the members of a ``Convention``."""
+
+    mass: float = 1.0
+    model = "schrodinger"
+
+    def __post_init__(self):
+        object.__setattr__(self, "mass", float(self.mass))
+        if not self.mass > 0.0:
+            raise ValueError(f"mass must be positive, got {self.mass}")
+
+    @property
+    def kernels(self) -> tuple:
+        """2x2 current (i / 2m)(phi'^* phi - phi^* phi'), density and potential blocks."""
+        return (0.5j / self.mass) * _FLUX_BLOCK, _VALUE_BLOCK, _VALUE_BLOCK
+
+    def generator(self, v, energy) -> np.ndarray:
+        """Generator M of u' = M u, u = (phi_1, phi_1', ...):
+        M = 2m (V - diag(E)) kron [[0, 0], [1, 0]] + I_N kron [[0, 1], [0, 0]].
+        ``energy`` is one energy for every system or one per system."""
+        v = _as_block(v)
+        n = v.shape[0]
+        a = 2.0 * self.mass * (v - np.reshape(energy, (-1, 1)) * np.eye(n))
+        return _kron(a, _LOWER) + _kron(np.eye(n), _LOWER.T)
+
+    def junction(self, strength) -> np.ndarray:
+        """Transfer across a delta: values continuous, derivative jump 2 m strength,
+        J = I + 2m strength kron [[0, 0], [1, 0]]."""
+        lam = _as_block(strength)
+        return np.eye(2 * len(lam)) + _kron(2.0 * self.mass * lam, _LOWER)
+
+    def channels(self, edges, energies, systems) -> np.ndarray:
+        """(right, left) movers (value, derivative) = (1, +-ik) of the
+        asymptotic channels, laid out as by ``Convention.channels``."""
+        edges = np.asarray(edges, dtype=float)
+        energy = np.asarray(energies, dtype=float)[:, None]
+        fault = 2.0 * self.mass * (energy - edges) <= 1e-12 * np.maximum(1.0, np.abs(energy))
+        if fault.any():
+            i, s = np.unravel_index(np.argmax(fault), fault.shape)
+            raise EvanescentChannelError(
+                f"system {systems[i] + 1} is evanescent in the {_SIDES[s]} segment "
+                f"(E = {energy[i, 0]}, V = {edges[i, s]})"
+            )
+        k = np.sqrt(2.0 * self.mass * (energy - edges))
+        modes = np.ones((len(edges), 2, 2, 2), dtype=complex)
+        modes[..., 0, 1] = 1j * k
+        modes[..., 1, 1] = -1j * k
+        return modes
 
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -215,50 +365,7 @@ def uniform_profile(v, x_lo: float = 0.0, x_hi: float = 1.0) -> PotentialProfile
 
 
 # ---------------------------------------------------------------------------
-# First-order generators and delta junctions
-
-
-def _kron(a, b) -> np.ndarray:
-    """np.kron(a, b) for a stack a of square blocks, by the same products."""
-    *stack, n, _ = a.shape
-    return np.multiply.outer(a, b).swapaxes(-3, -2).reshape(*stack, 2 * n, 2 * n)
-
-
-def dirac_generator(v, energy, convention: Convention) -> np.ndarray:
-    """Generator M of psi' = M psi for a constant Hermitian potential block.
-
-    M = -i (I_N kron gamma1^-1) (V kron K - diag(E) kron gamma0), so for a free
-    single system at energy E the eigenvalues are +-iE and exp(M x) rotates the
-    spinor with period 2 pi / |E|.  ``energy`` is one energy for every system
-    or one per system along its last axis.  A stack of blocks v[..., :, :]
-    gives the stack of their generators.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 0:
-        v = v.reshape(1, 1)
-    n = v.shape[-1]
-    g1inv = convention.gamma1_inv
-    k = convention.coupling_matrix
-    # diag(E) kron G: the rows of I_N kron G scaled by their system's energy.
-    e = np.asarray(energy, dtype=float)
-    if e.ndim:
-        e = np.repeat(e, 2, axis=-1)[..., None]
-    return -1j * (_kron(v, g1inv @ k) - e * _kron(np.eye(n), g1inv @ convention.gamma0))
-
-
-_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-
-def schrodinger_generator(v, energy, mass: float = 1.0) -> np.ndarray:
-    """Generator M of u' = M u, u = (phi_1, phi_1', ...):
-    M = 2m (V - diag(E)) kron [[0, 0], [1, 0]] + I_N kron [[0, 1], [0, 0]].
-    ``energy`` is one energy for every system or one per system."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 0:
-        v = v.reshape(1, 1)
-    n = v.shape[0]
-    a = 2.0 * mass * (v - np.reshape(energy, (-1, 1)) * np.eye(n))
-    return _kron(a, _LOWER) + _kron(np.eye(n), _LOWER.T)
+# Exact propagator
 
 
 class Propagator:
@@ -324,31 +431,6 @@ class Propagator:
     def __call__(self, x: float) -> np.ndarray:
         """The matrix exp(M x)."""
         return np.tensordot(self.factors(x), self.basis, 1)
-
-
-def delta_junction(strength, convention: Convention) -> np.ndarray:
-    """Dirac transfer matrix across a delta barrier of Hermitian strength.
-
-    J = exp(-i strength kron gamma1^-1 K).  With vector coupling and the
-    default gammas this is the rotation [[cos s, sin s], [-sin s, cos s]] per
-    unit strength; with scalar coupling it is the Hermitian exp(-s sigma_x)
-    family instead.
-    """
-    lam = np.asarray(strength, dtype=complex)
-    if lam.ndim == 0:
-        lam = lam.reshape(1, 1)
-    return Propagator(
-        -1j * np.kron(lam, convention.gamma1_inv @ convention.coupling_matrix)
-    )(1.0)
-
-
-def schrodinger_delta_junction(strength, mass: float = 1.0) -> np.ndarray:
-    """Transfer across a delta: values continuous, derivative jump 2 m strength,
-    J = I + 2m strength kron [[0, 0], [1, 0]]."""
-    lam = np.asarray(strength, dtype=complex)
-    if lam.ndim == 0:
-        lam = lam.reshape(1, 1)
-    return np.eye(2 * len(lam)) + _kron(2.0 * mass * lam, _LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +509,17 @@ class PiecewiseSolution:
     breakpoint follow the right-continuous convention; ``limits`` exposes both
     one-sided values, which differ exactly by the junction matrix at a delta.
     ``evaluate(xs).reshape(len(xs), N, 2)`` resolves the systems
-    (``system_columns``).
+    (``system_columns``).  ``dynamics`` is the ``Convention`` or
+    ``Schrodinger`` the stack was solved with.
     """
 
-    def __init__(self, profile, energies, pieces, breakpoints, model, convention=None, mass=None):
+    def __init__(self, profile, energies, pieces, breakpoints, dynamics):
         self.profile = profile
         self.energies = np.array(energies, dtype=float).reshape(profile.n_systems)
         self.energies.flags.writeable = False
         self.pieces: list[_Piece] = pieces
         self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.model = model
-        self.convention = convention
-        self.mass = mass
+        self.dynamics = dynamics
         self.residual_table = None  # engine's (key, table) of the last grid swept
 
     @property
@@ -478,66 +559,14 @@ class PiecewiseSolution:
 
 
 # ---------------------------------------------------------------------------
-# Mode analysis for scattering boundaries
+# Solver core
 
 
-_SIDES = ("leftmost", "rightmost")
-
-
-def _dirac_channels(edges, energy, convention: Convention, systems=None):
-    """Unit (right, left) movers of the asymptotic Dirac channels, at once.
-
-    edges[i, s] is the potential of system i in the leftmost (s = 0) or the
-    rightmost (s = 1) segment, and ``energy`` is one energy for every system
-    or one per system.  Only the systems listed (0-based) in ``systems`` are
-    analysed, all by default.  Modes are eigenvectors of the 2x2 generators,
-    diagonalised as one stack.  Propagating ones have purely imaginary
-    eigenvalues and are labeled by the sign of the conserved current
-    u^dag gamma0 gamma1 u.  The phase makes the first significant component
-    real positive, which keeps outputs platform-deterministic.
-
-    Returns ``modes`` of shape (K, 2, 2, 2) for the K systems analysed, where
-    modes[i, s, 0] is the right mover and modes[i, s, 1] the left mover, and
-    their ``currents`` of shape (K, 2, 2), positive then negative.
-    """
-    edges = np.asarray(edges, dtype=float)
-    energy = np.broadcast_to(energy, edges.shape[:1])[:, None]
-    systems = np.arange(len(edges)) if systems is None else np.asarray(systems)
-    edges, energy = edges[systems], energy[systems]
-    m = dirac_generator(edges[..., None, None], energy[..., None], convention)
-    mu, vecs = np.linalg.eig(m)
-    u = vecs.swapaxes(-1, -2)  # u[i, s, col] is eigenvector col
-    # One norm per vector: a stacked norm sums in another order.
-    norms = np.array([np.linalg.norm(w) for w in u.reshape(-1, 2)]).reshape(mu.shape)
-    u = u / norms[..., None]
-    lead = np.take_along_axis(u, np.argmax(np.abs(u) > 1e-9, axis=-1)[..., None], -1)
-    u = u * (np.abs(lead) / lead)
-    currents = ((u.conj() @ convention.current_matrix) * u).sum(axis=-1).real
-    right = currents > 0.0
-    scale = np.maximum(1.0, np.abs(mu).max(axis=-1))
-    faults = (
-        (np.abs(mu.real).max(axis=-1) > 1e-9 * scale, "is evanescent"),
-        ((np.abs(currents) <= 1e-12).any(axis=-1), "has a zero-current mode"),
-        (right[..., 0] == right[..., 1], "does not split into left/right movers"),
-    )
-    for fault, what in faults:
-        if fault.any():
-            i, side = np.unravel_index(np.argmax(fault), fault.shape)
-            raise EvanescentChannelError(
-                f"system {systems[i] + 1} {what} in the {_SIDES[side]} segment "
-                f"(E = {energy[i, 0]}, V = {edges[i, side]}, eigenvalues {mu[i, side]}); "
-                "scattering boundaries need propagating channels"
-            )
-    order = np.where(right[..., :1], [0, 1], [1, 0])
-    return np.take_along_axis(u, order[..., None], -2), np.take_along_axis(currents, order, -1)
-
-
-def _scattering_modes(profile, energy, convention, mass, model, systems=None):
+def _scattering_modes(profile, energies, dynamics, systems):
     """Asymptotic mode matrices (U_in, U_ref, U_out), value-normalized, with one
-    column per scattering system: those listed (0-based) in ``systems``, all by
-    default, each at its own energy."""
+    column per scattering system listed (0-based) in ``systems``, each at its
+    own one of the N ``energies``."""
     n = profile.n_systems
-    systems = np.arange(n) if systems is None else np.asarray(systems)
     edges = np.empty((n, 2))  # edges[i, s]: system i in the leftmost/rightmost segment
     for s, seg in enumerate((profile.segments[0], profile.segments[-1])):
         if np.abs(seg.v - np.diag(np.diag(seg.v))).max() > 0.0:
@@ -546,22 +575,7 @@ def _scattering_modes(profile, energy, convention, mass, model, systems=None):
                 "per-system channels are well defined"
             )
         edges[:, s] = seg.v.diagonal().real
-    if model == "dirac":
-        modes, _ = _dirac_channels(edges, energy, convention, systems)
-    else:
-        energy = np.broadcast_to(energy, (n,))[systems, None]
-        edges = edges[systems]
-        fault = 2.0 * mass * (energy - edges) <= 1e-12 * np.maximum(1.0, np.abs(energy))
-        if fault.any():
-            i, s = np.unravel_index(np.argmax(fault), fault.shape)
-            raise EvanescentChannelError(
-                f"system {systems[i] + 1} is evanescent in the {_SIDES[s]} segment "
-                f"(E = {energy[i, 0]}, V = {edges[i, s]})"
-            )
-        k = np.sqrt(2.0 * mass * (energy - edges))
-        modes = np.ones((len(systems), 2, 2, 2), dtype=complex)  # (value, derivative) = (1, +-ik)
-        modes[..., 0, 1] = 1j * k
-        modes[..., 1, 1] = -1j * k
+    modes = dynamics.channels(edges[systems], energies[systems], systems)
     u_in, u_ref, u_out = np.zeros((3, 2 * n, len(systems)), dtype=complex)
     for c, i in enumerate(systems):
         rows = system_columns(i)
@@ -569,21 +583,6 @@ def _scattering_modes(profile, energy, convention, mass, model, systems=None):
         u_ref[rows, c] = modes[c, 0, 1]  # left movers back to the left
         u_out[rows, c] = modes[c, 1, 0]  # right movers out to the right
     return u_in, u_ref, u_out
-
-
-# ---------------------------------------------------------------------------
-# Solver core
-
-
-def _junction_table(profile, convention, mass, model) -> dict[int, np.ndarray]:
-    table = {}
-    for d in profile.deltas:
-        k = int(np.argmin(np.abs(profile.breakpoints - d.x0)))
-        if model == "dirac":
-            table[k] = delta_junction(d.strength, convention)
-        else:
-            table[k] = schrodinger_delta_junction(d.strength, mass)
-    return table
 
 
 def _boundary_rows(boundary, n: int):
@@ -632,7 +631,7 @@ def _refuse_coupled(profile, energies) -> None:
         )
 
 
-def _solve(profile, energy, boundary, model, convention, mass):
+def _solve(profile, energy, boundary, dynamics):
     n = profile.n_systems
     energy = np.asarray(energy, dtype=float)
     if energy.shape not in ((), (n,)):
@@ -641,16 +640,12 @@ def _solve(profile, energy, boundary, model, convention, mass):
     scatters, amps, given = _boundary_rows(boundary, n)
     if (energies != energies[0]).any() or 0 < scatters.sum() < n:
         _refuse_coupled(profile, energies)
-    if model == "dirac":
-        mats = [dirac_generator(s.v, energy, convention) for s in profile.segments]
-    else:
-        if not mass > 0.0:
-            raise ValueError(f"mass must be positive, got {mass}")
-        mats = [schrodinger_generator(s.v, energy, mass) for s in profile.segments]
-    junctions = _junction_table(profile, convention, mass, model)
     b = profile.breakpoints
+    junctions = {
+        int(np.argmin(np.abs(b - d.x0))): dynamics.junction(d.strength) for d in profile.deltas
+    }
     n_seg = len(profile.segments)
-    props = [Propagator(m) for m in mats]
+    props = [Propagator(dynamics.generator(s.v, energy)) for s in profile.segments]
     transfers = [props[k](b[k + 1] - b[k]) for k in range(n_seg)]
 
     psi_left = given
@@ -658,7 +653,7 @@ def _solve(profile, energy, boundary, model, convention, mass):
     if len(systems):
         # Match only the rows and unknowns of the scattering systems; the
         # rows of the others hold their given values.
-        u_in, u_ref, u_out = _scattering_modes(profile, energies, convention, mass, model, systems)
+        u_in, u_ref, u_out = _scattering_modes(profile, energies, dynamics, systems)
         scattering_rows = np.repeat(scatters, 2)
         rows = np.flatnonzero(scattering_rows)
         total = np.eye(2 * n, dtype=complex)
@@ -686,7 +681,7 @@ def _solve(profile, energy, boundary, model, convention, mass):
             val = junctions[k + 1] @ val
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
 
-    return PiecewiseSolution(profile, energies, pieces, b, model, convention, mass)
+    return PiecewiseSolution(profile, energies, pieces, b, dynamics)
 
 
 def solve_dirac(
@@ -719,7 +714,7 @@ def solve_dirac(
     """
     if isinstance(convention, str):
         convention = get_convention(convention)
-    return _solve(profile, energy, boundary, "dirac", convention, None)
+    return _solve(profile, energy, boundary, convention)
 
 
 def solve_schrodinger(
@@ -735,4 +730,4 @@ def solve_schrodinger(
     whole-stack ``InitialValue`` too; delta barriers impose the derivative
     jump 2 * mass * strength * value across their position.
     """
-    return _solve(profile, energy, boundary, "schrodinger", None, float(mass))
+    return _solve(profile, energy, boundary, Schrodinger(mass))

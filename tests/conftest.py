@@ -102,7 +102,7 @@ def ladder_pair_current(sol, basis: SunBasis, i: int, j: int, grid):
         raise ValueError("ladder combination needs two distinct systems")
     lo, hi = sorted((i, j))
     pos = (hi - 1) * (hi - 1) + 2 * (lo - 1)  # 1-based index of sym(lo, hi)
-    fn = dirac_current if sol.model == "dirac" else schrodinger_current
+    fn = dirac_current if sol.dynamics.model == "dirac" else schrodinger_current
     sym = fn(sol, basis, pos, grid)
     asym = fn(sol, basis, pos + 1, grid)
     sign = 1.0 if i < j else -1.0

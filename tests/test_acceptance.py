@@ -45,8 +45,6 @@ from gcelab.solvers import (
     PotentialProfile,
     Scattering,
     Segment,
-    dirac_generator,
-    schrodinger_generator,
     solve_dirac,
     solve_schrodinger,
     uniform_profile,
@@ -76,10 +74,7 @@ def ode_residual(sol, xs, h: float = 1e-4) -> float:
     worst = 0.0
     for k, x in enumerate(xs):
         v = sol.profile.matrix_at(x)
-        if sol.model == "dirac":
-            m = dirac_generator(v, sol.energy, sol.convention)
-        else:
-            m = schrodinger_generator(v, sol.energy, sol.mass)
+        m = sol.dynamics.generator(v, sol.energy)
         worst = max(worst, float(np.abs(dphi[k] - m @ phi[k]).max()))
     return worst
 
@@ -93,10 +88,10 @@ def interior_points(profile, n_per: int, pad: float = 0.05) -> np.ndarray:
 
 
 def probability_current(sol, xs) -> np.ndarray:
-    if sol.model == "dirac":
-        block = sol.convention.current_matrix
+    if sol.dynamics.model == "dirac":
+        block = sol.dynamics.current_matrix
     else:  # (i / 2m) (phi'^* phi - phi^* phi') on (value, derivative)
-        block = 0.5j / sol.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
+        block = 0.5j / sol.dynamics.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
     kernel = np.kron(np.eye(sol.n_systems), block)
     vals = sol.evaluate(xs)
     return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
@@ -367,7 +362,7 @@ def test_zero_gauge_field_matches_ungauged_residual(bases):
         2,
         energies=np.full(2, sol.energy),
         decomp=dec,
-        convention=sol.convention,
+        convention=sol.dynamics,
     )
     assert np.abs(gauged.residual - plain.residual).max() <= 1e-13
 

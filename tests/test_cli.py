@@ -315,6 +315,32 @@ class TestExitContract:
             "energy and one boundary kind for all systems\n"
         )
 
+    def test_transform_of_a_schrodinger_scenario_exits_two(self, tmp_path, capsys):
+        # Parity-image potentials: 0.3 on system 1 over [-1, 0], on system 2
+        # over [0, 1].  A Schroedinger pair current has no mirrored form.
+        zero, one, two = ([[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, 0.0]],
+                          [[0.0, 0.0], [0.0, 0.3]])
+        doc = {
+            "model": "schrodinger", "n_systems": 2,
+            "profile": {"segments": [
+                {"x_lo": -3.0, "x_hi": -1.0, "v": zero}, {"x_lo": -1.0, "x_hi": 0.0, "v": one},
+                {"x_lo": 0.0, "x_hi": 1.0, "v": two}, {"x_lo": 1.0, "x_hi": 3.0, "v": zero},
+            ]},
+            "energies": [1.0, 1.0],
+            "boundaries": [{"kind": "incoming", "amplitude": 1.0},
+                           {"kind": "incoming", "amplitude": 0.5}],
+            "transform": {"sigma": -1, "rho": 0.0},
+            "grid": {"x_min": -2.5, "x_max": 2.5, "n_points": 2001},
+            "requested_outputs": ["currents", "domains"],
+        }
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["run", "--scenario", str(path), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == "gcelab: error: transform: only meaningful for the dirac model\n"
+        assert not out.exists()
+
     def test_malformed_scenario_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": "dirac"\n')
@@ -487,6 +513,38 @@ class TestCoupledThreeSystemStack:
         residuals, h = summary["residuals"], summary["grid"]["spacing"]
         assert residuals["generator_index"] == 4
         assert 0.0 < residuals["rms"] <= 100 * h * h
+
+    def test_scan_reports_second_order(self, tmp_path, capsys):
+        argv = ["scan", "--scenario", self.SCENARIO, "--h", "1e-2,5e-3,2.5e-3",
+                "--out", str(tmp_path)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, stdout + err
+        scan = json.loads((tmp_path / "summary.json").read_text())["scan"]
+        assert not scan["at_rounding"] and None not in scan["orders"]
+        assert abs(scan["mean_order"] - 2.0) <= 0.2
+
+
+class TestSchrodingerDeltaFile:
+    """tests/data/schrodinger_delta.json: a Schroedinger pair of mass 0.7 with
+    a shared barrier, a 0.5 I delta at its right edge, one scattering system
+    and one initial-value system."""
+
+    SCENARIO = str(DATA / "schrodinger_delta.json")
+
+    @pytest.mark.parametrize("command", ["run", "gce-verify"])
+    def test_residual_and_domain_pass(self, command, tmp_path, capsys):
+        code, stdout, err = run_cli([command, "--scenario", self.SCENARIO, "--out", str(tmp_path)],
+                                    capsys)
+        assert code == 0, stdout + err
+        assert "verdict: pass" in stdout
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["model"] == "schrodinger" and summary["mass"] == 0.7
+        assert summary["convention"] is None
+        residuals, h = summary["residuals"], summary["grid"]["spacing"]
+        assert 0.0 < residuals["rms"] <= 100 * h * h
+        (domain,) = summary["domains"]["items"]
+        assert (domain["x_lo"], domain["x_hi"]) == (-1.0, 1.0)
+        assert domain["sampled"] and domain["rel_dev"] <= 1e-13
 
     def test_scan_reports_second_order(self, tmp_path, capsys):
         argv = ["scan", "--scenario", self.SCENARIO, "--h", "1e-2,5e-3,2.5e-3",

@@ -444,6 +444,15 @@ def test_public_names_resolve_and_removed_records_are_gone():
     for name in removed:
         assert not hasattr(gcelab, name) and not hasattr(engine, name)
     assert not hasattr(solvers, "join_solutions") and not hasattr(solvers, "_combined_profile")
+    # The dynamics value (sol.dynamics) owns generators, junctions, channels and kernels.
+    for name in ("dirac_generator", "schrodinger_generator", "delta_junction",
+                 "schrodinger_delta_junction", "_dirac_channels", "_junction_table"):
+        assert not hasattr(solvers, name) and not hasattr(gcelab, name)
+    assert not hasattr(engine, "_blocks")
+    free = solvers.uniform_profile([[0.0]])
+    sol = solvers.solve_schrodinger(free, 1.0, solvers.Scattering([1.0]))
+    assert sol.dynamics == solvers.Schrodinger(1.0)
+    assert not {"model", "convention", "mass"} & set(vars(sol))
     assert not hasattr(PotentialProfile, "system")
     assert not hasattr(solvers.Propagator, "block_diagonal")
     fields = {f.name for f in dataclasses.fields(engine.CurrentProfile)}
@@ -493,8 +502,8 @@ def set_block(monkeypatch, samples: int, width: int):
 
 
 def blocks_of(sol):
-    """The solution's ``_blocks`` and whether their forms use every product."""
-    blocks = engine._blocks(sol.model, sol.convention, sol.mass)
+    """The solution's ``dynamics.kernels`` and whether their forms use every product."""
+    blocks = sol.dynamics.kernels
     return blocks, engine._full(blocks)
 
 
@@ -516,7 +525,7 @@ def whole_grid_currents(sol, basis, grid):
 
 
 def blocked_currents(sol, basis, grid):
-    fn = dirac_current if sol.model == "dirac" else schrodinger_current
+    fn = dirac_current if sol.dynamics.model == "dirac" else schrodinger_current
     return [
         (c.j1, c.j0)
         for c in [fn(sol, None, (1, 2), grid)]
@@ -621,8 +630,8 @@ class TestBlockedSampling:
         spec = s.transform
         grid = s.grid_array(401)
         mapped = spec.map(grid)
-        factor = sol.convention.gamma0 if spec.sigma == -1 else np.eye(2, dtype=complex)
-        kernel = sol.convention.current_matrix @ factor
+        factor = sol.dynamics.gamma0 if spec.sigma == -1 else np.eye(2, dtype=complex)
+        kernel = sol.dynamics.current_matrix @ factor
         a, b = sol.evaluate(grid)[:, :2], sol.evaluate(mapped)[:, 2:]
         want = [engine._bilinear(a, kernel, b), engine._bilinear(a, factor, b)]
         starts = set(piece_starts(sol, grid)) | set(piece_starts(sol, mapped))
@@ -778,7 +787,7 @@ def gauge_free_residuals(sol, basis, grid, decomp):
     psi = sol.evaluate(engine.snap_to_cuts(grid, cuts))
     reports = [
         gauge_residual(psi, config, basis, a, energies=sol.energies, decomp=decomp,
-                       convention=sol.convention)
+                       convention=sol.dynamics)
         for a in range(1, basis.dim + 1)
     ]
     return np.stack([r.residual for r in reports]), max(r.floor for r in reports)
@@ -1225,7 +1234,7 @@ class TestDeltaDomainRelation:
         rel = delta_domain_relation(sol, (2, 1))
         assert rel.x0 == 0.0
         spec = parity_transform(center=0.0)
-        kernel = sol.convention.current_matrix @ sol.convention.gamma0
+        kernel = sol.dynamics.current_matrix @ sol.dynamics.gamma0
         psi_i = sol.evaluate([0.0], side="left")[0, 2:]
         psi_j = sol.evaluate([spec.map(0.0)], side="left")[0, :2]
         assert abs(rel.predicted_c_plus - psi_i.conj() @ kernel @ psi_j) <= 1e-14
@@ -1318,7 +1327,7 @@ class TestGauge:
             2,
             energies=np.full(2, sol.energy),
             decomp=dec,
-            convention=sol.convention,
+            convention=sol.dynamics,
         )
         assert np.array_equal(gauged.residual, plain.residual)
 

@@ -19,7 +19,6 @@ from scipy.linalg import expm
 from conftest import diagonal_profile, random_hermitian, solve_model
 from gcelab.engine import (
     _BLOCK,
-    _blocks,
     _rms,
     charge_current_relation,
     dirac_current,
@@ -59,14 +58,14 @@ def values(stack, xs):
 
 def oracle_currents(stack, t_a, vals):
     """(j0, j1) of generator matrix t_a."""
-    if stack.model == "dirac":
-        kernel = stack.convention.current_matrix
+    if stack.dynamics.model == "dirac":
+        kernel = stack.dynamics.current_matrix
         j0 = np.einsum("xsi,st,xti->x", vals.conj(), t_a, vals)
         j1 = np.einsum("xsi,ij,st,xtj->x", vals.conj(), kernel, t_a, vals)
         return j0, j1
     v, d = vals[..., 0], vals[..., 1]
     j0 = np.einsum("xs,st,xt->x", v.conj(), t_a, v)
-    j1 = (0.5j / stack.mass) * (
+    j1 = (0.5j / stack.dynamics.mass) * (
         np.einsum("xs,st,xt->x", d.conj(), t_a, v)
         - np.einsum("xs,st,xt->x", v.conj(), t_a, d)
     )
@@ -82,8 +81,8 @@ def oracle_terms(stack, basis, a, grid, decomp):
     _, j1 = oracle_currents(stack, t_a, vals)
     w = 1j * (stack.energies[:, None] - stack.energies[None, :]) * t_a
     s_mats = source_operator(decomp, a)[decomp.segment_of(eval_xs)]
-    if stack.model == "dirac":
-        conv = stack.convention
+    if stack.dynamics.model == "dirac":
+        conv = stack.dynamics
         spinor = conv.gamma0 @ conv.coupling_matrix
         time_term = np.einsum("xsi,st,xti->x", vals.conj(), w, vals)
         source = np.einsum("xsi,ij,xtj,xst->x", vals.conj(), spinor, vals, s_mats)
@@ -100,7 +99,7 @@ def oracle_floor(stack, basis, a, grid, decomp):
     The kernels are formed whole here, as Kronecker products.
     """
     t_a, h = basis.generator(a), uniform_spacing(grid)
-    current, density, potential = _blocks(stack.model, stack.convention, stack.mass)
+    current, density, potential = stack.dynamics.kernels
     w = 1j * (stack.energies[:, None] - stack.energies[None, :]) * t_a
     eval_xs = snap_to_cuts(grid, residual_cuts(stack.profile))
     bounds = []
@@ -180,7 +179,7 @@ def case(request):
 def test_generator_currents_match_oracle(case):
     stack, basis, _ = case
     grid = np.linspace(*GRID, COARSE)
-    current = dirac_current if stack.model == "dirac" else schrodinger_current
+    current = dirac_current if stack.dynamics.model == "dirac" else schrodinger_current
     vals = values(stack, grid)
     for a in range(1, basis.dim + 1):
         j0, j1 = oracle_currents(stack, basis.generator(a), vals)
@@ -195,7 +194,7 @@ def test_all_residuals_match_oracle_and_converge_at_second_order(case):
     grid = np.linspace(*GRID, COARSE)
     fine = np.linspace(*GRID, FINE)
     h = grid[1] - grid[0]
-    residual = gce_residual_dirac if stack.model == "dirac" else gce_residual_schrodinger
+    residual = gce_residual_dirac if stack.dynamics.model == "dirac" else gce_residual_schrodinger
     reports = []
     for a in range(1, basis.dim + 1):
         rep = residual(stack, basis, a, grid, decomp)
@@ -223,7 +222,7 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
     h = grid[1] - grid[0]
     table = gce_residual_sweep(stack, basis, grid, decomp)
     assert table.residual.shape == (basis.dim, COARSE)
-    residual = gce_residual_dirac if stack.model == "dirac" else gce_residual_schrodinger
+    residual = gce_residual_dirac if stack.dynamics.model == "dirac" else gce_residual_schrodinger
     for a in range(1, basis.dim + 1):
         row = table.residual[a - 1]
         time_term, j1, dj1, source = oracle_terms(stack, basis, a, grid, decomp)
@@ -376,7 +375,7 @@ def test_rotation_decoupled_stack_matches_channel_closed_form(seed, model, conve
     n = 2 + seed % 3
     profile, q, coeffs, (alpha, beta), energy, amps = decoupled_stack(seed, model, n)
     sol = solve_model(model, profile, energy, Scattering(amps), convention)
-    conv = sol.convention
+    conv = sol.dynamics
     qk, w = np.linalg.eigh(q)
     incoming = w.conj().T @ amps
     lengths = np.diff(BREAKS)

@@ -287,6 +287,20 @@ class TestSchema:
         with pytest.raises(ScenarioFormatError, match="convention"):
             scenario_from_dict(doc)
 
+    def test_transform_only_for_dirac(self):
+        # A Schroedinger pair current has no transformed form, so a map would
+        # judge parity domains against the plain current.
+        doc = minimal_doc(transform={"sigma": -1, "rho": 0.0})
+        doc["model"] = "schrodinger"
+        with pytest.raises(ScenarioFormatError, match="^transform: only meaningful for the dirac"):
+            scenario_from_dict(doc)
+        del doc["transform"]
+        mirrored = dataclasses.replace(scenario_from_dict(doc), transform=TransformSpec(-1, 0.0))
+        with pytest.raises(ValueError, match="needs a Dirac solution, got schrodinger"):
+            run_scenario(mirrored)
+        doc.update(model="dirac", transform={"sigma": -1, "rho": 0.0})
+        assert scenario_from_dict(doc).transform == TransformSpec(-1, 0.0)
+
     def test_mass_only_for_schrodinger(self):
         with pytest.raises(ScenarioFormatError, match="mass"):
             scenario_from_dict(minimal_doc(mass=2.0))

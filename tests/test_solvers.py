@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import re
-from functools import partial
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,14 +19,10 @@ from gcelab.solvers import (
     ProfileError,
     Propagator,
     Scattering,
+    Schrodinger,
     Segment,
-    _dirac_channels,
     _scattering_modes,
-    delta_junction,
-    dirac_generator,
     get_convention,
-    schrodinger_delta_junction,
-    schrodinger_generator,
     solve_dirac,
     solve_schrodinger,
     system_columns,
@@ -57,10 +51,7 @@ def ode_residual(sol, xs, h: float = 1e-4) -> float:
     worst = 0.0
     for k, x in enumerate(xs):
         v = sol.profile.matrix_at(x)
-        if sol.model == "dirac":
-            m = dirac_generator(v, sol.energy, sol.convention)
-        else:
-            m = schrodinger_generator(v, sol.energy, sol.mass)
+        m = sol.dynamics.generator(v, sol.energy)
         worst = max(worst, float(np.abs(dphi[k] - m @ phi[k]).max()))
     return worst
 
@@ -75,10 +66,10 @@ def interior_points(profile, n_per=40, pad=0.05):
 
 
 def probability_current(sol, xs):
-    if sol.model == "dirac":
-        block = sol.convention.current_matrix
+    if sol.dynamics.model == "dirac":
+        block = sol.dynamics.current_matrix
     else:  # (i / 2m) (phi'^* phi - phi^* phi') on (value, derivative)
-        block = 0.5j / sol.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
+        block = 0.5j / sol.dynamics.mass * np.array([[0.0, -1.0], [1.0, 0.0]])
     kernel = np.kron(np.eye(sol.n_systems), block)
     vals = sol.evaluate(xs)
     return np.einsum("xi,ij,xj->x", vals.conj(), kernel, vals).real
@@ -146,39 +137,45 @@ def test_profile_lookup():
 
 def test_free_dirac_generator_eigenvalues():
     for e in (0.5, 1.0, 2.5):
-        m = dirac_generator(np.zeros((1, 1)), e, get_convention("default"))
+        m = get_convention("default").generator(np.zeros((1, 1)), e)
         mu = np.linalg.eigvals(m)
         mu = mu[np.argsort(mu.imag)]
         np.testing.assert_allclose(mu, np.array([-1j * e, 1j * e]), atol=1e-14)
 
 
 def test_free_dirac_full_rotation():
-    m = dirac_generator(np.zeros((1, 1)), 1.0, get_convention("default"))
+    m = get_convention("default").generator(np.zeros((1, 1)), 1.0)
     np.testing.assert_allclose(expm(m * np.pi), -np.eye(2), atol=1e-13)
     np.testing.assert_allclose(expm(m * 2 * np.pi), np.eye(2), atol=1e-13)
 
 
 @pytest.mark.parametrize("v,e", [(0.7, 1.5), (1.2, 0.0), (2.0, 1.0)])
 def test_scalar_dispersion_block(v, e):
-    m = dirac_generator(np.array([[v]]), e, get_convention("default"))
+    m = get_convention("default").generator(np.array([[v]]), e)
     np.testing.assert_allclose(m @ m, (v * v - e * e) * np.eye(2), atol=1e-13)
 
 
 def test_vector_dispersion_block():
     v, e = 0.8, 1.7
-    m = dirac_generator(np.array([[v]]), e, get_convention("vector"))
+    m = get_convention("vector").generator(np.array([[v]]), e)
     np.testing.assert_allclose(m @ m, -((e - v) ** 2) * np.eye(2), atol=1e-13)
 
 
 def test_schrodinger_generator_matches_companion_form():
-    m = schrodinger_generator(np.array([[0.3]]), 1.1, mass=2.0)
+    m = Schrodinger(2.0).generator(np.array([[0.3]]), 1.1)
     np.testing.assert_allclose(
         m, np.array([[0.0, 1.0], [2 * 2.0 * (0.3 - 1.1), 0.0]]), atol=1e-15
     )
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0])
+def test_schrodinger_mass_must_be_positive(mass):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        Schrodinger(mass)
+
+
 def kron_dirac_generator(v, energy, convention):
-    """dirac_generator in its np.kron form: the oracle of its stacked products."""
+    """Convention.generator in its np.kron form: the oracle of its stacked products."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 0:
         v = v.reshape(1, 1)
@@ -198,22 +195,22 @@ def test_dirac_generator_matches_kron_form_bit_for_bit(name):
             v = random_hermitian(rng, n)
             e = float(rng.uniform(-3.0, 3.0))
             want = kron_dirac_generator(v, e, conv)
-            assert dirac_generator(v, e, conv).tobytes() == want.tobytes()
+            assert conv.generator(v, e).tobytes() == want.tobytes()
         stack = np.array([random_hermitian(rng, n) for _ in range(4)])
-        got = dirac_generator(stack, e, conv)
+        got = conv.generator(stack, e)
         for block, m in zip(stack, got, strict=True):
             assert m.tobytes() == kron_dirac_generator(block, e, conv).tobytes()
     for v in (0.0, -0.0, 0.7, -2.5):
         want = kron_dirac_generator(v, 1.3, conv)
-        assert dirac_generator(v, 1.3, conv).tobytes() == want.tobytes()
+        assert conv.generator(v, 1.3).tobytes() == want.tobytes()
 
 
 def test_generators_take_one_energy_per_system():
     """diag(E) in place of E I: each diagonal block is its system's generator
     at its own energy, bit for bit, and the blocks do not couple."""
     v, energies = np.array([0.3, -0.2, 0.5]), np.array([1.1, -0.7, 2.0])
-    generators = [partial(dirac_generator, convention=c) for c in CONVENTIONS.values()]
-    for generator in [*generators, partial(schrodinger_generator, mass=1.5)]:
+    generators = [c.generator for c in CONVENTIONS.values()]
+    for generator in [*generators, Schrodinger(1.5).generator]:
         m = generator(np.diag(v), energies)
         for i in range(3):
             block = m[2 * i:2 * i + 2, 2 * i:2 * i + 2]
@@ -228,23 +225,23 @@ def test_generators_take_one_energy_per_system():
 
 def test_vector_delta_junction_is_rotation():
     lam = 0.77
-    j = delta_junction(np.array([[lam]]), get_convention("vector"))
+    j = get_convention("vector").junction(np.array([[lam]]))
     rot = np.array([[np.cos(lam), np.sin(lam)], [-np.sin(lam), np.cos(lam)]])
     np.testing.assert_allclose(j, rot, atol=1e-14)
-    j2pi = delta_junction(np.array([[2 * np.pi]]), get_convention("vector"))
+    j2pi = get_convention("vector").junction(np.array([[2 * np.pi]]))
     np.testing.assert_allclose(j2pi, np.eye(2), atol=1e-13)
 
 
 def test_scalar_delta_junction_is_hermitian_boost():
     lam = 0.4
-    j = delta_junction(np.array([[lam]]), get_convention("default"))
+    j = get_convention("default").junction(np.array([[lam]]))
     np.testing.assert_allclose(j, expm(-lam * SX), atol=1e-14)
     assert np.abs(j - j.conj().T).max() <= 1e-14
 
 
 def test_zero_strength_junction_is_identity():
     for name in ("default", "vector"):
-        j = delta_junction(np.zeros((2, 2)), get_convention(name))
+        j = get_convention(name).junction(np.zeros((2, 2)))
         np.testing.assert_allclose(j, np.eye(4), atol=1e-15)
 
 
@@ -254,14 +251,14 @@ def test_junction_preserves_current_kernel(name):
     conv = get_convention(name)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     lam = 0.5 * (a + a.conj().T)
-    j = delta_junction(lam, conv)
+    j = conv.junction(lam)
     kernel = np.kron(np.eye(2), conv.current_matrix)
     np.testing.assert_allclose(j.conj().T @ kernel @ j, kernel, atol=1e-13)
 
 
 def test_schrodinger_junction_jump_rule():
     lam = np.array([[0.9]])
-    j = schrodinger_delta_junction(lam, mass=1.5)
+    j = Schrodinger(1.5).junction(lam)
     np.testing.assert_allclose(j, np.array([[1.0, 0.0], [2 * 1.5 * 0.9, 1.0]]), atol=1e-15)
 
 
@@ -283,13 +280,13 @@ def assert_matches_expm(m, xs=OFFSETS):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_dirac_propagator_at_band_edge(name, offset, sign):
     v = 1.3
-    m = dirac_generator(np.array([[v]]), sign * (v + offset), get_convention(name))
+    m = get_convention(name).generator(np.array([[v]]), sign * (v + offset))
     assert_matches_expm(m)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
 def test_schrodinger_propagator_at_turning_point(offset):
-    m = schrodinger_generator(np.array([[0.8]]), 0.8 + offset, mass=1.5)
+    m = Schrodinger(1.5).generator(np.array([[0.8]]), 0.8 + offset)
     assert_matches_expm(m)
 
 
@@ -303,7 +300,7 @@ def test_coupled_propagator_with_zero_eigenvalue(name):
     shifted = v - e * np.eye(3)
     a = v @ v - e * e * np.eye(3) if name == "default" else -shifted @ shifted
     assert np.abs(np.linalg.eigvalsh(a)).min() <= 1e-15
-    m = dirac_generator(v, e, get_convention(name))
+    m = get_convention(name).generator(v, e)
     assert_matches_expm(m)
     # The same generator drives evaluation inside a solved segment.
     start = np.arange(1.0, 7.0) * (1.0 - 0.5j)
@@ -322,7 +319,7 @@ def test_delta_junction_matches_expm_for_random_strengths(name):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         lam = 0.5 * (a + a.conj().T)
         ref = expm(-1j * np.kron(lam, conv.gamma1_inv @ conv.coupling_matrix))
-        err = np.abs(delta_junction(lam, conv) - ref).max()
+        err = np.abs(conv.junction(lam) - ref).max()
         assert err <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -336,7 +333,7 @@ def test_band_edge_evaluation_is_exact():
         ]
     )
     sol = solve_dirac(prof, 1.5, Scattering(np.array([1.0, 0.5])))
-    m = dirac_generator(np.diag([1.5, 0.2]), 1.5, get_convention("default"))
+    m = get_convention("default").generator(np.diag([1.5, 0.2]), 1.5)
     xs = np.linspace(0.0, 1.0, 11)
     ref = np.array([expm(m * x) @ sol.evaluate([0.0])[0] for x in xs])
     np.testing.assert_allclose(sol.evaluate(xs), ref, rtol=0, atol=1e-12)
@@ -436,7 +433,7 @@ def test_limits_related_by_junction_dirac():
     )
     sol = solve_dirac(prof, 1.1, Scattering(np.array([1.0])), convention=conv)
     left, right = sol.limits(0.0)
-    np.testing.assert_allclose(right, delta_junction(np.array([[lam]]), conv) @ left, atol=1e-13)
+    np.testing.assert_allclose(right, conv.junction(np.array([[lam]])) @ left, atol=1e-13)
     # Continuity at a plain boundary.
     left1, right1 = sol.limits(-1.0)
     np.testing.assert_allclose(left1, right1, atol=1e-13)
@@ -507,14 +504,14 @@ def test_batched_channels_match_per_system_reference_bit_for_bit(name):
                 Segment(0.0, 1.0, random_hermitian(rng, n)),
                 Segment(1.0, 2.0, np.diag(edges[:, 1]).astype(complex)),
             ])
-            got = _scattering_modes(prof, energy, conv, None, "dirac")
+            energies, systems = np.full(n, energy), np.arange(n)
+            got = _scattering_modes(prof, energies, conv, systems)
             want = reference_scattering_modes(edges, energy, conv)
             for g, w in zip(got, want, strict=True):
                 assert g.tobytes() == w.tobytes()
-            modes, currents = _dirac_channels(edges, energy, conv)
+            modes = conv.channels(edges, energies, systems)
+            currents = np.einsum("...a,ab,...b->...", modes.conj(), conv.kernels[0], modes).real
             assert (currents[..., 0] > 0.0).all() and (currents[..., 1] < 0.0).all()
-            kernel_j = np.einsum("...a,ab,...b->...", modes.conj(), conv.current_matrix, modes)
-            np.testing.assert_allclose(currents, kernel_j.real, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
