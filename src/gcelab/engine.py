@@ -12,8 +12,9 @@ only through the energy-weighted time term.
 
 from __future__ import annotations
 
+import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,7 +147,10 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # kernels.  Products of two second components are left out when every block
 # has a zero (1, 1) entry (``_full``): no Schroedinger kernel pairs two
 # derivatives.  A pair form is the bilinear psi_i^dag block psi_j of the
-# columns of systems i and j of the same flat samples.
+# columns of systems i and j of the same flat samples.  Currents and the
+# residuals of sampled states (``gauge_residual``) take these products; a
+# solution's residual table takes the same forms on its pieces' propagator
+# factors instead (``_piece_kernels``).
 
 def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
     """psi^dag K phi per sample: one GEMM and one row-wise dot."""
@@ -171,12 +175,13 @@ def _triangle(m: np.ndarray, block: np.ndarray, full: bool) -> np.ndarray:
 
 def _outer_triangle(psi: np.ndarray, full: bool) -> np.ndarray:
     """conj(psi_k) psi_l in ``_triangle`` order for flat samples (b, 2N),
-    shape (P, b) with samples last."""
+    shape (P, b) with samples last, of psi's dtype: real factors (b, R)
+    give their products f_r f_s, r <= s, in ``np.triu_indices`` order."""
     p = np.ascontiguousarray(psi.T)
     pc = p.conj()
     m = len(p)
     skipped = 0 if full else (m // 2) * (m // 2 + 1) // 2  # second with second
-    out = np.empty((m * (m + 1) // 2 - skipped, len(psi)), dtype=complex)
+    out = np.empty((m * (m + 1) // 2 - skipped, len(psi)), dtype=p.dtype)
     start = 0
     # The last row of a form without second-with-second products is empty.
     for k in range(m if full else m - 1):
@@ -602,9 +607,19 @@ def charge_current_relation(sol, pair, x1: float, x2: float) -> ChargeRelation:
 # ---------------------------------------------------------------------------
 # Continuity residuals
 #
-# The residual is linear in the generator, so one pass over the samples gives
+# The residual is linear in the generator, so one pass over the grid gives
 # all N**2 - 1 of them: each block of samples takes one GEMM of its products
 # against every generator's current and time-minus-source coefficients.
+#
+# A solution's table never samples its state.  Inside piece p the state is
+# psi(x) = sum_r f_r(x) c_r, with f_r the real cos/sin, cosh/sinh or (1, x)
+# factors of the piece's propagator and c_r = basis[r] @ u0 fixed complex
+# vectors (``_Piece.coefficients``).  So every form psi^dag K psi is
+# sum_{r <= s} A_rs f_r f_s with real A, Re(c^* K c^T) folded onto the
+# triangle, built once per piece (``_piece_kernels``), and a block takes the
+# real products of its factors and one real GEMM.  Sampled states
+# (``gauge_residual``) keep the complex products of ``_outer_triangle``
+# against ``_table_kernels``.
 
 
 @dataclass(frozen=True)
@@ -626,11 +641,30 @@ class GceReport:
 @dataclass(frozen=True)
 class ResidualTable:
     """Residuals (N**2 - 1, len(grid)) of every generator on a copy of ``grid``,
-    with their rounding floors; row a - 1 is generator a.  All read-only."""
+    with their rounding floors; row a - 1 is generator a.  All read-only.
+
+    ``rms`` and ``max`` hold each row's RMS and largest magnitude.
+    """
 
     grid: np.ndarray
     residual: np.ndarray
     floor: np.ndarray
+    rms: np.ndarray = field(init=False)
+    max: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # Bit for bit each row's _rms and np.abs(row).max(), in fewer passes;
+        # the squares are taken a few rows at a time, as one table's worth
+        # would double the peak memory of a sweep.
+        r = self.residual
+        step = max(1, _BLOCK // max(1, r.shape[1]))
+        rms = np.sqrt(np.concatenate(
+            [np.mean(r[i:i + step] ** 2, axis=1) for i in range(0, len(r), step)]
+        ))
+        top = np.maximum(r.max(axis=1), -r.min(axis=1))
+        rms.flags.writeable = top.flags.writeable = False
+        object.__setattr__(self, "rms", rms)
+        object.__setattr__(self, "max", top)
 
 
 def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
@@ -646,25 +680,100 @@ def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
     return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
 
 
-def _residual_rows(sample, grid, h, cuts, segments, kernels, full):
+def _piece_kernels(sol, generators, h, sources, pieces) -> dict:
+    """The real coefficients A (2G, T) of the factor products of each listed
+    piece, T = dim (dim + 1) / 2 in ``_outer_triangle`` order: row a - 1
+    holds generator a's j1 / (2h) form and row G + a - 1 its time term minus
+    source, each as sum_{r <= s} A[i, rs] f_r f_s.
+
+    Each form is a sum of terms psi^dag (M kron B) psi, M a Hermitian system
+    matrix (T_a / 2h, i(E_s - E_t) T_a or -S_a) and B a Hermitian 2x2
+    ``dynamics.kernels`` block.  With psi = sum_r f_r c_r and c_r,s the part
+    of c_r on system s, a term is sum_{r,r'} f_r f_r' W_rr' for the
+    Hermitian W_rr' = sum_{s,t} M_st F[st, rr'], F[st, rr'] =
+    c_r,s^dag B c_r',t, so A_rr' = Re W_rr', doubled for r < r'.  A piece
+    gathers F of each block on r <= r' once, and Re(M F) =
+    [Re M | -Im M] [Re F; Im F] is one real GEMM per row group.  Piece p lies
+    in segment p - 1, the tails in the outer segments.
+    """
+    current, density, potential = sol.dynamics.kernels
+    e = sol.energies
+    weights = 1j * (e[:, None] - e[None, :]) * generators
+    # (system matrices (G, segments, N, N), block) of the terms of the j1 /
+    # (2h) rows and of the time-minus-source rows.
+    groups = [[(generators[:, None] / (2.0 * h), current)], [(-sources, potential)]]
+    if weights.any():  # equal energies leave no time term
+        groups[1].append((np.broadcast_to(weights[:, None], sources.shape), density))
+    where, fold = _fold_indices(sol.n_systems)
+    x = np.stack([sol.pieces[p].coefficients for p in pieces]).reshape(len(pieces), -1, 2)
+    gathered = {}  # [Re F; Im F] of each block, (pieces, 2 N*N, T)
+    for _, block in groups[0] + groups[1]:
+        if id(block) not in gathered:
+            f = np.take((x.conj() @ block @ x.swapaxes(1, 2)).reshape(len(x), -1), where, axis=1)
+            gathered[id(block)] = np.concatenate([f.real, f.imag], axis=1)
+    out = {p: [] for p in pieces}
+    for group in groups:
+        # [Re M | -Im M] of the terms side by side, (segments, G, 2 N*N terms).
+        m = np.concatenate(
+            [np.concatenate([t.real, -t.imag], axis=-1) for t in
+             (t.reshape(*t.shape[:2], -1) for t, _ in group)], axis=-1
+        ).swapaxes(0, 1)
+        f = np.concatenate([gathered[id(block)] for _, block in group], axis=1)
+        for i, p in enumerate(pieces):
+            out[p].append(m[min(max(p - 1, 0), len(m) - 1)] @ f[i])
+    return {p: np.concatenate(rows) * fold for p, rows in out.items()}
+
+
+@functools.cache
+def _fold_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``_piece_kernels`` gathers F[st, (r, r')], r <= r', from the
+    flattened bilinears of N systems' coefficient rows (r, s), which hold
+    c_r,s^dag B c_r',t at (r n + s) n dim + r' n + t; and the fold, 1 on the
+    diagonal r = r' and 2 off it."""
+    dim = 2 * n
+    r, u = np.triu_indices(dim)
+    st = (np.arange(n)[:, None] * n * dim + np.arange(n)).reshape(-1, 1)
+    where = st + r * n * n * dim + u * n
+    fold = np.where(r < u, 2.0, 1.0)
+    where.flags.writeable = fold.flags.writeable = False
+    return where, fold
+
+
+def _runs(keys: np.ndarray) -> tuple[list[int], list]:
+    """(starts, keys) of the runs of equal values in ``keys``."""
+    starts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist()]
+    return starts, keys[starts].tolist()
+
+
+def _residual_rows(sample, grid, h, cuts, runs, coefficients):
     """The ``ResidualTable`` of every generator, built in blocks.
 
-    ``sample(a, b)`` returns the flat samples a..b-1 of the grid snapped to
-    the cuts, ``segments`` holds their segment indices and ``kernels`` come
-    from ``_table_kernels`` of blocks whose ``_full`` is ``full``.  A block
-    lies in one stencil cell and one segment and samples up to two
-    neighbours of its cell on each side, so the stencil of j1 needs no other
-    block.  The kernels are Hermitian, so the table is real.
+    ``runs`` = (starts, keys): the samples from starts[i] to the next start
+    take ``coefficients[keys[i]]``, shape (2G, W), whose rows are every
+    generator's j1 / (2h) form (0..G-1) and time-minus-source form
+    (G..2G-1) on the W products that ``sample(key, a, b)`` returns, shape
+    (W, b - a), with the largest squared magnitude of each sample's factors
+    or components, for samples a..b-1 of one run.  A block lies in one
+    stencil cell and one run and samples up to two neighbours of its cell on
+    each side, each with its own run's coefficients, so the stencil of j1
+    needs no other block.  The forms are real.
 
-    A form psi^dag K psi rounds by up to eps max|psi_k|**2 sum|K_kl|,
-    whatever it cancels to.  A row's floor is that bound for its
-    time-minus-source kernel plus twice that for its j1 / (2h) kernel (the
-    central stencil takes two j1 samples), the largest over the blocks.
+    A form sum_t A_t p_t of products p_t of factors or components bounded
+    by m rounds by up to eps m**2 sum|A_t|, whatever it cancels to.  A row's
+    floor is that bound for its time-minus-source form plus eight times that
+    for its j1 / (2h) form, the largest over the blocks and their own
+    samples: the one-sided stencil at a cell edge weighs three j1 samples by
+    3, 4 and 1 (the central one two samples by 1).
     """
-    g = kernels.shape[1] // 2
-    block = max(16, _BLOCK // kernels.shape[2])
-    sums = np.abs(kernels).sum(axis=2)
-    kernel_sums = sums[:, g:] + 2.0 * sums[:, :g]  # (n_seg, G)
+    starts, keys = runs
+    ends = [*starts[1:], len(grid)]
+    g, width = coefficients[keys[0]].shape
+    g //= 2
+    block = max(16, _BLOCK // width)
+    sums = {}
+    for key in set(keys):
+        s = np.abs(coefficients[key]).sum(axis=1)
+        sums[key] = s[g:] + 8.0 * s[:g]
     # The grid's copy shares the table's allocation: kept as a block of its
     # own beside a memoised table, it raised the peak RSS of 40001-point
     # builtin reports by about 4 MiB (glibc could no longer trim the heap).
@@ -672,16 +781,24 @@ def _residual_rows(sample, grid, h, cuts, segments, kernels, full):
     grid_table[0] = grid
     table = grid_table[1:]
     worst = np.zeros(g)
-    seg_starts = (np.flatnonzero(np.diff(segments)) + 1).tolist()
     for s, e in _cells(grid, cuts):
-        bounds = sorted({*range(s, e, block), *(k for k in seg_starts if s < k < e)})
+        bounds = sorted({*range(s, e, block), *(k for k in starts if s < k < e)})
         for lo, hi in zip(bounds, [*bounds[1:], e]):
             a, b = max(lo - 2, s), min(hi + 2, e)
-            psi = sample(a, b)
-            both = (kernels[segments[lo]] @ _outer_triangle(psi, full)).real
+            both = np.empty((2 * g, b - a))
+            i = bisect.bisect_right(starts, a) - 1
+            while i < len(starts) and starts[i] < b:
+                u, v, key = max(starts[i], a), min(ends[i], b), keys[i]
+                products, sq = sample(key, u, v)
+                if v - u == 1:
+                    # One sample's products are formed as two, as _Piece.expand
+                    # pads one offset: numpy rounds a lone GEMV differently.
+                    products = np.repeat(products, 2, axis=1)
+                both[:, u - a:v - a] = (coefficients[key] @ products)[:, :v - u].real
+                if u <= lo < v:
+                    worst = np.maximum(worst, sq[lo - u:hi - u].max() * sums[key])
+                i += 1
             dj, out = both[:g], both[g:, lo - a:hi - a]
-            own = np.abs(psi[lo - a:hi - a]).max() ** 2
-            worst = np.maximum(worst, own * kernel_sums[segments[lo]])
             # Own samples off the cell's edges sit inside the extended block,
             # so the block's one-sided ends fall only on cell edges.
             table[:, lo:hi] = out + _diff(dj.T)[lo - a:hi - a].T
@@ -690,43 +807,67 @@ def _residual_rows(sample, grid, h, cuts, segments, kernels, full):
     return ResidualTable(grid_table[0], grid_table[1:], floor)
 
 
+def _factor_sampler(sol, xs):
+    """``_residual_rows``' sample of a solution at xs: the products of the
+    factors of piece ``key`` and their largest square per sample."""
+    def sample(key, a, b):
+        piece = sol.pieces[key]
+        f = piece.propagator.factors(xs[a:b] - piece.anchor)
+        return _outer_triangle(f.T, True), (f * f).max(axis=0)
+    return sample
+
+
+def _state_sampler(psi, full: bool):
+    """``_residual_rows``' sample of flat states psi (points, 2N): their
+    products conj(psi_k) psi_l and largest squared component per sample."""
+    def sample(key, a, b):
+        return _outer_triangle(psi[a:b], full), (np.abs(psi[a:b]) ** 2).max(axis=1)
+    return sample
+
+
+def _table_key(decomp, n: int) -> bytes:
+    """The bits of what a solution's table depends on besides the solution
+    and the grid: the decomposition's cuts and coefficients and the rank."""
+    shape = np.array([n, len(decomp.cuts), *decomp.c.shape])
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in (shape, decomp.cuts, decomp.c))
+
+
 def gce_residual_sweep(
     sol, basis: SunBasis, grid, decomp: PotentialDecomposition | None = None
 ) -> ResidualTable:
     """Stationary continuity residuals of every generator on a uniform grid.
 
     The solution keeps the table of the last grid it was swept on, keyed by
-    values (the grid's bits, the decomposition's cuts and coefficients, the
-    basis rank), so the calls of a sweep build one table, also with
+    the bits of the grid, of the decomposition's cuts and coefficients and
+    of the basis rank, so the calls of a sweep build one table, also with
     ``decomp=None``.  A given ``decomp`` that misses the kept table must be
     the decomposition of ``sol.profile``: other cuts or coefficients raise
-    ``ValueError``.
+    ``ValueError``.  The table is built from the pieces' propagator factors
+    (``_piece_kernels``); the state is never sampled.
     """
     sol, grid = _joint(sol), np.asarray(grid, dtype=float)
     if basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
     own = decomp is None
     decomp = decompose(sol.profile, basis) if own else decomp
-    key = (decomp.cuts, decomp.c, basis.n)
+    key = _table_key(decomp, basis.n)
     if sol.residual_table is not None:
         kept, table = sol.residual_table
-        if np.array_equal(table.grid.view(np.int64), grid.view(np.int64)) and all(
-            np.array_equal(p, q) for p, q in zip(kept, key)
-        ):
+        # The grid's bits are compared in place: a key holding them would
+        # keep a second copy of the grid beside the table's.
+        if kept == key and np.array_equal(table.grid.view(np.int64), grid.view(np.int64)):
             return table
     if not own:
         _check_decomposition(decomp, decompose(sol.profile, basis))
     cuts = residual_cuts(sol.profile)
     eval_xs = snap_to_cuts(grid, cuts)
-    h, blocks = uniform_spacing(grid), sol.dynamics.kernels
-    kernels = _table_kernels(
-        blocks, h, basis.generators, sol.energies, source_operator(decomp)
+    h = uniform_spacing(grid)
+    runs = _runs(np.searchsorted(sol.breakpoints, eval_xs, side="right"))
+    coefficients = _piece_kernels(
+        sol, basis.generators, h, source_operator(decomp), sorted(set(runs[1]))
     )
-    table = _residual_rows(
-        lambda a, b: sol.evaluate(eval_xs[a:b]),
-        grid, h, cuts, decomp.segment_of(eval_xs), kernels, _full(blocks),
-    )
-    sol.residual_table = (tuple(np.copy(p) for p in key), table)
+    table = _residual_rows(_factor_sampler(sol, eval_xs), grid, h, cuts, runs, coefficients)
+    sol.residual_table = (key, table)
     return table
 
 
@@ -757,9 +898,10 @@ def _residual_report(sol, basis, a, grid, decomp, model):
     basis.generator(int(a))  # validates the index
     row, grid = int(a) - 1, np.asarray(grid, dtype=float)
     table = gce_residual_sweep(sol, basis, grid, decomp)
-    residual, floor = table.residual[row], float(table.floor[row])
-    rmax = float(np.abs(residual).max())
-    return GceReport(int(a), grid, residual, _rms(residual), rmax, floor)
+    return GceReport(
+        int(a), grid, table.residual[row], float(table.rms[row]), float(table.max[row]),
+        float(table.floor[row]),
+    )
 
 
 def gce_residual_dirac(
@@ -832,8 +974,10 @@ def gauge_residual(
     sampled super-spinor.  The correction uses the fixed index ordering
     f_{a b d}; raising with the metric diag(1, -1) gives the corrections
     K^0 = -R_01^d f_abd A^b_1 and K^1 = +R_01^d f_abd A^b_0.  With A = 0 both
-    corrections vanish termwise and the arithmetic is identical to the
-    ungauged residual path.  ``psi`` is (m, 2N) with per-system ``energies``
+    corrections vanish termwise and the arithmetic is the ungauged residual
+    of the sampled states bit for bit; a solution's ``gce_residual_sweep``
+    forms it from propagator factors instead and agrees to within both
+    floors.  ``psi`` is (m, 2N) with per-system ``energies``
     (analytic time derivative), or (nt, m, 2N) with ``config.t_grid`` set
     (centered differences in t).
     """
@@ -863,15 +1007,13 @@ def gauge_residual(
     else:
         sources = source_operator(decomp)
         segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
-    # Row a of the ungauged table, less d_x K^1: A = 0 gives K^1 = 0 exactly,
-    # so it repeats the ungauged arithmetic bit for bit.  A sampled time
-    # derivative leaves the rows without the analytic time term.
-    blocks = conv.kernels
+    # Row a of the ungauged table of the samples, less d_x K^1: A = 0 gives
+    # K^1 = 0 exactly, so it repeats that arithmetic bit for bit.  A sampled
+    # time derivative leaves the rows without the analytic time term.
+    blocks, full = conv.kernels, _full(conv.kernels)
     kernels = _table_kernels(blocks, h, t, energies if psi.ndim == 2 else None, sources)
     tables = [
-        _residual_rows(
-            lambda a, b, p=p: p[a:b], grid, h, config.cuts, segments, kernels, _full(blocks)
-        )
+        _residual_rows(_state_sampler(p, full), grid, h, config.cuts, _runs(segments), kernels)
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
     dx_k1 = piecewise_derivative(k1, grid, config.cuts).real

@@ -703,8 +703,9 @@ def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
 
 
 # A residual RMS within this many rounding floors is rounding, not stencil
-# truncation: the rounding residuals of free2's scan measure 0.11-0.12
-# floors, the truncation residuals of the other builtins' scans at least 1e4.
+# truncation: the rounding residuals of free2's scan measure 0.02 floors,
+# the truncation residuals of the CI scans at least 5.9e2 (unequal at
+# h = 2.5e-4).
 ROUNDING_FACTOR = 10.0
 
 

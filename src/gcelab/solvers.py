@@ -285,7 +285,8 @@ class PotentialProfile:
         if not segments:
             raise ProfileError("profile needs at least one segment")
         segs = []
-        n = np.asarray(segments[0].v).shape[0]
+        # A scalar potential or strength is a 1x1 block, as for the generators.
+        n = _as_block(segments[0].v).shape[0]
         prev_hi = None
         for s, seg in enumerate(segments):
             lo, hi = float(seg.x_lo), float(seg.x_hi)
@@ -297,7 +298,7 @@ class PotentialProfile:
                         f"segment {s} starts at {lo}, previous ends at {prev_hi}"
                     )
                 lo = prev_hi
-            v = _hermitian_or_raise(seg.v, n, what=f"segment {s} potential")
+            v = _hermitian_or_raise(_as_block(seg.v), n, what=f"segment {s} potential")
             segs.append(Segment(lo, hi, v))
             prev_hi = hi
         self.segments: tuple[Segment, ...] = tuple(segs)
@@ -313,7 +314,7 @@ class PotentialProfile:
                 raise ProfileError(
                     f"delta {d} at {x0} does not sit on a segment boundary"
                 )
-            lam = _hermitian_or_raise(delta.strength, n, what=f"delta {d} strength")
+            lam = _hermitian_or_raise(_as_block(delta.strength), n, what=f"delta {d} strength")
             snapped.append(DeltaBarrier(float(self.breakpoints[k]), lam))
         positions = [d.x0 for d in snapped]
         for d, x0 in enumerate(positions):
@@ -486,6 +487,12 @@ class _Piece:
         self.value = np.asarray(value, dtype=complex)
         self.propagator = propagator
         self._coeff = (propagator.basis @ self.value).view(np.float64)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The vectors c_r = basis[r] @ value, shape (2N, dim): the state at
+        anchor + dx is sum_r factors(dx)[r] c_r."""
+        return self._coeff.view(complex)
 
     def expand(self, dx: np.ndarray) -> np.ndarray:
         """State at anchor + dx for an array of offsets, shape (len(dx), dim).

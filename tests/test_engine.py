@@ -25,6 +25,7 @@ from conftest import (
     system_profile,
 )
 from test_properties import coupled_stack, sequence_stack
+from test_solvers import delta_stack
 from gcelab import engine, solvers
 from gcelab.engine import (
     ChargeRelation,
@@ -534,17 +535,39 @@ def blocked_currents(sol, basis, grid):
 
 
 def whole_grid_table(sol, basis, grid):
-    """The residual table built from one sampling of the snapped grid."""
+    """The residual table built from one factor evaluation per piece of the
+    snapped grid."""
     decomp = decompose(sol.profile, basis)
+    cuts = residual_cuts(sol.profile)
+    eval_xs = engine.snap_to_cuts(grid, cuts)
+    h = uniform_spacing(grid)
+    starts, pieces = engine._runs(np.searchsorted(sol.breakpoints, eval_xs, side="right"))
+    whole = engine._factor_sampler(sol, eval_xs)
+    runs = {p: (a, whole(p, a, b)) for a, b, p in zip(starts, [*starts[1:], len(grid)], pieces)}
+
+    def sample(p, a, b):
+        start, (products, sq) = runs[p]
+        return products[:, a - start:b - start], sq[a - start:b - start]
+
+    coefficients = engine._piece_kernels(
+        sol, basis.generators, h, engine.source_operator(decomp), sorted(runs)
+    )
+    return engine._residual_rows(sample, grid, h, cuts, (starts, pieces), coefficients)
+
+
+def sampled_table(sol, basis, grid, decomp):
+    """The residual table of one sampling of the snapped grid: the complex
+    products of the states against ``_table_kernels``, as ``gauge_residual``
+    forms them."""
     cuts = residual_cuts(sol.profile)
     eval_xs = engine.snap_to_cuts(grid, cuts)
     h, (blocks, full) = uniform_spacing(grid), blocks_of(sol)
     kernels = engine._table_kernels(
         blocks, h, basis.generators, sol.energies, engine.source_operator(decomp)
     )
-    psi = sol.evaluate(eval_xs)
     return engine._residual_rows(
-        lambda a, b: psi[a:b], grid, h, cuts, decomp.segment_of(eval_xs), kernels, full
+        engine._state_sampler(sol.evaluate(eval_xs), full), grid, h, cuts,
+        engine._runs(decomp.segment_of(eval_xs)), kernels,
     )
 
 
@@ -798,6 +821,36 @@ class TestResidualTable:
 
     GRID = np.arange(-150, 251) * 0.01  # holds an exact 0.0 at index 150
 
+    @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+    def test_sweep_never_samples_the_state(self, monkeypatch, model):
+        # The table comes from the pieces' propagator factors; the grid
+        # reaches into both tails and onto a delta.
+        sol = delta_stack(model)
+        basis = build_basis(3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the residual sweep evaluated the state")
+
+        monkeypatch.setattr(solvers.PiecewiseSolution, "evaluate", refuse)
+        grid = np.linspace(-3.0, 3.5, 261)
+        residual = gce_residual_dirac if model == "dirac" else gce_residual_schrodinger
+        reports = [residual(sol, basis, a, grid) for a in range(1, basis.dim + 1)]
+        assert len({id(r.residual.base) for r in reports}) == 1
+        assert max(r.residual_rms for r in reports) > 0.0
+
+    def test_row_statistics_repeat_the_per_row_formulas(self, bases):
+        tables = [gce_residual_sweep(sol, bases[n], grid) for sol, n, grid in (
+            (coupled_dirac_solution(), 2, self.GRID),
+            (coupled_schrodinger_solution(), 2, np.linspace(-1.5, 2.5, 4001)),
+            (coupled_stack(3, "dirac", 4), 4, np.linspace(-4.4, 4.4, 113)),
+        )]
+        for table in tables:
+            for row, rms, top in zip(table.residual, table.rms, table.max):
+                assert rms == _rms(row) and top == np.abs(row).max()
+            for arr in (table.rms, table.max):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
     def test_rows_are_read_only_views_of_the_table(self, bases):
         sol = coupled_dirac_solution()
         table = gce_residual_sweep(sol, bases[2], self.GRID)
@@ -876,7 +929,10 @@ class TestResidualTable:
         moved = dataclasses.replace(dec, cuts=dec.cuts + 0.01)
         table = gce_residual_sweep(sol, bases[2], self.GRID, dec)
         base, floor = gauge_free_residuals(sol, bases[2], self.GRID, dec)
-        assert_arrays_same_bits([base], [table.residual])
+        # The gauge path forms the sampled states' products; the sweep the
+        # factors' products, which round differently.
+        assert_arrays_same_bits([base], [sampled_table(sol, bases[2], self.GRID, dec).residual])
+        assert (np.abs(base - table.residual).max(axis=1) <= floor + table.floor).all()
         shifted, _ = gauge_free_residuals(sol, bases[2], self.GRID, moved)
         # Only the source moves with the cuts; elsewhere the stencil of j1
         # must not see how the samples were split into blocks.
@@ -1329,7 +1385,10 @@ class TestGauge:
             decomp=dec,
             convention=sol.dynamics,
         )
-        assert np.array_equal(gauged.residual, plain.residual)
+        # A = 0 repeats the ungauged arithmetic of the sampled states bit for
+        # bit; the sweep forms its table from the factors, within both floors.
+        assert np.array_equal(gauged.residual, sampled_table(sol, bases[2], grid, dec).residual[1])
+        assert np.abs(gauged.residual - plain.residual).max() <= gauged.floor + plain.floor
 
     def test_constant_time_component_shifts_energies(self, bases):
         alpha = 0.4

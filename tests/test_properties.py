@@ -17,6 +17,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import diagonal_profile, random_hermitian, solve_model
+from gcelab import engine
 from gcelab.engine import (
     _BLOCK,
     _rms,
@@ -94,20 +95,36 @@ def oracle_terms(stack, basis, a, grid, decomp):
 
 
 def oracle_floor(stack, basis, a, grid, decomp):
-    """eps max|psi_k|^2 (sum|time - source kernel| + 2 sum|j1 / (2h) kernel|).
+    """eps max_r f_r^2 (sum|A| of the time-minus-source form + 8 sum|A| of the
+    j1 / (2h) form), the largest over the samples, f the factors of each
+    sample's piece.
 
-    The kernels are formed whole here, as Kronecker products.
+    A folds W = conj(C) K C^T of the piece's coefficient rows C onto r <= s
+    (A_rr = W_rr, A_rs = 2 Re W_rs); the kernels K are formed whole here, as
+    Kronecker products.
     """
     t_a, h = basis.generator(a), uniform_spacing(grid)
     current, density, potential = stack.dynamics.kernels
     w = 1j * (stack.energies[:, None] - stack.energies[None, :]) * t_a
     eval_xs = snap_to_cuts(grid, residual_cuts(stack.profile))
-    bounds = []
-    for s_a in source_operator(decomp, a):
-        rest = np.kron(w, density) - np.kron(s_a, potential)
-        bounds.append(np.abs(rest).sum() + 2.0 * np.abs(np.kron(t_a, current)).sum() / (2 * h))
-    psi2 = (np.abs(stack.evaluate(eval_xs)) ** 2).max(axis=1)
-    return np.finfo(float).eps * (psi2 * np.array(bounds)[decomp.segment_of(eval_xs)]).max()
+    pieces = np.searchsorted(stack.breakpoints, eval_xs, side="right")
+    segments = decomp.segment_of(eval_xs)
+    sources = source_operator(decomp, a)
+    r, s = np.triu_indices(stack.dim)
+
+    def abs_sum(c, kernel):
+        fold = (c.conj() @ kernel @ c.T)[r, s].real * np.where(r == s, 1.0, 2.0)
+        return np.abs(fold).sum()
+
+    worst = 0.0
+    for p, seg in set(zip(pieces.tolist(), segments.tolist())):
+        piece = stack.pieces[p]
+        c = piece.coefficients
+        rest = np.kron(w, density) - np.kron(sources[seg], potential)
+        bound = abs_sum(c, rest) + 8.0 * abs_sum(c, np.kron(t_a, current) / (2 * h))
+        f = piece.propagator.factors(eval_xs[pieces == p] - piece.anchor)
+        worst = max(worst, (f ** 2).max() * bound)
+    return np.finfo(float).eps * worst
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +249,76 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
         # The rounding floor bounds the rounding of every term, whatever the
         # terms cancel to.
         assert table.floor[a - 1] == pytest.approx(oracle_floor(stack, basis, a, grid, decomp),
-                                                   rel=1e-12)
+                                                   rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The rounding floor of the factor form
+#
+# Inside a piece each row of the table is sum_{r <= s} A_rs f_r f_s of the
+# piece's propagator factors, then the j1 stencil.  The same factors and
+# coefficients, multiplied, summed and differenced in np.longdouble, give the
+# table without its float64 rounding, which the floor must bound.
+
+
+def band_edge_stack(model: str):
+    """A diagonal pair with system 1 at E = |V| on one interior segment and
+    system 2 on another, where their generators are nilpotent."""
+    e = 1.5 if model == "dirac" else 2.0
+    diags = ([0.2, -0.3], [e, 0.4], [-0.1, 0.3], [0.5, e], [0.1, -0.2])
+    profile = PotentialProfile([
+        Segment(lo, hi, np.diag(d)) for lo, hi, d in zip(BREAKS[:-1], BREAKS[1:], diags)
+    ])
+    return solve_model(model, profile, e, Scattering([1.0, 0.6 - 0.3j]))
+
+
+def longdouble_residuals(stack, basis, grid, decomp):
+    """The table's residuals from its factors and piece coefficients, with
+    the products, forms and stencil taken in np.longdouble."""
+    cuts = residual_cuts(stack.profile)
+    eval_xs = snap_to_cuts(grid, cuts)
+    pieces = np.searchsorted(stack.breakpoints, eval_xs, side="right")
+    coefficients = engine._piece_kernels(
+        stack, basis.generators, uniform_spacing(grid), source_operator(decomp),
+        sorted(set(pieces.tolist())),
+    )
+    r, s = np.triu_indices(stack.dim)
+    g = basis.dim
+    forms = np.empty((2 * g, len(grid)), dtype=np.longdouble)
+    for p, a in coefficients.items():
+        piece, on = stack.pieces[p], pieces == p
+        f = piece.propagator.factors(eval_xs[on] - piece.anchor).astype(np.longdouble)
+        forms[:, on] = a.astype(np.longdouble) @ (f[r] * f[s])
+    out = np.empty((g, len(grid)), dtype=np.longdouble)
+    for lo, hi in engine._cells(grid, cuts):
+        out[:, lo:hi] = forms[g:, lo:hi] + engine._diff(forms[:g, lo:hi].T).T
+    return out
+
+
+FLOOR_CASES = [
+    (build, model, n) for build in ("joint", "sequence")
+    for model in ("dirac", "schrodinger") for n in (2, 3, 4)
+] + [("band-edge", "dirac", 2), ("band-edge", "schrodinger", 2)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 on this platform")
+@pytest.mark.parametrize("build, model, n", FLOOR_CASES, ids=lambda c: str(c))
+def test_floor_bounds_the_rounding_of_the_factor_form(build, model, n):
+    if build == "band-edge":
+        stack = band_edge_stack(model)
+        # Both systems take the exact (1, x) factors on one segment each.
+        assert sum(p.propagator.k.min() == 0.0 for p in stack.pieces) >= 2
+    else:
+        maker = coupled_stack if build == "joint" else sequence_stack
+        stack = maker(300 + n, model, n)
+    basis = build_basis(n)
+    decomp = decompose(stack.profile, basis)
+    grid = np.linspace(*GRID, COARSE)
+    table = gce_residual_sweep(stack, basis, grid, decomp)
+    exact = longdouble_residuals(stack, basis, grid, decomp)
+    err = np.abs(table.residual - exact).max(axis=1).astype(float)
+    assert (err <= table.floor).all(), (err / table.floor).max()
 
 
 def test_sweep_memory_is_the_table_and_one_block():
@@ -249,11 +335,11 @@ def test_sweep_memory_is_the_table_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Grid-length index arrays (the snapped grid, the segment indices and
-    # their differences) take 3 x 8 bytes per point; one block's samples,
+    # Grid-length index arrays (the snapped grid, the piece indices and
+    # their differences) take 3 x 8 bytes per point; one block's factors,
     # products, GEMM output and stencil temporaries stay within six blocks
-    # of complex products.  The samples of the whole grid alone would take
-    # 2N x 16 = 128 bytes per point.
+    # of complex products.  The factors of the whole grid alone would take
+    # 2N x 8 = 64 bytes per point, their products 36 x 8.
     allowance = 3 * 8 * len(grid) + 6 * _BLOCK * 16
     assert peak <= table.residual.nbytes + allowance
 

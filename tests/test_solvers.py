@@ -117,6 +117,28 @@ def test_profile_validation():
         PotentialProfile([Segment(0, 1, np.eye(2))], [DeltaBarrier(0.5, np.eye(2))])
 
 
+def test_scalar_potentials_are_one_by_one_blocks():
+    prof = uniform_profile(0.0)
+    assert prof.n_systems == 1
+    assert prof.segments[0].v.shape == (1, 1) and prof.segments[0].v[0, 0] == 0.0
+    stepped = PotentialProfile([Segment(-1, 0, 0.5), Segment(0, 1, [[1.5]])], [DeltaBarrier(0.0, 0.3)])
+    assert [seg.v[0, 0] for seg in stepped.segments] == [0.5, 1.5]
+    assert stepped.deltas[0].strength.shape == (1, 1)
+    sol = solve_schrodinger(prof, 1.0, Scattering([1.0]))
+    assert np.array_equal(sol.evaluate([0.3]), solve_schrodinger(
+        uniform_profile([[0.0]]), 1.0, Scattering([1.0])).evaluate([0.3]))
+
+
+@pytest.mark.parametrize("v, shape", [([1.0, 2.0], (2,)), (np.ones((2, 3)), (2, 3))])
+def test_first_segment_of_wrong_shape_is_refused_as_later_ones_are(v, shape):
+    first = re.escape(f"segment 0 potential must have shape ({shape[0]}, {shape[0]}), got {shape}")
+    with pytest.raises(ValueError, match=first):
+        PotentialProfile([Segment(0, 1, v)])
+    later = re.escape(f"segment 1 potential must have shape ({shape[0]}, {shape[0]}), got {shape}")
+    with pytest.raises(ValueError, match=later):
+        PotentialProfile([Segment(-1, 0, np.eye(shape[0])), Segment(0, 1, v)])
+
+
 def test_profile_lookup():
     prof = PotentialProfile(
         [Segment(-1, 0, np.diag([1.0, 2.0])), Segment(0, 1, np.diag([3.0, 4.0]))],
