@@ -11,17 +11,25 @@ take its bignum path.  For a float64 block the digits are computed in bulk:
   |p + q - V| < 2**-47 for V < 2**57;
 - N = round(V) is the 17-digit significand, and it is exact whenever the
   fraction of p + q is further than 2**-40 from 1/2;
-- the digits of N are written into a fixed character layout per cell, and a
-  mask gathered by (exponent class, trailing zeros, sign) keeps the
-  characters ``%g`` prints: fixed notation for -4 <= X < 17, ``d.ddde±XX``
-  otherwise, trailing zeros and a bare point stripped.
+- the digits of N are written into a fixed 32-byte character layout per
+  cell, one byte per digit, and a mask gathered by (exponent class,
+  trailing zeros, sign) keeps the characters ``%g`` prints: fixed notation
+  for -4 <= X < 17, ``d.ddde±XX`` otherwise, trailing zeros and a bare
+  point stripped;
+- the layout has a point only after digit 0, so fixed notation with
+  1 <= X <= 15, the one form whose point falls between two later digits,
+  has it inserted after digit X by shifting the digits behind it one byte.
 
-A cell is certified only when N is exact and 10**16 < N <= 10**17, which
-also proves the exponent guess right (N = 10**17 is 10**16 at exponent
-k + 1).  Zeros are certified as ``0``/``-0``.  Every other cell (nan, ±inf,
-subnormals, magnitudes outside [1e-280, 1e280), exact powers of ten and
-decimal ties) is written by ``%`` on its own, as is every cell of a block
-whose dtype is not float64.
+A cell is certified only when N is exact and 10**16 < N < 10**17, which
+also proves the exponent guess right.  Zeros are certified as ``0``/``-0``.
+Every other cell (nan, ±inf, subnormals, magnitudes outside [1e-280,
+1e280), cells whose 17 digits are a power of ten, and decimal ties) is
+written by ``%`` on its own, as is every cell of a block whose dtype is not
+float64.
+
+The report writer passes blocks of 4096 cells (``scenario._BLOCK_CELLS``),
+so each working array of a block (the cells, their mask rows, the bytes)
+stays near 128 KiB whatever the size of the table.
 """
 
 from __future__ import annotations
@@ -43,15 +51,20 @@ _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: halves of 26 bits each
 _TIE_MARGIN = 2.0**-40
 _E16, _E17 = 10**16, 10**17
 
-# One cell's characters, six 8-byte words that a mask row compacts:
+# One cell's characters, four 8-byte words that a mask row compacts:
 #   word 0:     "-0.000" d0 "."   sign, the prefix of -4 <= X < 0, digit 0
-#   words 1-4:  "d.d.d.d."        digits 1-16, each followed by a point slot
-#   word 5:     "e+XXX," and two bytes never kept
-_WORDS = 6
+#                                 and the point after it
+#   words 1-2:  digits 1-16, one byte each
+#   word 3:     "e+XXX," and two bytes never kept
+# Fixed notation with 1 <= X <= 15 puts its point after digit X, so those
+# cells have it inserted there: digits X+1..16 move one byte on, digit 16
+# into the first byte of word 3, whose "e" fixed notation never keeps.
+_WORDS = 4
 _WIDTH = 8 * _WORDS
-_DIGIT0 = 6  # digit j sits at byte 6 + 2j, the point after it at 7 + 2j
-_EXP = 40  # "e", exponent sign, three exponent digits
-_SEP = 45  # "," or "\n"
+_DIGIT0 = 6  # digit 0; digit j >= 1 sits at byte 7 + j, 8 + j past an inserted point
+_POINT = 7  # the point after digit 0
+_EXP = 24  # "e", exponent sign, three exponent digits
+_SEP = 29  # "," or "\n"
 _X_MAX = 400  # tables by exponent cover -400 <= X <= 400
 # Mask rows are keyed by (class * 17 + trailing zeros) * 2 + sign, where
 # classes 0..20 are fixed notation with X = class - 4, then the exponent
@@ -98,10 +111,7 @@ def _tables():
     # The four digits of every four-digit chunk c, most significant first.
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
     heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
-    # "d.d.d.d." of every chunk c: its digits, each before a point.
-    chars = np.full((10**4, 8), ord("."), dtype=np.uint8)
-    chars[:, 0::2] = digits + ord("0")
-    chunks = chars.reshape(-1).view(np.uint64)
+    chunks = (digits + ord("0")).reshape(-1).view(np.uint32)
     # "e±XXX," and two NULs for every exponent X.
     xs = np.arange(-_X_MAX, _X_MAX + 1)
     chars = np.zeros((len(xs), 8), dtype=np.uint8)
@@ -111,19 +121,29 @@ def _tables():
     chars[:, 5] = ord(",")
     exponents = chars.reshape(-1).view(np.uint64)
     classes = np.where((-4 <= xs) & (xs <= 16), xs + 4, 21 + (np.abs(xs) >= 100))
+    inserts = (1 <= xs) & (xs <= 15)
     # Trailing zeros of each chunk; 4 for chunk 0.
     tz = np.zeros(10**4, dtype=np.int64)
     for step in (10, 100, 1000, 10**4):
         tz[::step] += 1
+    # For a point inserted after digit X (row X), words 1-2 as two masks:
+    # the digits before the point, and the point itself.
+    byte = np.arange(16)
+    before = (byte < byte[:, None]) * np.uint8(0xFF)
+    points = (byte == byte[:, None]) * np.uint8(ord("."))
+    before, points = before.view(np.uint64), points.view(np.uint64)
 
     # The mask row of every (class, trailing zeros) pair, by byte position.
     x = np.arange(_CLASSES)[:, None, None] - 4
     zeros = np.arange(17)[None, :, None]
     at = np.arange(_WIDTH)
     n_int = np.where(x > 16, 1, np.where(x < 0, 0, x + 1))  # digits before the point
-    j = at - _DIGIT0
-    rows = (j >= 0) & (j % 2 == 0) & (j < 2 * np.maximum(17 - zeros, n_int))
-    rows |= (0 < n_int) & (n_int < 17 - zeros) & (j == 2 * n_int - 1)  # the point
+    n_digits = np.maximum(17 - zeros, n_int)
+    inserted = (1 <= x) & (x <= 15)
+    point = np.where(inserted, 8 + x, _POINT)
+    j = at - _DIGIT0 - (at > _POINT) - (inserted & (at > point))  # the digit at a byte
+    rows = (at >= _DIGIT0) & (at != _POINT) & (at != point) & (j < n_digits)
+    rows |= (0 < n_int) & (n_int < n_digits) & (at == point)
     rows |= (x < 0) & (1 <= at) & (at < 2 - x)  # "0." and -X - 1 zeros
     # Classes 21 and 22 (x = 17, 18): "e", its sign and two or three digits.
     rows |= (x > 16) & (_EXP <= at) & (at < _SEP) & ((at != _EXP + 2) | (x == 18))
@@ -137,7 +157,10 @@ def _tables():
     # As words whose kept bytes are 0xff: a cell ANDed with its row keeps
     # the characters %g prints and turns the rest into NULs.
     layout = (layout * np.uint8(0xFF)).view(np.uint64)
-    tables = (*powers, heads, chunks, exponents, classes * 34, tz * 2, layout, lengths)
+    tables = (
+        *powers, heads, chunks, exponents, classes * 34, inserts, tz * 2,
+        before, points, layout, lengths,
+    )
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -153,6 +176,21 @@ def _scaled(a, k, powers):
     return p, e + a * lo
 
 
+def _insert_points(m, rows, xs, before, points):
+    """Insert the point after digit xs[i] of cell rows[i] of m: the digits
+    after it move one byte on, and digit 16 into the first byte of word 3."""
+    digits = m[rows, 1:3]
+    ahead = before.take(xs, axis=0)
+    after = digits & ~ahead
+    digits &= ahead
+    digits |= points.take(xs, axis=0)
+    digits |= after << np.uint64(8)
+    digits[:, 1] |= after[:, 0] >> np.uint64(56)
+    m[rows, 1:3] = digits
+    tails = m[rows, 3] & ~np.uint64(0xFF)
+    m[rows, 3] = tails | after[:, 1] >> np.uint64(56)
+
+
 def _per_cell(block) -> bytes:
     """The CSV lines of a block whose cells each go through ``%``."""
     cells = [b"%.17g" % v for v in block.ravel().tolist()]
@@ -165,7 +203,8 @@ def csv_block(block) -> bytes:
     """The CSV lines of a 2-D block, cells as ``b"%.17g" % cell`` writes them."""
     if block.dtype != np.float64:
         return _per_cell(block)
-    *powers, heads, chunks, exponents, keys, zero_keys, layout, lengths = _tables()
+    (*powers, heads, chunks, exponents, keys, inserts, zero_keys,
+     before, points, layout, lengths) = _tables()
     x = block.ravel()
     a = np.abs(x)
     zero = a == 0.0
@@ -174,20 +213,17 @@ def csv_block(block) -> bytes:
     k = np.floor(np.log10(a)).astype(np.int64)
     p, q = _scaled(a, k, powers)
     # The exponent guess is one off near powers of ten: redo those cells.
-    redo = np.flatnonzero((p < 1e16) | (p >= 1e17))
+    redo = ((p < 1e16) | (p >= 1e17)).nonzero()[0]
     if redo.size:
         k[redo] += np.where(p[redo] < 1e16, -1, 1)
         p[redo], q[redo] = _scaled(a[redo], k[redo], powers)
     r = np.floor(q)
     frac = q - r
     n = p.astype(np.int64) + r.astype(np.int64) + (frac > 0.5)
-    good = ok & (np.abs(frac - 0.5) > _TIE_MARGIN) & (n > _E16) & (n <= _E17)
+    good = ok & (np.abs(frac - 0.5) > _TIE_MARGIN) & (n > _E16) & (n < _E17)
     good |= zero
-    top = n == _E17
-    n[top] = _E16
-    at_x = k + top + _X_MAX  # row of X in the tables by exponent
+    at_x = k + _X_MAX  # row of X in the tables by exponent; X = 0 for zeros
     n[zero] = 0
-    at_x[zero] = _X_MAX
 
     # The 17 digits as a digit, four chunks of four, and their trailing zeros.
     parts = []
@@ -197,16 +233,27 @@ def csv_block(block) -> bytes:
     d0, *chunk_values = parts + [n]
     m = np.empty((x.size, _WORDS), dtype=np.uint64)
     m[:, 0] = heads.take(d0)
-    zeros = zero_keys.take(chunk_values[0])
-    for j, c in enumerate(chunk_values, start=1):
-        m[:, j] = chunks.take(c)
-        if j > 1:
-            zeros = np.where(c == 0, zeros + 8, zero_keys.take(c))
-    m[:, 5] = exponents.take(at_x)
+    digit_chunks = m.view(np.uint32)[:, 2:6]
+    for j, c in enumerate(chunk_values):
+        digit_chunks[:, j] = chunks.take(c)
+    # Trailing zeros reach chunks 1-3 only where the last chunk is 0.
+    last = chunk_values[-1]
+    zeros = zero_keys.take(last)
+    runs = (last == 0).nonzero()[0]
+    if runs.size:
+        more = zero_keys.take(chunk_values[0][runs])
+        for c in chunk_values[1:3]:
+            c = c[runs]
+            more = np.where(c == 0, more + 8, zero_keys.take(c))
+        zeros[runs] += more
+    m[:, 3] = exponents.take(at_x)
     m.view(np.uint8).reshape(block.shape + (_WIDTH,))[:, -1, _SEP] = ord("\n")
+    split = inserts.take(at_x).nonzero()[0]
+    if split.size:
+        _insert_points(m, split, at_x[split] - _X_MAX, before, points)
 
     key = keys.take(at_x) + zeros + np.signbit(x)
-    bad = np.flatnonzero(~good)
+    bad = (~good).nonzero()[0]
     key[bad] = _FALLBACK
     m &= layout.take(key, axis=0)
     out = m.tobytes().translate(None, b"\0")

@@ -609,6 +609,25 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert seen == ["ma 0 False"] * 3
 
 
+def test_csv_kernel_tables_are_built_on_first_write(tmp_path):
+    """Importing the CLI builds none of the %.17g kernel's tables; the first
+    CSV write builds them once, read-only."""
+    script = (
+        "import gcelab.cli, gcelab._fmt17 as f\n"
+        "print(f._tables.cache_info().currsize)\n"
+        f"args = ['currents', '--scenario', 'free2', '--out', {str(tmp_path)!r}]\n"
+        "code = gcelab.cli.main(args)\n"
+        "print(code, f._tables.cache_info().currsize,"
+        " any(t.flags.writeable for t in f._tables()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "0 1 False")
+
+
 def test_run_without_charge_relation_skips_numpy_polynomial(tmp_path):
     """numpy.polynomial costs a cold process about 3 ms; only the charge
     relation's Gauss-Legendre rule needs it, and loads it on first use."""

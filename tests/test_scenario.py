@@ -93,6 +93,36 @@ def tricky_cells(rng) -> dict:
     }
 
 
+# Exponents X that meet every mask row of the %.17g kernel: every fixed-
+# notation class with its neighbours, and exponent forms of two and three
+# digits of both signs (|X| = 307 is past the bulk range, so %).
+MASK_ROW_EXPONENTS = (*range(-6, 20), 99, -99, 100, -100, 307, -307)
+
+
+def cells_by_trailing_zeros(x: int, rng) -> dict:
+    """Up to two cells d * 10**(x - 16) for each count z = 0..16 of trailing
+    zeros of their 17-digit significand d >= 2e16 (1e16 goes to %), by z.
+    A cell counts only when its %.17g form keeps d: the double nearest
+    d * 10**(x - 16) often prints other digits.  Counts z >= 14 try every
+    d, the others up to 1000."""
+    found = {}
+    for zeros in range(17):
+        if zeros >= 14:
+            tries = rng.permutation(np.arange(2 * 10 ** (16 - zeros), 10 ** (17 - zeros)))
+        else:
+            tries = rng.integers(2 * 10 ** (16 - zeros), 10 ** (17 - zeros), 1000)
+        for d in tries.tolist():
+            if d % 10 == 0:
+                continue
+            d *= 10**zeros
+            cell = float(f"{d}e{x - 16}")
+            if b"%.16e" % cell == b"%d.%016de%+03d" % (d // 10**16, d % 10**16, x):
+                found.setdefault(zeros, []).append(cell)
+                if len(found[zeros]) == 2:
+                    break
+    return found
+
+
 def reference_csv(header, columns) -> bytes:
     """The per-cell writer that the block format replaced: the test oracle."""
     lines = [",".join(header)]
@@ -104,19 +134,21 @@ def loop_built_digit_tables() -> tuple:
     """The %.17g kernel's digit tables, built one entry at a time: the oracle
     of the array-built ones, in the order ``_fmt17._tables()`` returns them."""
 
-    def words(strings):
-        return np.frombuffer(b"".join(strings), dtype=np.uint64)
+    def words(strings, dtype=np.uint64):
+        return np.frombuffer(b"".join(strings), dtype=dtype)
 
     xs = range(-400, 401)
     heads = words(b"-0.000%d." % d for d in range(10))
-    chunks = words(
-        b"%d.%d.%d.%d." % (c // 1000, c // 100 % 10, c // 10 % 10, c % 10)
-        for c in range(10**4)
-    )
+    chunks = words((b"%04d" % c for c in range(10**4)), np.uint32)
     exponents = words(b"e%+04d,\0\0" % x for x in xs)
     classes = np.array([x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100) for x in xs])
+    inserts = np.array([1 <= x <= 15 for x in xs])
     tz = np.array([4] + [len(str(c)) - len(str(c).rstrip("0")) for c in range(1, 10**4)])
-    return heads, chunks, exponents, classes * 34, tz * 2
+    # Digits 1-16 around a point inserted after digit X (row X): the bytes
+    # before the point, and the point.
+    before = words(b"\xff" * x + b"\0" * (16 - x) for x in range(16)).reshape(16, 2)
+    points = words(b"\0" * x + b"." + b"\0" * (15 - x) for x in range(16)).reshape(16, 2)
+    return heads, chunks, exponents, classes * 34, inserts, tz * 2, before, points
 
 
 def loop_built_power_tables() -> tuple:
@@ -141,12 +173,16 @@ def loop_built_power_tables() -> tuple:
 
 def loop_built_layout() -> tuple:
     """The mask rows of the %.17g kernel, one (class, zeros, sign) row at a
-    time, as words, with the count of bytes each row keeps."""
+    time from the positions of its kept bytes, as words, with the count of
+    bytes each row keeps."""
     f = _fmt17
     layout = np.zeros((f._FALLBACK + 1, f._WIDTH), dtype=bool)
     layout[:, f._SEP] = True
     for cls in range(f._CLASSES):
         x = cls - 4
+        # The bytes of digits 0-16; a point inserted after digit X
+        # (1 <= X <= 15) moves the digits behind it one byte on.
+        digits = [6] + [7 + j + (1 <= x <= 15 and j > x) for j in range(1, 17)]
         for zeros in range(17):
             row = layout[(cls * 17 + zeros) * 2]
             if x > 16:  # classes 21 and 22: "e" and two or three digits
@@ -159,9 +195,9 @@ def loop_built_layout() -> tuple:
             else:
                 n_int = x + 1
             n_digits = max(17 - zeros, n_int)
-            row[f._DIGIT0:f._DIGIT0 + 2 * n_digits:2] = True
-            if 0 < n_int < n_digits:
-                row[f._DIGIT0 + 2 * n_int - 1] = True
+            row[digits[:n_digits]] = True
+            if 0 < n_int < n_digits:  # the point after digit n_int - 1
+                row[7 if n_int == 1 else 8 + x] = True
             layout[(cls * 17 + zeros) * 2 + 1] = row
             layout[(cls * 17 + zeros) * 2 + 1, 0] = True
     lengths = layout.sum(axis=1)
@@ -707,8 +743,9 @@ class TestReports:
         assert got["empty"] == b"x,y\n"
 
     def test_digit_tables_match_loop_built_reference(self):
-        names = ("heads", "chunks", "exponents", "keys", "zero_keys")
-        got = _fmt17._tables()[4:9]
+        names = ("heads", "chunks", "exponents", "keys", "inserts", "zero_keys", "before",
+                 "points")
+        got = _fmt17._tables()[4:12]
         for name, table, ref in zip(names, got, loop_built_digit_tables(), strict=True):
             assert table.dtype == ref.dtype, name
             assert table.shape == ref.shape, name
@@ -718,7 +755,7 @@ class TestReports:
     def test_power_and_layout_tables_match_loop_built_reference(self):
         tables = _fmt17._tables()
         got = {"hi": tables[0], "hi_head": tables[1], "hi_tail": tables[2], "lo": tables[3],
-               "layout": tables[9], "lengths": tables[10]}
+               "layout": tables[12], "lengths": tables[13]}
         refs = (*loop_built_power_tables(), *loop_built_layout())
         for (name, table), ref in zip(got.items(), refs, strict=True):
             assert table.dtype == ref.dtype, name
@@ -807,6 +844,21 @@ class TestReports:
         for table, (header, columns) in bundle.tables.items():
             assert got[table] == reference_csv(header, columns), table
 
+    @pytest.mark.parametrize("x", MASK_ROW_EXPONENTS)
+    def test_every_mask_row_matches_per_cell_writer(self, x):
+        """Every (trailing zeros, sign) row of exponent X, with the point
+        inserted at every place it can go, each cell both before a "," and
+        before a row's "\\n" (where an inserted point spills digit 16)."""
+        found = cells_by_trailing_zeros(x, np.random.default_rng(x + 400))
+        # One significant digit (z = 16) leaves eight significands, and for
+        # some X no double keeps any of them.
+        assert set(range(16)) <= set(found), sorted(found)
+        cells = np.concatenate([found[z] for z in sorted(found)])
+        for block in (np.stack([cells, -cells]), np.concatenate([cells, -cells])[:, None]):
+            header = [f"c{k}" for k in range(block.shape[1])]
+            got = (",".join(header) + "\n").encode() + _fmt17.csv_block(block)
+            assert got == reference_csv(header, list(block.T))
+
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_fine_grid_tables_match_per_cell_writer(self, name, tmp_path):
         bundle = run_scenario(load_builtin(name), n_points=40001)
@@ -821,6 +873,7 @@ class TestReports:
         bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
         rows = np.random.default_rng(0).standard_normal(shape)
         bundle.tables["cells"] = ([f"c{k}" for k in range(shape[1])], list(rows.T))
+        _fmt17._tables()  # built once per process (about 190 KiB), not per write
         tracemalloc.start()
         try:
             write_reports(bundle, str(tmp_path))
@@ -828,8 +881,9 @@ class TestReports:
         finally:
             tracemalloc.stop()
         # A whole-table write holds about 60 bytes per cell: 2.9 MiB at
-        # 10001 x 5 and 52 MiB at 100001 x 9.
-        assert peak < 2 * 2**20
+        # 10001 x 5 and 52 MiB at 100001 x 9.  Blocks of 4096 32-byte cells
+        # peak at 968 KiB at either shape; 48-byte cells peaked at 1163 KiB.
+        assert peak < 1.1 * 968 * 2**10
 
 
 def test_fine_grid_run_holds_its_tables_and_one_block():
