@@ -2,9 +2,9 @@
 
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
 constancy, the charge or delta-domain relation, or the convergence order), 2
-on usage or input errors and on errors writing the outputs.  Verdict failures
-still write the full summary so results can be inspected, and print one line
-per failing check.
+on usage or input errors, on inputs too large for memory and on errors
+writing the outputs.  Verdict failures still write the full summary so
+results can be inspected, and print one line per failing check.
 """
 
 from __future__ import annotations
@@ -313,6 +313,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as e:
         print(f"gcelab: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"gcelab: error: input too large for memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

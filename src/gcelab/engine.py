@@ -144,9 +144,8 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # Hermitian K gives psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k)
 # psi_l with c = 1 on the diagonal and 2 off it, so one GEMM of ``_triangle``
 # coefficients against ``_outer_triangle`` products evaluates any number of
-# kernels.  Products of two second components are left out when every block
-# has a zero (1, 1) entry (``_full``): no Schroedinger kernel pairs two
-# derivatives.  A pair form is the bilinear psi_i^dag block psi_j of the
+# kernels; every form takes all dim (dim + 1) / 2 products, for both
+# models.  A pair form is the bilinear psi_i^dag block psi_j of the
 # columns of systems i and j of the same flat samples.  Currents and the
 # residuals of sampled states (``gauge_residual``) take these products; a
 # solution's residual table takes the same forms on its pieces' propagator
@@ -157,37 +156,26 @@ def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
     return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
 
 
-def _full(blocks) -> bool:
-    """Whether the forms of these blocks weigh products of two second components."""
-    return any(b[1, 1] != 0.0 for b in blocks)
-
-
-def _triangle(m: np.ndarray, block: np.ndarray, full: bool) -> np.ndarray:
+def _triangle(m: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Coefficients c_kl K_kl on ``_outer_triangle`` of the kernel of system
     matrices m (..., N, N) and a block, gathered without forming K."""
     k, l = np.triu_indices(2 * m.shape[-1])
-    if not full:
-        keep = (k % 2 == 0) | (l % 2 == 0)
-        k, l = k[keep], l[keep]
     (sk, ik), (sl, il) = divmod(k, 2), divmod(l, 2)
     return m[..., sk, sl] * (block[ik, il] * np.where(k == l, 1.0, 2.0))
 
 
-def _outer_triangle(psi: np.ndarray, full: bool) -> np.ndarray:
+def _outer_triangle(psi: np.ndarray) -> np.ndarray:
     """conj(psi_k) psi_l in ``_triangle`` order for flat samples (b, 2N),
     shape (P, b) with samples last, of psi's dtype: real factors (b, R)
     give their products f_r f_s, r <= s, in ``np.triu_indices`` order."""
     p = np.ascontiguousarray(psi.T)
     pc = p.conj()
     m = len(p)
-    skipped = 0 if full else (m // 2) * (m // 2 + 1) // 2  # second with second
-    out = np.empty((m * (m + 1) // 2 - skipped, len(psi)), dtype=p.dtype)
+    out = np.empty((m * (m + 1) // 2, len(psi)), dtype=p.dtype)
     start = 0
-    # The last row of a form without second-with-second products is empty.
-    for k in range(m if full else m - 1):
-        row = p[k:] if full or k % 2 == 0 else p[k + 1::2]
-        np.multiply(pc[k], row, out=out[start:start + len(row)])
-        start += len(row)
+    for k in range(m):
+        np.multiply(pc[k], p[k:], out=out[start:start + m - k])
+        start += m - k
     return out
 
 
@@ -285,8 +273,8 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
         return CurrentProfile("pair", tuple(int(k) for k in index), grid, j1, j0)
     if basis is None or basis.n != sol.n_systems:
         raise ValueError("basis rank must match the number of systems")
-    t_a, full = basis.generator(int(index)), _full(blocks)
-    coeffs = np.stack([_triangle(t_a, b, full) for b in blocks[:2]])
+    t_a = basis.generator(int(index))
+    coeffs = np.stack([_triangle(t_a, b) for b in blocks[:2]])
     out = np.empty((2, len(grid)))
     for lo, hi in _spans(len(grid), coeffs.shape[1]):
         psi = sol.evaluate(grid[lo:hi])
@@ -294,7 +282,7 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
             # One sample's products are formed as two, as _Piece.expand pads
             # one offset: numpy rounds a lone complex product differently.
             psi = np.repeat(psi, 2, axis=0)
-        out[:, lo:hi] = (coeffs @ _outer_triangle(psi, full))[:, :hi - lo].real
+        out[:, lo:hi] = (coeffs @ _outer_triangle(psi))[:, :hi - lo].real
     return CurrentProfile("generator", int(index), grid, out[0], out[1])
 
 
@@ -672,11 +660,11 @@ def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
     0..G-1) and time term i(E_s - E_t) T_a minus source (rows G..2G-1), shape
     (n_seg, 2G, P), from the ``dynamics.kernels`` blocks and sources
     (G, n_seg, N, N); no time term without ``energies``."""
-    (current, density, potential), full = blocks, _full(blocks)
+    current, density, potential = blocks
     e = np.zeros(generators.shape[1]) if energies is None else np.asarray(energies, float)
     weights = 1j * (e[:, None] - e[None, :]) * generators[:, None]
-    rest = _triangle(weights, density, full) - _triangle(sources, potential, full)
-    dj = _triangle(generators[:, None] / (2.0 * h), current, full)
+    rest = _triangle(weights, density) - _triangle(sources, potential)
+    dj = _triangle(generators[:, None] / (2.0 * h), current)
     return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
 
 
@@ -813,15 +801,15 @@ def _factor_sampler(sol, xs):
     def sample(key, a, b):
         piece = sol.pieces[key]
         f = piece.propagator.factors(xs[a:b] - piece.anchor)
-        return _outer_triangle(f.T, True), (f * f).max(axis=0)
+        return _outer_triangle(f.T), (f * f).max(axis=0)
     return sample
 
 
-def _state_sampler(psi, full: bool):
+def _state_sampler(psi):
     """``_residual_rows``' sample of flat states psi (points, 2N): their
     products conj(psi_k) psi_l and largest squared component per sample."""
     def sample(key, a, b):
-        return _outer_triangle(psi[a:b], full), (np.abs(psi[a:b]) ** 2).max(axis=1)
+        return _outer_triangle(psi[a:b]), (np.abs(psi[a:b]) ** 2).max(axis=1)
     return sample
 
 
@@ -1010,10 +998,9 @@ def gauge_residual(
     # Row a of the ungauged table of the samples, less d_x K^1: A = 0 gives
     # K^1 = 0 exactly, so it repeats that arithmetic bit for bit.  A sampled
     # time derivative leaves the rows without the analytic time term.
-    blocks, full = conv.kernels, _full(conv.kernels)
-    kernels = _table_kernels(blocks, h, t, energies if psi.ndim == 2 else None, sources)
+    kernels = _table_kernels(conv.kernels, h, t, energies if psi.ndim == 2 else None, sources)
     tables = [
-        _residual_rows(_state_sampler(p, full), grid, h, config.cuts, _runs(segments), kernels)
+        _residual_rows(_state_sampler(p), grid, h, config.cuts, _runs(segments), kernels)
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
     dx_k1 = piecewise_derivative(k1, grid, config.cuts).real
@@ -1023,7 +1010,7 @@ def gauge_residual(
         residual = residual[0]
     else:
         flat = psi.reshape(-1, psi.shape[-1])
-        j0s = (_triangle(t_a, blocks[1], True) @ _outer_triangle(flat, True)).real
+        j0s = (_triangle(t_a, conv.kernels[1]) @ _outer_triangle(flat)).real
         ts = np.asarray(config.t_grid, dtype=float)
         residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
     rms = _rms(residual)

@@ -749,13 +749,20 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     spacings = [float(h) for h in spacings]
     if len(spacings) < 2:
         raise ScenarioFormatError("--h needs at least two spacings for an order")
+    span = s.grid.x_max - s.grid.x_min
+    counts = [max(3, int(round(span / h)) + 1) for h in spacings]
+    for k in range(len(counts) - 1):
+        # One grid twice would fit an order to log(1) = 0.
+        if counts[k] == counts[k + 1]:
+            raise ScenarioFormatError(
+                f"--h: spacings {spacings[k]!r} and {spacings[k + 1]!r} give one "
+                f"grid of {counts[k]} points; neighbouring spacings need distinct grids"
+            )
     sol = _solve_stack(s)
     basis = build_basis(s.n_systems)
     fn = gce_residual_dirac if s.model == "dirac" else gce_residual_schrodinger
-    span = s.grid.x_max - s.grid.x_min
     norms, floors, actual = [], [], []
-    for h in spacings:
-        n = max(3, int(round(span / h)) + 1)
+    for h, n in zip(spacings, counts):
         grid = s.grid_array(n)
         try:
             report = fn(sol, basis, s.generator_index, grid)

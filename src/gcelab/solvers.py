@@ -480,17 +480,16 @@ class _Piece:
     interleaved (real, imag) float view.
     """
 
-    __slots__ = ("anchor", "value", "propagator", "_coeff")
+    __slots__ = ("anchor", "propagator", "_coeff")
 
     def __init__(self, anchor: float, value: np.ndarray, propagator: Propagator):
         self.anchor = anchor
-        self.value = np.asarray(value, dtype=complex)
         self.propagator = propagator
-        self._coeff = (propagator.basis @ self.value).view(np.float64)
+        self._coeff = (propagator.basis @ np.asarray(value, dtype=complex)).view(np.float64)
 
     @property
     def coefficients(self) -> np.ndarray:
-        """The vectors c_r = basis[r] @ value, shape (2N, dim): the state at
+        """The vectors c_r = basis[r] @ u0, shape (2N, dim): the state at
         anchor + dx is sum_r factors(dx)[r] c_r."""
         return self._coeff.view(complex)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import gcelab
+from gcelab import cli
 from gcelab.cli import main
 from gcelab.scenario import builtin_scenario_names
 
@@ -367,6 +368,46 @@ class TestExitContract:
         assert err.startswith(f"gcelab: error: writing {tmp_path / 'currents.csv'}: ")
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["currents.csv"]
+
+    @pytest.mark.parametrize("spacings", ["1e-3,1e-3", "1e-3,1.0000001e-3"])
+    def test_spacings_of_one_grid_exit_two(self, spacings, tmp_path, capsys):
+        # Both spacings round to one point count, and an order fitted to one
+        # grid twice divides by log(1) = 0.
+        out = tmp_path / "rep"
+        code, stdout, err = run_cli(
+            ["scan", "--scenario", "unequal", "--h", spacings, "--out", str(out)], capsys
+        )
+        assert code == 2 and stdout == ""
+        first, second = (repr(float(h)) for h in spacings.split(","))
+        assert err == (
+            f"gcelab: error: --h: spacings {first} and {second} give one grid of 3201 "
+            "points; neighbouring spacings need distinct grids\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 61.0 GiB for an array", ""])
+    @pytest.mark.parametrize(
+        "argv, callee",
+        [
+            (["generators", "40"], "build_basis"),
+            (["run", "--scenario", "fig2", "--grid", "2000000000"], "run_scenario"),
+        ],
+    )
+    def test_input_too_large_for_memory_exits_two(
+        self, argv, callee, message, tmp_path, capsys, monkeypatch
+    ):
+        # The callee raises as numpy does when an allocation fails; nothing is
+        # allocated for real.
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, refuse)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2 and stdout == ""
+        detail = f": {message}" if message else ""
+        assert err == f"gcelab: error: input too large for memory{detail}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_rerun_leaves_the_earlier_run_whole(self, tmp_path, capsys):
         out = str(tmp_path)

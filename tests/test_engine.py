@@ -502,25 +502,19 @@ def set_block(monkeypatch, samples: int, width: int):
     monkeypatch.setattr(engine, "_BLOCK", samples * width)
 
 
-def blocks_of(sol):
-    """The solution's ``dynamics.kernels`` and whether their forms use every product."""
-    blocks = sol.dynamics.kernels
-    return blocks, engine._full(blocks)
-
-
 def n_products(sol) -> int:
-    return len(engine._outer_triangle(np.zeros((1, sol.dim), dtype=complex), blocks_of(sol)[1]))
+    return len(engine._outer_triangle(np.zeros((1, sol.dim), dtype=complex)))
 
 
 def whole_grid_currents(sol, basis, grid):
     """(pair (1, 2), then every generator) currents from one sampling."""
     flat = sol.evaluate(grid)
-    (current, density, _), full = blocks_of(sol)
+    current, density, _ = sol.dynamics.kernels
     a, b = flat[:, :2], flat[:, 2:4]
     out = [(engine._bilinear(a, current, b), engine._bilinear(a, density, b))]
-    products = engine._outer_triangle(flat, full)
+    products = engine._outer_triangle(flat)
     for t_a in basis.generators:
-        coeffs = np.stack([engine._triangle(t_a, k, full) for k in (current, density)])
+        coeffs = np.stack([engine._triangle(t_a, k) for k in (current, density)])
         out.append(tuple((coeffs @ products).real))
     return out
 
@@ -561,12 +555,12 @@ def sampled_table(sol, basis, grid, decomp):
     forms them."""
     cuts = residual_cuts(sol.profile)
     eval_xs = engine.snap_to_cuts(grid, cuts)
-    h, (blocks, full) = uniform_spacing(grid), blocks_of(sol)
+    h = uniform_spacing(grid)
     kernels = engine._table_kernels(
-        blocks, h, basis.generators, sol.energies, engine.source_operator(decomp)
+        sol.dynamics.kernels, h, basis.generators, sol.energies, engine.source_operator(decomp)
     )
     return engine._residual_rows(
-        engine._state_sampler(sol.evaluate(eval_xs), full), grid, h, cuts,
+        engine._state_sampler(sol.evaluate(eval_xs)), grid, h, cuts,
         engine._runs(decomp.segment_of(eval_xs)), kernels,
     )
 
@@ -583,15 +577,15 @@ def assert_arrays_same_bits(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("model, products", [("dirac", 36), ("schrodinger", 26)])
-def test_n4_forms_leave_out_only_derivative_pairs(model, products):
-    # Of the 36 products conj(u_k) u_l, k <= l, of an N = 4 state, no
-    # Schroedinger kernel weighs the 10 that pair two derivatives.
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_n4_forms_take_every_product(model):
+    # Both models' forms weigh all 36 products conj(u_k) u_l, k <= l, of an
+    # N = 4 state, the 10 that pair two second components included.
     sol = coupled_stack(3, model, 4)
     kernels = engine._table_kernels(
-        blocks_of(sol)[0], 0.1, build_basis(4).generators, None, np.zeros((15, 1, 4, 4))
+        sol.dynamics.kernels, 0.1, build_basis(4).generators, None, np.zeros((15, 1, 4, 4))
     )
-    assert n_products(sol) == kernels.shape[-1] == products
+    assert n_products(sol) == kernels.shape[-1] == 36
 
 
 class TestBlockedSampling:
