@@ -224,6 +224,8 @@ def _fmt_entry(z: complex) -> str:
 
 def _cmd_generators(args) -> int:
     basis = build_basis(args.n)
+    # Formed before the first line, so a basis too large for memory prints nothing.
+    f = basis.structure_constants
     print(
         f"su({basis.n}) generalized Gell-Mann basis: {basis.dim} generators, "
         "normalization Tr(T_a T_b) = delta_ab / 2"
@@ -239,7 +241,6 @@ def _cmd_generators(args) -> int:
         print(f"\nT_{a} =")
         for row in rows:
             print("  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
-    f = basis.structure_constants
     print("\nnonzero structure constants (a < b < c):")
     shown = 0
     for a in range(basis.dim):

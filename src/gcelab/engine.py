@@ -146,10 +146,9 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # coefficients against ``_outer_triangle`` products evaluates any number of
 # kernels; every form takes all dim (dim + 1) / 2 products, for both
 # models.  A pair form is the bilinear psi_i^dag block psi_j of the
-# columns of systems i and j of the same flat samples.  Currents and the
-# residuals of sampled states (``gauge_residual``) take these products; a
-# solution's residual table takes the same forms on its pieces' propagator
-# factors instead (``_piece_kernels``).
+# columns of systems i and j of the same flat samples.  Currents take these
+# products; every residual table takes the same forms on real factors
+# instead (``_piece_kernels``).
 
 def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
     """psi^dag K phi per sample: one GEMM and one row-wise dot."""
@@ -599,15 +598,16 @@ def charge_current_relation(sol, pair, x1: float, x2: float) -> ChargeRelation:
 # all N**2 - 1 of them: each block of samples takes one GEMM of its products
 # against every generator's current and time-minus-source coefficients.
 #
-# A solution's table never samples its state.  Inside piece p the state is
-# psi(x) = sum_r f_r(x) c_r, with f_r the real cos/sin, cosh/sinh or (1, x)
-# factors of the piece's propagator and c_r = basis[r] @ u0 fixed complex
-# vectors (``_Piece.coefficients``).  So every form psi^dag K psi is
+# Every table is built from real factors: psi = sum_r f_r c_r with real
+# f_r and fixed complex vectors c_r, so every form psi^dag K psi is
 # sum_{r <= s} A_rs f_r f_s with real A, Re(c^* K c^T) folded onto the
-# triangle, built once per piece (``_piece_kernels``), and a block takes the
-# real products of its factors and one real GEMM.  Sampled states
-# (``gauge_residual``) keep the complex products of ``_outer_triangle``
-# against ``_table_kernels``.
+# triangle, built once per key (``_piece_kernels``), and a block takes the
+# real products of its factors and one real GEMM.  A solution's table never
+# samples its state: inside piece p the f_r are the real cos/sin, cosh/sinh
+# or (1, x) factors of the piece's propagator and c_r = basis[r] @ u0
+# (``_Piece.coefficients``).  A sampled state psi = sum_k (Re psi_k) e_k +
+# (Im psi_k) (i e_k) has the factors of its float view, whose vectors
+# kron(I_2N, [1, i]) are the same for every segment (``gauge_residual``).
 
 
 @dataclass(frozen=True)
@@ -655,51 +655,42 @@ class ResidualTable:
         object.__setattr__(self, "max", top)
 
 
-def _table_kernels(blocks, h, generators, energies, sources) -> np.ndarray:
-    """Per segment, the coefficients of every generator's j1 / (2h) (rows
-    0..G-1) and time term i(E_s - E_t) T_a minus source (rows G..2G-1), shape
-    (n_seg, 2G, P), from the ``dynamics.kernels`` blocks and sources
-    (G, n_seg, N, N); no time term without ``energies``."""
-    current, density, potential = blocks
-    e = np.zeros(generators.shape[1]) if energies is None else np.asarray(energies, float)
-    weights = 1j * (e[:, None] - e[None, :]) * generators[:, None]
-    rest = _triangle(weights, density) - _triangle(sources, potential)
-    dj = _triangle(generators[:, None] / (2.0 * h), current)
-    return np.concatenate([np.broadcast_to(dj, rest.shape), rest]).swapaxes(0, 1)
-
-
-def _piece_kernels(sol, generators, h, sources, pieces) -> dict:
-    """The real coefficients A (2G, T) of the factor products of each listed
-    piece, T = dim (dim + 1) / 2 in ``_outer_triangle`` order: row a - 1
+def _piece_kernels(blocks, vectors, segments, generators, h, sources, energies) -> dict:
+    """The real coefficients A (2G, T) of the factor products of each key of
+    ``vectors``, T = R (R + 1) / 2 in ``_outer_triangle`` order: row a - 1
     holds generator a's j1 / (2h) form and row G + a - 1 its time term minus
     source, each as sum_{r <= s} A[i, rs] f_r f_s.
 
-    Each form is a sum of terms psi^dag (M kron B) psi, M a Hermitian system
-    matrix (T_a / 2h, i(E_s - E_t) T_a or -S_a) and B a Hermitian 2x2
-    ``dynamics.kernels`` block.  With psi = sum_r f_r c_r and c_r,s the part
-    of c_r on system s, a term is sum_{r,r'} f_r f_r' W_rr' for the
-    Hermitian W_rr' = sum_{s,t} M_st F[st, rr'], F[st, rr'] =
-    c_r,s^dag B c_r',t, so A_rr' = Re W_rr', doubled for r < r'.  A piece
+    ``vectors[key]`` holds the complex vectors c_r (R, dim) of a state
+    psi = sum_r f_r c_r of R real factors f_r, and ``segments[key]`` the
+    segment of ``sources`` (G, segments, N, N) it lies in.  Each form is a
+    sum of terms psi^dag (M kron B) psi, M a Hermitian system matrix
+    (T_a / 2h, i(E_s - E_t) T_a or -S_a; no time term when ``energies`` is
+    None) and B one of the 2x2 ``blocks`` (current, density, potential).
+    With c_r,s the part of c_r on system s, a term is sum_{r,r'} f_r f_r'
+    W_rr' for the Hermitian W_rr' = sum_{s,t} M_st F[st, rr'], F[st, rr'] =
+    c_r,s^dag B c_r',t, so A_rr' = Re W_rr', doubled for r < r'.  A key
     gathers F of each block on r <= r' once, and Re(M F) =
-    [Re M | -Im M] [Re F; Im F] is one real GEMM per row group.  Piece p lies
-    in segment p - 1, the tails in the outer segments.
+    [Re M | -Im M] [Re F; Im F] is one real GEMM per row group.
     """
-    current, density, potential = sol.dynamics.kernels
-    e = sol.energies
+    current, density, potential = blocks
+    keys, n = list(vectors), sources.shape[-1]
+    e = np.zeros(n) if energies is None else np.asarray(energies, dtype=float)
     weights = 1j * (e[:, None] - e[None, :]) * generators
     # (system matrices (G, segments, N, N), block) of the terms of the j1 /
     # (2h) rows and of the time-minus-source rows.
-    groups = [[(generators[:, None] / (2.0 * h), current)], [(-sources, potential)]]
+    groups = [[(np.broadcast_to(generators[:, None] / (2.0 * h), sources.shape), current)],
+              [(-sources, potential)]]
     if weights.any():  # equal energies leave no time term
         groups[1].append((np.broadcast_to(weights[:, None], sources.shape), density))
-    where, fold = _fold_indices(sol.n_systems)
-    x = np.stack([sol.pieces[p].coefficients for p in pieces]).reshape(len(pieces), -1, 2)
-    gathered = {}  # [Re F; Im F] of each block, (pieces, 2 N*N, T)
+    where, fold = _fold_indices(n, len(vectors[keys[0]]))
+    x = np.stack([vectors[k] for k in keys]).reshape(len(keys), -1, 2)
+    gathered = {}  # [Re F; Im F] of each block, (keys, 2 N*N, T)
     for _, block in groups[0] + groups[1]:
         if id(block) not in gathered:
             f = np.take((x.conj() @ block @ x.swapaxes(1, 2)).reshape(len(x), -1), where, axis=1)
             gathered[id(block)] = np.concatenate([f.real, f.imag], axis=1)
-    out = {p: [] for p in pieces}
+    out = {k: [] for k in keys}
     for group in groups:
         # [Re M | -Im M] of the terms side by side, (segments, G, 2 N*N terms).
         m = np.concatenate(
@@ -707,21 +698,21 @@ def _piece_kernels(sol, generators, h, sources, pieces) -> dict:
              (t.reshape(*t.shape[:2], -1) for t, _ in group)], axis=-1
         ).swapaxes(0, 1)
         f = np.concatenate([gathered[id(block)] for _, block in group], axis=1)
-        for i, p in enumerate(pieces):
-            out[p].append(m[min(max(p - 1, 0), len(m) - 1)] @ f[i])
-    return {p: np.concatenate(rows) * fold for p, rows in out.items()}
+        for i, k in enumerate(keys):
+            out[k].append(m[segments[k]] @ f[i])
+    return {k: np.concatenate(rows) * fold for k, rows in out.items()}
 
 
 @functools.cache
-def _fold_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold_indices(n: int, n_factors: int) -> tuple[np.ndarray, np.ndarray]:
     """Where ``_piece_kernels`` gathers F[st, (r, r')], r <= r', from the
-    flattened bilinears of N systems' coefficient rows (r, s), which hold
-    c_r,s^dag B c_r',t at (r n + s) n dim + r' n + t; and the fold, 1 on the
-    diagonal r = r' and 2 off it."""
-    dim = 2 * n
-    r, u = np.triu_indices(dim)
-    st = (np.arange(n)[:, None] * n * dim + np.arange(n)).reshape(-1, 1)
-    where = st + r * n * n * dim + u * n
+    flattened bilinears of N systems' rows (r, s) of R = ``n_factors``
+    vectors, which hold c_r,s^dag B c_r',t at (r n + s) R n + r' n + t; and
+    the fold, 1 on the diagonal r = r' and 2 off it."""
+    rn = n_factors * n
+    st = (np.arange(n)[:, None] * rn + np.arange(n)).reshape(-1, 1)
+    r, u = np.triu_indices(n_factors)
+    where = st + r * n * rn + u * n
     fold = np.where(r < u, 2.0, 1.0)
     where.flags.writeable = fold.flags.writeable = False
     return where, fold
@@ -737,21 +728,20 @@ def _residual_rows(sample, grid, h, cuts, runs, coefficients):
     """The ``ResidualTable`` of every generator, built in blocks.
 
     ``runs`` = (starts, keys): the samples from starts[i] to the next start
-    take ``coefficients[keys[i]]``, shape (2G, W), whose rows are every
-    generator's j1 / (2h) form (0..G-1) and time-minus-source form
-    (G..2G-1) on the W products that ``sample(key, a, b)`` returns, shape
-    (W, b - a), with the largest squared magnitude of each sample's factors
-    or components, for samples a..b-1 of one run.  A block lies in one
-    stencil cell and one run and samples up to two neighbours of its cell on
-    each side, each with its own run's coefficients, so the stencil of j1
-    needs no other block.  The forms are real.
+    take ``coefficients[keys[i]]`` (``_piece_kernels``), shape (2G, T),
+    whose rows are every generator's j1 / (2h) form (0..G-1) and
+    time-minus-source form (G..2G-1) on the T products f_r f_s, r <= s, of
+    the R real factors that ``sample(key, a, b)`` returns, shape (R, b - a),
+    for samples a..b-1 of one run.  A block lies in one stencil cell and one
+    run and samples up to two neighbours of its cell on each side, each with
+    its own run's coefficients, so the stencil of j1 needs no other block.
 
-    A form sum_t A_t p_t of products p_t of factors or components bounded
-    by m rounds by up to eps m**2 sum|A_t|, whatever it cancels to.  A row's
-    floor is that bound for its time-minus-source form plus eight times that
-    for its j1 / (2h) form, the largest over the blocks and their own
-    samples: the one-sided stencil at a cell edge weighs three j1 samples by
-    3, 4 and 1 (the central one two samples by 1).
+    A form sum_t A_t p_t of products p_t of factors bounded by m rounds by
+    up to eps m**2 sum|A_t|, whatever it cancels to.  A row's floor is that
+    bound for its time-minus-source form plus eight times that for its
+    j1 / (2h) form, the largest over the blocks and their own samples: the
+    one-sided stencil at a cell edge weighs three j1 samples by 3, 4 and 1
+    (the central one two samples by 1).
     """
     starts, keys = runs
     ends = [*starts[1:], len(grid)]
@@ -777,14 +767,15 @@ def _residual_rows(sample, grid, h, cuts, runs, coefficients):
             i = bisect.bisect_right(starts, a) - 1
             while i < len(starts) and starts[i] < b:
                 u, v, key = max(starts[i], a), min(ends[i], b), keys[i]
-                products, sq = sample(key, u, v)
+                f = sample(key, u, v)
                 if v - u == 1:
                     # One sample's products are formed as two, as _Piece.expand
                     # pads one offset: numpy rounds a lone GEMV differently.
-                    products = np.repeat(products, 2, axis=1)
-                both[:, u - a:v - a] = (coefficients[key] @ products)[:, :v - u].real
+                    f = np.repeat(f, 2, axis=1)
+                both[:, u - a:v - a] = (coefficients[key] @ _outer_triangle(f.T))[:, :v - u]
                 if u <= lo < v:
-                    worst = np.maximum(worst, sq[lo - u:hi - u].max() * sums[key])
+                    sq = (f * f).max(axis=0)[lo - u:hi - u]
+                    worst = np.maximum(worst, sq.max() * sums[key])
                 i += 1
             dj, out = both[:g], both[g:, lo - a:hi - a]
             # Own samples off the cell's edges sit inside the extended block,
@@ -793,24 +784,6 @@ def _residual_rows(sample, grid, h, cuts, runs, coefficients):
     floor = np.finfo(float).eps * worst
     grid_table.flags.writeable = floor.flags.writeable = False
     return ResidualTable(grid_table[0], grid_table[1:], floor)
-
-
-def _factor_sampler(sol, xs):
-    """``_residual_rows``' sample of a solution at xs: the products of the
-    factors of piece ``key`` and their largest square per sample."""
-    def sample(key, a, b):
-        piece = sol.pieces[key]
-        f = piece.propagator.factors(xs[a:b] - piece.anchor)
-        return _outer_triangle(f.T), (f * f).max(axis=0)
-    return sample
-
-
-def _state_sampler(psi):
-    """``_residual_rows``' sample of flat states psi (points, 2N): their
-    products conj(psi_k) psi_l and largest squared component per sample."""
-    def sample(key, a, b):
-        return _outer_triangle(psi[a:b]), (np.abs(psi[a:b]) ** 2).max(axis=1)
-    return sample
 
 
 def _table_key(decomp, n: int) -> bytes:
@@ -851,10 +824,20 @@ def gce_residual_sweep(
     eval_xs = snap_to_cuts(grid, cuts)
     h = uniform_spacing(grid)
     runs = _runs(np.searchsorted(sol.breakpoints, eval_xs, side="right"))
+    sources = source_operator(decomp)
+    pieces = sorted(set(runs[1]))
+    # Piece p lies in segment p - 1, the tails in the outer segments.
     coefficients = _piece_kernels(
-        sol, basis.generators, h, source_operator(decomp), sorted(set(runs[1]))
+        sol.dynamics.kernels, {p: sol.pieces[p].coefficients for p in pieces},
+        {p: min(max(p - 1, 0), sources.shape[1] - 1) for p in pieces},
+        basis.generators, h, sources, sol.energies,
     )
-    table = _residual_rows(_factor_sampler(sol, eval_xs), grid, h, cuts, runs, coefficients)
+
+    def sample(p, a, b):
+        piece = sol.pieces[p]
+        return piece.propagator.factors(eval_xs[a:b] - piece.anchor)
+
+    table = _residual_rows(sample, grid, h, cuts, runs, coefficients)
     sol.residual_table = (key, table)
     return table
 
@@ -972,7 +955,7 @@ def gauge_residual(
     conv = get_convention(convention) if isinstance(convention, str) else convention
     t_a = basis.generator(int(a))
     grid = np.asarray(config.grid, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.ascontiguousarray(psi, dtype=complex)
     d = basis.dim
     if config.a_fields.shape != (d, 2, len(grid)):
         raise ValueError(
@@ -996,11 +979,18 @@ def gauge_residual(
         sources = source_operator(decomp)
         segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
     # Row a of the ungauged table of the samples, less d_x K^1: A = 0 gives
-    # K^1 = 0 exactly, so it repeats that arithmetic bit for bit.  A sampled
-    # time derivative leaves the rows without the analytic time term.
-    kernels = _table_kernels(conv.kernels, h, t, energies if psi.ndim == 2 else None, sources)
+    # K^1 = 0 exactly, so it repeats that arithmetic bit for bit.  A sample's
+    # real factors are its float view, of the vectors kron(I_2N, [1, i]) in
+    # every segment.  A sampled time derivative leaves the rows without the
+    # analytic time term.
+    unit, keys = np.kron(np.eye(2 * basis.n), [[1.0], [1j]]), range(sources.shape[1])
+    kernels = _piece_kernels(
+        conv.kernels, dict.fromkeys(keys, unit), {s: s for s in keys}, t, h, sources,
+        energies if psi.ndim == 2 else None,
+    )
     tables = [
-        _residual_rows(_state_sampler(p), grid, h, config.cuts, _runs(segments), kernels)
+        _residual_rows(lambda _, lo, hi, f=p.view(float): f[lo:hi].T, grid, h, config.cuts,
+                       _runs(segments), kernels)
         for p in (psi[None] if psi.ndim == 2 else psi)
     ]
     dx_k1 = piecewise_derivative(k1, grid, config.cuts).real

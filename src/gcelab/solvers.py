@@ -637,6 +637,24 @@ def _refuse_coupled(profile, energies) -> None:
         )
 
 
+def _refuse_overflow(profile, props, jumps, transfers) -> None:
+    """Raise ValueError naming the first segment or delta whose propagator's
+    eigenvalues, junction or transfer are not finite in double precision."""
+    b = profile.breakpoints
+    named = [(f"profile.segments[{k}]: the propagator", p.k) for k, p in enumerate(props)]
+    named += [(f"profile.deltas[{d}] at {delta.x0}: the junction", jump)
+              for d, (delta, jump) in enumerate(zip(profile.deltas, jumps))]
+    named += [(f"profile.segments[{k}] on [{b[k]}, {b[k + 1]}]: the transfer (wavenumber "
+               f"times length {props[k].k.max() * (b[k + 1] - b[k]):.6g})", t)
+              for k, t in enumerate(transfers)]
+    for what, value in named:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{what} overflows double precision")
+
+
+# Inputs beyond double precision leave inf or NaN behind, which the solve
+# refuses by name (``_refuse_overflow``, then the state) without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve(profile, energy, boundary, dynamics):
     n = profile.n_systems
     energy = np.asarray(energy, dtype=float)
@@ -647,12 +665,12 @@ def _solve(profile, energy, boundary, dynamics):
     if (energies != energies[0]).any() or 0 < scatters.sum() < n:
         _refuse_coupled(profile, energies)
     b = profile.breakpoints
-    junctions = {
-        int(np.argmin(np.abs(b - d.x0))): dynamics.junction(d.strength) for d in profile.deltas
-    }
+    jumps = [dynamics.junction(d.strength) for d in profile.deltas]
     n_seg = len(profile.segments)
     props = [Propagator(dynamics.generator(s.v, energy)) for s in profile.segments]
     transfers = [props[k](b[k + 1] - b[k]) for k in range(n_seg)]
+    _refuse_overflow(profile, props, jumps, transfers)
+    junctions = {int(np.argmin(np.abs(b - d.x0))): j for d, j in zip(profile.deltas, jumps)}
 
     psi_left = given
     systems = np.flatnonzero(scatters)
@@ -686,6 +704,9 @@ def _solve(profile, energy, boundary, dynamics):
         if (k + 1) in junctions:
             val = junctions[k + 1] @ val
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
+    for piece in pieces:
+        if not np.isfinite(piece.coefficients).all():
+            raise ValueError(f"the state at x = {piece.anchor} overflows double precision")
 
     return PiecewiseSolution(profile, energies, pieces, b, dynamics)
 

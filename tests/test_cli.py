@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,59 @@ class TestExitContract:
         detail = f": {message}" if message else ""
         assert err == f"gcelab: error: input too large for memory{detail}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_generators_print_nothing_when_the_constants_do_not_fit(self, capsys, monkeypatch):
+        # The structure constants raise as numpy does when their allocation
+        # fails; nothing is allocated for real.
+        def refuse(basis):
+            raise MemoryError("Unable to allocate 61.0 GiB for an array")
+
+        monkeypatch.setattr(gcelab.sun.SunBasis, "structure_constants", property(refuse))
+        code, stdout, err = run_cli(["generators", "3"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: input too large for memory: Unable to allocate 61.0 GiB for an array\n"
+        )
+
+    # cosh(1e154) overflows; 1e155 squared overflows before it.
+    @pytest.mark.parametrize("strength", ["1e154", "1e155"])
+    def test_overflowing_delta_exits_two(self, strength, tmp_path, capsys):
+        out = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                ["run", "--scenario", "fig2", "--lambda", strength, "--out", str(out)], capsys
+            )
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: solving the scenario systems: profile.deltas[0] at 0.0: "
+            "the junction overflows double precision\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_barrier_exits_two(self, tmp_path, capsys):
+        # kappa L = sqrt(2 (5.3 - 1)) 400 = 1173: cosh overflows the transfer.
+        doc = json.loads((DATA / "schrodinger_delta.json").read_text())
+        del doc["mass"]
+        doc.update(energies=[1.0, 1.0], grid={"x_min": -1.9, "x_max": 401.9, "n_points": 4001})
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        doc["profile"] = {"segments": [
+            {"x_lo": -2.0, "x_hi": 0.0, "v": zero},
+            {"x_lo": 0.0, "x_hi": 400.0, "v": [[5.0, 0.3], [0.3, 5.0]]},
+            {"x_lo": 400.0, "x_hi": 402.0, "v": zero},
+        ]}
+        doc["boundaries"] = [{"kind": "incoming", "amplitude": a} for a in (1.0, 0.5)]
+        path, out = tmp_path / "thick.json", tmp_path / "rep"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(["run", "--scenario", str(path), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: solving the scenario systems: profile.segments[1] on [0.0, 400.0]: "
+            "the transfer (wavenumber times length 1173.03) overflows double precision\n"
+        )
+        assert not out.exists()
 
     def test_failed_rerun_leaves_the_earlier_run_whole(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -528,6 +528,14 @@ def blocked_currents(sol, basis, grid):
     ]
 
 
+def table_kernels(sol, basis, h, decomp, vectors, segments, energies):
+    """``_piece_kernels`` of the solution's blocks and generators."""
+    return engine._piece_kernels(
+        sol.dynamics.kernels, vectors, segments, basis.generators, h,
+        engine.source_operator(decomp), energies,
+    )
+
+
 def whole_grid_table(sol, basis, grid):
     """The residual table built from one factor evaluation per piece of the
     snapped grid."""
@@ -536,32 +544,45 @@ def whole_grid_table(sol, basis, grid):
     eval_xs = engine.snap_to_cuts(grid, cuts)
     h = uniform_spacing(grid)
     starts, pieces = engine._runs(np.searchsorted(sol.breakpoints, eval_xs, side="right"))
-    whole = engine._factor_sampler(sol, eval_xs)
-    runs = {p: (a, whole(p, a, b)) for a, b, p in zip(starts, [*starts[1:], len(grid)], pieces)}
+    runs = {}
+    for a, b, p in zip(starts, [*starts[1:], len(grid)], pieces):
+        piece = sol.pieces[p]
+        runs[p] = (a, piece.propagator.factors(eval_xs[a:b] - piece.anchor))
 
     def sample(p, a, b):
-        start, (products, sq) = runs[p]
-        return products[:, a - start:b - start], sq[a - start:b - start]
+        start, factors = runs[p]
+        return factors[:, a - start:b - start]
 
-    coefficients = engine._piece_kernels(
-        sol, basis.generators, h, engine.source_operator(decomp), sorted(runs)
+    last = len(sol.profile.segments) - 1
+    coefficients = table_kernels(
+        sol, basis, h, decomp, {p: sol.pieces[p].coefficients for p in runs},
+        {p: min(max(p - 1, 0), last) for p in runs}, sol.energies,
     )
     return engine._residual_rows(sample, grid, h, cuts, (starts, pieces), coefficients)
 
 
+def unit_vectors(sol) -> np.ndarray:
+    """The vectors kron(I_2N, [1, i]) of the real factors of a flat sample,
+    its float view."""
+    return np.kron(np.eye(sol.dim), [[1.0], [1j]])
+
+
 def sampled_table(sol, basis, grid, decomp):
-    """The residual table of one sampling of the snapped grid: the complex
-    products of the states against ``_table_kernels``, as ``gauge_residual``
-    forms them."""
+    """The residual table of one sampling of the snapped grid: the real
+    factors of the states against ``_piece_kernels`` of one key per
+    segment, as ``gauge_residual`` forms them."""
     cuts = residual_cuts(sol.profile)
     eval_xs = engine.snap_to_cuts(grid, cuts)
     h = uniform_spacing(grid)
-    kernels = engine._table_kernels(
-        sol.dynamics.kernels, h, basis.generators, sol.energies, engine.source_operator(decomp)
+    segments = range(len(decomp.cuts) + 1)
+    coefficients = table_kernels(
+        sol, basis, h, decomp, dict.fromkeys(segments, unit_vectors(sol)),
+        {s: s for s in segments}, sol.energies,
     )
+    factors = sol.evaluate(eval_xs).view(float)
     return engine._residual_rows(
-        engine._state_sampler(sol.evaluate(eval_xs)), grid, h, cuts,
-        engine._runs(decomp.segment_of(eval_xs)), kernels,
+        lambda s, a, b: factors[a:b].T, grid, h, cuts,
+        engine._runs(decomp.segment_of(eval_xs)), coefficients,
     )
 
 
@@ -579,13 +600,17 @@ def assert_arrays_same_bits(got, want):
 
 @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
 def test_n4_forms_take_every_product(model):
-    # Both models' forms weigh all 36 products conj(u_k) u_l, k <= l, of an
-    # N = 4 state, the 10 that pair two second components included.
+    # Both models' forms weigh all 36 products f_r f_s, r <= s, of the 8
+    # propagator factors of an N = 4 piece and all 136 of the 16 real
+    # factors of a sampled N = 4 state, and a current all 36 complex
+    # products of its samples.
     sol = coupled_stack(3, model, 4)
-    kernels = engine._table_kernels(
-        sol.dynamics.kernels, 0.1, build_basis(4).generators, None, np.zeros((15, 1, 4, 4))
-    )
-    assert n_products(sol) == kernels.shape[-1] == 36
+    basis = build_basis(4)
+    decomp = decompose(sol.profile, basis)
+    for vectors, width in ((sol.pieces[2].coefficients, 36), (unit_vectors(sol), 136)):
+        kernels = table_kernels(sol, basis, 0.1, decomp, {0: vectors}, {0: 1}, None)
+        assert kernels[0].shape == (30, width)
+    assert n_products(sol) == 36
 
 
 class TestBlockedSampling:

@@ -20,12 +20,14 @@ from conftest import diagonal_profile, random_hermitian, solve_model
 from gcelab import engine
 from gcelab.engine import (
     _BLOCK,
+    GaugeConfig,
     _rms,
     charge_current_relation,
     dirac_current,
     gce_residual_dirac,
     gce_residual_schrodinger,
     gce_residual_sweep,
+    gauge_residual,
     piecewise_derivative,
     residual_cuts,
     schrodinger_current,
@@ -256,9 +258,11 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
 # The rounding floor of the factor form
 #
 # Inside a piece each row of the table is sum_{r <= s} A_rs f_r f_s of the
-# piece's propagator factors, then the j1 stencil.  The same factors and
-# coefficients, multiplied, summed and differenced in np.longdouble, give the
-# table without its float64 rounding, which the floor must bound.
+# piece's propagator factors, then the j1 stencil; ``gauge_residual`` takes
+# the same form on the real factors of each sample, its float view.  The
+# same factors and coefficients, multiplied, summed and differenced in
+# np.longdouble, give the table without its float64 rounding, which the
+# floor must bound.
 
 
 def band_edge_stack(model: str):
@@ -272,27 +276,58 @@ def band_edge_stack(model: str):
     return solve_model(model, profile, e, Scattering([1.0, 0.6 - 0.3j]))
 
 
+def longdouble_table(coefficients, keys, factors, grid, cuts):
+    """The rows of the real ``factors`` (R, len(grid)) under the coefficients
+    of each sample's key, with the products, forms and stencil taken in
+    np.longdouble."""
+    f = factors.astype(np.longdouble)
+    r, s = np.triu_indices(len(f))
+    g = len(next(iter(coefficients.values()))) // 2
+    forms = np.empty((2 * g, len(grid)), dtype=np.longdouble)
+    for key, a in coefficients.items():
+        on = keys == key
+        forms[:, on] = a.astype(np.longdouble) @ (f[r][:, on] * f[s][:, on])
+    out = np.empty((g, len(grid)), dtype=np.longdouble)
+    for lo, hi in engine._cells(grid, cuts):
+        out[:, lo:hi] = forms[g:, lo:hi] + engine._diff(forms[:g, lo:hi].T).T
+    return out
+
+
 def longdouble_residuals(stack, basis, grid, decomp):
     """The table's residuals from its factors and piece coefficients, with
     the products, forms and stencil taken in np.longdouble."""
     cuts = residual_cuts(stack.profile)
     eval_xs = snap_to_cuts(grid, cuts)
     pieces = np.searchsorted(stack.breakpoints, eval_xs, side="right")
+    keys = sorted(set(pieces.tolist()))
+    last = len(stack.profile.segments) - 1
     coefficients = engine._piece_kernels(
-        stack, basis.generators, uniform_spacing(grid), source_operator(decomp),
-        sorted(set(pieces.tolist())),
+        stack.dynamics.kernels, {p: stack.pieces[p].coefficients for p in keys},
+        {p: min(max(p - 1, 0), last) for p in keys}, basis.generators,
+        uniform_spacing(grid), source_operator(decomp), stack.energies,
     )
-    r, s = np.triu_indices(stack.dim)
-    g = basis.dim
-    forms = np.empty((2 * g, len(grid)), dtype=np.longdouble)
-    for p, a in coefficients.items():
+    factors = np.empty((stack.dim, len(grid)))
+    for p in keys:
         piece, on = stack.pieces[p], pieces == p
-        f = piece.propagator.factors(eval_xs[on] - piece.anchor).astype(np.longdouble)
-        forms[:, on] = a.astype(np.longdouble) @ (f[r] * f[s])
-    out = np.empty((g, len(grid)), dtype=np.longdouble)
-    for lo, hi in engine._cells(grid, cuts):
-        out[:, lo:hi] = forms[g:, lo:hi] + engine._diff(forms[:g, lo:hi].T).T
-    return out
+        factors[:, on] = piece.propagator.factors(eval_xs[on] - piece.anchor)
+    return longdouble_table(coefficients, pieces, factors, grid, cuts)
+
+
+def longdouble_sampled_residuals(stack, basis, grid, decomp):
+    """The residuals of the stack's samples on the snapped grid from their
+    real factors and the coefficients of one key per segment, as
+    ``gauge_residual`` forms them, in np.longdouble."""
+    cuts = residual_cuts(stack.profile)
+    eval_xs = snap_to_cuts(grid, cuts)
+    sources = source_operator(decomp)
+    segments = range(sources.shape[1])
+    unit = np.kron(np.eye(stack.dim), [[1.0], [1j]])  # the vectors of a float view
+    coefficients = engine._piece_kernels(
+        stack.dynamics.kernels, dict.fromkeys(segments, unit), {s: s for s in segments},
+        basis.generators, uniform_spacing(grid), sources, stack.energies,
+    )
+    factors = stack.evaluate(eval_xs).view(float).T
+    return longdouble_table(coefficients, decomp.segment_of(eval_xs), factors, grid, cuts)
 
 
 FLOOR_CASES = [
@@ -301,17 +336,25 @@ FLOOR_CASES = [
 ] + [("band-edge", "dirac", 2), ("band-edge", "schrodinger", 2)]
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="np.longdouble is no wider than float64 on this platform")
+def floor_stack(build: str, model: str, n: int):
+    if build == "band-edge":
+        return band_edge_stack(model)
+    return (coupled_stack if build == "joint" else sequence_stack)(300 + n, model, n)
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+
+
+@needs_longdouble
 @pytest.mark.parametrize("build, model, n", FLOOR_CASES, ids=lambda c: str(c))
 def test_floor_bounds_the_rounding_of_the_factor_form(build, model, n):
+    stack = floor_stack(build, model, n)
     if build == "band-edge":
-        stack = band_edge_stack(model)
         # Both systems take the exact (1, x) factors on one segment each.
         assert sum(p.propagator.k.min() == 0.0 for p in stack.pieces) >= 2
-    else:
-        maker = coupled_stack if build == "joint" else sequence_stack
-        stack = maker(300 + n, model, n)
     basis = build_basis(n)
     decomp = decompose(stack.profile, basis)
     grid = np.linspace(*GRID, COARSE)
@@ -319,6 +362,25 @@ def test_floor_bounds_the_rounding_of_the_factor_form(build, model, n):
     exact = longdouble_residuals(stack, basis, grid, decomp)
     err = np.abs(table.residual - exact).max(axis=1).astype(float)
     assert (err <= table.floor).all(), (err / table.floor).max()
+
+
+@needs_longdouble
+@pytest.mark.parametrize("build, model, n", FLOOR_CASES, ids=lambda c: str(c))
+def test_floor_bounds_the_rounding_of_the_sampled_factor_form(build, model, n):
+    # gauge_residual at A = 0 on the stack's samples.
+    stack = floor_stack(build, model, n)
+    basis = build_basis(n)
+    decomp = decompose(stack.profile, basis)
+    grid = np.linspace(*GRID, COARSE)
+    cuts = residual_cuts(stack.profile)
+    config = GaugeConfig(grid, np.zeros((basis.dim, 2, len(grid))), tuple(cuts))
+    psi = stack.evaluate(snap_to_cuts(grid, cuts))
+    exact = longdouble_sampled_residuals(stack, basis, grid, decomp)
+    for a in range(1, basis.dim + 1):
+        rep = gauge_residual(psi, config, basis, a, energies=stack.energies, decomp=decomp,
+                             convention=stack.dynamics)
+        err = float(np.abs(rep.residual - exact[a - 1]).max())
+        assert err <= rep.floor, (a, err / rep.floor)
 
 
 def test_sweep_memory_is_the_table_and_one_block():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -761,6 +763,42 @@ def test_deltas_at_one_position_are_refused_in_any_order():
     at = [DeltaBarrier(x0, np.eye(1)) for x0 in (0.0, 1.0, 0.0)]
     with pytest.raises(ProfileError, match="two delta barriers share position 0.0"):
         PotentialProfile(segs, at)
+
+
+def two_barriers(v: float, length: float) -> PotentialProfile:
+    zero = np.zeros((2, 2))
+    bounds = [-1.0, 0.0, length, 2.0 * length, 3.0 * length, 3.0 * length + 1.0]
+    vs = [zero, v * np.eye(2), zero, v * np.eye(2), zero]
+    return PotentialProfile([Segment(lo, hi, m) for lo, hi, m in zip(bounds[:-1], bounds[1:], vs)])
+
+
+@pytest.mark.parametrize(
+    "model, v, length, message",
+    [
+        # (1e155)^2 overflows the generator's square.
+        ("dirac", 1e155, 1.0, r"profile.segments\[1\]: the propagator overflows"),
+        # kappa L = sqrt(24) 200 = 980: cosh overflows.
+        ("dirac", 5.0, 200.0, r"profile.segments\[1\] on \[0.0, 200.0\]: the transfer "
+                              r"\(wavenumber times length 979.796\) overflows"),
+        # kappa L = sqrt(8) 200 = 566 per barrier: only their product overflows.
+        ("schrodinger", 5.0, 200.0, r"the state at x = -1.0 overflows"),
+    ],
+)
+def test_overflow_is_refused_by_name_without_a_warning(model, v, length, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve_model(model, two_barriers(v, length), 1.0, Scattering([1.0, 0.5]))
+
+
+def test_overflowing_delta_is_refused_by_name():
+    # The derivative jump 2 m strength = 2e308 overflows.
+    prof = PotentialProfile(
+        [Segment(-1.0, 0.0, np.zeros((1, 1))), Segment(0.0, 1.0, np.zeros((1, 1)))],
+        [DeltaBarrier(0.0, np.eye(1)), DeltaBarrier(1.0, 1e308 * np.eye(1))],
+    )
+    with pytest.raises(ValueError, match=r"profile.deltas\[1\] at 1.0: the junction overflows"):
+        solve_schrodinger(prof, 1.0, Scattering([1.0]))
 
 
 def test_shape_errors():
