@@ -140,40 +140,26 @@ def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndar
 # continuity law is psi^dag K psi for a Hermitian kernel K = M (x) block, the
 # Kronecker product of an N x N system matrix (T_a, the time weight
 # i(E_s - E_t) T_a or a source S_a) and a 2x2 block of the solution's
-# ``dynamics.kernels``.
-# Hermitian K gives psi^dag K psi = Re sum_{k <= l} c_kl K_kl conj(psi_k)
-# psi_l with c = 1 on the diagonal and 2 off it, so one GEMM of ``_triangle``
-# coefficients against ``_outer_triangle`` products evaluates any number of
-# kernels; every form takes all dim (dim + 1) / 2 products, for both
-# models.  A pair form is the bilinear psi_i^dag block psi_j of the
-# columns of systems i and j of the same flat samples.  Currents take these
-# products; every residual table takes the same forms on real factors
-# instead (``_piece_kernels``).
+# ``dynamics.kernels``.  A current of sampled states is the bilinear
+# psi^dag K phi of ``_bilinear``: a generator's takes K = T_a (x) block on
+# the whole state, a pair's the 2x2 block between the columns of systems i
+# and j.  Only residual tables take a form's products instead: on real
+# factors, through ``_outer_triangle`` and ``_piece_kernels``.
 
 def _bilinear(psi: np.ndarray, kernel: np.ndarray, phi: np.ndarray):
     """psi^dag K phi per sample: one GEMM and one row-wise dot."""
     return np.einsum("...k,...k->...", psi.conj(), phi @ kernel.T)
 
 
-def _triangle(m: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Coefficients c_kl K_kl on ``_outer_triangle`` of the kernel of system
-    matrices m (..., N, N) and a block, gathered without forming K."""
-    k, l = np.triu_indices(2 * m.shape[-1])
-    (sk, ik), (sl, il) = divmod(k, 2), divmod(l, 2)
-    return m[..., sk, sl] * (block[ik, il] * np.where(k == l, 1.0, 2.0))
-
-
-def _outer_triangle(psi: np.ndarray) -> np.ndarray:
-    """conj(psi_k) psi_l in ``_triangle`` order for flat samples (b, 2N),
-    shape (P, b) with samples last, of psi's dtype: real factors (b, R)
-    give their products f_r f_s, r <= s, in ``np.triu_indices`` order."""
-    p = np.ascontiguousarray(psi.T)
-    pc = p.conj()
+def _outer_triangle(f: np.ndarray) -> np.ndarray:
+    """Products f_r f_s, r <= s, in ``np.triu_indices`` order of real
+    factors f (R, b), shape (R (R + 1) / 2, b) with samples last."""
+    p = np.ascontiguousarray(f)
     m = len(p)
-    out = np.empty((m * (m + 1) // 2, len(psi)), dtype=p.dtype)
+    out = np.empty((m * (m + 1) // 2, p.shape[1]))
     start = 0
     for k in range(m):
-        np.multiply(pc[k], p[k:], out=out[start:start + m - k])
+        np.multiply(p[k], p[k:], out=out[start:start + m - k])
         start += m - k
     return out
 
@@ -200,6 +186,8 @@ def _joint(sol) -> PiecewiseSolution:
 
 def _pair_columns(sol: PiecewiseSolution, pair) -> tuple[slice, slice]:
     """Flat state columns of the systems i and j (1-based) of ``pair``."""
+    if len(pair) != 2:
+        raise ValueError(f"a pair names two systems (i, j), got {tuple(pair)}")
     for k in pair:
         if not 1 <= k <= sol.n_systems:
             raise ValueError(f"system index {k} outside 1..{sol.n_systems}")
@@ -207,9 +195,10 @@ def _pair_columns(sol: PiecewiseSolution, pair) -> tuple[slice, slice]:
 
 
 def _pair_forms(sol, columns, kernels, grid, mapped=None) -> np.ndarray:
-    """psi_i(x)^dag K psi_j(F(x)) of every 2x2 kernel K on the grid, shape
-    (len(kernels), len(grid)), for the ``_pair_columns`` (ci, cj) of systems
-    i and j; F(x) is ``mapped`` (x when None)."""
+    """``_bilinear`` psi(x)[ci]^dag K psi(F(x))[cj] of every kernel K on the
+    grid, shape (len(kernels), len(grid)), F(x) ``mapped`` (x when None):
+    2x2 kernels on the ``_pair_columns`` (ci, cj) of systems i and j, or
+    2N x 2N kernels on the whole state, (slice(None), slice(None))."""
     ci, cj = columns
     out = np.empty((len(kernels), len(grid)), dtype=complex)
     for lo, hi in _spans(len(grid), sol.dim):
@@ -266,23 +255,20 @@ def _current(sol, basis, index, grid, model: str) -> CurrentProfile:
     if _joint(sol).dynamics.model != model:
         raise ValueError(f"expected a {model} stack, got {sol.dynamics.model}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    blocks = sol.dynamics.kernels
+    blocks = sol.dynamics.kernels[:2]
     if isinstance(index, (tuple, list)):
-        j1, j0 = _pair_forms(sol, _pair_columns(sol, index), blocks[:2], grid)
-        return CurrentProfile("pair", tuple(int(k) for k in index), grid, j1, j0)
-    if basis is None or basis.n != sol.n_systems:
-        raise ValueError("basis rank must match the number of systems")
-    t_a = basis.generator(int(index))
-    coeffs = np.stack([_triangle(t_a, b) for b in blocks[:2]])
-    out = np.empty((2, len(grid)))
-    for lo, hi in _spans(len(grid), coeffs.shape[1]):
-        psi = sol.evaluate(grid[lo:hi])
-        if hi - lo == 1:
-            # One sample's products are formed as two, as _Piece.expand pads
-            # one offset: numpy rounds a lone complex product differently.
-            psi = np.repeat(psi, 2, axis=0)
-        out[:, lo:hi] = (coeffs @ _outer_triangle(psi))[:, :hi - lo].real
-    return CurrentProfile("generator", int(index), grid, out[0], out[1])
+        kind, columns = "pair", _pair_columns(sol, index)
+        index = tuple(int(k) for k in index)
+    else:
+        if basis is None or basis.n != sol.n_systems:
+            raise ValueError("basis rank must match the number of systems")
+        kind, columns = "generator", (slice(None), slice(None))
+        t_a = basis.generator(int(index))
+        index, blocks = int(index), [np.kron(t_a, b) for b in blocks]
+    j1, j0 = _pair_forms(sol, columns, blocks, grid)
+    if kind == "generator":  # the form of a Hermitian kernel is real
+        j1, j0 = j1.real, j0.real
+    return CurrentProfile(kind, index, grid, j1, j0)
 
 
 def dirac_current(sol, basis: SunBasis | None, index, grid) -> CurrentProfile:
@@ -772,7 +758,7 @@ def _residual_rows(sample, grid, h, cuts, runs, coefficients):
                     # One sample's products are formed as two, as _Piece.expand
                     # pads one offset: numpy rounds a lone GEMV differently.
                     f = np.repeat(f, 2, axis=1)
-                both[:, u - a:v - a] = (coefficients[key] @ _outer_triangle(f.T))[:, :v - u]
+                both[:, u - a:v - a] = (coefficients[key] @ _outer_triangle(f))[:, :v - u]
                 if u <= lo < v:
                     sq = (f * f).max(axis=0)[lo - u:hi - u]
                     worst = np.maximum(worst, sq.max() * sums[key])
@@ -1000,7 +986,7 @@ def gauge_residual(
         residual = residual[0]
     else:
         flat = psi.reshape(-1, psi.shape[-1])
-        j0s = (_triangle(t_a, conv.kernels[1]) @ _outer_triangle(flat)).real
+        j0s = _bilinear(flat, np.kron(t_a, conv.kernels[1]), flat).real
         ts = np.asarray(config.t_grid, dtype=float)
         residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
     rms = _rms(residual)

@@ -59,6 +59,7 @@ __version__ = "0.1.0"
 
 _CHARGE_TOL = 1e-6
 _SCAN_ORDER_TOL = 0.2
+_MAX_INDEX = float(np.iinfo(np.intp).max)  # the largest index of an array
 
 
 class ScenarioFormatError(ValueError):
@@ -271,6 +272,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     if not grid.x_max > grid.x_min:
         _fail("grid.x_min", "x_min must be below x_max")
+    if not math.isfinite(grid.x_max - grid.x_min):
+        _fail("grid", "the span x_max - x_min overflows double precision")
     if grid.n_points < 3:
         _fail("grid.n_points", "need at least 3 points")
 
@@ -750,6 +753,12 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     if len(spacings) < 2:
         raise ScenarioFormatError("--h needs at least two spacings for an order")
     span = s.grid.x_max - s.grid.x_min
+    for h in spacings:
+        if not span / h < _MAX_INDEX:
+            raise ScenarioFormatError(
+                f"--h: spacing {h!r} gives {span / h:.3g} intervals over the grid's "
+                f"span {span!r}, more than an array can index"
+            )
     counts = [max(3, int(round(span / h)) + 1) for h in spacings]
     for k in range(len(counts) - 1):
         # One grid twice would fit an order to log(1) = 0.

@@ -463,6 +463,36 @@ class TestExitContract:
         )
         assert not out.exists()
 
+    def test_overflowing_grid_span_exits_two(self, tmp_path, capsys):
+        # x_max - x_min = 2e308 is an infinity: the grid would be NaN.
+        doc = json.loads((Path(gcelab.__file__).parent / "scenarios" / "fig2.json").read_text())
+        doc["grid"].update(x_min=-1e308, x_max=1e308)
+        path, out = tmp_path / "span.json", tmp_path / "rep"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(["run", "--scenario", str(path), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == "gcelab: error: grid: the span x_max - x_min overflows double precision\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spacings, intervals", [("1e-320,5e-321", "inf"), ("1e-30,5e-31", "3.2e+30")]
+    )
+    def test_spacing_beyond_an_array_index_exits_two(self, spacings, intervals, tmp_path, capsys):
+        # unequal spans 3.2: 3.2 / 1e-320 overflows, 3.2e30 points fit no index.
+        out = tmp_path / "rep"
+        code, stdout, err = run_cli(
+            ["scan", "--scenario", "unequal", "--h", spacings, "--out", str(out)], capsys
+        )
+        assert code == 2 and stdout == ""
+        h = repr(float(spacings.split(",")[0]))
+        assert err == (
+            f"gcelab: error: --h: spacing {h} gives {intervals} intervals over the grid's "
+            "span 3.2, more than an array can index\n"
+        )
+        assert not out.exists()
+
     def test_failed_rerun_leaves_the_earlier_run_whole(self, tmp_path, capsys):
         out = str(tmp_path)
         assert run_cli(["run", "--scenario", "fig2", "--out", out], capsys)[0] == 0

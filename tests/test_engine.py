@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,15 @@ class TestCurrents:
         with pytest.raises(ValueError, match="distinct"):
             ladder_pair_current(sol, bases[2], 2, 2, xs)
 
+    @pytest.mark.parametrize("pair", [(), (1,), [2], (1, 2, 1)])
+    def test_a_pair_names_two_systems(self, bases, pair):
+        xs = np.linspace(-1.0, 1.0, 11)
+        want = re.escape(f"a pair names two systems (i, j), got {tuple(pair)}")
+        with pytest.raises(ValueError, match=want):
+            dirac_current(coupled_dirac_solution(), None, pair, xs)
+        with pytest.raises(ValueError, match=want):
+            schrodinger_current(coupled_schrodinger_solution(), None, pair, xs)
+
 
 def count_evaluations(monkeypatch) -> list:
     """Record the solution of every ``PiecewiseSolution.evaluate`` call."""
@@ -503,19 +513,23 @@ def set_block(monkeypatch, samples: int, width: int):
 
 
 def n_products(sol) -> int:
-    return len(engine._outer_triangle(np.zeros((1, sol.dim), dtype=complex)))
+    """Products per sample of a solution's residual table: those of the
+    2N real factors of a piece."""
+    return len(engine._outer_triangle(np.zeros((sol.dim, 1))))
 
 
 def whole_grid_currents(sol, basis, grid):
-    """(pair (1, 2), then every generator) currents from one sampling."""
+    """(pair (1, 2), then every generator) currents from one sampling: the
+    ``_bilinear`` of the pair's 2x2 blocks, and of T_a (x) block on the
+    whole state."""
     flat = sol.evaluate(grid)
     current, density, _ = sol.dynamics.kernels
     a, b = flat[:, :2], flat[:, 2:4]
     out = [(engine._bilinear(a, current, b), engine._bilinear(a, density, b))]
-    products = engine._outer_triangle(flat)
     for t_a in basis.generators:
-        coeffs = np.stack([engine._triangle(t_a, k) for k in (current, density)])
-        out.append(tuple((coeffs @ products).real))
+        out.append(tuple(
+            engine._bilinear(flat, np.kron(t_a, k), flat).real for k in (current, density)
+        ))
     return out
 
 
@@ -600,10 +614,10 @@ def assert_arrays_same_bits(got, want):
 
 @pytest.mark.parametrize("model", ["dirac", "schrodinger"])
 def test_n4_forms_take_every_product(model):
-    # Both models' forms weigh all 36 products f_r f_s, r <= s, of the 8
-    # propagator factors of an N = 4 piece and all 136 of the 16 real
-    # factors of a sampled N = 4 state, and a current all 36 complex
-    # products of its samples.
+    # Both models' table forms weigh all 36 products f_r f_s, r <= s, of the
+    # 8 propagator factors of an N = 4 piece and all 136 of the 16 real
+    # factors of a sampled N = 4 state; a current takes no products, only
+    # the _bilinear of its samples.
     sol = coupled_stack(3, model, 4)
     basis = build_basis(4)
     decomp = decompose(sol.profile, basis)
@@ -654,14 +668,11 @@ class TestBlockedSampling:
 
     def check_blocks(self, monkeypatch, sol, basis, grid, current_steps, table_steps):
         want = whole_grid_currents(sol, basis, grid)
-        width = n_products(sol)
         for step in current_steps:
             set_block(monkeypatch, step, sol.dim)
-            pair = blocked_currents(sol, basis, grid)[0]
-            set_block(monkeypatch, step, width)
-            assert_arrays_same_bits([pair, *blocked_currents(sol, basis, grid)[1:]], want)
+            assert_arrays_same_bits(blocked_currents(sol, basis, grid), want)
         for step in table_steps:
-            set_block(monkeypatch, step, width)
+            set_block(monkeypatch, step, n_products(sol))
             table, got = whole_grid_table(sol, basis, grid), blocked_table(sol, basis, grid)
             assert_arrays_same_bits([got.residual, got.floor], [table.residual, table.floor])
 
@@ -693,8 +704,10 @@ class TestBlockedSampling:
             )
 
     def test_one_point_currents_are_grid_samples(self):
-        # N = 4: one sample's products with its kernels would take numpy's
-        # matrix-vector path, which rounds differently from a block's GEMM.
+        # N = 4: one sample's product with a kernel takes numpy's
+        # matrix-vector path, a block's a GEMM.  They give the same bits only
+        # because every row of T_a (x) block, and of a pair's 2x2 block,
+        # holds at most one nonzero entry.
         sol = coupled_stack(3, "dirac", 4)
         basis = build_basis(4)
         grid = np.linspace(-4.4, 4.4, 113)

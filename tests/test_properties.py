@@ -383,6 +383,40 @@ def test_floor_bounds_the_rounding_of_the_sampled_factor_form(build, model, n):
         assert err <= rep.floor, (a, err / rep.floor)
 
 
+def longdouble_currents(stack, t_a, psi):
+    """(j1, j0) of generator matrix t_a: the bilinears psi^dag (t_a kron B) psi
+    of the float64 samples psi (x, 2N), taken in np.clongdouble."""
+    p, t = psi.astype(np.clongdouble), t_a.astype(np.clongdouble)
+    return [
+        (p.conj() * (p @ np.kron(t, b.astype(np.clongdouble)).T)).sum(axis=1).real
+        for b in stack.dynamics.kernels[:2]
+    ]
+
+
+@needs_longdouble
+@pytest.mark.parametrize("build", ["joint", "sequence"])
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_currents_round_within_two_eps_of_their_scale(build, model, n):
+    # A form psi^dag K psi of the samples rounds by a few eps of
+    # sum_k |psi_k|^2 max|K|, whatever it cancels to; max|K| = max|T_a| max|B|.
+    stack = (coupled_stack if build == "joint" else sequence_stack)(500 + n, model, n)
+    basis = build_basis(n)
+    grid = np.linspace(*GRID, COARSE)
+    psi = stack.evaluate(grid)
+    norm = (np.abs(psi) ** 2).sum(axis=1)
+    current = dirac_current if model == "dirac" else schrodinger_current
+    worst = 0.0
+    for a in range(1, basis.dim + 1):
+        t_a = basis.generator(a)
+        prof = current(stack, basis, a, grid)
+        for got, exact, b in zip((prof.j1, prof.j0), longdouble_currents(stack, t_a, psi),
+                                 stack.dynamics.kernels[:2]):
+            scale = np.finfo(float).eps * norm * np.abs(t_a).max() * np.abs(b).max()
+            worst = max(worst, float((np.abs(got - exact) / scale).max()))
+    assert worst <= 2.0, worst
+
+
 def test_sweep_memory_is_the_table_and_one_block():
     """An unblocked build would hold the whole grid's samples, products or
     GEMM outputs."""
