@@ -135,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("currents", help="write the generalized pair current table")
     _add_scenario_options(p, tol=True)
-    p.set_defaults(handler=_cmd_currents)
+    p.set_defaults(handler=_cmd_run, outputs=("currents",))
 
     p = sub.add_parser(
         "gce-verify",
         help="check continuity residuals and per-domain current constancy",
     )
     _add_scenario_options(p, tol=True)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_run, outputs=("residuals", "domains"))
 
     p = sub.add_parser(
         "scan", help="repeat the residual check over grid spacings, report the order"
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a full scenario with its requested outputs")
     _add_scenario_options(p, tol=True)
-    p.set_defaults(handler=_cmd_run)
+    p.set_defaults(handler=_cmd_run, outputs=None)
     return parser
 
 
@@ -278,20 +278,6 @@ def _cmd_solve(args) -> int:
     return _emit(bundle, args)
 
 
-def _cmd_currents(args) -> int:
-    s = _prepare_scenario(args)
-    bundle = run_scenario(s, tol=args.tol, outputs=("currents",), n_points=args.grid)
-    return _emit(bundle, args)
-
-
-def _cmd_verify(args) -> int:
-    s = _prepare_scenario(args)
-    bundle = run_scenario(
-        s, tol=args.tol, outputs=("residuals", "domains"), n_points=args.grid
-    )
-    return _emit(bundle, args)
-
-
 def _cmd_scan(args) -> int:
     s = _prepare_scenario(args)
     bundle = scan_scenario(s, args.h)
@@ -303,7 +289,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_run(args) -> int:
     s = _prepare_scenario(args)
-    bundle = run_scenario(s, tol=args.tol, n_points=args.grid)
+    bundle = run_scenario(s, tol=args.tol, outputs=args.outputs, n_points=args.grid)
     return _emit(bundle, args)
 
 

@@ -56,8 +56,16 @@ def uniform_spacing(xs: np.ndarray) -> float:
     if xs.ndim != 1 or len(xs) < 5:
         raise ValueError("need a 1-D grid with at least 5 points")
     h = xs[1] - xs[0]
-    if h <= 0 or np.abs(np.diff(xs) - h).max() > 1e-9 * h:
+    if not h > 0:
         raise ValueError("difference stencils require a uniform ascending grid")
+    worst = np.abs(np.diff(xs) - h).max()
+    if worst > 1e-9 * h:
+        # Far from x = 0 a linspace rounds its points by more than the bound.
+        raise ValueError(
+            "difference stencils require a uniform ascending grid: its spacings "
+            f"differ from the first by up to {worst / h:.2g} of it, above the bound "
+            f"1e-09, on a grid reaching |x| = {np.abs(xs).max():.6g}"
+        )
     return float(h)
 
 
@@ -779,6 +787,7 @@ def _table_key(decomp, n: int) -> bytes:
     return b"".join(np.ascontiguousarray(p).tobytes() for p in (shape, decomp.cuts, decomp.c))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gce_residual_sweep(
     sol, basis: SunBasis, grid, decomp: PotentialDecomposition | None = None
 ) -> ResidualTable:
@@ -790,7 +799,8 @@ def gce_residual_sweep(
     ``decomp=None``.  A given ``decomp`` that misses the kept table must be
     the decomposition of ``sol.profile``: other cuts or coefficients raise
     ``ValueError``.  The table is built from the pieces' propagator factors
-    (``_piece_kernels``); the state is never sampled.
+    (``_piece_kernels``); the state is never sampled.  A table that is not
+    finite raises ValueError naming its first such x, without a warning.
     """
     sol, grid = _joint(sol), np.asarray(grid, dtype=float)
     if basis.n != sol.n_systems:
@@ -824,6 +834,12 @@ def gce_residual_sweep(
         return piece.propagator.factors(eval_xs[a:b] - piece.anchor)
 
     table = _residual_rows(sample, grid, h, cuts, runs, coefficients)
+    # A factor beyond double precision leaves the floor non-finite, and a
+    # product the max of its row, so only a refused table is searched.
+    if not (np.isfinite(table.floor).all() and np.isfinite(table.max).all()):
+        bad = ~np.isfinite(table.residual).all(axis=0)
+        where = f"at x = {grid[bad.argmax()]}" if bad.any() else "floor"
+        raise ValueError(f"the residual {where} overflows double precision")
     sol.residual_table = (key, table)
     return table
 

@@ -468,8 +468,6 @@ class ReportBundle:
     summary carries both under the same keys.
     """
 
-    scenario: Scenario
-    grid: np.ndarray
     tables: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -676,7 +674,7 @@ def run_scenario(s: Scenario, *, tol: float = 1e-8, outputs=None, n_points=None)
     sol = _solve_stack(s)
     grid = s.grid_array(n_points)
     current = functools.cache(lambda: _pair_current(s, sol, grid))
-    bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
+    bundle = ReportBundle(summary=_summary_head(s, grid))
     summary = bundle.summary
     summary["convention"] = getattr(sol.dynamics, "name", None)
     summary["mass"] = getattr(sol.dynamics, "mass", None)
@@ -698,7 +696,7 @@ def solution_bundle(s: Scenario, n_points=None) -> ReportBundle:
     for lo, hi in engine._spans(len(grid), sol.dim):
         samples[lo:hi] = sol.evaluate(grid[lo:hi])
     header = ["x"] + [f"{part}_u{c}" for c in range(1, sol.dim + 1) for part in ("re", "im")]
-    bundle = ReportBundle(scenario=s, grid=grid, summary=_summary_head(s, grid))
+    bundle = ReportBundle(summary=_summary_head(s, grid))
     # The float view of the contiguous complex samples interleaves re, im.
     bundle.tables["solution"] = (header, [grid, *samples.view(float).T])
     bundle.summary["components"] = sol.dim
@@ -754,6 +752,8 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
         raise ScenarioFormatError("--h needs at least two spacings for an order")
     span = s.grid.x_max - s.grid.x_min
     for h in spacings:
+        if not 0 < h < math.inf:
+            raise ScenarioFormatError(f"--h: spacing {h!r} is not positive and finite")
         if not span / h < _MAX_INDEX:
             raise ScenarioFormatError(
                 f"--h: spacing {h!r} gives {span / h:.3g} intervals over the grid's "
@@ -784,7 +784,7 @@ def scan_scenario(s: Scenario, spacings) -> ReportBundle:
     mean = verdict["mean_order"]
     value = None if mean is None else abs(mean - 2.0)
     check = _check("scan_order", value, _SCAN_ORDER_TOL, passed=verdict["passed"])
-    bundle = ReportBundle(s, s.grid_array(), summary=_summary_head(s), checks=[check])
+    bundle = ReportBundle(summary=_summary_head(s), checks=[check])
     bundle.tables["scan"] = (["h", "rms"], [np.array(actual), np.array(norms)])
     bundle.summary["generator_index"] = s.generator_index
     bundle.summary["scan"] = {

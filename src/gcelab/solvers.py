@@ -543,12 +543,14 @@ class PiecewiseSolution:
     def dim(self) -> int:
         return 2 * self.n_systems
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, xs, side: str = "right") -> np.ndarray:
         """Sampled stacked state, shape (len(xs), 2N), a fresh array per call.
 
         At a delta the two sides give the two one-sided limits.  Each run of
         consecutive points in one piece is expanded as one slice, so a
-        monotone grid costs one expansion per piece it crosses.
+        monotone grid costs one expansion per piece it crosses.  A sample
+        that is not finite raises ValueError naming its x, without a warning.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = np.searchsorted(self.breakpoints, xs, side="right" if side == "right" else "left")
@@ -557,6 +559,10 @@ class PiecewiseSolution:
         for lo, hi in zip(starts, [*starts[1:], len(xs)]):
             piece = self.pieces[idx[lo]]
             out[lo:hi] = piece.expand(xs[lo:hi] - piece.anchor)
+        finite = np.isfinite(out.view(float))
+        if not finite.all():
+            x = xs[finite.all(axis=1).argmin()]
+            raise ValueError(f"the state at x = {x} overflows double precision")
         return out
 
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:

@@ -477,6 +477,66 @@ class TestExitContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, error",
+        [
+            ("run", "the state at x = 250.9 overflows double precision"),
+            ("solve", "the state at x = 250.9 overflows double precision"),
+            # The residual's products f_r f_s overflow where f_r passes 1e154.
+            ("gce-verify", "evaluating the continuity residual: the residual at x = 126.4 "
+                           "overflows double precision"),
+        ],
+    )
+    def test_state_overflowing_on_the_grid_exits_two(self, command, error, tmp_path, capsys):
+        # kappa = sqrt(2 (5 - 1)): cosh(kappa x) passes the largest double at
+        # x = 251, inside the grid but past the one segment's solve.
+        doc = {
+            "model": "schrodinger", "n_systems": 2,
+            "profile": {"segments": [{"x_lo": 0, "x_hi": 1, "v": [[5, 0], [0, 5]]}]},
+            "energies": [1, 1],
+            "boundaries": [{"kind": "initial", "value": [1, 0]},
+                           {"kind": "initial", "value": [0.5, 0.2]}],
+            "grid": {"x_min": 0, "x_max": 400, "n_points": 4001},
+            "requested_outputs": ["currents", "residuals", "domains"],
+        }
+        path, out = tmp_path / "overflow.json", tmp_path / "rep"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                [command, "--scenario", str(path), "--out", str(out)], capsys
+            )
+        assert code == 2 and stdout == ""
+        assert err == f"gcelab: error: {error}\n"
+        assert not out.exists()
+
+    def test_grid_far_from_the_origin_names_its_deviation(self, tmp_path, capsys):
+        # At x ~ 1e4 the points of linspace round at 1.8e-12, and the
+        # spacings of this 8001-point grid vary by 2.4e-9 of h.
+        c, zero = 1e4, [[0.0, 0.0], [0.0, 0.0]]
+        doc = {
+            "model": "dirac", "n_systems": 2,
+            "profile": {"segments": [
+                {"x_lo": c - 4, "x_hi": c - 1, "v": zero},
+                {"x_lo": c - 1, "x_hi": c + 1, "v": [[0.4, 0.0], [0.0, 0.4]]},
+                {"x_lo": c + 1, "x_hi": c + 4, "v": zero},
+            ]},
+            "energies": [1.3, 1.3],
+            "boundaries": [{"kind": "incoming", "amplitude": a} for a in (1.0, 0.5)],
+            "grid": {"x_min": c - 3, "x_max": c + 3, "n_points": 8001},
+            "requested_outputs": ["residuals", "domains"],
+        }
+        path, out = tmp_path / "shifted.json", tmp_path / "rep"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["run", "--scenario", str(path), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: evaluating the continuity residual: difference stencils "
+            "require a uniform ascending grid: its spacings differ from the first by up "
+            "to 2.4e-09 of it, above the bound 1e-09, on a grid reaching |x| = 10003\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "spacings, intervals", [("1e-320,5e-321", "inf"), ("1e-30,5e-31", "3.2e+30")]
     )
     def test_spacing_beyond_an_array_index_exits_two(self, spacings, intervals, tmp_path, capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -996,6 +997,34 @@ class TestResidualTable:
         again = gce_residual_sweep(sol, bases[2], grid)
         assert again is not table
         assert np.array_equal(again.residual, table.residual)
+
+    def test_a_table_beyond_double_precision_is_refused(self, bases):
+        # cosh(kappa x), kappa = sqrt(8), passes the largest double at
+        # x = 251 and its square at x = 126.
+        prof = PotentialProfile([Segment(0.0, 1.0, 5.0 * np.eye(2))])
+        sol = solve_schrodinger(prof, 1.0, [InitialValue([1.0, 0.0]), InitialValue([0.5, 0.2])])
+        grid = np.linspace(0.0, 400.0, 4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the residual at x = 126\.4 overflows"):
+                gce_residual_sweep(sol, bases[2], grid)
+            with pytest.raises(ValueError, match=r"^the state at x = 250\.9 overflows"):
+                sol.evaluate(grid)
+        assert sol.residual_table is None
+        table = gce_residual_sweep(sol, bases[2], grid[:1201])
+        assert np.isfinite(table.residual).all() and np.isfinite(table.floor).all()
+
+    def test_a_floor_beyond_double_precision_is_refused(self, bases):
+        # |c|^2 / (2h) ~ 1e308: the residuals stay finite, their floor does not.
+        prof = PotentialProfile([Segment(0.0, 1.0, np.diag([0.3, -0.2]))])
+        amp = 3e152
+        values = [InitialValue([amp, 0.0]), InitialValue([0.5 * amp, 0.2 * amp])]
+        sol = solve_dirac(prof, 1.3, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the residual floor overflows"):
+                gce_residual_sweep(sol, bases[2], np.linspace(0.0, 1.0, 1001))
+        assert sol.residual_table is None
 
     def test_order_is_none_at_rounding(self, bases):
         # Free systems at equal energy carry constant currents, so every

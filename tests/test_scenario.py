@@ -341,6 +341,46 @@ class TestSchema:
         with pytest.raises(ScenarioFormatError, match="mass"):
             scenario_from_dict(minimal_doc(mass=2.0))
 
+    @pytest.mark.parametrize(
+        "key, path, value",
+        [
+            ("document", (), []),
+            ("n_systems", ("n_systems",), 2.5),
+            ("model", ("model",), "klein-gordon"),
+            ("profile", ("profile",), [1.0]),
+            ("profile.segments", ("profile", "segments"), []),
+            ("profile.segments[1]", ("profile", "segments", 1), 0.5),
+            ("profile.segments[0].v", ("profile", "segments", 0, "v", 1), [0.0]),
+            ("profile.deltas[0]", ("profile", "deltas"), [0.5]),
+            ("boundaries", ("boundaries",), [{"kind": "incoming", "amplitude": 1.0}]),
+            ("boundaries[0]", ("boundaries", 0), {"amplitude": 1.0}),
+            ("boundaries[1].value", ("boundaries", 1), {"kind": "initial", "value": [1.0]}),
+            ("convention", ("convention",), 3),
+            ("convention", ("convention",), "nosuch"),
+            ("transform", ("transform",), [1, 0.0]),
+            ("transform.sigma", ("transform",), {"sigma": 2, "rho": 0.0}),
+            ("grid", ("grid",), [-2.8, 3.8, 4001]),
+            ("requested_outputs", ("requested_outputs",), "currents"),
+            ("pair", ("pair",), [1]),
+            ("generator_index", ("generator_index",), 4),
+            ("charge_interval", ("charge_interval",), [1.0]),
+            ("charge_interval", ("charge_interval",), [2.0, 1.0]),
+        ],
+    )
+    def test_refusal_starts_with_its_key(self, key, path, value):
+        doc = serialize_scenario(load_builtin("fig1a"))
+        if path:
+            *head, last = path
+            target = doc
+            for p in head:
+                target = target[p]
+            target[last] = value
+        else:
+            doc = value
+        with pytest.raises(ScenarioFormatError) as e:
+            scenario_from_dict(doc)
+        assert str(e.value).startswith(f"{key}: ")
+
     def test_parse_error_reports_position(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{"model": "dirac",\n  "n_systems": }\n')
@@ -598,7 +638,7 @@ class TestRunScenario:
         with pytest.raises(AttributeError):
             b.passed = False
         with pytest.raises(TypeError):
-            ReportBundle(scenario=b.scenario, grid=b.grid, passed=False)
+            ReportBundle(passed=False)
 
     def test_solver_errors_carry_scenario_context(self):
         s = load_builtin("free2")
@@ -730,7 +770,7 @@ class TestReports:
                 [0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.2250738585072014e-308],
             ]
         )
-        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle = ReportBundle()
         bundle.tables["cells"] = (["a", "b", "flag", "d"], list(cells.T))
         bundle.tables["empty"] = (["x", "y"], [np.empty(0), np.empty(0)])
         for name, rows in tricky_cells(np.random.default_rng(2025)).items():
@@ -797,14 +837,14 @@ class TestReports:
     def test_failed_table_write_keeps_the_earlier_file(self, tmp_path):
         header = ["a", "b", "c", "d", "e"]
         per_block = _BLOCK_CELLS // len(header)
-        good = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        good = ReportBundle()
         good.tables["cells"] = (header, [np.ones(2 * per_block + 1)] * len(header))
         before = file_digests(write_reports(good, str(tmp_path)))
         # A cell that cannot be formatted in the second block fails the write
         # after the first block has reached the .tmp file.
         rows = np.ones((2 * per_block + 1, len(header)), dtype=object)
         rows[per_block + 1, 2] = "not a number"
-        bad = ReportBundle(scenario=good.scenario, grid=good.grid)
+        bad = ReportBundle()
         bad.tables["cells"] = (header, list(rows.T))
         with pytest.raises(TypeError):
             write_reports(bad, str(tmp_path))
@@ -829,7 +869,7 @@ class TestReports:
     def test_block_boundaries_match_per_cell_writer(self, n_cols, tmp_path):
         per_block = _BLOCK_CELLS // n_cols
         rng = np.random.default_rng(n_cols)
-        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle = ReportBundle()
         header = [f"c{k}" for k in range(n_cols)]
         for n_rows in (0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1):
             shape = (n_rows, n_cols)
@@ -870,7 +910,7 @@ class TestReports:
 
     @pytest.mark.parametrize("shape", [(10001, 5), (100001, 9)])
     def test_write_memory_does_not_grow_with_the_table(self, shape, tmp_path):
-        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle = ReportBundle()
         rows = np.random.default_rng(0).standard_normal(shape)
         bundle.tables["cells"] = ([f"c{k}" for k in range(shape[1])], list(rows.T))
         _fmt17._tables()  # built once per process (about 190 KiB), not per write
@@ -945,11 +985,12 @@ class TestTableColumns:
         s = load_builtin("fig1a")
         b = run_scenario(s, n_points=501)
         x, re_j1, im_j1, re_j0, im_j0 = b.tables["currents"][1]
-        assert x is b.grid
+        assert np.array_equal(x, s.grid_array(501))
         # The four current columns are views of one complex (2, n) result.
         assert all(owner(c) is owner(re_j1) for c in (im_j1, re_j0, im_j0))
-        x, re_res, im_res = b.tables["residuals"][1]
-        assert x is b.grid and not re_res.flags.writeable
+        # Both tables share the run's one grid array.
+        x_res, re_res, im_res = b.tables["residuals"][1]
+        assert x_res is x and not re_res.flags.writeable
         assert im_res.strides == (0,) and not im_res.any()
         x, *parts = solution_bundle(s, n_points=501).tables["solution"][1]
         assert all(owner(c) is owner(parts[0]) for c in parts)
@@ -958,7 +999,7 @@ class TestTableColumns:
         "columns", [[np.zeros(3), np.zeros(4)], [np.zeros(3)], [np.zeros(3)] * 3]
     )
     def test_mismatched_columns_raise_before_any_write(self, columns, tmp_path):
-        bundle = ReportBundle(scenario=load_builtin("free2"), grid=np.zeros(2))
+        bundle = ReportBundle()
         bundle.tables["cells"] = (["a", "b"], columns)
         with pytest.raises(ValueError, match="one column per name"):
             write_reports(bundle, str(tmp_path))
@@ -1094,3 +1135,10 @@ class TestScan:
     def test_scan_needs_two_spacings(self):
         with pytest.raises(ScenarioFormatError, match="two spacings"):
             scan_scenario(load_builtin("unequal"), [1e-2])
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+    def test_scan_refuses_a_spacing_that_is_not_positive_and_finite(self, h):
+        for spacings in ([h, 1e-3], [1e-3, h]):
+            with pytest.raises(ScenarioFormatError) as e:
+                scan_scenario(load_builtin("unequal"), spacings)
+            assert str(e.value) == f"--h: spacing {h!r} is not positive and finite"

@@ -876,6 +876,25 @@ def test_evaluate_memo_returns_fresh_values(model):
         assert np.array_equal(sol.evaluate(xs, side=side), expect)
 
 
+@pytest.mark.parametrize("model", ["dirac", "schrodinger"])
+def test_delta_at_the_right_edge_acts_as_one_inside(model):
+    """A delta on the last breakpoint joins the right tail as it would join
+    a further segment of the tail's potential."""
+    v = np.diag([0.3, -0.2])
+    delta = DeltaBarrier(2.0, np.diag([0.7, -0.4]))
+    segments = [Segment(-1.0, 0.0, np.zeros((2, 2))), Segment(0.0, 2.0, v)]
+    amps = Scattering(np.array([1.0, 0.5]))
+    edge = solve_model(model, PotentialProfile(segments, [delta]), 1.3, amps)
+    inside = solve_model(
+        model, PotentialProfile([*segments, Segment(2.0, 3.0, v)], [delta]), 1.3, amps
+    )
+    xs = np.array([-1.5, -0.5, 0.5, 1.0, 1.9, 2.0, 2.1, 2.5, 3.0, 4.0])
+    for side in ("left", "right"):
+        want = inside.evaluate(xs, side)
+        got = edge.evaluate(xs, side)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def evaluate_by_piece(sol, xs, side):
     """Reference: every piece expands all of its points in one call."""
     idx = np.searchsorted(sol.breakpoints, xs, side=side)
