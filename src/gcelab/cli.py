@@ -2,9 +2,10 @@
 
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
 constancy, the charge or delta-domain relation, or the convergence order), 2
-on usage or input errors, on inputs too large for memory and on errors
-writing the outputs.  Verdict failures still write the full summary so
-results can be inspected, and print one line per failing check.
+on usage or input errors, on inputs too large for memory, on an output that
+is not finite and on errors writing the outputs.  Verdict failures still
+write the full summary so results can be inspected, and print one line per
+failing check.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .solvers import (
     PiecewiseSolution,
     PotentialProfile,
     ProfileError,
-    get_convention,
     system_columns,
 )
 from .sun import PotentialDecomposition, SunBasis, decompose, source_operator
@@ -84,12 +83,11 @@ def residual_cuts(profile: PotentialProfile) -> np.ndarray:
 def snap_to_cuts(xs, cuts) -> np.ndarray:
     """Copy of ``xs`` with points just left of a cut moved onto it.
 
-    ``piecewise_derivative`` assigns a point within its snap window below a
-    cut to the right cell; evaluating potentials or states at the raw
-    coordinate would pick the left side instead.  Snapping the evaluation
-    coordinate keeps both choices, and hence the residual arithmetic,
-    one-sided consistent when a grid point lands a rounding error short of a
-    segment boundary.
+    ``_cells`` assigns a point within its snap window below a cut to the
+    right cell; evaluating potentials or states at the raw coordinate would
+    pick the left side instead.  Snapping the evaluation coordinate keeps
+    both choices, and hence the residual arithmetic, one-sided consistent
+    when a grid point lands a rounding error short of a segment boundary.
     """
     out = np.atleast_1d(np.asarray(xs, dtype=float)).copy()
     for c in np.asarray(cuts, dtype=float):
@@ -121,22 +119,6 @@ def _diff(v: np.ndarray) -> np.ndarray:
     out[1:-1] = v[2:] - v[:-2]
     out[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
     out[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
-    return out
-
-
-def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndarray:
-    """Second-order d/dx of sampled values, one-sided at cuts and grid edges.
-
-    ``cuts`` are positions where the sampled field or its derivative may jump;
-    a grid point sitting exactly on a cut belongs to the right cell, matching
-    the right-continuous evaluation convention.
-    """
-    values = np.asarray(values)
-    xs = np.asarray(xs, dtype=float)
-    h = uniform_spacing(xs)
-    out = np.empty_like(values, dtype=complex)
-    for s, e in _cells(xs, cuts):
-        out[s:e] = _diff(values[s:e]) / (2.0 * h)
     return out
 
 
@@ -596,12 +578,10 @@ def charge_current_relation(sol, pair, x1: float, x2: float) -> ChargeRelation:
 # f_r and fixed complex vectors c_r, so every form psi^dag K psi is
 # sum_{r <= s} A_rs f_r f_s with real A, Re(c^* K c^T) folded onto the
 # triangle, built once per key (``_piece_kernels``), and a block takes the
-# real products of its factors and one real GEMM.  A solution's table never
-# samples its state: inside piece p the f_r are the real cos/sin, cosh/sinh
+# real products of its factors and one real GEMM.  The table never samples
+# the solution's state: inside piece p the f_r are the real cos/sin, cosh/sinh
 # or (1, x) factors of the piece's propagator and c_r = basis[r] @ u0
-# (``_Piece.coefficients``).  A sampled state psi = sum_k (Re psi_k) e_k +
-# (Im psi_k) (i e_k) has the factors of its float view, whose vectors
-# kron(I_2N, [1, i]) are the same for every segment (``gauge_residual``).
+# (``_Piece.coefficients``).
 
 
 @dataclass(frozen=True)
@@ -635,9 +615,9 @@ class ResidualTable:
     max: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Bit for bit each row's _rms and np.abs(row).max(), in fewer passes;
-        # the squares are taken a few rows at a time, as one table's worth
-        # would double the peak memory of a sweep.
+        # Bit for bit each row's sqrt(mean(|row|**2)) and np.abs(row).max(),
+        # in fewer passes; the squares are taken a few rows at a time, as one
+        # table's worth would double the peak memory of a sweep.
         r = self.residual
         step = max(1, _BLOCK // max(1, r.shape[1]))
         rms = np.sqrt(np.concatenate(
@@ -659,17 +639,17 @@ def _piece_kernels(blocks, vectors, segments, generators, h, sources, energies) 
     psi = sum_r f_r c_r of R real factors f_r, and ``segments[key]`` the
     segment of ``sources`` (G, segments, N, N) it lies in.  Each form is a
     sum of terms psi^dag (M kron B) psi, M a Hermitian system matrix
-    (T_a / 2h, i(E_s - E_t) T_a or -S_a; no time term when ``energies`` is
-    None) and B one of the 2x2 ``blocks`` (current, density, potential).
-    With c_r,s the part of c_r on system s, a term is sum_{r,r'} f_r f_r'
-    W_rr' for the Hermitian W_rr' = sum_{s,t} M_st F[st, rr'], F[st, rr'] =
-    c_r,s^dag B c_r',t, so A_rr' = Re W_rr', doubled for r < r'.  A key
-    gathers F of each block on r <= r' once, and Re(M F) =
-    [Re M | -Im M] [Re F; Im F] is one real GEMM per row group.
+    (T_a / 2h, i(E_s - E_t) T_a or -S_a) and B one of the 2x2 ``blocks``
+    (current, density, potential).  With c_r,s the part of c_r on system
+    s, a term is sum_{r,r'} f_r f_r' W_rr' for the Hermitian W_rr' =
+    sum_{s,t} M_st F[st, rr'], F[st, rr'] = c_r,s^dag B c_r',t, so A_rr' =
+    Re W_rr', doubled for r < r'.  A key gathers F of each block on r <= r'
+    once, and Re(M F) = [Re M | -Im M] [Re F; Im F] is one real GEMM per
+    row group.
     """
     current, density, potential = blocks
     keys, n = list(vectors), sources.shape[-1]
-    e = np.zeros(n) if energies is None else np.asarray(energies, dtype=float)
+    e = np.asarray(energies, dtype=float)
     weights = 1j * (e[:, None] - e[None, :]) * generators
     # (system matrices (G, segments, N, N), block) of the terms of the j1 /
     # (2h) rows and of the time-minus-source rows.
@@ -861,10 +841,6 @@ def _check_decomposition(given: PotentialDecomposition, want: PotentialDecomposi
         )
 
 
-def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
-
-
 def _residual_report(sol, basis, a, grid, decomp, model):
     if _joint(sol).dynamics.model != model:
         raise ValueError(f"expected a {model} stack, got {sol.dynamics.model}")
@@ -895,116 +871,3 @@ def gce_residual_schrodinger(
 ) -> GceReport:
     """Stationary Schroedinger continuity residual for generator a."""
     return _residual_report(sol, basis, a, grid, decomp, "schrodinger")
-
-
-# ---------------------------------------------------------------------------
-# Gauge-field diagnostic
-
-
-@dataclass(frozen=True)
-class GaugeConfig:
-    """Static gauge potentials A^a_mu sampled on a uniform x grid.
-
-    ``a_fields`` has shape (N**2 - 1, 2, len(grid)) holding the lower-index
-    components (A_0, A_1) per generator.  ``cuts`` lists the non-smooth
-    positions of the sampled state, normally residual_cuts(profile), so the
-    spatial stencil stays one-sided there.  ``t_grid`` switches the residual
-    to a sampled-time path with centered differences in t.
-    """
-
-    grid: np.ndarray
-    a_fields: np.ndarray
-    cuts: tuple = ()
-    t_grid: np.ndarray | None = None
-
-
-def field_strength(config: GaugeConfig, basis: SunBasis) -> np.ndarray:
-    """R_01^a = d_t A_1 - d_x A_0 - f_abc A^b_0 A^c_1 per sample (static d_t = 0)."""
-    a0 = config.a_fields[:, 0, :]
-    a1 = config.a_fields[:, 1, :]
-    dx_a0 = np.stack(
-        [piecewise_derivative(a0[d], config.grid, config.cuts).real
-         for d in range(a0.shape[0])]
-    )
-    f = basis.structure_constants
-    quad = sum(a0[b] * (f[:, b, :] @ a1) for b in range(len(a0)))
-    return -dx_a0 - quad
-
-
-def gauge_residual(
-    psi: np.ndarray,
-    config: GaugeConfig,
-    basis: SunBasis,
-    a: int,
-    *,
-    energies=None,
-    decomp: PotentialDecomposition | None = None,
-    convention: Convention | str = "default",
-) -> GceReport:
-    """Continuity residual with the gauge-corrected current, finite differences.
-
-    Evaluates d_mu (jbar^mu_a - R^{mu nu d} f_abd A^b_nu) - source_a on the
-    sampled super-spinor.  The correction uses the fixed index ordering
-    f_{a b d}; raising with the metric diag(1, -1) gives the corrections
-    K^0 = -R_01^d f_abd A^b_1 and K^1 = +R_01^d f_abd A^b_0.  With A = 0 both
-    corrections vanish termwise and the arithmetic is the ungauged residual
-    of the sampled states bit for bit; a solution's ``gce_residual_sweep``
-    forms it from propagator factors instead and agrees to within both
-    floors.  ``psi`` is (m, 2N) with per-system ``energies``
-    (analytic time derivative), or (nt, m, 2N) with ``config.t_grid`` set
-    (centered differences in t).
-    """
-    conv = get_convention(convention) if isinstance(convention, str) else convention
-    t_a = basis.generator(int(a))
-    grid = np.asarray(config.grid, dtype=float)
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    d = basis.dim
-    if config.a_fields.shape != (d, 2, len(grid)):
-        raise ValueError(
-            f"a_fields must have shape ({d}, 2, {len(grid)}), got {config.a_fields.shape}"
-        )
-    if psi.ndim not in (2, 3) or psi.shape[-2:] != (len(grid), 2 * basis.n):
-        raise ValueError("psi must be (m, 2N) or (nt, m, 2N)")
-    r01 = field_strength(config, basis)
-    f_a = basis.structure_constants[int(a) - 1]
-    mixed = f_a @ r01  # sum_d f_abd R_01^d, shape (N**2 - 1, len(grid))
-    k0 = -(mixed * config.a_fields[:, 1, :]).sum(axis=0)
-    k1 = (mixed * config.a_fields[:, 0, :]).sum(axis=0)
-    if psi.ndim == 2 and energies is None:
-        raise ValueError("static psi needs per-system energies")
-    if psi.ndim == 3 and config.t_grid is None:
-        raise ValueError("sampled-time psi needs config.t_grid")
-    t, row, h = basis.generators, int(a) - 1, uniform_spacing(grid)
-    if decomp is None:
-        sources, segments = np.zeros((d, 1, basis.n, basis.n)), np.zeros(len(grid), dtype=int)
-    else:
-        sources = source_operator(decomp)
-        segments = decomp.segment_of(snap_to_cuts(grid, config.cuts))
-    # Row a of the ungauged table of the samples, less d_x K^1: A = 0 gives
-    # K^1 = 0 exactly, so it repeats that arithmetic bit for bit.  A sample's
-    # real factors are its float view, of the vectors kron(I_2N, [1, i]) in
-    # every segment.  A sampled time derivative leaves the rows without the
-    # analytic time term.
-    unit, keys = np.kron(np.eye(2 * basis.n), [[1.0], [1j]]), range(sources.shape[1])
-    kernels = _piece_kernels(
-        conv.kernels, dict.fromkeys(keys, unit), {s: s for s in keys}, t, h, sources,
-        energies if psi.ndim == 2 else None,
-    )
-    tables = [
-        _residual_rows(lambda _, lo, hi, f=p.view(float): f[lo:hi].T, grid, h, config.cuts,
-                       _runs(segments), kernels)
-        for p in (psi[None] if psi.ndim == 2 else psi)
-    ]
-    dx_k1 = piecewise_derivative(k1, grid, config.cuts).real
-    residual = np.stack([tab.residual[row] for tab in tables]) - dx_k1
-    floor = max(tab.floor[row] for tab in tables)
-    if psi.ndim == 2:
-        residual = residual[0]
-    else:
-        flat = psi.reshape(-1, psi.shape[-1])
-        j0s = _bilinear(flat, np.kron(t_a, conv.kernels[1]), flat).real
-        ts = np.asarray(config.t_grid, dtype=float)
-        residual += piecewise_derivative(j0s.reshape(psi.shape[:2]) - k0, ts).real
-    rms = _rms(residual)
-    rmax = float(np.abs(residual).max())
-    return GceReport(int(a), grid, residual, rms, rmax, floor=float(floor))

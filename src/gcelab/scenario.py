@@ -485,10 +485,50 @@ def _check(name: str, value, tol: float, where=None, passed=None) -> dict:
     return {"name": name, "value": value, "tol": tol, "passed": passed, "where": where}
 
 
+# The interval bounds, the only outputs that may be infinite: an unbounded
+# domain's x_lo or x_hi, and a check's where.
+_BOUNDS = frozenset({"x_lo", "x_hi", "where"})
+
+
+def _nonfinite(node, key: str, bound: bool = False):
+    """``key = value`` of the first number under ``node`` that is NaN, or
+    +-inf outside the ``_BOUNDS``; None when there is none."""
+    if isinstance(node, (dict, list, tuple)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        found = (_nonfinite(v, f"{key}.{k}", bound or k in _BOUNDS) for k, v in items)
+        return next(filter(None, found), None)
+    if isinstance(node, float) and not (math.isfinite(node) or bound and not math.isnan(node)):
+        return f"{key} = {node}"
+    return None
+
+
 def _finish(bundle: ReportBundle) -> ReportBundle:
-    """Record the bundle's checks and its verdict in its summary."""
+    """Record the bundle's checks and verdict in its summary once no check
+    value, table cell or summary number is NaN or +-inf, but for the
+    ``_BOUNDS``.  Else raise ValueError naming the first breach: the check
+    and its where, or the table, the column and the first row's x, or the
+    summary key."""
+    for c in bundle.checks:
+        if c["value"] is not None and not math.isfinite(c["value"]):
+            raise ValueError(
+                f"the check {c['name']} at {c['where']} is not finite: value = {c['value']}"
+            )
+    for name, (header, columns) in bundle.tables.items():
+        ok = np.array([
+            ~np.isnan(c) if key in _BOUNDS else np.isfinite(c) for key, c in zip(header, columns)
+        ])
+        if not ok.all():
+            row = int(ok.all(axis=0).argmin())
+            k = int(ok[:, row].argmin())
+            raise ValueError(
+                f"the {name} table is not finite: {header[k]} = {columns[k][row]} at "
+                f"{header[0]} = {columns[0][row]}"
+            )
     bundle.summary["checks"] = bundle.checks
     bundle.summary["passed"] = bundle.passed
+    breach = _nonfinite(bundle.summary, "summary")
+    if breach is not None:
+        raise ValueError(f"the summary is not finite: {breach}")
     return bundle
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gcelab import engine
 from gcelab.solvers import (
     DeltaBarrier,
     PotentialProfile,
@@ -53,6 +54,26 @@ def system_profile(profile: PotentialProfile, i: int) -> PotentialProfile:
         DeltaBarrier(d.x0, d.strength[k, k]) for d in profile.deltas if d.strength[k, k] != 0
     ]
     return PotentialProfile(segments, deltas)
+
+
+def piecewise_derivative(values: np.ndarray, xs: np.ndarray, cuts=()) -> np.ndarray:
+    """Second-order d/dx of sampled values, one-sided at cuts and grid edges.
+
+    ``cuts`` are positions where the sampled field or its derivative may jump;
+    a grid point sitting exactly on a cut belongs to the right cell, matching
+    the right-continuous evaluation convention.
+    """
+    values = np.asarray(values)
+    xs = np.asarray(xs, dtype=float)
+    h = engine.uniform_spacing(xs)
+    out = np.empty_like(values, dtype=complex)
+    for s, e in engine._cells(xs, cuts):
+        out[s:e] = engine._diff(values[s:e]) / (2.0 * h)
+    return out
+
+
+def rms_of(values: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
 def solve_model(model: str, profile, energy, boundary, convention: str = "default"):

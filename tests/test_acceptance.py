@@ -3,8 +3,8 @@
 Each test pins one public guarantee end to end: su(N) algebra invariants,
 decomposition round trips, solver exactness, window-local conservation, the
 charge-current identity, delta-junction relations, residual convergence,
-Hermitian pairing, symmetry-transformed currents, the gauge diagnostic, and
-the tooling contracts (round trip, determinism, exit codes).
+Hermitian pairing, symmetry-transformed currents, and the tooling contracts
+(round trip, determinism, exit codes).
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from conftest import diagonal_profile, ladder_pair_current
 from gcelab.cli import main as cli_main
 from gcelab.engine import (
     DegenerateEnergiesError,
-    GaugeConfig,
     charge_current_relation,
     dirac_current,
-    gauge_residual,
     gce_residual_dirac,
     gce_residual_schrodinger,
     identity_transform,
-    residual_cuts,
     transformed_current,
 )
 from gcelab.scenario import (
@@ -49,7 +46,7 @@ from gcelab.solvers import (
     solve_schrodinger,
     uniform_profile,
 )
-from gcelab.sun import build_basis, decompose
+from gcelab.sun import decompose
 
 DATA = Path(__file__).parent / "data"
 
@@ -344,48 +341,7 @@ def test_identity_transform_reproduces_pair_current_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# 10. Gauge diagnostic
-
-
-def test_zero_gauge_field_matches_ungauged_residual(bases):
-    sol = coupled_dirac_solution()
-    grid = np.linspace(-1.5, 2.5, 401)
-    dec = decompose(sol.profile, bases[2])
-    plain = gce_residual_dirac(sol, bases[2], 2, grid, dec)
-    config = GaugeConfig(
-        grid, np.zeros((3, 2, len(grid))), cuts=tuple(residual_cuts(sol.profile))
-    )
-    gauged = gauge_residual(
-        sol.evaluate(grid),
-        config,
-        bases[2],
-        2,
-        energies=np.full(2, sol.energy),
-        decomp=dec,
-        convention=sol.dynamics,
-    )
-    assert np.abs(gauged.residual - plain.residual).max() <= 1e-13
-
-
-def test_constant_abelian_field_converges_second_order(bases):
-    alpha = 0.4
-    shifted = np.array([1.5 - alpha / 2, 0.9 + alpha / 2])
-    sol = free_stack(shifted)
-    norms = {}
-    for n_pts in (161, 321):
-        grid = np.linspace(-2.0, 2.0, n_pts)
-        a_fields = np.zeros((3, 2, n_pts))
-        a_fields[2, 0, :] = alpha
-        psi = sol.evaluate(grid)
-        rep = gauge_residual(
-            psi, GaugeConfig(grid, a_fields), bases[2], 1, energies=shifted
-        )
-        norms[n_pts] = rep.residual_rms
-    assert 3.6 <= norms[161] / norms[321] <= 4.4
-
-
-# ---------------------------------------------------------------------------
-# 11. Tooling contracts
+# 10. Tooling contracts
 
 
 def test_scenarios_round_trip_exactly():

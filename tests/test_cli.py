@@ -16,12 +16,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gcelab
 from gcelab import cli
 from gcelab.cli import main
-from gcelab.scenario import builtin_scenario_names
+from gcelab.scenario import ReportBundle, _check, _finish, builtin_scenario_names
 
 DATA = Path(__file__).parent / "data"
 FLAGS = ("--scenario", "--out", "--grid", "--h", "--lambda", "--convention", "--tol")
@@ -509,6 +510,60 @@ class TestExitContract:
         assert err == f"gcelab: error: {error}\n"
         assert not out.exists()
 
+    # The state above on [0, 200] stays finite, peaking near 6.7e245, but
+    # its currents, products of two samples, overflow from x = 125.8.
+    HOT = {
+        "model": "schrodinger", "n_systems": 2,
+        "profile": {"segments": [{"x_lo": 0, "x_hi": 1, "v": [[5, 0], [0, 5]]}]},
+        "energies": [1, 1],
+        "boundaries": [{"kind": "initial", "value": [1, 0]},
+                       {"kind": "initial", "value": [0.5, 0.2]}],
+        "grid": {"x_min": 0, "x_max": 200, "n_points": 4001},
+        "requested_outputs": ["currents", "domains"],
+    }
+
+    def run_quietly(self, argv, tmp_path, capsys, doc=HOT):
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli([*argv, "--scenario", str(path), "--out", str(tmp_path / "rep")], capsys)
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [
+            ("currents", "the currents table is not finite: im_j1 = nan at x = 125.80000000000001"),
+            # The check is named before the tables it judges.
+            ("run", "the check domain_constancy at [-inf, inf] is not finite: value = nan"),
+        ],
+    )
+    def test_current_overflowing_on_the_grid_exits_two(self, command, error, tmp_path, capsys):
+        code, stdout, err = self.run_quietly([command], tmp_path, capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"gcelab: error: {error}\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_summary_number_overflowing_off_the_domains_exits_two(self, tmp_path, capsys):
+        # System 2 steps up on [1, 2], so the one domain ends at x = 1 and
+        # only the variation of the current off it overflows.
+        doc = json.loads(json.dumps(self.HOT))
+        doc["profile"]["segments"].append({"x_lo": 1, "x_hi": 2, "v": [[5, 0], [0, 6]]})
+        doc["requested_outputs"] = ["domains"]
+        code, stdout, err = self.run_quietly(["run"], tmp_path, capsys, doc)
+        assert code == 2 and stdout == ""
+        assert err == (
+            "gcelab: error: the summary is not finite: "
+            "summary.domains.outside.rel_variation = nan\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
+    def test_finite_state_of_an_overflowing_current_solves(self, tmp_path, capsys):
+        code, _, err = self.run_quietly(["solve"], tmp_path, capsys)
+        assert code == 0 and err == ""
+        rows = (tmp_path / "rep" / "solution.csv").read_text().splitlines()[1:]
+        top = max(abs(float(v)) for row in rows for v in row.split(","))
+        assert 1e245 < top < 1e246
+
     def test_grid_far_from_the_origin_names_its_deviation(self, tmp_path, capsys):
         # At x ~ 1e4 the points of linspace round at 1.8e-12, and the
         # spacings of this 8001-point grid vary by 2.4e-9 of h.
@@ -826,3 +881,61 @@ def test_run_without_charge_relation_skips_numpy_polynomial(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+class TestFiniteOutputs:
+    """``_finish`` refuses a bundle with a number that is not finite; only an
+    interval bound may be infinite."""
+
+    HEADER = ["x_lo", "x_hi", "re_mean", "im_mean", "max_dev", "rel_dev", "passed"]
+
+    def domains(self, **cells):
+        row = dict.fromkeys(self.HEADER, 0.0) | {"x_lo": -math.inf, "x_hi": math.inf} | cells
+        columns = [np.array([row[k], 1.0]) for k in self.HEADER]
+        return ReportBundle(tables={"domains": (self.HEADER, columns)})
+
+    def test_infinite_bounds_are_kept(self):
+        bundle = _finish(self.domains())
+        columns = bundle.tables["domains"][1]
+        assert columns[0][0] == -math.inf and columns[1][0] == math.inf
+        assert bundle.summary == {"checks": [], "passed": True}
+
+    @pytest.mark.parametrize("key", ["x_lo", "x_hi"])
+    def test_nan_bound_is_refused(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"domains table is not finite: {key} = nan")):
+            _finish(self.domains(**{key: math.nan}))
+
+    @pytest.mark.parametrize("key", HEADER[2:])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_other_non_finite_cell_is_refused(self, key, value):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"domains table is not finite: {key} = {value} at x_lo = -inf"),
+        ):
+            _finish(self.domains(**{key: value}))
+
+    def test_first_row_is_named(self):
+        columns = [np.arange(5.0), np.array([0.0, 0.0, np.inf, np.nan, 0.0]),
+                   np.array([0.0, np.nan, 0.0, 0.0, 0.0])]
+        bundle = ReportBundle(tables={"t": (["x", "a", "b"], columns)})
+        with pytest.raises(ValueError, match=re.escape("t table is not finite: b = nan at x = 1.0")):
+            _finish(bundle)
+
+    def test_check_values_are_finite_or_none(self):
+        where = [-math.inf, 0.0]
+        for value in (None, 0.5):
+            _finish(ReportBundle(checks=[_check("c", value, 1.0, where=where, passed=False)]))
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                f"the check c at [-inf, 0.0] is not finite: value = {value}"
+            )):
+                _finish(ReportBundle(checks=[_check("c", value, 1.0, where=where)]))
+
+    def test_summary_numbers_are_finite_but_for_bounds(self):
+        bundle = _finish(ReportBundle(summary={"items": [{"x_lo": -math.inf, "x_hi": 1.0}]}))
+        bundle.summary["items"][0]["x_hi"] = math.nan
+        with pytest.raises(ValueError, match=re.escape(
+            "the summary is not finite: summary.items.0.x_hi = nan"
+        )):
+            _finish(bundle)
+

@@ -1,4 +1,4 @@
-"""Engine checks: currents, continuity residuals, domains, charge, gauge.
+"""Engine checks: currents, continuity residuals, domains, charge.
 
 Closed-form oracles: free right-movers of the default Dirac convention carry
 the spinor u = (1, -i)/sqrt(2) with wavenumber k = E, so the mixed current is
@@ -23,6 +23,8 @@ from conftest import (
     diagonal_profile,
     ladder_pair_current,
     per_system,
+    piecewise_derivative,
+    rms_of,
     solve_model,
     system_profile,
 )
@@ -32,28 +34,23 @@ from gcelab import engine, solvers
 from gcelab.engine import (
     ChargeRelation,
     DegenerateEnergiesError,
-    GaugeConfig,
     TransformSpec,
     charge_current_relation,
     delta_domain_relation,
     detect_domains,
     dirac_current,
-    field_strength,
-    gauge_residual,
     gce_residual_dirac,
     gce_residual_schrodinger,
     gce_residual_sweep,
     identity_transform,
     interval_stats,
     parity_transform,
-    piecewise_derivative,
     residual_cuts,
     schrodinger_current,
     transformed_current,
     translation_transform,
     uniform_spacing,
     _gauss_rule,
-    _rms,
 )
 from gcelab.scenario import _solve_stack, load_builtin, order_verdict
 from gcelab.solvers import (
@@ -585,7 +582,7 @@ def unit_vectors(sol) -> np.ndarray:
 def sampled_table(sol, basis, grid, decomp):
     """The residual table of one sampling of the snapped grid: the real
     factors of the states against ``_piece_kernels`` of one key per
-    segment, as ``gauge_residual`` forms them."""
+    segment."""
     cuts = residual_cuts(sol.profile)
     eval_xs = engine.snap_to_cuts(grid, cuts)
     h = uniform_spacing(grid)
@@ -623,7 +620,7 @@ def test_n4_forms_take_every_product(model):
     basis = build_basis(4)
     decomp = decompose(sol.profile, basis)
     for vectors, width in ((sol.pieces[2].coefficients, 36), (unit_vectors(sol), 136)):
-        kernels = table_kernels(sol, basis, 0.1, decomp, {0: vectors}, {0: 1}, None)
+        kernels = table_kernels(sol, basis, 0.1, decomp, {0: vectors}, {0: 1}, sol.energies)
         assert kernels[0].shape == (30, width)
     assert n_products(sol) == 36
 
@@ -834,21 +831,6 @@ class TestResiduals:
         assert np.abs(d - (6.0 * xs - 2.0)).max() <= 1e-11
 
 
-def gauge_free_residuals(sol, basis, grid, decomp):
-    """Every generator's residual, and the largest floor, at A = 0 through
-    ``gauge_residual``, which takes ``decomp`` as given: the residual sweep
-    refuses the decomposition of another profile."""
-    cuts = residual_cuts(sol.profile)
-    config = GaugeConfig(grid, np.zeros((basis.dim, 2, len(grid))), tuple(cuts))
-    psi = sol.evaluate(engine.snap_to_cuts(grid, cuts))
-    reports = [
-        gauge_residual(psi, config, basis, a, energies=sol.energies, decomp=decomp,
-                       convention=sol.dynamics)
-        for a in range(1, basis.dim + 1)
-    ]
-    return np.stack([r.residual for r in reports]), max(r.floor for r in reports)
-
-
 class TestResidualTable:
     """One read-only residual table per solution and grid, keyed by values."""
 
@@ -879,7 +861,7 @@ class TestResidualTable:
         )]
         for table in tables:
             for row, rms, top in zip(table.residual, table.rms, table.max):
-                assert rms == _rms(row) and top == np.abs(row).max()
+                assert rms == rms_of(row) and top == np.abs(row).max()
             for arr in (table.rms, table.max):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
@@ -961,12 +943,12 @@ class TestResidualTable:
         dec = decompose(sol.profile, bases[2])
         moved = dataclasses.replace(dec, cuts=dec.cuts + 0.01)
         table = gce_residual_sweep(sol, bases[2], self.GRID, dec)
-        base, floor = gauge_free_residuals(sol, bases[2], self.GRID, dec)
-        # The gauge path forms the sampled states' products; the sweep the
+        sampled = sampled_table(sol, bases[2], self.GRID, dec)
+        base, floor = sampled.residual, sampled.floor.max()
+        # The sampled table forms the states' products; the sweep the
         # factors' products, which round differently.
-        assert_arrays_same_bits([base], [sampled_table(sol, bases[2], self.GRID, dec).residual])
         assert (np.abs(base - table.residual).max(axis=1) <= floor + table.floor).all()
-        shifted, _ = gauge_free_residuals(sol, bases[2], self.GRID, moved)
+        shifted = sampled_table(sol, bases[2], self.GRID, moved).residual
         # Only the source moves with the cuts; elsewhere the stencil of j1
         # must not see how the samples were split into blocks.
         same = dec.segment_of(self.GRID) == moved.segment_of(self.GRID)
@@ -1034,7 +1016,7 @@ class TestResidualTable:
         grids = [np.linspace(-1.5, 1.5, n) for n in (301, 601)]
         tables = [gce_residual_sweep(sol, bases[2], g) for g in grids]
         for a in (1, 2, 3):
-            rms = [_rms(t.residual[a - 1]) for t in tables]
+            rms = [rms_of(t.residual[a - 1]) for t in tables]
             floors = [t.floor[a - 1] for t in tables]
             verdict = order_verdict([uniform_spacing(g) for g in grids], rms, floors)
             assert verdict["orders"] == [None]
@@ -1412,130 +1394,3 @@ class TestPairOperationsOfAStack:
             charge_current_relation(self.stack(), (1, 2), -1.0, 1.0)
         with pytest.raises(ValueError, match="outside"):
             transformed_current(self.stack(), (1, 4), identity_transform(), xs)
-
-
-# ---------------------------------------------------------------------------
-# Gauge diagnostic
-
-
-class TestGauge:
-    def test_field_strength_constant_fields_oracle(self, bases):
-        xs = np.linspace(-1.0, 1.0, 9)
-        p, q = 0.7, -0.35
-        a_fields = np.zeros((3, 2, 9))
-        a_fields[0, 0, :] = p
-        a_fields[1, 1, :] = q
-        r = field_strength(GaugeConfig(xs, a_fields), bases[2])
-        assert np.abs(r[2] + p * q).max() <= 1e-14
-        assert np.abs(r[:2]).max() <= 1e-14
-
-    def test_zero_field_reproduces_ungauged_residual_exactly(self, bases):
-        sol = coupled_dirac_solution()
-        grid = np.linspace(-1.5, 2.5, 401)
-        dec = decompose(sol.profile, bases[2])
-        plain = gce_residual_dirac(sol, bases[2], 2, grid, dec)
-        config = GaugeConfig(
-            grid, np.zeros((3, 2, len(grid))), cuts=tuple(residual_cuts(sol.profile))
-        )
-        gauged = gauge_residual(
-            sol.evaluate(grid),
-            config,
-            bases[2],
-            2,
-            energies=np.full(2, sol.energy),
-            decomp=dec,
-            convention=sol.dynamics,
-        )
-        # A = 0 repeats the ungauged arithmetic of the sampled states bit for
-        # bit; the sweep forms its table from the factors, within both floors.
-        assert np.array_equal(gauged.residual, sampled_table(sol, bases[2], grid, dec).residual[1])
-        assert np.abs(gauged.residual - plain.residual).max() <= gauged.floor + plain.floor
-
-    def test_constant_time_component_shifts_energies(self, bases):
-        alpha = 0.4
-        e1, e2 = 1.5, 0.9
-        shifted = np.array([e1 - alpha / 2, e2 + alpha / 2])
-        stack = free_stack(shifted)
-        norms = {}
-        for n_pts in (161, 321):
-            grid = np.linspace(-2.0, 2.0, n_pts)
-            a_fields = np.zeros((3, 2, n_pts))
-            a_fields[2, 0, :] = alpha
-            psi = stack.evaluate(grid)
-            rep = gauge_residual(
-                psi, GaugeConfig(grid, a_fields), bases[2], 1, energies=shifted
-            )
-            norms[n_pts] = rep.residual_rms
-        assert 1e-9 <= norms[161] <= 1e-4
-        assert 3.6 <= norms[161] / norms[321] <= 4.4
-
-    def test_current_correction_enters_the_spatial_derivative(self, bases):
-        """d_x of K^1 = R_01^d f_abd A^b_0 is taken from the gauged current."""
-        rng = np.random.default_rng(11)
-        sol = coupled_dirac_solution()
-        grid = np.linspace(-1.5, 2.5, 401)
-        cuts = tuple(residual_cuts(sol.profile))
-        a_fields = 0.3 * np.sin(np.outer(rng.uniform(1, 3, 6), grid)).reshape(3, 2, -1)
-        psi, energies = sol.evaluate(grid), np.full(2, sol.energy)
-        basis = bases[2]
-        r01 = field_strength(GaugeConfig(grid, a_fields, cuts), basis)
-        for a in (1, 2, 3):
-            k1 = np.einsum("bd,dx,bx->x", basis.structure_constants[a - 1], r01, a_fields[:, 0])
-            assert np.abs(k1).max() > 1e-3
-            gauged = gauge_residual(
-                psi, GaugeConfig(grid, a_fields, cuts), basis, a, energies=energies
-            ).residual
-            plain = gauge_residual(
-                psi, GaugeConfig(grid, 0.0 * a_fields, cuts), basis, a, energies=energies
-            ).residual
-            dk1 = piecewise_derivative(k1, grid, cuts).real
-            assert np.abs(gauged - plain + dk1).max() <= 1e-12 * np.abs(dk1).max()
-
-    def test_random_samples_fail_the_continuity_law(self, bases):
-        rng = np.random.default_rng(7)
-        grid = np.linspace(-2.0, 2.0, 161)
-        psi = rng.normal(size=(161, 4)) + 1j * rng.normal(size=(161, 4))
-        rep = gauge_residual(
-            psi,
-            GaugeConfig(grid, np.zeros((3, 2, 161))),
-            bases[2],
-            1,
-            energies=[1.3, 1.1],
-        )
-        assert rep.residual_rms > 1e-2
-
-    def test_sampled_time_path_matches_stationary_phases(self, bases):
-        e = np.array([1.3, 0.7])
-        stack = free_stack(e)
-        grid = np.linspace(-2.0, 2.0, 161)
-        ts = np.linspace(0.0, 0.8, 9)
-        vals = per_system(stack, grid)
-        psi = np.empty((len(ts), len(grid), 4), dtype=complex)
-        for k, t in enumerate(ts):
-            phases = np.exp(-1j * e * t)
-            psi[k] = (vals * phases[None, :, None]).reshape(len(grid), 4)
-        rep = gauge_residual(
-            psi,
-            GaugeConfig(grid, np.zeros((3, 2, len(grid))), t_grid=ts),
-            bases[2],
-            1,
-        )
-        assert rep.residual.shape == (len(ts), len(grid))
-        assert rep.residual_rms <= 1e-2
-
-    def test_gauge_argument_validation(self, bases):
-        grid = np.linspace(-1.0, 1.0, 9)
-        psi = np.zeros((9, 4), dtype=complex)
-        with pytest.raises(ValueError, match="a_fields"):
-            gauge_residual(
-                psi, GaugeConfig(grid, np.zeros((3, 1, 9))), bases[2], 1, energies=[1, 1]
-            )
-        with pytest.raises(ValueError, match="energies"):
-            gauge_residual(psi, GaugeConfig(grid, np.zeros((3, 2, 9))), bases[2], 1)
-        with pytest.raises(ValueError, match="t_grid"):
-            gauge_residual(
-                np.zeros((3, 9, 4), dtype=complex),
-                GaugeConfig(grid, np.zeros((3, 2, 9))),
-                bases[2],
-                1,
-            )

@@ -16,19 +16,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import diagonal_profile, random_hermitian, solve_model
+from conftest import (
+    diagonal_profile,
+    piecewise_derivative,
+    random_hermitian,
+    rms_of,
+    solve_model,
+)
 from gcelab import engine
 from gcelab.engine import (
     _BLOCK,
-    GaugeConfig,
-    _rms,
     charge_current_relation,
     dirac_current,
     gce_residual_dirac,
     gce_residual_schrodinger,
     gce_residual_sweep,
-    gauge_residual,
-    piecewise_derivative,
     residual_cuts,
     schrodinger_current,
     snap_to_cuts,
@@ -229,7 +231,7 @@ def test_all_residuals_match_oracle_and_converge_at_second_order(case):
     worst = max(r.residual_rms for r in reports)
     for rep in reports:
         if rep.residual_rms >= 1e-3 * worst:
-            rms = [_rms(t.residual[rep.a - 1]) for t in tables]
+            rms = [rms_of(t.residual[rep.a - 1]) for t in tables]
             floors = [t.floor[rep.a - 1] for t in tables]
             verdict = order_verdict([h, fine[1] - fine[0]], rms, floors)
             assert verdict["orders"][0] == pytest.approx(2.0, abs=0.2), rep.a
@@ -258,11 +260,9 @@ def test_sweep_rows_match_oracle_and_per_generator_reports(case):
 # The rounding floor of the factor form
 #
 # Inside a piece each row of the table is sum_{r <= s} A_rs f_r f_s of the
-# piece's propagator factors, then the j1 stencil; ``gauge_residual`` takes
-# the same form on the real factors of each sample, its float view.  The
-# same factors and coefficients, multiplied, summed and differenced in
-# np.longdouble, give the table without its float64 rounding, which the
-# floor must bound.
+# piece's propagator factors, then the j1 stencil.  The same factors and
+# coefficients, multiplied, summed and differenced in np.longdouble, give
+# the table without its float64 rounding, which the floor must bound.
 
 
 def band_edge_stack(model: str):
@@ -313,23 +313,6 @@ def longdouble_residuals(stack, basis, grid, decomp):
     return longdouble_table(coefficients, pieces, factors, grid, cuts)
 
 
-def longdouble_sampled_residuals(stack, basis, grid, decomp):
-    """The residuals of the stack's samples on the snapped grid from their
-    real factors and the coefficients of one key per segment, as
-    ``gauge_residual`` forms them, in np.longdouble."""
-    cuts = residual_cuts(stack.profile)
-    eval_xs = snap_to_cuts(grid, cuts)
-    sources = source_operator(decomp)
-    segments = range(sources.shape[1])
-    unit = np.kron(np.eye(stack.dim), [[1.0], [1j]])  # the vectors of a float view
-    coefficients = engine._piece_kernels(
-        stack.dynamics.kernels, dict.fromkeys(segments, unit), {s: s for s in segments},
-        basis.generators, uniform_spacing(grid), sources, stack.energies,
-    )
-    factors = stack.evaluate(eval_xs).view(float).T
-    return longdouble_table(coefficients, decomp.segment_of(eval_xs), factors, grid, cuts)
-
-
 FLOOR_CASES = [
     (build, model, n) for build in ("joint", "sequence")
     for model in ("dirac", "schrodinger") for n in (2, 3, 4)
@@ -362,25 +345,6 @@ def test_floor_bounds_the_rounding_of_the_factor_form(build, model, n):
     exact = longdouble_residuals(stack, basis, grid, decomp)
     err = np.abs(table.residual - exact).max(axis=1).astype(float)
     assert (err <= table.floor).all(), (err / table.floor).max()
-
-
-@needs_longdouble
-@pytest.mark.parametrize("build, model, n", FLOOR_CASES, ids=lambda c: str(c))
-def test_floor_bounds_the_rounding_of_the_sampled_factor_form(build, model, n):
-    # gauge_residual at A = 0 on the stack's samples.
-    stack = floor_stack(build, model, n)
-    basis = build_basis(n)
-    decomp = decompose(stack.profile, basis)
-    grid = np.linspace(*GRID, COARSE)
-    cuts = residual_cuts(stack.profile)
-    config = GaugeConfig(grid, np.zeros((basis.dim, 2, len(grid))), tuple(cuts))
-    psi = stack.evaluate(snap_to_cuts(grid, cuts))
-    exact = longdouble_sampled_residuals(stack, basis, grid, decomp)
-    for a in range(1, basis.dim + 1):
-        rep = gauge_residual(psi, config, basis, a, energies=stack.energies, decomp=decomp,
-                             convention=stack.dynamics)
-        err = float(np.abs(rep.residual - exact[a - 1]).max())
-        assert err <= rep.floor, (a, err / rep.floor)
 
 
 def longdouble_currents(stack, t_a, psi):
