@@ -2,10 +2,12 @@
 
 Exit status contract: 0 on success, 1 when a physics verdict fails (domain
 constancy, the charge or delta-domain relation, or the convergence order), 2
-on usage or input errors, on inputs too large for memory, on an output that
-is not finite and on errors writing the outputs.  Verdict failures still
+on usage or input errors, on inputs too large for memory, on a result beyond
+double precision and on errors writing the outputs.  Verdict failures still
 write the full summary so results can be inspected, and print one line per
-failing check.
+failing check.  Every handler runs without numpy's overflow warnings: the
+solve names an overflowing segment or delta, ``scenario._finish`` any later
+non-finite table cell, check value or summary number.
 """
 
 from __future__ import annotations
@@ -298,7 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ValueError, OSError) as e:
         print(f"gcelab: error: {e}", file=sys.stderr)
         return EXIT_USAGE

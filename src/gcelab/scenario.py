@@ -503,16 +503,12 @@ def _nonfinite(node, key: str, bound: bool = False):
 
 
 def _finish(bundle: ReportBundle) -> ReportBundle:
-    """Record the bundle's checks and verdict in its summary once no check
-    value, table cell or summary number is NaN or +-inf, but for the
-    ``_BOUNDS``.  Else raise ValueError naming the first breach: the check
-    and its where, or the table, the column and the first row's x, or the
-    summary key."""
-    for c in bundle.checks:
-        if c["value"] is not None and not math.isfinite(c["value"]):
-            raise ValueError(
-                f"the check {c['name']} at {c['where']} is not finite: value = {c['value']}"
-            )
+    """Record the bundle's checks and verdict in its summary once no table
+    cell, check value or summary number is NaN or +-inf, but for the
+    ``_BOUNDS``.  Else raise ValueError naming the first breach: the table,
+    the column and the first row's x (h for a scan), else the check and
+    its where, else the summary key.  Past the solve, this is the only
+    refusal of a result beyond double precision."""
     for name, (header, columns) in bundle.tables.items():
         ok = np.array([
             ~np.isnan(c) if key in _BOUNDS else np.isfinite(c) for key, c in zip(header, columns)
@@ -523,6 +519,11 @@ def _finish(bundle: ReportBundle) -> ReportBundle:
             raise ValueError(
                 f"the {name} table is not finite: {header[k]} = {columns[k][row]} at "
                 f"{header[0]} = {columns[0][row]}"
+            )
+    for c in bundle.checks:
+        if c["value"] is not None and not math.isfinite(c["value"]):
+            raise ValueError(
+                f"the check {c['name']} at {c['where']} is not finite: value = {c['value']}"
             )
     bundle.summary["checks"] = bundle.checks
     bundle.summary["passed"] = bundle.passed

@@ -543,14 +543,12 @@ class PiecewiseSolution:
     def dim(self) -> int:
         return 2 * self.n_systems
 
-    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, xs, side: str = "right") -> np.ndarray:
         """Sampled stacked state, shape (len(xs), 2N), a fresh array per call.
 
         At a delta the two sides give the two one-sided limits.  Each run of
         consecutive points in one piece is expanded as one slice, so a
-        monotone grid costs one expansion per piece it crosses.  A sample
-        that is not finite raises ValueError naming its x, without a warning.
+        monotone grid costs one expansion per piece it crosses.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = np.searchsorted(self.breakpoints, xs, side="right" if side == "right" else "left")
@@ -559,10 +557,6 @@ class PiecewiseSolution:
         for lo, hi in zip(starts, [*starts[1:], len(xs)]):
             piece = self.pieces[idx[lo]]
             out[lo:hi] = piece.expand(xs[lo:hi] - piece.anchor)
-        finite = np.isfinite(out.view(float))
-        if not finite.all():
-            x = xs[finite.all(axis=1).argmin()]
-            raise ValueError(f"the state at x = {x} overflows double precision")
         return out
 
     def limits(self, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -658,8 +652,9 @@ def _refuse_overflow(profile, props, jumps, transfers) -> None:
             raise ValueError(f"{what} overflows double precision")
 
 
-# Inputs beyond double precision leave inf or NaN behind, which the solve
-# refuses by name (``_refuse_overflow``, then the state) without a warning.
+# A propagator, junction or transfer beyond double precision is refused by
+# name (``_refuse_overflow``) without a warning; a state that overflows only
+# in their products is returned, for ``scenario._finish`` to refuse.
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(profile, energy, boundary, dynamics):
     n = profile.n_systems
@@ -710,10 +705,6 @@ def _solve(profile, energy, boundary, dynamics):
         if (k + 1) in junctions:
             val = junctions[k + 1] @ val
     pieces.append(_Piece(float(b[-1]), val, props[-1]))
-    for piece in pieces:
-        if not np.isfinite(piece.coefficients).all():
-            raise ValueError(f"the state at x = {piece.anchor} overflows double precision")
-
     return PiecewiseSolution(profile, energies, pieces, b, dynamics)
 
 

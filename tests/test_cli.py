@@ -477,68 +477,72 @@ class TestExitContract:
         assert err == "gcelab: error: grid: the span x_max - x_min overflows double precision\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, error",
-        [
-            ("run", "the state at x = 250.9 overflows double precision"),
-            ("solve", "the state at x = 250.9 overflows double precision"),
-            # The residual's products f_r f_s overflow where f_r passes 1e154.
-            ("gce-verify", "evaluating the continuity residual: the residual at x = 126.4 "
-                           "overflows double precision"),
-        ],
-    )
-    def test_state_overflowing_on_the_grid_exits_two(self, command, error, tmp_path, capsys):
-        # kappa = sqrt(2 (5 - 1)): cosh(kappa x) passes the largest double at
-        # x = 251, inside the grid but past the one segment's solve.
-        doc = {
-            "model": "schrodinger", "n_systems": 2,
-            "profile": {"segments": [{"x_lo": 0, "x_hi": 1, "v": [[5, 0], [0, 5]]}]},
-            "energies": [1, 1],
-            "boundaries": [{"kind": "initial", "value": [1, 0]},
-                           {"kind": "initial", "value": [0.5, 0.2]}],
-            "grid": {"x_min": 0, "x_max": 400, "n_points": 4001},
-            "requested_outputs": ["currents", "residuals", "domains"],
-        }
-        path, out = tmp_path / "overflow.json", tmp_path / "rep"
-        path.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = run_cli(
-                [command, "--scenario", str(path), "--out", str(out)], capsys
-            )
-        assert code == 2 and stdout == ""
-        assert err == f"gcelab: error: {error}\n"
-        assert not out.exists()
-
-    # The state above on [0, 200] stays finite, peaking near 6.7e245, but
-    # its currents, products of two samples, overflow from x = 125.8.
-    HOT = {
+    # kappa = sqrt(2 (5 - 1)) at E = 1: cosh(kappa x) passes the largest
+    # double at x = 251, inside the grid but past the one segment's solve,
+    # and its square, which the currents and residuals take, at x = 126.
+    GROWS = {
         "model": "schrodinger", "n_systems": 2,
         "profile": {"segments": [{"x_lo": 0, "x_hi": 1, "v": [[5, 0], [0, 5]]}]},
         "energies": [1, 1],
         "boundaries": [{"kind": "initial", "value": [1, 0]},
                        {"kind": "initial", "value": [0.5, 0.2]}],
+        "grid": {"x_min": 0, "x_max": 400, "n_points": 4001},
+        "requested_outputs": ["currents", "residuals", "domains"],
+    }
+    # The same state on [0, 200] stays finite, peaking near 6.7e245.
+    HOT = {
+        **GROWS,
         "grid": {"x_min": 0, "x_max": 200, "n_points": 4001},
         "requested_outputs": ["currents", "domains"],
     }
+    # kappa L = sqrt(8) 200 = 566 per barrier: both transfers are finite,
+    # their product is not, so the scattering state is NaN from the left edge.
+    TWOBARRIER = {
+        **GROWS,
+        "profile": {"segments": [
+            {"x_lo": lo, "x_hi": lo + length, "v": [[v, 0], [0, v]]}
+            for lo, length, v in [(-1, 1, 0), (0, 200, 5), (200, 1, 0), (201, 200, 5), (401, 1, 0)]
+        ]},
+        "boundaries": [{"kind": "incoming", "amplitude": a} for a in (1, 0.5)],
+        "grid": {"x_min": -1, "x_max": 402, "n_points": 4031},
+    }
+    CURRENT = "the currents table is not finite: im_j1 = nan at x = 125.80000000000001"
+    RESIDUAL = "the residuals table is not finite: re_residual = nan at x = 126.7"
+    SCAN = "the scan table is not finite: rms = nan at h = 0.1"
 
     def run_quietly(self, argv, tmp_path, capsys, doc=HOT):
         path = tmp_path / "hot.json"
         path.write_text(json.dumps(doc))
+        if argv[0] == "scan":
+            argv = [*argv, "--h", "1e-1,5e-2"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return run_cli([*argv, "--scenario", str(path), "--out", str(tmp_path / "rep")], capsys)
 
     @pytest.mark.parametrize(
-        "command, error",
+        "name, command, error",
         [
-            ("currents", "the currents table is not finite: im_j1 = nan at x = 125.80000000000001"),
-            # The check is named before the tables it judges.
-            ("run", "the check domain_constancy at [-inf, inf] is not finite: value = nan"),
+            ("grows", "currents", CURRENT),
+            ("grows", "run", CURRENT),
+            ("grows", "solve", "the solution table is not finite: re_u2 = inf at x = 250.9"),
+            ("grows", "gce-verify", RESIDUAL),
+            ("grows", "scan", SCAN),
+            ("hot", "currents", CURRENT),
+            ("hot", "run", CURRENT),
+            ("hot", "gce-verify", RESIDUAL),
+            ("hot", "scan", SCAN),
+            ("twobarrier", "currents", "the currents table is not finite: re_j1 = nan at x = -1.0"),
+            ("twobarrier", "run", "the currents table is not finite: re_j1 = nan at x = -1.0"),
+            ("twobarrier", "solve", "the solution table is not finite: re_u1 = nan at x = -1.0"),
+            ("twobarrier", "gce-verify",
+             "the residuals table is not finite: re_residual = nan at x = -1.0"),
+            ("twobarrier", "scan",
+             "the scan table is not finite: rms = nan at h = 0.09999999999999998"),
         ],
     )
-    def test_current_overflowing_on_the_grid_exits_two(self, command, error, tmp_path, capsys):
-        code, stdout, err = self.run_quietly([command], tmp_path, capsys)
+    def test_overflow_on_the_grid_exits_two(self, name, command, error, tmp_path, capsys):
+        doc = getattr(self, name.upper())
+        code, stdout, err = self.run_quietly([command], tmp_path, capsys, doc)
         assert code == 2 and stdout == ""
         assert err == f"gcelab: error: {error}\n"
         assert not (tmp_path / "rep").exists()

@@ -52,7 +52,9 @@ from gcelab.engine import (
     uniform_spacing,
     _gauss_rule,
 )
-from gcelab.scenario import _solve_stack, load_builtin, order_verdict
+from gcelab.scenario import (
+    _solve_stack, load_builtin, order_verdict, run_scenario, scenario_from_dict,
+)
 from gcelab.solvers import (
     DeltaBarrier,
     InitialValue,
@@ -980,33 +982,42 @@ class TestResidualTable:
         assert again is not table
         assert np.array_equal(again.residual, table.residual)
 
-    def test_a_table_beyond_double_precision_is_refused(self, bases):
-        # cosh(kappa x), kappa = sqrt(8), passes the largest double at
-        # x = 251 and its square at x = 126.
-        prof = PotentialProfile([Segment(0.0, 1.0, 5.0 * np.eye(2))])
-        sol = solve_schrodinger(prof, 1.0, [InitialValue([1.0, 0.0]), InitialValue([0.5, 0.2])])
-        grid = np.linspace(0.0, 400.0, 4001)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^the residual at x = 126\.4 overflows"):
-                gce_residual_sweep(sol, bases[2], grid)
-            with pytest.raises(ValueError, match=r"^the state at x = 250\.9 overflows"):
-                sol.evaluate(grid)
-        assert sol.residual_table is None
-        table = gce_residual_sweep(sol, bases[2], grid[:1201])
-        assert np.isfinite(table.residual).all() and np.isfinite(table.floor).all()
-
-    def test_a_floor_beyond_double_precision_is_refused(self, bases):
-        # |c|^2 / (2h) ~ 1e308: the residuals stay finite, their floor does not.
+    def test_a_table_beyond_double_precision_is_kept_for_its_bundle_to_refuse(self, bases):
+        # cosh(kappa x), kappa = sqrt(8), squares past the largest double
+        # from x = 126: the sweep returns those residuals and floors as numpy
+        # leaves them, and the bundle refuses the table by its first such x.
+        doc = {
+            "model": "schrodinger", "n_systems": 2,
+            "profile": {"segments": [{"x_lo": 0, "x_hi": 1, "v": [[5, 0], [0, 5]]}]},
+            "energies": [1, 1],
+            "boundaries": [{"kind": "initial", "value": [1, 0]},
+                           {"kind": "initial", "value": [0.5, 0.2]}],
+            "grid": {"x_min": 0, "x_max": 400, "n_points": 4001},
+            "requested_outputs": ["residuals"],
+        }
+        s = scenario_from_dict(doc)
+        sol, grid = _solve_stack(s), s.grid_array()
+        with pytest.warns(RuntimeWarning):
+            table = gce_residual_sweep(sol, bases[2], grid)
+        assert sol.residual_table[1] is table
+        bad = ~np.isfinite(table.residual).all(axis=0)
+        assert bad.argmax() == 1264 and bad[1264:].all()  # x = 126.4 on
+        assert not np.isfinite(table.floor).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(
+                "the residuals table is not finite: re_residual = nan at x = 126.7"
+            )):
+                run_scenario(s)
+        # |c|^2 / (2h) ~ 1e308: the residuals stay finite, one floor does not.
         prof = PotentialProfile([Segment(0.0, 1.0, np.diag([0.3, -0.2]))])
         amp = 3e152
         values = [InitialValue([amp, 0.0]), InitialValue([0.5 * amp, 0.2 * amp])]
-        sol = solve_dirac(prof, 1.3, values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^the residual floor overflows"):
-                gce_residual_sweep(sol, bases[2], np.linspace(0.0, 1.0, 1001))
-        assert sol.residual_table is None
+        with np.errstate(over="ignore"):
+            table = gce_residual_sweep(
+                solve_dirac(prof, 1.3, values), bases[2], np.linspace(0.0, 1.0, 1001)
+            )
+        assert np.isfinite(table.residual).all()
+        assert table.floor.tolist() == [0.0, np.inf, 0.0]
 
     def test_order_is_none_at_rounding(self, bases):
         # Free systems at equal energy carry constant currents, so every

@@ -780,8 +780,6 @@ def two_barriers(v: float, length: float) -> PotentialProfile:
         # kappa L = sqrt(24) 200 = 980: cosh overflows.
         ("dirac", 5.0, 200.0, r"profile.segments\[1\] on \[0.0, 200.0\]: the transfer "
                               r"\(wavenumber times length 979.796\) overflows"),
-        # kappa L = sqrt(8) 200 = 566 per barrier: only their product overflows.
-        ("schrodinger", 5.0, 200.0, r"the state at x = -1.0 overflows"),
     ],
 )
 def test_overflow_is_refused_by_name_without_a_warning(model, v, length, message):
